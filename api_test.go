@@ -25,7 +25,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	rng := polarstar.RandomSource(1)
 	for i := 0; i < 100; i++ {
 		src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-		path := router.Route(src, dst, rng)
+		path := polarstar.Route(router, src, dst, rng)
 		if src != dst && !polarstar.ValidPath(ps.G, path) {
 			t.Fatalf("invalid path %v", path)
 		}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"testing"
 
+	"polarstar"
 	"polarstar/internal/faults"
 	"polarstar/internal/flowsim"
 	"polarstar/internal/moore"
@@ -369,14 +370,14 @@ func BenchmarkAblationAnalyticVsTableRouting(b *testing.B) {
 		eng := spec.MinEngine
 		for i := 0; i < b.N; i++ {
 			src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-			_ = eng.Route(src, dst, rng)
+			_ = polarstar.Route(eng, src, dst, rng)
 		}
 	})
 	b.Run("table", func(b *testing.B) {
 		eng := newTableEngine(ps)
 		for i := 0; i < b.N; i++ {
 			src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-			_ = eng.Route(src, dst, rng)
+			_ = polarstar.Route(eng, src, dst, rng)
 		}
 	})
 }

@@ -61,7 +61,7 @@ func main() {
 		return
 	}
 
-	path := spec.MinEngine.Route(*src, *dst, rng)
+	path := route.Path(spec.MinEngine, *src, *dst, rng)
 	fmt.Printf("minpath %d -> %d (%d hops): %v\n", *src, *dst, len(path)-1, path)
 
 	if *valiant {

@@ -20,7 +20,7 @@
 //	-start jellyfish:N,D[,SEED]   random D-regular graph on N vertices
 //	-start er:Q                   ER_Q Paley-quadratic diameter-3 graph
 //	-start polarstar:Q,D'[,KIND]  PolarStar star product (KIND: iq|paley)
-//	-start file:PATH              edge list (psgen/psdump format)
+//	-start file:PATH              edge list (psgen format)
 //
 // A finished run can be continued: -resume CHECKPOINT restarts from the
 // serialized searcher states, and running it with the same -epochs is a

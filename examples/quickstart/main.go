@@ -32,7 +32,7 @@ func main() {
 	rng := polarstar.RandomSource(42)
 	for i := 0; i < 3; i++ {
 		src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-		path := router.Route(src, dst, rng)
+		path := polarstar.Route(router, src, dst, rng)
 		fmt.Printf("Minpath %d -> %d: %v (%d hops, valid: %v)\n",
 			src, dst, path, len(path)-1, polarstar.ValidPath(ps.G, path))
 	}

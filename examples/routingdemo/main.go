@@ -39,7 +39,7 @@ func main() {
 		if src == dst {
 			continue
 		}
-		a := analytic.Route(src, dst, rng)
+		a := route.Path(analytic, src, dst, rng)
 		if len(a)-1 != table.Dist(src, dst) {
 			log.Fatalf("analytic path %v not minimal (want %d hops)", a, table.Dist(src, dst))
 		}

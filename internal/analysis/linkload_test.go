@@ -116,10 +116,6 @@ func TestValiantSpreadsAdversarialLoad(t *testing.T) {
 // intermediate) to the route.Engine interface.
 type valiantEngine struct{ v *route.Valiant }
 
-func (e valiantEngine) Route(src, dst int, rng *rand.Rand) []int {
-	return e.v.Via(src, rng.Intn(e.v.N), dst, rng)
-}
-
 func (e valiantEngine) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	return e.v.AppendVia(buf, src, rng.Intn(e.v.N), dst, rng)
 }

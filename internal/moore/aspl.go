@@ -27,9 +27,9 @@ func ASPLLowerBound(n, d int) (aspl float64, diam int) {
 	if n < 2 || d < 1 {
 		return 0, 0
 	}
-	var sum int64      // minorized distance sum from one source
-	rest := int64(n-1) // destinations still to place
-	layer := int64(d)  // capacity of the current layer: d(d-1)^{i-1}
+	var sum int64        // minorized distance sum from one source
+	rest := int64(n - 1) // destinations still to place
+	layer := int64(d)    // capacity of the current layer: d(d-1)^{i-1}
 	for i := int64(1); rest > 0; i++ {
 		take := layer
 		if take > rest {

@@ -56,15 +56,10 @@ func (r *Bundlefly) crossInv(u, v, z int) int {
 func (r *Bundlefly) node(x, xp int) int { return x*r.bf.Super.N() + xp }
 
 // Dist implements Engine.
-func (r *Bundlefly) Dist(src, dst int) int { return len(r.Route(src, dst, nil)) - 1 }
+func (r *Bundlefly) Dist(src, dst int) int { return len(r.AppendPath(nil, src, dst, nil)) - 1 }
 
-// Route implements Engine; the returned path is minimal (cross-checked
+// AppendPath implements Engine; the path is minimal (cross-checked
 // exhaustively against BFS in the tests).
-func (r *Bundlefly) Route(src, dst int, rng *rand.Rand) []int {
-	return r.AppendPath(nil, src, dst, rng)
-}
-
-// AppendPath implements Engine.
 func (r *Bundlefly) AppendPath(buf []int, src, dst int, _ *rand.Rand) []int {
 	if src == dst {
 		return buf

@@ -17,7 +17,7 @@ func TestBundleflyAnalyticMinimal(t *testing.T) {
 		n := bf.G.N()
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				path := r.Route(src, dst, nil)
+				path := Path(r, src, dst, nil)
 				if src == dst {
 					if path != nil {
 						t.Fatalf("self path not nil")
@@ -52,7 +52,7 @@ func TestBundleflyAnalyticSpotCheckTable3(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		path := r.Route(src, dst, nil)
+		path := Path(r, src, dst, nil)
 		if !PathValid(bf.G, path) || len(path)-1 != truth.Dist(src, dst) {
 			t.Fatalf("mismatch at src=%d dst=%d: %v (want %d)", src, dst, path, truth.Dist(src, dst))
 		}
@@ -77,7 +77,7 @@ func TestBundleflyPathDiversityAvailable(t *testing.T) {
 			}
 			seen := map[int]bool{}
 			for k := 0; k < 32; k++ {
-				seen[multi.Route(src, dst, rng)[1]] = true
+				seen[Path(multi, src, dst, rng)[1]] = true
 			}
 			diverse = len(seen) > 1
 		}

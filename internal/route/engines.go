@@ -32,12 +32,8 @@ func (r *HyperX) Dist(src, dst int) int {
 	return d
 }
 
-// Route implements Engine, sampling a random dimension correction order.
-func (r *HyperX) Route(src, dst int, rng *rand.Rand) []int {
-	return r.AppendPath(nil, src, dst, rng)
-}
-
-// AppendPath implements Engine. Mismatched dimensions are collected as
+// AppendPath implements Engine, sampling a random dimension correction
+// order. Mismatched dimensions are collected as
 // vertex-id deltas (coordinate difference × dimension stride) in a
 // fixed-size array, shuffled, and applied cumulatively — no coordinate
 // slices, no allocation.
@@ -91,11 +87,6 @@ func NewDragonfly(df *topo.Dragonfly) *Dragonfly {
 // Dist implements Engine.
 func (r *Dragonfly) Dist(src, dst int) int { return r.t.Dist(src, dst) }
 
-// Route implements Engine.
-func (r *Dragonfly) Route(src, dst int, rng *rand.Rand) []int {
-	return r.t.Route(src, dst, rng)
-}
-
 // AppendPath implements Engine.
 func (r *Dragonfly) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	return r.t.AppendPath(buf, src, dst, rng)
@@ -111,16 +102,11 @@ func NewFatTree(ft *topo.FatTree) *FatTree { return &FatTree{ft: ft} }
 
 // Dist implements Engine for leaf-to-leaf and mixed-level pairs.
 func (r *FatTree) Dist(src, dst int) int {
-	return len(r.Route(src, dst, nil)) - 1
+	return len(r.AppendPath(nil, src, dst, nil)) - 1
 }
 
-// Route implements Engine. Both src and dst are switch ids; for the
+// AppendPath implements Engine. Both src and dst are switch ids; for the
 // simulator they are always level-0 leaves.
-func (r *FatTree) Route(src, dst int, rng *rand.Rand) []int {
-	return r.AppendPath(nil, src, dst, rng)
-}
-
-// AppendPath implements Engine.
 func (r *FatTree) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	if src == dst {
 		return buf
@@ -170,11 +156,6 @@ func NewMegafly(mf *topo.Megafly) *Megafly {
 
 // Dist implements Engine.
 func (r *Megafly) Dist(src, dst int) int { return r.t.Dist(src, dst) }
-
-// Route implements Engine.
-func (r *Megafly) Route(src, dst int, rng *rand.Rand) []int {
-	return r.t.Route(src, dst, rng)
-}
 
 // AppendPath implements Engine.
 func (r *Megafly) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
@@ -226,7 +207,7 @@ func (v *Valiant) AppendVia(buf []int, src, mid, dst int, rng *rand.Rand) []int 
 // Candidates returns the minimal path followed by Samples valiant paths.
 func (v *Valiant) Candidates(src, dst int, rng *rand.Rand) [][]int {
 	out := make([][]int, 0, v.Samples+1)
-	out = append(out, v.Min.Route(src, dst, rng))
+	out = append(out, Path(v.Min, src, dst, rng))
 	for i := 0; i < v.Samples; i++ {
 		out = append(out, v.Via(src, rng.Intn(v.N), dst, rng))
 	}

@@ -156,11 +156,6 @@ func (m *MultiPath) AppendTreePath(buf []int, l, src, dst int, live func(u, v in
 	return buf
 }
 
-// Route implements Engine via the minimal lane.
-func (m *MultiPath) Route(src, dst int, rng *rand.Rand) []int {
-	return m.min.Route(src, dst, rng)
-}
-
 // AppendPath implements Engine via the minimal lane.
 func (m *MultiPath) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	return m.min.AppendPath(buf, src, dst, rng)

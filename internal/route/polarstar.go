@@ -77,16 +77,11 @@ func (r *PolarStar) node(x, xp int) int { return r.ps.VertexAt(x, xp) }
 
 // Dist implements Engine.
 func (r *PolarStar) Dist(src, dst int) int {
-	return len(r.Route(src, dst, nil)) - 1
+	return len(r.AppendPath(nil, src, dst, nil)) - 1
 }
 
-// Route implements Engine. The returned path is provably minimal; see the
+// AppendPath implements Engine. The path is provably minimal; see the
 // exhaustive cross-check against BFS ground truth in the tests.
-func (r *PolarStar) Route(src, dst int, rng *rand.Rand) []int {
-	return r.AppendPath(nil, src, dst, rng)
-}
-
-// AppendPath implements Engine.
 func (r *PolarStar) AppendPath(buf []int, src, dst int, _ *rand.Rand) []int {
 	if src == dst {
 		return buf

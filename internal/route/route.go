@@ -4,12 +4,11 @@
 // topology-specific minimal routers for Dragonfly, HyperX, Fat-tree and
 // Megafly. Valiant/UGAL path selection is layered on top of any Engine.
 //
-// Every engine exposes two path APIs: Route, which returns a freshly
-// allocated path, and AppendPath, the allocation-free hot-path variant
-// that appends the path onto a caller-owned scratch buffer. The cycle
-// simulator and the analytic link-load sweeps route millions of packets;
-// they call AppendPath exclusively, so steady-state routing performs zero
-// heap allocations (see the testing.AllocsPerRun regression tests).
+// Every engine has one path API, AppendPath, which appends the path onto
+// a caller-owned scratch buffer. The cycle simulator and the analytic
+// link-load sweeps route millions of packets through it, so steady-state
+// routing performs zero heap allocations (see the testing.AllocsPerRun
+// regression tests). Path is the convenience form for one-off callers.
 package route
 
 import (
@@ -32,19 +31,21 @@ func workerCount(n int) int {
 
 // Engine computes router-level paths through one topology.
 type Engine interface {
-	// Route returns a minimal path from src to dst as a vertex sequence
-	// including both endpoints (nil for src == dst). Engines with path
-	// diversity use rng to sample among minimal paths; deterministic
-	// engines ignore it.
-	Route(src, dst int, rng *rand.Rand) []int
-	// AppendPath appends the same path Route would return onto buf and
-	// returns the extended slice (buf unchanged for src == dst or
-	// unreachable pairs). Implementations perform no heap allocation
-	// beyond growing buf, and consume rng exactly as Route does, so the
-	// two APIs are interchangeable under a fixed seed.
+	// AppendPath appends a minimal path from src to dst, as a vertex
+	// sequence including both endpoints, onto buf and returns the
+	// extended slice (buf unchanged for src == dst or unreachable pairs).
+	// Engines with path diversity use rng to sample among minimal paths;
+	// deterministic engines ignore it. Implementations perform no heap
+	// allocation beyond growing buf.
 	AppendPath(buf []int, src, dst int, rng *rand.Rand) []int
 	// Dist returns the hop distance from src to dst.
 	Dist(src, dst int) int
+}
+
+// Path returns e's path from src to dst in a freshly allocated slice
+// (nil for src == dst or unreachable pairs).
+func Path(e Engine, src, dst int, rng *rand.Rand) []int {
+	return e.AppendPath(nil, src, dst, rng)
 }
 
 // Table is the all-pairs BFS routing engine: a distance table plus
@@ -183,11 +184,6 @@ func (t *Table) Dist(src, dst int) int {
 		return -1
 	}
 	return int(d)
-}
-
-// Route implements Engine.
-func (t *Table) Route(src, dst int, rng *rand.Rand) []int {
-	return t.AppendPath(nil, src, dst, rng)
 }
 
 // AppendPath implements Engine.

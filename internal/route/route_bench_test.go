@@ -15,7 +15,7 @@ func BenchmarkAnalyticRoutePSIQ(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-		_ = r.Route(src, dst, rng)
+		_ = Path(r, src, dst, rng)
 	}
 }
 
@@ -35,7 +35,7 @@ func BenchmarkTableRoutePSIQ(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-		_ = t.Route(src, dst, rng)
+		_ = Path(t, src, dst, rng)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestTableRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for src := 0; src < g.N(); src += 7 {
 		for dst := 0; dst < g.N(); dst += 5 {
-			path := tab.Route(src, dst, rng)
+			path := Path(tab, src, dst, rng)
 			if src == dst {
 				if path != nil {
 					t.Fatalf("self path should be nil")
@@ -99,8 +99,8 @@ func TestTableSinglePathDeterministic(t *testing.T) {
 	df := topo.MustNewDragonfly(4, 2)
 	tab := NewTable(df.G, SinglePath)
 	rng := rand.New(rand.NewSource(1))
-	p1 := tab.Route(0, df.G.N()-1, rng)
-	p2 := tab.Route(0, df.G.N()-1, rng)
+	p1 := Path(tab, 0, df.G.N()-1, rng)
+	p2 := Path(tab, 0, df.G.N()-1, rng)
 	if len(p1) != len(p2) {
 		t.Fatal("single path lengths differ")
 	}
@@ -138,7 +138,7 @@ func TestPolarStarAnalyticMinimal(t *testing.T) {
 		n := ps.G.N()
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				path := r.Route(src, dst, nil)
+				path := Path(r, src, dst, nil)
 				want := truth.Dist(src, dst)
 				if src == dst {
 					if path != nil {
@@ -172,7 +172,7 @@ func TestPolarStarAnalyticLargerSpotCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20000; i++ {
 		src, dst := rng.Intn(ps.G.N()), rng.Intn(ps.G.N())
-		path := r.Route(src, dst, nil)
+		path := Path(r, src, dst, nil)
 		if src == dst {
 			continue
 		}
@@ -192,7 +192,7 @@ func TestHyperXRouting(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			path := r.Route(src, dst, rng)
+			path := Path(r, src, dst, rng)
 			if !PathValid(hx.G, path) {
 				t.Fatalf("invalid path %v", path)
 			}
@@ -210,7 +210,7 @@ func TestHyperXPathDiversity(t *testing.T) {
 	src, dst := hx.VertexAt([]int{0, 0, 0}), hx.VertexAt([]int{1, 1, 1})
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		path := r.Route(src, dst, rng)
+		path := Path(r, src, dst, rng)
 		seen[path[1]] = true
 	}
 	if len(seen) != 3 {
@@ -229,7 +229,7 @@ func TestFatTreeRouting(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			path := r.Route(src, dst, rng)
+			path := Path(r, src, dst, rng)
 			if !PathValid(ft.G, path) {
 				t.Fatalf("invalid fat-tree path %v", path)
 			}
@@ -257,7 +257,7 @@ func TestDragonflyAndMegaflyRouting(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			path := tc.e.Route(src, dst, rng)
+			path := Path(tc.e, src, dst, rng)
 			if len(path) == 0 || path[0] != src || path[len(path)-1] != dst {
 				t.Fatalf("%s: bad path %v", tc.name, path)
 			}

@@ -77,16 +77,16 @@ func TestSplitWorkers(t *testing.T) {
 	cases := []struct {
 		workers, searchers, drivers, intra int
 	}{
-		{0, 4, 1, 1},   // unset budget: fully serial
-		{1, 4, 1, 1},   // today's default
-		{4, 4, 4, 1},   // many searchers: one goroutine each
-		{8, 4, 4, 2},   // spare budget becomes per-Apply depth
-		{8, 2, 2, 4},   // few searchers: deep Apply parallelism
-		{8, 1, 1, 8},   // one big-n searcher: all depth
-		{16, 4, 4, 4},  //
-		{3, 2, 2, 1},   // odd budget: floor division, never oversubscribe
-		{7, 3, 3, 2},   //
-		{2, 16, 2, 1},  // budget below searcher count
+		{0, 4, 1, 1},    // unset budget: fully serial
+		{1, 4, 1, 1},    // today's default
+		{4, 4, 4, 1},    // many searchers: one goroutine each
+		{8, 4, 4, 2},    // spare budget becomes per-Apply depth
+		{8, 2, 2, 4},    // few searchers: deep Apply parallelism
+		{8, 1, 1, 8},    // one big-n searcher: all depth
+		{16, 4, 4, 4},   //
+		{3, 2, 2, 1},    // odd budget: floor division, never oversubscribe
+		{7, 3, 3, 2},    //
+		{2, 16, 2, 1},   // budget below searcher count
 		{16, 16, 16, 1}, //
 	}
 	for _, c := range cases {

@@ -210,8 +210,10 @@ func (fs *faultState) pathLiveChans(path []int) bool {
 }
 
 // applyFaults applies every plan event due at cycle t, then drops the
-// in-flight packets caught on newly dead channels in one batch scan.
-// Runs serially at the start of the cycle.
+// in-flight packets caught on newly dead channels in one batch scan, and
+// re-arms every parked unit: what a parked unit waits on changes outside
+// arbitration and commit only here (liveness, and dropInFlight's credit
+// reclaim, which wakes no waiter). Runs serially at the start of the cycle.
 func (e *Engine) applyFaults(t int64) {
 	fs := e.fs
 	killed := false
@@ -242,6 +244,29 @@ func (e *Engine) applyFaults(t int64) {
 	}
 	if killed {
 		fs.dropInFlight(t)
+	}
+	if fs.next > first {
+		e.unparkAll()
+	}
+}
+
+// unparkAll makes every queued unit attempt this cycle, as an
+// attempt-every-cycle engine would: wakes zeroed, credit-waiter lists
+// emptied. Parked units are exactly the listed units of the worklist
+// routers, and they wait on those routers' outgoing channels.
+func (e *Engine) unparkAll() {
+	for _, sh := range e.shards {
+		for _, r := range sh.routers {
+			e.routerWake[r] = 0
+			for _, unit := range e.active[r] {
+				e.wake[unit] = 0
+				e.waiterNext[unit] = -1
+			}
+			first := e.g.FirstChannel(int(r))
+			for c := first; c < first+e.g.Degree(int(r)); c++ {
+				e.waiterHead[c] = -1
+			}
+		}
 	}
 }
 

@@ -14,8 +14,9 @@ package sim
 // detected from committed end-of-cycle state only (worklists + the
 // mail-ring in-flight count), every timestamp the skipped cycles could
 // have touched (busy/ejBusy/injBusy) is only ever *compared against*
-// `now` by packets — and no packet exists — and the skip re-creates the
-// two side effects an idle stepped cycle does have: interval-series rows
+// `now` by packets — and no packet exists, so no unit is parked and no
+// stall span is open either — and the skip re-creates the two side
+// effects an idle stepped cycle does have: interval-series rows
 // (counters are constant while idle, so the synthesized rows are exact)
 // and the fault watchdog's stuck counter, including its early-
 // termination firing cycle.

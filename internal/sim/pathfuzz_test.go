@@ -98,7 +98,7 @@ func FuzzRoutePaths(f *testing.F) {
 		spec := fuzzSpec(fuzzSpecNames[int(specIdx)%len(fuzzSpecNames)])
 		dom := routeDomain(spec)
 		src, dst := dom[int(srcRaw)%len(dom)], dom[int(dstRaw)%len(dom)]
-		path := spec.MinEngine.Route(src, dst, rand.New(rand.NewSource(seed)))
+		path := route.Path(spec.MinEngine, src, dst, rand.New(rand.NewSource(seed)))
 		checkPath(t, spec, path, src, dst)
 		// AppendPath with an equally seeded RNG must reproduce Route
 		// exactly (the allocation-free hot path is the same function).
@@ -124,7 +124,7 @@ func TestRoutePathSweep(t *testing.T) {
 		dom := routeDomain(spec)
 		for i := 0; i < 500; i++ {
 			src, dst := dom[rng.Intn(len(dom))], dom[rng.Intn(len(dom))]
-			path := spec.MinEngine.Route(src, dst, rng)
+			path := route.Path(spec.MinEngine, src, dst, rng)
 			checkPath(t, spec, path, src, dst)
 		}
 	}

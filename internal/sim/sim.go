@@ -233,17 +233,18 @@ type Engine struct {
 	routerShard []int8 // router -> owning shard (contiguous blocks)
 	inWorklist  []bool // router -> whether listed in its shard's worklist
 
-	// Wake-up scheduling (fastArb): a stalled forward attempt has no side
-	// effect beyond its stall counter, so with telemetry off (and no
-	// fault plan — both make stalls observable) the arbitration loop may
-	// skip a unit until the cycle its blocker can actually clear: the
-	// busy-until timestamp it stalled on, or — for credit stalls — the
-	// first commit that releases credit on its head packet's channel
-	// (tracked by an intrusive per-channel waiter list). Wakes are
-	// conservative, so grants happen at exactly the cycles they always
-	// did; results are bit-identical, but saturated sweeps stop paying
-	// for millions of predestined-to-fail attempts.
-	fastArb    bool
+	// Wake-up scheduling, the one arbitration schedule: a stalled forward
+	// attempt has no side effect beyond its stall counter, so the
+	// arbitration loop skips a unit until the cycle its blocker can
+	// actually clear: the busy-until timestamp it stalled on, or — for
+	// credit stalls — the first commit that releases credit on its head
+	// packet's channel (tracked by an intrusive per-channel waiter list).
+	// Wakes are conservative, so grants happen at exactly the cycles an
+	// attempt-every-cycle engine would make them. The schedule is the same
+	// observed or not: telemetry credits the skipped attempts when the
+	// parked span ends (spans, below), and a fault plan re-arms every
+	// parked unit on the cycles it applies events (unparkAll), the only
+	// place blocker state changes outside arbitration and commit.
 	wake       []int64 // unit -> earliest cycle an attempt can succeed
 	routerWake []int64 // router -> min wake over its active units
 	waiterHead []int32 // channel -> first credit-waiting unit (-1: none)
@@ -289,6 +290,7 @@ type Engine struct {
 	met         *obs.SimRun
 	metInterval int64
 	occHWM      obs.ChannelHWM
+	spans       []parkSpan // unit -> stall span of its current park (see settleSpan)
 
 	// fs is the live fault-injection state, non-nil only when Params.Plan
 	// carries events. Every fault hook on the hot path is gated on it, so
@@ -354,14 +356,11 @@ type shardState struct {
 // the run's obs.SimRun in fixed shard order at the end. All storage is
 // sized at engine construction, so recording allocates nothing.
 type shardMetrics struct {
-	injected    int64 // packets routed and enqueued at their source
-	lost        int64 // unroutable or over-budget paths
-	stallInj    int64
-	stallEject  int64
-	stallBusy   int64
-	stallCredit int64
-	creditVC    []int64 // credit stalls keyed by the packet's lowest eligible VC
-	lat         obs.Histogram
+	injected int64            // packets routed and enqueued at their source
+	lost     int64            // unroutable or over-budget paths
+	stall    [numStalls]int64 // failed forward attempts by reason
+	creditVC []int64          // credit stalls keyed by the packet's lowest eligible VC
+	lat      obs.Histogram
 
 	// Per-lane counters, sized laneCount (nil on single-lane engines):
 	// index 0 is the minimal band, 1.. the tree lanes.
@@ -370,8 +369,33 @@ type shardMetrics struct {
 	laneFailover  []int64 // in-flight reroutes ONTO the lane
 }
 
-func (m *shardMetrics) stalls() int64 {
-	return m.stallInj + m.stallEject + m.stallBusy + m.stallCredit
+func (m *shardMetrics) stalls() (n int64) {
+	for _, s := range m.stall {
+		n += s
+	}
+	return n
+}
+
+// Reasons a forward attempt fails, in the order tryForward tests them.
+const (
+	stallNone = iota // no open span
+	stallInject
+	stallEject
+	stallChannel
+	stallCredit
+	numStalls
+)
+
+// parkSpan is the telemetry of one unit between a failed forward attempt
+// and its next attempt. The attempts an attempt-every-cycle engine would
+// have failed in between are not executed; they are counted when the span
+// is settled, from what the engine already knows about why the unit is
+// parked (settleSpan has the argument). Allocated only for observed runs.
+type parkSpan struct {
+	from   int64 // attempts on cycles <= from are counted (chargeBusy may run it ahead)
+	pos    int32 // index in the router's active list: rotation order at grant sites
+	reason uint8
+	vc     int8 // credit parks: lowest eligible VC, the CreditStallVC bucket
 }
 
 // NewEngine builds a simulator for graph g with the endpoint arrangement
@@ -470,7 +494,6 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 	e.active = make([][]int32, n)
 	e.inActive = newBitset(len(e.queues))
 	e.inWorklist = make([]bool, n)
-	e.fastArb = params.Metrics == nil && !planActive
 	e.wake = make([]int64, len(e.queues))
 	e.routerWake = make([]int64, n)
 	e.waiterHead = make([]int32, nChans)
@@ -601,6 +624,7 @@ func (e *Engine) initMetrics(params Params) {
 	m.CreditStallVC = make([]int64, e.vcs)
 	m.OccHWM = make(obs.ChannelHWM, e.g.NumChannels())
 	e.occHWM = m.OccHWM
+	e.spans = make([]parkSpan, len(e.queues))
 	for _, sh := range e.shards {
 		sh.met = &shardMetrics{creditVC: make([]int64, e.vcs)}
 		if e.laneCount > 1 {
@@ -643,6 +667,9 @@ func (e *Engine) markActive(unit int32, sh *shardState) {
 	if !e.inActive.get(unit) {
 		e.inActive.set(unit)
 		r := e.unitHome[unit]
+		if e.spans != nil {
+			e.spans[unit].pos = int32(len(e.active[r]))
+		}
 		e.active[r] = append(e.active[r], unit)
 		// A newly non-empty unit has a new head packet: attemptable now.
 		e.wake[unit] = 0
@@ -780,19 +807,17 @@ func (e *Engine) commit(t int64) {
 		for _, credit := range sh.releases {
 			e.occ[credit] -= S
 			e.occSum[credit/vcs] -= S
-			if e.fastArb {
-				// Unpark every unit waiting on this channel's credits:
-				// they must re-attempt next cycle, exactly as the
-				// attempt-every-cycle engine would have.
-				for u := e.waiterHead[credit/vcs]; u >= 0; {
-					nxt := e.waiterNext[u]
-					e.waiterNext[u] = -1
-					e.wake[u] = t + 1
-					e.routerWake[e.unitHome[u]] = 0
-					u = nxt
-				}
-				e.waiterHead[credit/vcs] = -1
+			// Unpark every unit waiting on this channel's credits: they
+			// must re-attempt next cycle, exactly as an
+			// attempt-every-cycle engine would.
+			for u := e.waiterHead[credit/vcs]; u >= 0; {
+				nxt := e.waiterNext[u]
+				e.waiterNext[u] = -1
+				e.wake[u] = t + 1
+				e.routerWake[e.unitHome[u]] = 0
+				u = nxt
 			}
+			e.waiterHead[credit/vcs] = -1
 		}
 		sh.releases = sh.releases[:0]
 		if len(sh.freed) > 0 {
@@ -815,14 +840,17 @@ func (e *Engine) commit(t int64) {
 // sampleInterval appends one cumulative-counter row to the interval
 // series. It runs in the serial commit phase — after every shard's
 // arbitration — so the sums it reads are the committed end-of-cycle state
-// and identical for any worker count. The series slice was presized in
-// initMetrics; the append never reallocates.
+// and identical for any worker count; open parked spans are settled
+// through the row's last cycle first, so Stalled counts every attempt an
+// attempt-every-cycle engine would have failed by then. The series slice
+// was presized in initMetrics; the append never reallocates.
 func (e *Engine) sampleInterval(cycle int64) {
 	row := obs.IntervalRow{Cycle: cycle, Generated: e.pktCtr}
 	for _, sh := range e.shards {
+		ahead := e.settleOpenSpans(sh, cycle-1)
 		row.Delivered += sh.deliveredAll
 		row.Injected += sh.met.injected
-		row.Stalled += sh.met.stalls()
+		row.Stalled += sh.met.stalls() - ahead
 	}
 	e.met.Series = append(e.met.Series, row)
 }
@@ -1018,14 +1046,13 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 	}
 
 	S := int64(e.p.PacketFlits)
-	fast := e.fastArb
 	kept := sh.routers[:0]
 	for _, r := range sh.routers {
-		if fast && e.routerWake[r] > t {
+		if e.routerWake[r] > t {
 			// Every unit of this router is waiting on a known future
-			// cycle; nothing here could have granted. Its active list is
-			// untouched (pops only happen through attempts), so skipping
-			// leaves the rotation exactly where the stepped engine's
+			// cycle; nothing here can grant. Its active list is untouched
+			// (pops only happen through attempts), so skipping leaves the
+			// rotation exactly where an attempt-every-cycle engine's
 			// would be.
 			kept = append(kept, r)
 			continue
@@ -1042,13 +1069,11 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 			if j++; j == len(units) {
 				j = 0
 			}
-			if fast {
-				if w := e.wake[unit]; w > t {
-					if w < minWake {
-						minWake = w
-					}
-					continue
+			if w := e.wake[unit]; w > t {
+				if w < minWake {
+					minWake = w
 				}
+				continue
 			}
 			q := &e.queues[unit]
 			if q.empty() {
@@ -1060,10 +1085,8 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 			if q.empty() {
 				e.inActive.clear(unit)
 				removed = true
-			} else if fast {
-				if w := e.wake[unit]; w < minWake {
-					minWake = w
-				}
+			} else if w := e.wake[unit]; w < minWake {
+				minWake = w
 			}
 		}
 		if removed {
@@ -1073,6 +1096,9 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 			keptUnits := units[:0]
 			for _, unit := range units {
 				if e.inActive.get(unit) {
+					if e.spans != nil {
+						e.spans[unit].pos = int32(len(keptUnits))
+					}
 					keptUnits = append(keptUnits, unit)
 				}
 			}
@@ -1100,13 +1126,21 @@ func (e *Engine) arbitrateShard(sh *shardState, sid int) {
 func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S int64) {
 	id := q.front()
 	st := &e.pkts
+	sm := sh.met
+	if sm != nil {
+		// An attempt ends the unit's parked span, if it has one.
+		if sp := &e.spans[unit]; sp.reason != stallNone {
+			sm.stall[stallChannel] -= sm.settleSpan(sp, e.now-1)
+			sp.reason = stallNone
+		}
+	}
 	// Injection serialization: a packet leaves its endpoint at most
 	// every S cycles.
 	if ep := e.unitEP[unit]; ep >= 0 {
 		if e.injBusy[ep] > e.now {
 			e.wake[unit] = e.injBusy[ep]
-			if sh.met != nil {
-				sh.met.stallInj++
+			if sm != nil {
+				e.openSpan(unit, stallInject, 0)
 			}
 			return
 		}
@@ -1126,15 +1160,15 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 		}
 		if e.ejBusy[ep] > e.now {
 			e.wake[unit] = e.ejBusy[ep]
-			if sh.met != nil {
-				sh.met.stallEject++
+			if sm != nil {
+				e.openSpan(unit, stallEject, 0)
 			}
 			return
 		}
 		e.ejBusy[ep] = e.now + S
 		sh.deliver(st, id, e.now+S, e.p.PacketFlits)
-		if sh.met != nil && sh.met.laneDelivered != nil {
-			sh.met.laneDelivered[st.lane[id]]++
+		if sm != nil && sm.laneDelivered != nil {
+			sm.laneDelivered[st.lane[id]]++
 		}
 		e.release(sh, unit)
 		sh.freed = append(sh.freed, id)
@@ -1164,8 +1198,8 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 	}
 	if e.busy[c] > e.now {
 		e.wake[unit] = e.busy[c]
-		if sh.met != nil {
-			sh.met.stallBusy++
+		if sm != nil {
+			e.openSpan(unit, stallChannel, 0)
 		}
 		return
 	}
@@ -1203,14 +1237,11 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 		// the unit on c's waiter list; commit re-arms it (wake = t+1)
 		// when any release for c lands. Waking on any VC of c is
 		// conservative — the unit may stall again — but never late.
-		if e.fastArb {
-			e.wake[unit] = int64(1) << 62
-			e.waiterNext[unit] = e.waiterHead[c]
-			e.waiterHead[c] = unit
-		}
-		if sh.met != nil {
-			sh.met.stallCredit++
-			sh.met.creditVC[minVC]++
+		e.wake[unit] = int64(1) << 62
+		e.waiterNext[unit] = e.waiterHead[c]
+		e.waiterHead[c] = unit
+		if sm != nil {
+			e.openSpan(unit, stallCredit, minVC)
 		}
 		return
 	}
@@ -1221,6 +1252,9 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 		e.occHWM.Observe(int(c), e.occSum[c])
 	}
 	e.busy[c] = e.now + S
+	if sm != nil && e.waiterHead[c] >= 0 {
+		e.chargeBusy(sm, c, unit, S)
+	}
 	if ep := e.unitEP[unit]; ep >= 0 {
 		e.injBusy[ep] = e.now + S
 	}
@@ -1233,6 +1267,93 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S 
 	e.release(sh, unit)
 	e.wake[unit] = e.now + 1
 	q.pop()
+}
+
+// openSpan starts unit's parked span at the attempt that just failed for
+// reason. The failed attempt itself is the span's first cycle, so every
+// stall is counted in one place: settleSpan.
+func (e *Engine) openSpan(unit int32, reason uint8, minVC int) {
+	sp := &e.spans[unit]
+	sp.from = e.now - 1
+	sp.reason = reason
+	sp.vc = int8(minVC)
+}
+
+// settleSpan counts the attempts of an open span on cycles (sp.from, last]
+// — the failed one that opened it and the ones parking skipped — exactly
+// as an attempt-every-cycle engine would have recorded them, and moves
+// sp.from to last. The span is over when its unit next attempts
+// (tryForward, last = now-1) or the run ends; interval rows settle it in
+// passing. Why the reason holds for the whole span:
+//
+//   - inject, eject, channel: the unit wakes at the busy-until timestamp
+//     it stalled on. Such a timestamp only moves through a grant, no grant
+//     on that resource is possible before it expires, and the head packet
+//     only leaves through an attempt; every skipped attempt would have hit
+//     the same test.
+//   - credit: credits on the awaited channel come back only through a
+//     commit-applied release, which ends the span (the waiter list), so a
+//     skipped attempt fails the same VC scan — unless it finds the channel
+//     busy first, which tryForward tests earlier and counts as a channel
+//     stall. The channel turns busy only through grants by units of the
+//     same router in the same arbitration loop, and chargeBusy counts
+//     those cycles on the spot.
+//
+// A fault event can change any of this, and unparkAll ends every span on
+// the cycle one applies.
+//
+// chargeBusy counts a whole busy window at the grant, so sp.from can be
+// past last: the span is then left alone and the cycles counted ahead are
+// returned. They are channel stalls; a caller ending the span takes them
+// back, a caller sampling the counters leaves them out.
+func (m *shardMetrics) settleSpan(sp *parkSpan, last int64) (ahead int64) {
+	n := last - sp.from
+	if n < 0 {
+		return -n
+	}
+	sp.from = last
+	m.stall[sp.reason] += n
+	if sp.reason == stallCredit {
+		m.creditVC[sp.vc] += n
+	}
+	return 0
+}
+
+// settleOpenSpans settles every parked unit of the shard through cycle
+// last, leaving the spans open, and returns the stalls counted ahead of
+// last. Serial sections only.
+func (e *Engine) settleOpenSpans(sh *shardState, last int64) (ahead int64) {
+	for _, r := range sh.routers {
+		for _, unit := range e.active[r] {
+			if sp := &e.spans[unit]; sp.reason != stallNone {
+				ahead += sh.met.settleSpan(sp, last)
+			}
+		}
+	}
+	return ahead
+}
+
+// chargeBusy accounts for the units parked for credit on channel c when
+// granter takes it for S cycles. Up to here their skipped attempts were
+// credit stalls — this cycle's too for a waiter whose turn in the
+// round-robin came before granter's — and from here to the end of the
+// busy window an attempt-every-cycle engine would count channel stalls.
+func (e *Engine) chargeBusy(sm *shardMetrics, c, granter int32, S int64) {
+	n := int32(len(e.active[e.unitHome[granter]]))
+	first := int32(e.now % int64(n)) // the unit the rotation started at
+	turn := func(unit int32) int32 { return (e.spans[unit].pos - first + n) % n }
+	g := turn(granter)
+	busyEnd := e.now + S - 1
+	for w := e.waiterHead[c]; w >= 0; w = e.waiterNext[w] {
+		sp := &e.spans[w]
+		free := e.now - 1 // last cycle w found the channel free
+		if turn(w) < g {
+			free = e.now
+		}
+		sm.settleSpan(sp, free) // nothing ahead: the previous window has expired
+		sm.stall[stallChannel] += busyEnd - free
+		sp.from = busyEnd
+	}
 }
 
 // release journals the upstream buffer credit freed when a packet leaves
@@ -1334,14 +1455,16 @@ func (e *Engine) finishMetrics(res Result) {
 	m.Load = res.Load
 	m.Generated.Add(e.pktCtr)
 	for _, sh := range e.shards {
+		// Units still parked would have kept attempting to the last cycle.
 		sm := sh.met
+		sm.stall[stallChannel] -= e.settleOpenSpans(sh, e.now-1)
 		m.Injected.Add(sm.injected)
 		m.Lost.Add(sm.lost)
 		m.Delivered.Add(sh.deliveredAll)
-		m.StallInject.Add(sm.stallInj)
-		m.StallEject.Add(sm.stallEject)
-		m.StallChannel.Add(sm.stallBusy)
-		m.StallCredit.Add(sm.stallCredit)
+		m.StallInject.Add(sm.stall[stallInject])
+		m.StallEject.Add(sm.stall[stallEject])
+		m.StallChannel.Add(sm.stall[stallChannel])
+		m.StallCredit.Add(sm.stall[stallCredit])
 		for vc, n := range sm.creditVC {
 			m.CreditStallVC[vc] += n
 		}

@@ -38,7 +38,7 @@ func BenchmarkSweep(b *testing.B) {
 func BenchmarkCycleSoA(b *testing.B) {
 	spec := MustNewSpec("ps-iq-small")
 	p := DefaultParams(1)
-	p.Warmup, p.Measure, p.Drain = 1 << 30, 1 << 30, 0 // generation never stops
+	p.Warmup, p.Measure, p.Drain = 1<<30, 1<<30, 0 // generation never stops
 	pattern, err := spec.Pattern("uniform", p.Seed)
 	if err != nil {
 		b.Fatal(err)

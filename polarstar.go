@@ -11,7 +11,7 @@
 //
 //	ps, err := polarstar.New(11, 3, polarstar.IQ) // 1064 routers, radix 15
 //	router := polarstar.NewMinRouter(ps)          // §9.2 analytic minpaths
-//	path := router.Route(0, 999, nil)
+//	path := polarstar.Route(router, 0, 999, nil)
 //
 // See the runnable programs under examples/ and the experiment
 // reproduction tools under cmd/.
@@ -204,6 +204,12 @@ var (
 
 // Router computes router-level paths through a topology.
 type Router = route.Engine
+
+// Route returns r's path from src to dst as a vertex sequence including
+// both endpoints (nil for src == dst or unreachable pairs). Routers with
+// path diversity use rng to sample among minimal paths; deterministic
+// routers ignore it. Hot loops call r.AppendPath on a reused buffer.
+func Route(r Router, src, dst int, rng *rand.Rand) []int { return route.Path(r, src, dst, rng) }
 
 // NewMinRouter builds the §9.2 analytic minimal-path router for a
 // PolarStar instance. Its state is O(q² + d'²): no product-wide tables.
