@@ -271,6 +271,9 @@ func TestFacadeErrorsNotPanics(t *testing.T) {
 		if _, err := polarstar.Sweep(spec, polarstar.MINRouting, "uniform", []float64{0.1}, p); err == nil {
 			t.Errorf("case %d: Sweep accepted invalid params %+v", i, p)
 		}
+		if _, err := polarstar.FaultTrafficSweep(spec, polarstar.MINRouting, "uniform", 0.1, []float64{0}, p, 1); err == nil {
+			t.Errorf("case %d: FaultTrafficSweep accepted invalid params %+v", i, p)
+		}
 	}
 	// Out-of-range loads error too.
 	if _, err := polarstar.RunSimPoint(context.Background(), spec, polarstar.MINRouting, "uniform", 1.5, polarstar.DefaultSimParams(1)); err == nil {

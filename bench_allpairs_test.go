@@ -1,5 +1,5 @@
 // Structural-analysis kernel benchmarks: the bit-parallel all-pairs BFS
-// engine against the scalar reference on a full-scale PolarStar.
+// engine on a full-scale PolarStar.
 package polarstar_test
 
 import (
@@ -17,27 +17,14 @@ var allPairsGraph = sync.OnceValue(func() *graph.Graph {
 })
 
 // BenchmarkAllPairsStats measures the bit-parallel engine on a
-// 13272-vertex PolarStar (the acceptance-criterion benchmark; compare
-// against BenchmarkAllPairsStatsScalar).
+// 13272-vertex PolarStar (`go run ./bench` graph_search times the same
+// call end to end).
 func BenchmarkAllPairsStats(b *testing.B) {
 	g := allPairsGraph()
 	b.ResetTimer()
 	var st graph.PathStats
 	for i := 0; i < b.N; i++ {
 		st = g.AllPairsStats()
-	}
-	b.ReportMetric(float64(st.Diameter), "diameter")
-	b.ReportMetric(st.AvgPath, "avg_path")
-}
-
-// BenchmarkAllPairsStatsScalar is the pre-change baseline: one scalar BFS
-// per source, parallelized over sources.
-func BenchmarkAllPairsStatsScalar(b *testing.B) {
-	g := allPairsGraph()
-	b.ResetTimer()
-	var st graph.PathStats
-	for i := 0; i < b.N; i++ {
-		st = g.AllPairsStatsScalar()
 	}
 	b.ReportMetric(float64(st.Diameter), "diameter")
 	b.ReportMetric(st.AvgPath, "avg_path")

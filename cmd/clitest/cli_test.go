@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 )
@@ -298,46 +300,100 @@ func TestPsfaultsMetrics(t *testing.T) {
 	}
 }
 
+// TestPsfaultsUnknownMode pins the shared routing vocabulary at the CLI:
+// psfaults -traffic rejects an unknown -mode with the message pssim
+// prints for an unknown -routing (it used to simulate MIN silently), and
+// both help texts list the sim mode table's names.
+func TestPsfaultsUnknownMode(t *testing.T) {
+	fail := func(bin string, args ...string) string {
+		t.Helper()
+		cmd := exec.Command(filepath.Join(binDir, bin), args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s %s: err %v, want exit status 1\nstdout: %s", bin, strings.Join(args, " "), err, stdout.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s %s printed results before failing:\n%s", bin, strings.Join(args, " "), stdout.String())
+		}
+		return strings.TrimPrefix(stderr.String(), bin+": ")
+	}
+	got := fail("psfaults", "-spec", "ps-iq-small", "-traffic", "-mode", "nosuch")
+	want := fail("pssim", "-spec", "ps-iq-small", "-routing", "nosuch")
+	if got != want || !strings.Contains(got, `unknown routing "nosuch"`) {
+		t.Errorf("psfaults -mode nosuch: %q, pssim -routing nosuch: %q; want one 'unknown routing' message", got, want)
+	}
+	const names = "min|ugal|ugal-g|mp-min|mp-ugal"
+	for _, bin := range []string{"pssim", "psfaults"} {
+		// -h exits 0 with the usage on stderr.
+		cmd := exec.Command(filepath.Join(binDir, bin), "-h")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s -h: %v", bin, err)
+		}
+		if !strings.Contains(stderr.String(), names) {
+			t.Errorf("%s -h does not list the routing names %s", bin, names)
+		}
+	}
+}
+
+// TestFrontEndParity pins that the CLI and the daemon describe the same
+// run: pssim's -routing/-cycles/-seed/-loads and psserve's
+// routing/cycles/seed/load fields go through one routing table and one
+// cycles shorthand, so the reported point is the same.
+func TestFrontEndParity(t *testing.T) {
+	out := run(t, "pssim", "-spec", "ps-iq-small", "-routing", "ugal", "-cycles", "200", "-seed", "3", "-loads", "0.3")
+	var row []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[0] == "0.300" {
+			row = f
+		}
+	}
+	if row == nil {
+		t.Fatalf("pssim output has no load-0.3 row:\n%s", out)
+	}
+
+	base, stop := startPsserve(t)
+	defer stop()
+	resp, err := http.Post(base+"/v1/eval", "application/json",
+		strings.NewReader(`{"spec":"ps-iq-small","routing":"ugal","cycles":200,"seed":3,"load":0.3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Manifest struct{ Routing string }
+		Result   struct {
+			AvgLatency    float64 `json:"avg_latency"`
+			Throughput    float64
+			DeliveredFrac float64 `json:"delivered_frac"`
+		}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("eval = %d, decode: %v", resp.StatusCode, err)
+	}
+	if body.Manifest.Routing != "ugal" {
+		t.Errorf("manifest.routing = %q, want the wire name \"ugal\"", body.Manifest.Routing)
+	}
+	// pssim's sweep seeds load point 0 with -seed itself, so the two
+	// front ends run the identical engine; compare at pssim's precision.
+	r := body.Result
+	got := []string{fmt.Sprintf("%.2f", r.AvgLatency), fmt.Sprintf("%.4f", r.Throughput), fmt.Sprintf("%.3f", r.DeliveredFrac)}
+	if !reflect.DeepEqual(got, row[1:4]) {
+		t.Errorf("psserve reports avg-lat/throughput/delivered %v, pssim %v", got, row[1:4])
+	}
+}
+
 // TestPsserveSmoke is the end-to-end daemon check: start psserve on an
 // ephemeral port, run an eval round trip over real HTTP, verify the
 // warm replay is a byte-identical cache hit, then drain it with SIGTERM
 // and require a clean exit.
 func TestPsserveSmoke(t *testing.T) {
-	cmd := exec.Command(filepath.Join(binDir, "psserve"),
-		"-addr", "127.0.0.1:0", "-workers", "2", "-run-timeout", "30s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// The first stdout line announces the resolved address.
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("psserve produced no output; stderr: %s", stderr.String())
-	}
-	line := sc.Text()
-	const prefix = "psserve: listening on "
-	if !strings.HasPrefix(line, prefix) {
-		t.Fatalf("unexpected startup line %q", line)
-	}
-	base := "http://" + strings.TrimPrefix(line, prefix)
-	// Drain the rest of stdout in the background so the final report
-	// does not block the process on a full pipe.
-	restc := make(chan string, 1)
-	go func() {
-		var rest strings.Builder
-		for sc.Scan() {
-			rest.WriteString(sc.Text())
-			rest.WriteString("\n")
-		}
-		restc <- rest.String()
-	}()
+	base, stop := startPsserve(t)
+	defer stop()
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -389,14 +445,63 @@ func TestPsserveSmoke(t *testing.T) {
 	}
 
 	// Graceful drain: SIGTERM, clean exit 0, final report printed.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if rest := stop(); !strings.Contains(rest, "drained") {
+		t.Fatalf("missing drain report in output: %q", rest)
+	}
+}
+
+// startPsserve launches the daemon on an ephemeral port and returns its
+// base URL plus a stop function that drains it with SIGTERM, requires a
+// clean exit and returns the rest of its stdout (safe to call twice).
+func startPsserve(t *testing.T) (base string, stop func() string) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(binDir, "psserve"),
+		"-addr", "127.0.0.1:0", "-workers", "2", "-run-timeout", "30s")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("psserve did not exit cleanly: %v\nstderr: %s", err, stderr.String())
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
 	}
-	if rest := <-restc; !strings.Contains(rest, "drained") {
-		t.Fatalf("missing drain report in output: %q", rest)
+	t.Cleanup(func() { cmd.Process.Kill() })
+
+	// The first stdout line announces the resolved address.
+	sc := bufio.NewScanner(stdout)
+	if !sc.Scan() {
+		t.Fatalf("psserve produced no output; stderr: %s", stderr.String())
+	}
+	line := sc.Text()
+	const prefix = "psserve: listening on "
+	if !strings.HasPrefix(line, prefix) {
+		t.Fatalf("unexpected startup line %q", line)
+	}
+	// Drain the rest of stdout in the background so the final report
+	// does not block the process on a full pipe.
+	restc := make(chan string, 1)
+	go func() {
+		var rest strings.Builder
+		for sc.Scan() {
+			rest.WriteString(sc.Text())
+			rest.WriteString("\n")
+		}
+		restc <- rest.String()
+	}()
+	var rest string
+	var once sync.Once
+	return "http://" + strings.TrimPrefix(line, prefix), func() string {
+		once.Do(func() {
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			rest = <-restc
+			if err := cmd.Wait(); err != nil {
+				t.Fatalf("psserve did not exit cleanly: %v\nstderr: %s", err, stderr.String())
+			}
+		})
+		return rest
 	}
 }
 

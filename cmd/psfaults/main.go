@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -41,13 +40,13 @@ func main() {
 		svgOut   = flag.String("svg", "", "also write the APL-vs-failures curve as an SVG file")
 		traffic  = flag.Bool("traffic", false, "simulate traffic on each degraded topology instead of structural stats")
 		load     = flag.Float64("load", 0.3, "offered load for -traffic (flits/endpoint/cycle)")
-		mode     = flag.String("mode", "min", "routing for -traffic: min, ugal")
+		mode     = flag.String("mode", "min", "routing for -traffic: "+strings.Join(sim.RoutingModeNames(), "|")+" (README \"Routing modes\")")
 		pattern  = flag.String("pattern", "uniform", "traffic pattern for -traffic")
 		workers  = flag.Int("workers", 0, "engine shard workers per -traffic run (0: one per core)")
 
 		resilience = flag.Bool("resilience", false, "compare routing modes under scripted live link failures (throughput vs failure count)")
 		counts     = flag.String("counts", "0,1,2,4,6,8", "failure counts for -resilience (comma-separated links killed)")
-		rmodes     = flag.String("rmodes", "min,ugal,mp-min", "routing curves for -resilience: min, ugal, ugal-g, mp-min, mp-ugal")
+		rmodes     = flag.String("rmodes", "min,ugal,mp-min", "routing curves for -resilience: comma-separated -mode names")
 		lanes      = flag.Int("lanes", 0, "spanning-tree lanes of the mp-* modes (0: default 3)")
 		killCycle  = flag.Int64("kill-cycle", 0, "cycle the -resilience failures land (0: end of warmup)")
 		rMTBF      = flag.Int64("resilience-mtbf", 0, "spread -resilience failures this many cycles apart (0: one batch)")
@@ -55,14 +54,8 @@ func main() {
 		rTarget    = flag.Int("target-lanes", 0, "draw -resilience failures from the tree edges of the first N multipath lanes (0: uniform over all links)")
 		rDelay     = flag.Int64("repair-delay", 0, "table-reconvergence stall in cycles after each -resilience fault event (0: instant repair)")
 
-		faultPlan    = flag.String("fault-plan", "", "live fault plan file applied during each -traffic run")
-		mtbf         = flag.Float64("mtbf", 0, "additionally generate random live link failures with this mean-cycles-between-failures (0: none)")
-		faultRepair  = flag.Int64("fault-repair", 0, "repair delay in cycles for -mtbf failures (0: permanent)")
-		retries      = flag.Int("retries", 0, "max source retries per packet under live faults (0: default policy)")
-		retryBackoff = flag.Int64("retry-backoff", 0, "base retry backoff in cycles, doubling per retry (0: default)")
-		retryCap     = flag.Int64("retry-cap", 0, "retry backoff cap in cycles (0: default)")
-		pktMaxAge    = flag.Int64("pkt-max-age", 0, "per-packet age limit in cycles under live faults (0: default; <0: unlimited)")
-		met          = obs.Flags()
+		live = sim.Flags() // plan and -mtbf apply to -traffic runs, the retry flags to -resilience too
+		met  = obs.Flags()
 	)
 	flag.Parse()
 	defer prof.Start()()
@@ -71,20 +64,29 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	params := sim.DefaultParams(*seed)
+	params.MetricsInterval = *met.Interval
+	params.Workers = *workers
+	params.Lanes = *lanes
 	if *resilience {
-		rc := resilienceFlags{counts: *counts, rmodes: *rmodes, lanes: *lanes,
-			killCycle: *killCycle, mtbf: *rMTBF, repair: *rRepair, target: *rTarget, delay: *rDelay,
-			retries: *retries, backoff: *retryBackoff, cap: *retryCap, maxAge: *pktMaxAge}
-		runResilience(spec, *pattern, *load, *seed, *workers, rc, met)
+		cfg := faults.ResilienceConfig{Pattern: *pattern, Load: *load, KillCycle: *killCycle, MTBF: *rMTBF,
+			Repair: *rRepair, RepairDelay: *rDelay, Seed: *seed, TargetLanes: *rTarget}
+		params.Retry = live.Retry()
+		runResilience(spec, cfg, *counts, *rmodes, params, met)
 		return
 	}
 	if *traffic {
-		lf := liveFaults{plan: *faultPlan, mtbf: *mtbf, repair: *faultRepair,
-			retries: *retries, backoff: *retryBackoff, cap: *retryCap, maxAge: *pktMaxAge}
-		runTraffic(spec, *mode, *pattern, *load, *seed, *workers, lf, met)
+		m, err := sim.ParseRoutingMode(*mode)
+		if err != nil {
+			fatal(err)
+		}
+		if err := live.Apply(&params, spec.Graph); err != nil {
+			fatal(err)
+		}
+		runTraffic(spec, m, *pattern, *load, params, live, met)
 		return
 	}
-	if *faultPlan != "" || *mtbf > 0 {
+	if live.Active() {
 		fatal(fmt.Errorf("-fault-plan/-mtbf inject live faults into the simulator; combine them with -traffic"))
 	}
 	var hosts faults.Hosts
@@ -154,71 +156,43 @@ func main() {
 	}
 }
 
-// resilienceFlags bundles the -resilience flag values.
-type resilienceFlags struct {
-	counts, rmodes       string
-	lanes, target        int
-	killCycle            int64
-	mtbf, repair, delay  int64
-	retries              int
-	backoff, cap, maxAge int64
+// newRun starts the artifact of a simulator-backed mode. The manifest
+// records the worker count the engine resolves -workers 0 to.
+func newRun(spec *sim.Spec, routing, pattern string, params sim.Params) *obs.Run {
+	run := obs.NewRun("psfaults")
+	run.Manifest.Spec = spec.Name
+	run.Manifest.Routing = routing
+	run.Manifest.Pattern = pattern
+	run.Manifest.Seed = params.Seed
+	if run.Manifest.Workers = params.Workers; params.Workers <= 0 {
+		run.Manifest.Workers = run.Manifest.GOMAXPROCS
+	}
+	return run
 }
 
-func runResilience(spec *sim.Spec, pattern string, load float64, seed int64, workers int, rc resilienceFlags, met *obs.FlagSet) {
-	var cfg faults.ResilienceConfig
-	for _, f := range strings.Split(rc.counts, ",") {
+func runResilience(spec *sim.Spec, cfg faults.ResilienceConfig, counts, rmodes string, params sim.Params, met *obs.FlagSet) {
+	for _, f := range strings.Split(counts, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			fatal(fmt.Errorf("-counts: %w", err))
 		}
 		cfg.Counts = append(cfg.Counts, n)
 	}
-	for _, m := range strings.Split(rc.rmodes, ",") {
-		switch strings.TrimSpace(m) {
-		case "min":
-			cfg.Modes = append(cfg.Modes, sim.MIN)
-		case "ugal":
-			cfg.Modes = append(cfg.Modes, sim.UGALMode)
-		case "ugal-g":
-			cfg.Modes = append(cfg.Modes, sim.UGALGMode)
-		case "mp-min":
-			cfg.Modes = append(cfg.Modes, sim.MPMINMode)
-		case "mp-ugal":
-			cfg.Modes = append(cfg.Modes, sim.MPUGALMode)
-		default:
-			fatal(fmt.Errorf("-rmodes: unknown routing %q", m))
+	for _, name := range strings.Split(rmodes, ",") {
+		m, err := sim.ParseRoutingMode(strings.TrimSpace(name))
+		if err != nil {
+			fatal(fmt.Errorf("-rmodes: %w", err))
 		}
+		cfg.Modes = append(cfg.Modes, m)
 	}
-	params := sim.DefaultParams(seed)
-	cfg.Pattern = pattern
-	cfg.Load = load
-	cfg.KillCycle = rc.killCycle
 	if cfg.KillCycle <= 0 {
 		cfg.KillCycle = int64(params.Warmup)
-	}
-	cfg.MTBF = rc.mtbf
-	cfg.Repair = rc.repair
-	cfg.TargetLanes = rc.target
-	cfg.RepairDelay = rc.delay
-	cfg.Seed = seed
-
-	params.MetricsInterval = *met.Interval
-	params.Lanes = rc.lanes
-	params.Retry = retryPolicy(rc.retries, rc.backoff, rc.cap, rc.maxAge)
-	if workers > 0 {
-		params.Workers = workers
-	} else {
-		params.Workers = runtime.GOMAXPROCS(0)
 	}
 
 	var run *obs.Run
 	var fr *obs.FaultResilience
 	if met.Enabled() {
-		run = obs.NewRun("psfaults")
-		run.Manifest.Spec = spec.Name
-		run.Manifest.Pattern = pattern
-		run.Manifest.Seed = seed
-		run.Manifest.Workers = params.Workers
+		run = newRun(spec, "", cfg.Pattern, params)
 		fr = &obs.FaultResilience{}
 		run.FaultResilience = fr
 	}
@@ -238,7 +212,7 @@ func runResilience(spec *sim.Spec, pattern string, load float64, seed int64, wor
 		target += fmt.Sprintf(" repair-delay=%d", cfg.RepairDelay)
 	}
 	fmt.Printf("# %s %s resilience at load %.2f (kill@%d mtbf=%d repair=%d%s)\n",
-		spec.Name, pattern, load, cfg.KillCycle, cfg.MTBF, cfg.Repair, target)
+		spec.Name, cfg.Pattern, cfg.Load, cfg.KillCycle, cfg.MTBF, cfg.Repair, target)
 	fmt.Printf("%-9s %-9s %-12s %-12s %-10s %-8s %-8s\n",
 		"routing", "failures", "throughput", "avg-lat", "delivered", "lost", "retried")
 	for _, c := range curves {
@@ -259,61 +233,24 @@ func runResilience(spec *sim.Spec, pattern string, load float64, seed int64, wor
 	}
 }
 
-// liveFaults bundles the -fault-plan/-mtbf/retry flag values for the
-// -traffic mode, where they inject live faults into every degraded run.
-type liveFaults struct {
-	plan                 string
-	mtbf                 float64
-	repair               int64
-	retries              int
-	backoff, cap, maxAge int64
-}
-
-func runTraffic(spec *sim.Spec, mode, pattern string, load float64, seed int64, workers int, lf liveFaults, met *obs.FlagSet) {
-	m := sim.MIN
-	if mode == "ugal" {
-		m = sim.UGALMode
-	}
-	params := sim.DefaultParams(seed)
-	params.MetricsInterval = *met.Interval
-	if workers > 0 {
-		params.Workers = workers
-	} else {
-		params.Workers = runtime.GOMAXPROCS(0)
-	}
-	if lf.plan != "" || lf.mtbf > 0 {
-		horizon := int64(params.Warmup + params.Measure + params.Drain)
-		plan, err := sim.LoadPlan(lf.plan, lf.mtbf, lf.repair, spec.Graph, horizon, seed)
-		if err != nil {
-			fatal(err)
-		}
-		params.Plan = plan
-		params.Retry = retryPolicy(lf.retries, lf.backoff, lf.cap, lf.maxAge)
-	}
+func runTraffic(spec *sim.Spec, mode sim.RoutingMode, pattern string, load float64, params sim.Params, live *sim.FaultFlags, met *obs.FlagSet) {
 	var run *obs.Run
 	var ft *obs.FaultTraffic
 	if met.Enabled() {
-		run = obs.NewRun("psfaults")
-		run.Manifest.Spec = spec.Name
-		run.Manifest.Routing = m.String()
-		run.Manifest.Pattern = pattern
-		run.Manifest.Seed = seed
-		run.Manifest.Workers = params.Workers
-		if params.Plan != nil {
-			run.Manifest.FaultPlan = faultManifest(params, lf.plan, lf.mtbf, lf.repair)
-		}
+		run = newRun(spec, mode.String(), pattern, params)
+		run.Manifest.FaultPlan = live.Manifest(params)
 		ft = &obs.FaultTraffic{}
 		run.FaultTraffic = ft
 	}
 	var pts []faults.TrafficPoint
 	var err error
 	prof.Task(func() {
-		pts, err = faults.TrafficSweepObs(spec, m, pattern, load, faults.DefaultFracs, params, seed, ft)
+		pts, err = faults.TrafficSweep(spec, mode, pattern, load, faults.DefaultFracs, params, params.Seed, ft)
 	}, "phase", "fault-traffic", "spec", spec.Name)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("# %s %s %s under random link failures at load %.2f\n", spec.Name, m, pattern, load)
+	fmt.Printf("# %s %s %s under random link failures at load %.2f\n", spec.Name, mode, pattern, load)
 	fmt.Printf("%-10s %-8s %-12s %-10s %-10s\n", "failfrac", "removed", "avg-lat", "delivered", "saturated")
 	for _, p := range pts {
 		fmt.Printf("%-10.2f %-8d %-12.2f %-10.3f %-10v\n", p.FailFrac, p.Removed, p.AvgLatency, p.DeliveredFrac, p.Saturated)
@@ -323,45 +260,6 @@ func runTraffic(spec *sim.Spec, mode, pattern string, load float64, seed int64, 
 			fatal(err)
 		}
 		fmt.Printf("# wrote metrics %s\n", *met.Path)
-	}
-}
-
-// retryPolicy layers the explicitly set retry flags over the default
-// policy (0 keeps each default; -pkt-max-age < 0 disables the age limit).
-func retryPolicy(retries int, backoff, cap, maxAge int64) sim.RetryPolicy {
-	rp := sim.DefaultRetryPolicy()
-	if retries > 0 {
-		rp.MaxRetries = retries
-	}
-	if backoff > 0 {
-		rp.BackoffBase = backoff
-	}
-	if cap > 0 {
-		rp.BackoffCap = cap
-	}
-	if maxAge > 0 {
-		rp.MaxAge = maxAge
-	} else if maxAge < 0 {
-		rp.MaxAge = 0
-	}
-	return rp
-}
-
-// faultManifest records the fault plan (canonical hash + generator
-// parameters) and the effective retry policy, so a degraded run is
-// reproducible from its artifact alone.
-func faultManifest(params sim.Params, source string, mtbf float64, repair int64) *obs.FaultPlan {
-	return &obs.FaultPlan{
-		Hash:        fmt.Sprintf("%016x", params.Plan.Hash()),
-		Events:      len(params.Plan.Events),
-		Source:      source,
-		MTBF:        mtbf,
-		Repair:      repair,
-		RepairDelay: params.RepairDelay,
-		MaxRetries:  params.Retry.MaxRetries,
-		BackoffBase: params.Retry.BackoffBase,
-		BackoffCap:  params.Retry.BackoffCap,
-		MaxAge:      params.Retry.MaxAge,
 	}
 }
 

@@ -179,19 +179,14 @@ func (sw *sweeper) stats(h *graph.Graph, hosts Hosts) (int32, float64, bool, int
 	return diam, avg, pairs == full, full - pairs
 }
 
-// runTrial is RunTrial on the sweeper's reusable state.
-func (sw *sweeper) runTrial(hosts Hosts, seed int64, fracs []float64) Trial {
-	return sw.runTrialObs(hosts, seed, fracs, nil, 0)
-}
-
-// runTrialObs is runTrial with telemetry: when mt is non-nil, the trial
-// additionally counts sampled points whose diameter exceeds intactDiam
-// (degraded points) and unreachable host pairs (lost pairs) — including
-// at fractions past the disconnection point, where the plain curve stops
-// measuring. The returned Trial is bit-identical with mt on or off: the
-// extra stats passes read the same scratch subgraphs and never touch the
-// trial RNG.
-func (sw *sweeper) runTrialObs(hosts Hosts, seed int64, fracs []float64, mt *obs.FaultTrial, intactDiam int32) Trial {
+// runTrial is RunTrial on the sweeper's reusable state. When mt is
+// non-nil, the trial additionally counts sampled points whose diameter
+// exceeds intactDiam (degraded points) and unreachable host pairs (lost
+// pairs) — including at fractions past the disconnection point, where
+// the plain curve stops measuring. The returned Trial is bit-identical
+// with mt on or off: the extra stats passes read the same scratch
+// subgraphs and never touch the trial RNG.
+func (sw *sweeper) runTrial(hosts Hosts, seed int64, fracs []float64, mt *obs.FaultTrial, intactDiam int32) Trial {
 	rng := rand.New(rand.NewSource(seed))
 	m := len(sw.order)
 	for i := range sw.order {
@@ -228,33 +223,15 @@ func (sw *sweeper) runTrialObs(hosts Hosts, seed int64, fracs []float64, mt *obs
 
 	for _, f := range fracs {
 		k := int(f * float64(m))
-		if k >= disconnectAt {
-			tr.Curve = append(tr.Curve, Point{FailFrac: f, Connected: false})
-			if mt != nil {
-				mt.PointsDisconnected++
-				diam, _, _, lost := sw.stats(sw.subgraph(k), hosts)
-				mt.LostPairs.Add(lost)
-				if diam > intactDiam {
-					mt.DegradedPoints++
-				}
-				if diam > mt.MaxDiameter {
-					mt.MaxDiameter = diam
-				}
+		pt := Point{FailFrac: f}
+		if connected := k < disconnectAt; connected || mt != nil {
+			diam, avg, ok, lost := sw.stats(sw.subgraph(k), hosts)
+			if connected {
+				pt = Point{FailFrac: f, Diameter: diam, AvgPath: avg, Connected: ok}
 			}
-			continue
+			mt.Sample(connected, diam, intactDiam, lost)
 		}
-		diam, avg, ok, lost := sw.stats(sw.subgraph(k), hosts)
-		tr.Curve = append(tr.Curve, Point{FailFrac: f, Diameter: diam, AvgPath: avg, Connected: ok})
-		if mt != nil {
-			mt.PointsConnected++
-			mt.LostPairs.Add(lost)
-			if diam > intactDiam {
-				mt.DegradedPoints++
-			}
-			if diam > mt.MaxDiameter {
-				mt.MaxDiameter = diam
-			}
-		}
+		tr.Curve = append(tr.Curve, pt)
 	}
 	return tr
 }
@@ -268,7 +245,7 @@ func RunTrial(g *graph.Graph, hosts Hosts, seed int64, fracs []float64) (Trial, 
 	if err := validate(g, hosts, fracs); err != nil {
 		return Trial{}, err
 	}
-	return newSweeper(g).runTrial(hosts, seed, fracs), nil
+	return newSweeper(g).runTrial(hosts, seed, fracs, nil, 0), nil
 }
 
 // MedianTrial runs `trials` independent scenarios and returns the one
@@ -281,7 +258,8 @@ func MedianTrial(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []fl
 // records the intact diameter, one FaultTrial (seed + disconnection
 // ratio) per ranked scenario in scenario order, and the fully sampled
 // median trial's degraded-point and lost-pair counters. The returned
-// Trial is identical with fm on or off.
+// Trial is identical with fm on or off. (Both names stay: bench/ calls
+// MedianTrial.)
 func MedianTrialObs(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []float64, fm *obs.FaultSweep) (Trial, error) {
 	if err := validateTrials(g, hosts, trials, fracs); err != nil {
 		return Trial{}, err
@@ -302,7 +280,7 @@ func MedianTrialObs(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs [
 	rs := make([]ranked, trials)
 	for i := 0; i < trials; i++ {
 		s := seed + int64(i)*6151
-		t := sw.runTrial(hosts, s, nil)
+		t := sw.runTrial(hosts, s, nil, nil, 0)
 		rs[i] = ranked{seed: s, ratio: t.DisconnectionRatio}
 		if fm != nil {
 			fm.Trials = append(fm.Trials, obs.FaultTrial{Seed: s, DisconnectionRatio: t.DisconnectionRatio})
@@ -310,11 +288,12 @@ func MedianTrialObs(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs [
 	}
 	sort.Slice(rs, func(i, j int) bool { return rs[i].ratio < rs[j].ratio })
 	med := rs[len(rs)/2]
-	if fm == nil {
-		return sw.runTrial(hosts, med.seed, fracs), nil
+	var median *obs.FaultTrial
+	if fm != nil {
+		median = &obs.FaultTrial{}
+		fm.Median = median
 	}
-	fm.Median = &obs.FaultTrial{}
-	return sw.runTrialObs(hosts, med.seed, fracs, fm.Median, intactDiam), nil
+	return sw.runTrial(hosts, med.seed, fracs, median, intactDiam), nil
 }
 
 // Bands aggregates many trials into quartile curves — an extension of
@@ -339,7 +318,7 @@ func RunBands(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []float
 	apl := make([][]float64, len(fracs)) // per fraction: APLs of connected trials
 	var ratios []float64
 	for i := 0; i < trials; i++ {
-		tr := sw.runTrial(hosts, seed+int64(i)*6151, fracs)
+		tr := sw.runTrial(hosts, seed+int64(i)*6151, fracs, nil, 0)
 		ratios = append(ratios, tr.DisconnectionRatio)
 		for j, p := range tr.Curve {
 			if p.Connected {

@@ -86,12 +86,32 @@ func TestTrafficSweepValidation(t *testing.T) {
 	p := sim.DefaultParams(3)
 	p.Warmup, p.Measure, p.Drain = 50, 100, 150
 	for _, load := range []float64{0, -0.2, 1.5} {
-		if _, err := TrafficSweep(spec, sim.MIN, "uniform", load, []float64{0}, p, 5); err == nil {
+		if _, err := TrafficSweep(spec, sim.MIN, "uniform", load, []float64{0}, p, 5, nil); err == nil {
 			t.Errorf("offered load %g accepted", load)
 		}
 	}
-	if _, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, []float64{0.4, 0.2}, p, 5); err == nil {
+	if _, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, []float64{0.4, 0.2}, p, 5, nil); err == nil {
 		t.Error("descending failure fractions accepted")
+	}
+	// Engine parameters go through sim.Params.Validate, as in RunPoint:
+	// nonsense and calendar-overflowing windows are errors, not runs or
+	// NewEngine panics.
+	for name, mutate := range map[string]func(*sim.Params){
+		"PacketFlits=0": func(p *sim.Params) { p.PacketFlits = 0 },
+		"Measure=0":     func(p *sim.Params) { p.Measure = 0 },
+		"LinkLatency<0": func(p *sim.Params) { p.LinkLatency = -1 },
+		"Warmup=1<<40":  func(p *sim.Params) { p.Warmup = 1 << 40 },
+		"Lanes=99":      func(p *sim.Params) { p.Lanes = 99 },
+		"RepairDelay<0": func(p *sim.Params) { p.RepairDelay = -1 },
+	} {
+		bad := p
+		mutate(&bad)
+		if _, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, []float64{0}, bad, 5, nil); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := TrafficSweep(spec, sim.RoutingMode(99), "uniform", 0.2, []float64{0}, p, 5, nil); err == nil {
+		t.Error("out-of-range routing mode accepted")
 	}
 }
 
@@ -103,12 +123,12 @@ func TestTrafficSweepObs(t *testing.T) {
 	p.Warmup, p.Measure, p.Drain = 100, 200, 300
 	p.Workers = 2
 	fracs := []float64{0, 0.15}
-	plain, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, fracs, p, 5)
+	plain, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, fracs, p, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ft obs.FaultTraffic
-	observed, err := TrafficSweepObs(spec, sim.MIN, "uniform", 0.2, fracs, p, 5, &ft)
+	observed, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, fracs, p, 5, &ft)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,6 @@ var (
 	ParsePlan = sim.ParsePlan
 	// RandomPlan generates a seeded random MTBF/MTTR failure schedule.
 	RandomPlan = sim.RandomPlan
-	// LoadPlan combines a plan file and/or an MTBF generator and
-	// validates the result against a topology.
-	LoadPlan = sim.LoadPlan
 	// DefaultRetryPolicy is the retry configuration used when
 	// sim.Params.Retry is left zero.
 	DefaultRetryPolicy = sim.DefaultRetryPolicy

@@ -84,7 +84,7 @@ func ResilienceSweep(spec *sim.Spec, cfg ResilienceConfig, params sim.Params) ([
 // ResilienceSweepObs is ResilienceSweep with telemetry: when fr is
 // non-nil every point's engine fills a fresh SimRun (with the per-lane
 // spray/failover section on multipath modes). Results are identical
-// with fr on or off.
+// with fr on or off. (Both names stay: bench/ calls each.)
 func ResilienceSweepObs(spec *sim.Spec, cfg ResilienceConfig, params sim.Params, fr *obs.FaultResilience) ([]ResilienceCurve, error) {
 	if cfg.Load <= 0 || cfg.Load > 1 {
 		return nil, fmt.Errorf("faults: offered load %g outside (0, 1]", cfg.Load)
@@ -176,7 +176,7 @@ func killPlan(edges [][2]int, at, mtbf, repair int64) *sim.Plan {
 // treeLanes reports how many spanning-tree lanes a multipath mode will
 // actually get on this spec (the extractor may find fewer than asked).
 func treeLanes(spec *sim.Spec, mode sim.RoutingMode, params sim.Params) int {
-	if mode != sim.MPMINMode && mode != sim.MPUGALMode {
+	if !mode.Multipath() {
 		return 0
 	}
 	mp, err := specLanes(spec, params)
@@ -189,7 +189,7 @@ func treeLanes(spec *sim.Spec, mode sim.RoutingMode, params sim.Params) int {
 // specLanes builds the spec's multipath lane structure (the same trees
 // the engine will extract: the extraction seed is fixed per spec).
 func specLanes(spec *sim.Spec, params sim.Params) (*route.MultiPath, error) {
-	r, err := spec.MultiPathRouting(spec.MinRouting(), params.Lanes, params.PacketFlits)
+	r, err := spec.Routing(sim.MPMINMode, params)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"polarstar/internal/obs"
 	"polarstar/internal/sim"
@@ -26,22 +27,26 @@ type TrafficPoint struct {
 // on each degraded topology. Endpoints on disconnected or unroutable
 // pairs keep injecting; their packets are lost, so DeliveredFrac < 1 and
 // rising latency are the observable damage. fracs must be ascending.
-// The routing mode is MIN or UGAL over the degraded all-pairs table.
-func TrafficSweep(spec *sim.Spec, mode sim.RoutingMode, patternName string, load float64, fracs []float64, params sim.Params, seed int64) ([]TrafficPoint, error) {
-	return TrafficSweepObs(spec, mode, patternName, load, fracs, params, seed, nil)
-}
-
-// TrafficSweepObs is TrafficSweep with telemetry: when ft is non-nil,
-// each failure fraction's engine fills a fresh SimRun attached to the
-// corresponding FaultTrafficPoint, so the artifact carries the full
-// latency/stall/loss breakdown of every degraded topology. Results are
-// identical with ft on or off.
-func TrafficSweepObs(spec *sim.Spec, mode sim.RoutingMode, patternName string, load float64, fracs []float64, params sim.Params, seed int64, ft *obs.FaultTraffic) ([]TrafficPoint, error) {
+// Every routing mode runs over the degraded all-pairs table; the
+// multipath modes re-extract their tree lanes per point and fail the
+// sweep once the damage disconnects the graph.
+//
+// When ft is non-nil, each failure fraction's engine fills a fresh
+// SimRun attached to the corresponding FaultTrafficPoint, so the
+// artifact carries the full latency/stall/loss breakdown of every
+// degraded topology. Results are identical with ft on or off.
+func TrafficSweep(spec *sim.Spec, mode sim.RoutingMode, patternName string, load float64, fracs []float64, params sim.Params, seed int64, ft *obs.FaultTraffic) ([]TrafficPoint, error) {
 	if load <= 0 || load > 1 {
 		return nil, fmt.Errorf("faults: offered load %g outside (0, 1]", load)
 	}
 	if err := validate(spec.Graph, nil, fracs); err != nil {
 		return nil, err
+	}
+	if err := params.Validate(spec.Config()); err != nil {
+		return nil, err
+	}
+	if params.Workers <= 0 {
+		params.Workers = runtime.GOMAXPROCS(0)
 	}
 	edges := spec.Graph.Edges()
 	rng := rand.New(rand.NewSource(seed))
@@ -76,14 +81,9 @@ func TrafficSweepObs(spec *sim.Spec, mode sim.RoutingMode, patternName string, l
 				return nil, err
 			}
 		}
-		var routing sim.Routing
-		switch mode {
-		case sim.UGALMode:
-			routing = deg.UGALRouting(p.PacketFlits)
-		case sim.UGALGMode:
-			routing = deg.UGALGRouting(p.PacketFlits)
-		default:
-			routing = deg.MinRouting()
+		routing, err := deg.Routing(mode, p)
+		if err != nil {
+			return nil, err
 		}
 		eng := sim.NewEngine(p, deg.Graph, deg.Config(), routing, pattern)
 		points = append(points, TrafficPoint{FailFrac: f, Removed: k, Result: eng.Run(load)})

@@ -52,17 +52,6 @@ func PrimePowersUpTo(n int) []int {
 	return out
 }
 
-// PrimesUpTo returns all primes in [2, n] in increasing order.
-func PrimesUpTo(n int) []int {
-	var out []int
-	for q := 2; q <= n; q++ {
-		if IsPrime(q) {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 func smallestPrimeFactor(n int) int {
 	if n%2 == 0 {
 		return 2

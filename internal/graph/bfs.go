@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-)
-
 // Unreachable is the distance reported for vertex pairs in different
 // components.
 const Unreachable = int32(-1)
@@ -86,71 +81,6 @@ type PathStats struct {
 	AvgPath   float64 // mean distance over connected ordered pairs (excl. self)
 	Connected bool    // every pair reachable
 	Pairs     int64   // number of connected ordered pairs counted
-}
-
-// AllPairsStatsScalar is the scalar reference implementation of
-// AllPairsStats: one queue-based BFS per source, sources strided across
-// workers. The bit-parallel engine (bitbfs.go) replaced it on every hot
-// path; it is kept as the cross-check oracle for the property and golden
-// tests and as the baseline of the before/after benchmarks.
-func (g *Graph) AllPairsStatsScalar() PathStats {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > g.n {
-		workers = g.n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	type partial struct {
-		diam      int32
-		sum       int64
-		pairs     int64
-		connected bool
-	}
-	results := make([]partial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := partial{connected: true}
-			dist := make([]int32, g.n)
-			var scratch BFSScratch
-			for src := w; src < g.n; src += workers {
-				g.BFSDistancesScratch(src, dist, &scratch)
-				for v, d := range dist {
-					if v == src {
-						continue
-					}
-					if d == Unreachable {
-						local.connected = false
-						continue
-					}
-					if d > local.diam {
-						local.diam = d
-					}
-					local.sum += int64(d)
-					local.pairs++
-				}
-			}
-			results[w] = local
-		}(w)
-	}
-	wg.Wait()
-	total := partial{connected: true}
-	for _, r := range results {
-		if r.diam > total.diam {
-			total.diam = r.diam
-		}
-		total.sum += r.sum
-		total.pairs += r.pairs
-		total.connected = total.connected && r.connected
-	}
-	stats := PathStats{Diameter: total.diam, Connected: total.connected, Pairs: total.pairs}
-	if total.pairs > 0 {
-		stats.AvgPath = float64(total.sum) / float64(total.pairs)
-	}
-	return stats
 }
 
 // Diameter returns the graph diameter, or Unreachable when disconnected.

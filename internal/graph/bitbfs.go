@@ -14,9 +14,9 @@
 //
 // All aggregates are integers, so every summation order yields the same
 // result; the parallel drivers nevertheless shard source batches in a
-// fixed order and merge per-batch partials in that same order (the PR-1
-// link-load discipline), keeping results bit-identical to the scalar
-// reference at any GOMAXPROCS.
+// fixed stride order and merge per-worker partials in worker order (the
+// PR-1 link-load discipline), keeping results bit-identical to the
+// scalar reference at any GOMAXPROCS.
 //
 // Scalar BFS (BFSDistancesScratch) still wins when the caller needs the
 // actual distance vector of one source (routing-table construction,
@@ -332,32 +332,98 @@ func (g *Graph) BitBFSBatchRows(srcs []int32, s *BitBFSScratch, rows []int32, st
 	}
 }
 
-// batchAgg is the per-batch partial of the parallel all-pairs drivers.
-type batchAgg struct {
-	sum, pairs int64
-	diam       int32
-}
-
-// runBatch executes the kernel for the contiguous source batch starting
-// at base and folds the lane stats into one partial.
-func (g *Graph) runBatch(base int, s *BitBFSScratch) batchAgg {
-	lanes := g.n - base
-	if lanes > 64 {
-		lanes = 64
+// forEachBatch is the one all-pairs driver loop: it calls visit once per
+// batch of 64 consecutive sources (the last batch may be shorter), with
+// the batch's first vertex, its source list and a scratch arena for the
+// kernel. Batches are strided over `workers` goroutines, each owning one
+// arena; a single worker runs on the calling goroutine with s. visit gets
+// its worker's index so accumulators can be per-worker and unlocked;
+// callers merge them in worker order, and since every aggregate is an
+// integer sum or max the merged result is bit-identical at any worker
+// count.
+func (g *Graph) forEachBatch(workers int, s *BitBFSScratch, visit func(w, base int, srcs []int32, s *BitBFSScratch)) {
+	if workers < 1 {
+		workers = 1
 	}
-	for i := 0; i < lanes; i++ {
-		s.srcs[i] = int32(base + i)
-	}
-	st, _ := g.BitBFSBatch(s.srcs[:lanes], s, nil, nil)
-	var a batchAgg
-	for l := 0; l < lanes; l++ {
-		a.pairs += st.Reached[l]
-		a.sum += st.Sum[l]
-		if st.Ecc[l] > a.diam {
-			a.diam = st.Ecc[l]
+	run := func(w int, s *BitBFSScratch) {
+		for base := w * 64; base < g.n; base += workers * 64 {
+			lanes := g.n - base
+			if lanes > 64 {
+				lanes = 64
+			}
+			for i := 0; i < lanes; i++ {
+				s.srcs[i] = int32(base + i)
+			}
+			visit(w, base, s.srcs[:lanes], s)
 		}
 	}
-	return a
+	if workers == 1 {
+		run(0, s)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var s BitBFSScratch
+			run(w, &s)
+		}(w)
+	}
+	wg.Wait()
+}
+
+// allPairsWorkers returns the worker count of the parallel all-pairs
+// drivers: GOMAXPROCS, capped at the number of source batches.
+func (g *Graph) allPairsWorkers() int {
+	w := runtime.GOMAXPROCS(0)
+	if nb := (g.n + 63) / 64; w > nb {
+		w = nb
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+// allPairsStats folds every batch's lane stats into per-worker partials
+// and merges them.
+func (g *Graph) allPairsStats(workers int, s *BitBFSScratch) PathStats {
+	type partial struct {
+		sum, pairs int64
+		diam       int32
+	}
+	parts := make([]partial, workers)
+	g.forEachBatch(workers, s, func(w, _ int, srcs []int32, s *BitBFSScratch) {
+		st, _ := g.BitBFSBatch(srcs, s, nil, nil)
+		a := &parts[w]
+		for l := range srcs {
+			a.pairs += st.Reached[l]
+			a.sum += st.Sum[l]
+			if st.Ecc[l] > a.diam {
+				a.diam = st.Ecc[l]
+			}
+		}
+	})
+	var t partial
+	for _, a := range parts {
+		t.sum += a.sum
+		t.pairs += a.pairs
+		if a.diam > t.diam {
+			t.diam = a.diam
+		}
+	}
+	// Connectivity falls out of the pair count: every source reaches all
+	// n−1 others iff the total equals n(n−1).
+	stats := PathStats{
+		Diameter:  t.diam,
+		Pairs:     t.pairs,
+		Connected: t.pairs == int64(g.n)*int64(g.n-1),
+	}
+	if t.pairs > 0 {
+		stats.AvgPath = float64(t.sum) / float64(t.pairs)
+	}
+	return stats
 }
 
 // AllPairsStatsSerial computes AllPairsStats on the calling goroutine
@@ -367,43 +433,7 @@ func (g *Graph) runBatch(base int, s *BitBFSScratch) batchAgg {
 // worker owns one scratch and measures whole topology points serially,
 // avoiding nested parallelism.
 func (g *Graph) AllPairsStatsSerial(s *BitBFSScratch) PathStats {
-	var total batchAgg
-	for base := 0; base < g.n; base += 64 {
-		a := g.runBatch(base, s)
-		total.sum += a.sum
-		total.pairs += a.pairs
-		if a.diam > total.diam {
-			total.diam = a.diam
-		}
-	}
-	return finishStats(g.n, total)
-}
-
-// finishStats converts the merged partial into PathStats. Connectivity
-// falls out of the pair count: every source reaches all n−1 others iff
-// the total equals n(n−1).
-func finishStats(n int, t batchAgg) PathStats {
-	stats := PathStats{
-		Diameter:  t.diam,
-		Pairs:     t.pairs,
-		Connected: t.pairs == int64(n)*int64(n-1),
-	}
-	if t.pairs > 0 {
-		stats.AvgPath = float64(t.sum) / float64(t.pairs)
-	}
-	return stats
-}
-
-// allPairsWorkers returns the worker count for nb source batches.
-func allPairsWorkers(nb int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > nb {
-		w = nb
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return g.allPairsStats(1, s)
 }
 
 // AllPairsStats computes the diameter, average shortest-path length and
@@ -411,76 +441,32 @@ func allPairsWorkers(nb int) int {
 // (Table 3), the design-space sweeps and the fault-tolerance experiment.
 //
 // Sources are processed 64 at a time by the bit-parallel kernel
-// (BitBFSBatch); batches are sharded across GOMAXPROCS workers in fixed
-// stride order, each worker owning one scratch arena, and per-batch
-// partials are merged in fixed batch order. All aggregation is integer,
-// so the result is bit-identical to AllPairsStatsScalar at any worker
-// count.
+// (BitBFSBatch), batches sharded across GOMAXPROCS workers (forEachBatch).
+// All aggregation is integer, so the result is bit-identical to a scalar
+// one-BFS-per-source scan at any worker count (pinned by the tests'
+// reference implementation).
 func (g *Graph) AllPairsStats() PathStats {
-	nb := (g.n + 63) / 64
-	workers := allPairsWorkers(nb)
-	if workers <= 1 {
-		var s BitBFSScratch
-		return g.AllPairsStatsSerial(&s)
-	}
-	out := make([]batchAgg, nb)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var s BitBFSScratch
-			for b := w; b < nb; b += workers {
-				out[b] = g.runBatch(b*64, &s)
-			}
-		}(w)
-	}
-	wg.Wait()
-	var total batchAgg
-	for _, a := range out { // fixed batch-order merge
-		total.sum += a.sum
-		total.pairs += a.pairs
-		if a.diam > total.diam {
-			total.diam = a.diam
-		}
-	}
-	return finishStats(g.n, total)
+	var s BitBFSScratch
+	return g.allPairsStats(g.allPairsWorkers(), &s)
 }
 
 // DistanceHistogram returns hist with hist[d] = number of ordered vertex
 // pairs (u,v), u ≠ v, at distance exactly d, for d in [0, Diameter]
 // (hist[0] is always 0; unreachable pairs are not counted). For a
 // diameter-3 network, Σ d·hist[d] / Σ hist[d] is exactly the average
-// path length studied by §11. Computed by the bit-parallel kernel with
-// batches sharded across workers and merged in fixed batch order.
+// path length studied by §11.
 func (g *Graph) DistanceHistogram() []int64 {
-	nb := (g.n + 63) / 64
-	workers := allPairsWorkers(nb)
+	workers := g.allPairsWorkers()
 	hists := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var s BitBFSScratch
-			hist := []int64{0}
-			for b := w; b < nb; b += workers {
-				base := b * 64
-				lanes := g.n - base
-				if lanes > 64 {
-					lanes = 64
-				}
-				for i := 0; i < lanes; i++ {
-					s.srcs[i] = int32(base + i)
-				}
-				_, hist = g.BitBFSBatch(s.srcs[:lanes], &s, nil, hist)
-			}
-			hists[w] = hist
-		}(w)
+	for w := range hists {
+		hists[w] = []int64{0}
 	}
-	wg.Wait()
-	out := []int64{0}
-	for _, h := range hists { // fixed worker-order merge (integer sums)
+	var s BitBFSScratch
+	g.forEachBatch(workers, &s, func(w, _ int, srcs []int32, s *BitBFSScratch) {
+		_, hists[w] = g.BitBFSBatch(srcs, s, nil, hists[w])
+	})
+	out := hists[0]
+	for _, h := range hists[1:] {
 		for len(out) < len(h) {
 			out = append(out, 0)
 		}
@@ -497,28 +483,10 @@ func (g *Graph) DistanceHistogram() []int64 {
 // Eccentricity, computed 64 sources per traversal.
 func (g *Graph) Eccentricities() []int32 {
 	out := make([]int32, g.n)
-	nb := (g.n + 63) / 64
-	workers := allPairsWorkers(nb)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var s BitBFSScratch
-			for b := w; b < nb; b += workers {
-				base := b * 64
-				lanes := g.n - base
-				if lanes > 64 {
-					lanes = 64
-				}
-				for i := 0; i < lanes; i++ {
-					s.srcs[i] = int32(base + i)
-				}
-				st, _ := g.BitBFSBatch(s.srcs[:lanes], &s, nil, nil)
-				copy(out[base:base+lanes], st.Ecc[:lanes])
-			}
-		}(w)
-	}
-	wg.Wait()
+	var s BitBFSScratch
+	g.forEachBatch(g.allPairsWorkers(), &s, func(_, base int, srcs []int32, s *BitBFSScratch) {
+		st, _ := g.BitBFSBatch(srcs, s, nil, nil)
+		copy(out[base:], st.Ecc[:len(srcs)])
+	})
 	return out
 }

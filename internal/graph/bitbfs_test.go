@@ -103,6 +103,34 @@ func TestBitBFSDestinationFilter(t *testing.T) {
 	}
 }
 
+// AllPairsStatsScalar is the reference the all-pairs tests compare the
+// bit-parallel engine against: one queue-based BFS per source, serial.
+// It is a method so the external graph_test files reach it too.
+func (g *Graph) AllPairsStatsScalar() PathStats {
+	stats := PathStats{Connected: true}
+	var sum int64
+	var dist []int32
+	var scratch BFSScratch
+	for src := 0; src < g.n; src++ {
+		dist = g.BFSDistancesScratch(src, dist, &scratch)
+		for v, d := range dist {
+			switch {
+			case v == src:
+			case d == Unreachable:
+				stats.Connected = false
+			default:
+				stats.Diameter = max(stats.Diameter, d)
+				sum += int64(d)
+				stats.Pairs++
+			}
+		}
+	}
+	if stats.Pairs > 0 {
+		stats.AvgPath = float64(sum) / float64(stats.Pairs)
+	}
+	return stats
+}
+
 // TestAllPairsStatsMatchesScalar: the bit-parallel AllPairsStats is
 // bit-identical to the scalar reference on random graphs, connected or
 // not.

@@ -20,7 +20,7 @@
 // passes them provably keeps its exact distance vector — so recomputing
 // BFS only from the failing ("dirty") sources reproduces the full
 // recomputation bit for bit (the property tests in delta_test.go pin
-// this against AllPairsStatsScalar and DistanceHistogram after every
+// this against a scalar all-pairs scan and DistanceHistogram after every
 // swap). The removal test consults the distances of the endpoints'
 // neighbors, which is why the per-swap probe runs BitBFSBatchDist over
 // the closed neighborhoods of the four endpoints: a constant number of

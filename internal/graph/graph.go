@@ -371,13 +371,6 @@ func (g *Graph) RemoveEdges(edges [][2]int) *Graph {
 	})
 }
 
-// Rename returns a shallow copy of g with a different name.
-func (g *Graph) Rename(name string) *Graph {
-	h := *g
-	h.name = name
-	return &h
-}
-
 func (g *Graph) String() string {
 	return fmt.Sprintf("%s{n=%d m=%d loops=%d}", g.name, g.n, g.nEdges, g.nLoops)
 }

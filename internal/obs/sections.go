@@ -193,6 +193,28 @@ type FaultTrial struct {
 	LostPairs          Counter `json:"lost_pairs,omitempty"` // unreachable host pairs summed over sampled points
 }
 
+// Sample folds one sampled failure fraction into the record: whether the
+// hosts were still connected there, the degraded diameter against the
+// intact one, and the unreachable host pairs. A nil receiver discards
+// the sample, so sweeps call it whether or not telemetry is on.
+func (t *FaultTrial) Sample(connected bool, diam, intactDiam int32, lost int64) {
+	if t == nil {
+		return
+	}
+	if connected {
+		t.PointsConnected++
+	} else {
+		t.PointsDisconnected++
+	}
+	t.LostPairs.Add(lost)
+	if diam > intactDiam {
+		t.DegradedPoints++
+	}
+	if diam > t.MaxDiameter {
+		t.MaxDiameter = diam
+	}
+}
+
 // FaultSweep is the metric set of a §11.2 structural fault experiment:
 // one FaultTrial per scenario (ranking pass) plus the fully sampled
 // median trial.

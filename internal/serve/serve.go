@@ -58,7 +58,7 @@ const (
 // take the documented defaults in Normalize.
 type EvalRequest struct {
 	Spec    string  `json:"spec"`              // required: a sim.SpecNames() entry
-	Routing string  `json:"routing,omitempty"` // "min" (default), "ugal", "ugal-g", "mp-min", "mp-ugal"
+	Routing string  `json:"routing,omitempty"` // a sim.RoutingModeNames() entry (default "min")
 	Pattern string  `json:"pattern,omitempty"` // traffic pattern (default "uniform")
 	Load    float64 `json:"load,omitempty"`    // offered load in (0,1] (default 0.2)
 	Cycles  int     `json:"cycles,omitempty"`  // measurement window; 0 = paper defaults
@@ -71,8 +71,8 @@ type EvalRequest struct {
 	// hashed into the cache key.
 	FaultPlan string `json:"fault_plan,omitempty"`
 	// Lanes is the spanning-tree lane count of the multipath routings
-	// ("mp-min"/"mp-ugal"): 0 selects the engine default. Rejected on
-	// single-table routings, where it is a no-op — silently accepting
+	// (sim.RoutingMode.Multipath): 0 selects the engine default. Rejected
+	// on single-table routings, where it is a no-op — silently accepting
 	// it would mint distinct cache keys for bit-identical runs.
 	Lanes int `json:"lanes,omitempty"`
 	// RepairDelay is the table-reconvergence stall in cycles charged
@@ -114,18 +114,14 @@ func (req *EvalRequest) Normalize() error {
 	if req.Routing == "" {
 		req.Routing = "min"
 	}
-	multipath := false
-	switch req.Routing {
-	case "min", "ugal", "ugal-g":
-	case "mp-min", "mp-ugal":
-		multipath = true
-	default:
-		return fmt.Errorf("serve: unknown routing %q (want min, ugal, ugal-g, mp-min or mp-ugal)", req.Routing)
+	mode, err := sim.ParseRoutingMode(req.Routing)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if req.Lanes < 0 || req.Lanes > maxEvalLanes {
 		return fmt.Errorf("serve: lanes must be in [0, %d], got %d", maxEvalLanes, req.Lanes)
 	}
-	if req.Lanes != 0 && !multipath {
+	if req.Lanes != 0 && !mode.Multipath() {
 		return fmt.Errorf("serve: lanes requires multipath routing, got %q", req.Routing)
 	}
 	if req.RepairDelay < 0 {
@@ -190,31 +186,12 @@ func (req *EvalRequest) Key(plan *sim.Plan) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// mode maps the validated routing name to the sim enum.
-func (req *EvalRequest) mode() sim.RoutingMode {
-	switch req.Routing {
-	case "ugal":
-		return sim.UGALMode
-	case "ugal-g":
-		return sim.UGALGMode
-	case "mp-min":
-		return sim.MPMINMode
-	case "mp-ugal":
-		return sim.MPUGALMode
-	}
-	return sim.MIN
-}
-
 // params builds the engine parameters: the §9.4 defaults, with the
 // cycle windows rescaled when the request asks for a shorter (or
 // longer) measurement.
 func (req *EvalRequest) params(defaultWorkers int) sim.Params {
 	p := sim.DefaultParams(req.Seed)
-	if req.Cycles > 0 {
-		p.Warmup = req.Cycles / 2
-		p.Measure = req.Cycles
-		p.Drain = req.Cycles * 3 / 2
-	}
+	p.SetCycles(req.Cycles)
 	p.Workers = req.Workers
 	if p.Workers == 0 {
 		p.Workers = defaultWorkers
@@ -415,9 +392,13 @@ func (s *Service) evaluate(j *job) ([]byte, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	mode, err := sim.ParseRoutingMode(j.req.Routing)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
 	params := j.req.params(s.cfg.Workers)
 	params.Plan = j.plan
-	res, err := sim.RunPoint(ctx, bs.Spec, j.req.mode(), j.req.Pattern, j.req.Load, params)
+	res, err := sim.RunPoint(ctx, bs.Spec, mode, j.req.Pattern, j.req.Load, params)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, http.StatusGatewayTimeout,
@@ -427,7 +408,7 @@ func (s *Service) evaluate(j *job) ([]byte, int, error) {
 	}
 	resp := EvalResponse{
 		Key:      j.key,
-		Manifest: s.manifest(j, bs),
+		Manifest: s.manifest(j, bs, params),
 		Result:   wireResult(res),
 	}
 	body, err := marshalDeterministic(resp)
@@ -440,7 +421,7 @@ func (s *Service) evaluate(j *job) ([]byte, int, error) {
 // manifest builds the provenance block of a response. Workers stays
 // zero on purpose: the engine's Results are bit-identical at any worker
 // count, so recording it would make equal artifacts compare unequal.
-func (s *Service) manifest(j *job, bs *BuiltSpec) obs.Manifest {
+func (s *Service) manifest(j *job, bs *BuiltSpec, params sim.Params) obs.Manifest {
 	run := obs.NewRun("psserve")
 	m := run.Manifest
 	m.Spec = j.req.Spec
@@ -449,16 +430,7 @@ func (s *Service) manifest(j *job, bs *BuiltSpec) obs.Manifest {
 	m.SpecHash = bs.Hash
 	m.Seed = j.req.Seed
 	if !j.plan.Empty() {
-		m.FaultPlan = &obs.FaultPlan{
-			Hash:        fmt.Sprintf("%016x", j.plan.Hash()),
-			Events:      len(j.plan.Events),
-			RepairDelay: j.req.RepairDelay,
-		}
-		rp := sim.DefaultRetryPolicy()
-		m.FaultPlan.MaxRetries = rp.MaxRetries
-		m.FaultPlan.BackoffBase = rp.BackoffBase
-		m.FaultPlan.BackoffCap = rp.BackoffCap
-		m.FaultPlan.MaxAge = rp.MaxAge
+		m.FaultPlan = params.FaultManifest("", 0, 0)
 	}
 	return m
 }

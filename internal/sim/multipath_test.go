@@ -16,7 +16,7 @@ const mpTestSpec = "ps-iq-43"
 // (as the engine will build them: same fixed extraction seed).
 func laneEdges(t *testing.T, spec *Spec, lanes int) [][][2]int {
 	t.Helper()
-	r, err := spec.MultiPathRouting(spec.MinRouting(), lanes, 4)
+	r, err := spec.Routing(MPMINMode, Params{Lanes: lanes, PacketFlits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

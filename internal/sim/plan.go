@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"polarstar/internal/graph"
+	"polarstar/internal/obs"
 )
 
 // EventKind is the kind of one fault-plan event.
@@ -291,4 +292,28 @@ func (rp RetryPolicy) normalized() RetryPolicy {
 		rp.MaxRetries = 0
 	}
 	return rp
+}
+
+// FaultManifest is the provenance block of a fault-injected run: the
+// canonical plan hash, the generator parameters that produced it (plan
+// file, MTBF, repair; zero when the plan was scripted directly) and the
+// retry policy the engine actually applies, so a degraded run is
+// reproducible from its artifact alone. Nil without a plan.
+func (p Params) FaultManifest(source string, mtbf float64, repair int64) *obs.FaultPlan {
+	if p.Plan == nil {
+		return nil
+	}
+	rp := p.Retry.normalized()
+	return &obs.FaultPlan{
+		Hash:        fmt.Sprintf("%016x", p.Plan.Hash()),
+		Events:      len(p.Plan.Events),
+		Source:      source,
+		MTBF:        mtbf,
+		Repair:      repair,
+		RepairDelay: p.RepairDelay,
+		MaxRetries:  rp.MaxRetries,
+		BackoffBase: rp.BackoffBase,
+		BackoffCap:  rp.BackoffCap,
+		MaxAge:      rp.MaxAge,
+	}
 }

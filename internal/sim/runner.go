@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 
 	"polarstar/internal/obs"
 )
 
-// RoutingMode selects MIN or UGAL for a sweep.
+// RoutingMode selects the routing algorithm of a run.
 type RoutingMode int
 
 const (
@@ -30,18 +31,64 @@ const (
 	MPUGALMode
 )
 
+// routingModes is the one definition of the routing vocabulary, indexed
+// by RoutingMode: every front end (pssim -routing, psfaults -mode and
+// -rmodes, the psserve "routing" field) parses names through
+// ParseRoutingMode, and every engine gets its adapter from Spec.Routing.
+var routingModes = [...]struct {
+	name      string // wire name: flag values and the psserve request field
+	label     string // String(): table headers, chart legends, obs artifacts
+	multipath bool   // base rides lane 0 of a MultiPathRouting (Params.Lanes tree lanes)
+	base      func(s *Spec, pktFlits int) Routing
+}{
+	MIN:        {"min", "MIN", false, minBase},
+	UGALMode:   {"ugal", "UGAL", false, (*Spec).UGALRouting},
+	UGALGMode:  {"ugal-g", "UGAL-G", false, ugalGBase},
+	MPMINMode:  {"mp-min", "MP-MIN", true, minBase},
+	MPUGALMode: {"mp-ugal", "MP-UGAL", true, (*Spec).UGALRouting},
+}
+
+func minBase(s *Spec, _ int) Routing { return s.MinRouting() }
+
+// ugalGBase is UGAL scoring candidates by the maximum queue along the
+// whole path (not a paper configuration).
+func ugalGBase(s *Spec, pktFlits int) Routing {
+	u := s.UGALRouting(pktFlits).(*UGAL)
+	u.Global = true
+	return u
+}
+
+func (m RoutingMode) valid() bool { return m >= 0 && int(m) < len(routingModes) }
+
 func (m RoutingMode) String() string {
-	switch m {
-	case UGALMode:
-		return "UGAL"
-	case UGALGMode:
-		return "UGAL-G"
-	case MPMINMode:
-		return "MP-MIN"
-	case MPUGALMode:
-		return "MP-UGAL"
+	if !m.valid() {
+		return fmt.Sprintf("RoutingMode(%d)", int(m))
 	}
-	return "MIN"
+	return routingModes[m].label
+}
+
+// Multipath reports whether the mode sprays over spanning-tree lanes
+// (and therefore reads Params.Lanes).
+func (m RoutingMode) Multipath() bool { return m.valid() && routingModes[m].multipath }
+
+// RoutingModeNames lists the wire names ParseRoutingMode accepts, in
+// mode order.
+func RoutingModeNames() []string {
+	names := make([]string, len(routingModes))
+	for i, r := range routingModes {
+		names[i] = r.name
+	}
+	return names
+}
+
+// ParseRoutingMode maps a wire name ("min", "ugal", ...) to its mode.
+func ParseRoutingMode(name string) (RoutingMode, error) {
+	for i, r := range routingModes {
+		if r.name == name {
+			return RoutingMode(i), nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown routing %q (want %s)", name, strings.Join(RoutingModeNames(), "|"))
 }
 
 // SweepResult is a latency-load curve for one (topology, routing,
@@ -80,7 +127,7 @@ func Sweep(spec *Spec, mode RoutingMode, patternName string, loads []float64, pa
 // engine fills sm.Points[i] (sm must come from obs.NewSimSweep with one
 // point per load). Points are written by the worker that owns the load
 // index, so collection adds no synchronization; the resulting artifact is
-// identical for any worker split.
+// identical for any worker split. (Both names stay: bench/ calls Sweep.)
 func SweepObs(spec *Spec, mode RoutingMode, patternName string, loads []float64, params Params, sm *obs.SimSweep) (SweepResult, error) {
 	res := SweepResult{Spec: spec.Name, Routing: mode, Pattern: patternName, Points: make([]Result, len(loads))}
 	outer := runtime.GOMAXPROCS(0)
@@ -181,24 +228,9 @@ func RunPoint(ctx context.Context, spec *Spec, mode RoutingMode, patternName str
 			return Result{}, err
 		}
 	}
-	var routing Routing
-	switch mode {
-	case UGALMode:
-		routing = spec.UGALRouting(params.PacketFlits)
-	case UGALGMode:
-		routing = spec.UGALGRouting(params.PacketFlits)
-	case MPMINMode, MPUGALMode:
-		base := spec.MinRouting()
-		if mode == MPUGALMode {
-			base = spec.UGALRouting(params.PacketFlits)
-		}
-		mp, err := spec.MultiPathRouting(base, params.Lanes, params.PacketFlits)
-		if err != nil {
-			return Result{}, err
-		}
-		routing = mp
-	default:
-		routing = spec.MinRouting()
+	routing, err := spec.Routing(mode, params)
+	if err != nil {
+		return Result{}, err
 	}
 	eng := NewEngine(params, spec.Graph, cfg, routing, pattern)
 	return eng.RunContext(ctx, load)

@@ -126,6 +126,16 @@ func DefaultParams(seed int64) Params {
 	}
 }
 
+// SetCycles rescales the cycle windows around a measurement window of
+// `cycles`: warmup = cycles/2, drain = 3*cycles/2 (the -cycles shorthand
+// of pssim and the psserve "cycles" field). cycles <= 0 keeps the
+// current windows.
+func (p *Params) SetCycles(cycles int) {
+	if cycles > 0 {
+		p.Warmup, p.Measure, p.Drain = cycles/2, cycles, 3*cycles/2
+	}
+}
+
 // Routing chooses a router path for each packet at injection time.
 type Routing interface {
 	// Path appends the router path (src..dst inclusive) for a packet onto

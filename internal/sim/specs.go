@@ -56,26 +56,29 @@ func (s *Spec) UGALRouting(pktFlits int) Routing {
 	}
 }
 
-// UGALGRouting returns the idealized global-information UGAL-G variant
-// (ablation; not a paper configuration).
-func (s *Spec) UGALGRouting(pktFlits int) Routing {
-	u := s.UGALRouting(pktFlits).(*UGAL)
-	u.Global = true
-	return u
-}
-
 // laneTreeSeed fixes the spanning-tree extraction seed: the lane
 // structure is a function of the topology alone, identical across load
 // points and sweeps (Params.Seed varies per point, and lanes that shift
 // with it would make curves incomparable).
 const laneTreeSeed = 1
 
-// MultiPathRouting returns the k-lane multipath adapter: base (MIN or
-// UGAL) as lane 0 plus `lanes` edge-disjoint spanning-tree lanes (0
-// selects the default of 3; the extractor may find fewer on sparse
-// topologies). Tree paths are capped at the engine's packet path stride
-// so every lane path fits the slab.
-func (s *Spec) MultiPathRouting(base Routing, lanes, pktFlits int) (Routing, error) {
+// Routing returns the adapter of a routing mode on this spec. The
+// single-table modes are the §9.3 adapters themselves; a multipath mode
+// wraps its base as lane 0 of params.Lanes edge-disjoint spanning-tree
+// lanes (0 selects the default of 3; the extractor may find fewer on
+// sparse topologies, and fails on a disconnected graph). Tree paths are
+// capped at the engine's packet path stride so every lane path fits the
+// slab.
+func (s *Spec) Routing(mode RoutingMode, params Params) (Routing, error) {
+	if !mode.valid() {
+		return nil, fmt.Errorf("sim: unknown routing mode %d", int(mode))
+	}
+	row := routingModes[mode]
+	base := row.base(s, params.PacketFlits)
+	if !row.multipath {
+		return base, nil
+	}
+	lanes := params.Lanes
 	if lanes == 0 {
 		lanes = 3
 	}
@@ -83,7 +86,7 @@ func (s *Spec) MultiPathRouting(base Routing, lanes, pktFlits int) (Routing, err
 	if err != nil {
 		return nil, fmt.Errorf("sim: spec %s: %w", s.Name, err)
 	}
-	return &MultiPathRouting{Base: base, MP: mp, PktSize: pktFlits}, nil
+	return &MultiPathRouting{Base: base, MP: mp, PktSize: params.PacketFlits}, nil
 }
 
 // Table3Names lists the §9.1 simulated configurations.

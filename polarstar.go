@@ -385,7 +385,9 @@ type FaultTrafficPoint = faults.TrafficPoint
 
 // FaultTrafficSweep simulates traffic on progressively degraded
 // topologies (the dynamic complement of the structural §11.2 sweep).
-var FaultTrafficSweep = faults.TrafficSweep
+func FaultTrafficSweep(spec *Spec, mode RoutingMode, pattern string, load float64, fracs []float64, params SimParams, seed int64) ([]FaultTrafficPoint, error) {
+	return faults.TrafficSweep(spec, mode, pattern, load, fracs, params, seed, nil)
+}
 
 // ResilienceConfig parameterizes a live-fault resilience sweep: failure
 // counts, the MTBF/MTTR schedule, the repair-stall model and the
