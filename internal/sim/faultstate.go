@@ -259,7 +259,7 @@ func (e *Engine) unparkAll() {
 		for _, r := range sh.routers {
 			e.routerWake[r] = 0
 			for _, unit := range e.active[r] {
-				e.wake[unit] = 0
+				e.units[unit].wake = 0
 				e.waiterNext[unit] = -1
 			}
 			first := e.g.FirstChannel(int(r))
@@ -376,7 +376,6 @@ func (fs *faultState) refreshLiveness() {
 // the freed slab ids go straight back to the global free stack.
 func (fs *faultState) dropInFlight(t int64) {
 	e := fs.e
-	st := &e.pkts
 	S := int32(e.p.PacketFlits)
 	vcs := int32(e.vcs)
 	for i := range e.mail {
@@ -394,8 +393,9 @@ func (fs *faultState) dropInFlight(t int64) {
 				e.occSum[c] -= S
 				fs.droppedInFlight++
 				e.mailDropped++
-				fs.scheduleRetry(t, st.srcEP[a.id], st.dstEP[a.id], st.gen[a.id], st.retries[a.id])
-				st.free = append(st.free, a.id)
+				p := e.pkts.at(a.id)
+				fs.scheduleRetry(t, p.srcEP, p.dstEP, p.gen, p.retries)
+				e.pkts.free = append(e.pkts.free, a.id)
 				continue
 			}
 			kept = append(kept, a)
@@ -434,27 +434,22 @@ func (fs *faultState) detour(sh *shardState, src, dst int, path []int) ([]int, b
 // tag) changes. Higher-only is the deadlock-freedom condition — the new
 // lane's VC band sits strictly above every VC the packet can currently
 // occupy, so VC indices still strictly increase along the spliced path.
-// Runs inside arbitration: it writes only packet fields owned by the
-// arbitrating router's queue head and reads lane health and liveness
-// written in the serial sections, so it is race-free and worker-count
-// independent. Reports false when no higher live lane reaches the
-// destination; the caller falls back to drop + source retry.
-func (fs *faultState) laneFailover(sh *shardState, id int32, unit int32) bool {
+// Runs inside arbitration: it writes only the record of the arbitrating
+// router's queue head (the one place a head packet's path changes while it
+// is queued, so the unit's head record u is refreshed here) and reads lane
+// health and liveness written in the serial sections, so it is race-free
+// and worker-count independent. Reports false when no higher live lane
+// reaches the destination; the caller falls back to drop + source retry.
+func (fs *faultState) laneFailover(sh *shardState, unit int32, u *unitState) bool {
 	if fs.health == nil {
 		return false
 	}
 	e := fs.e
-	st := &e.pkts
-	hop := int(st.hop[id])
-	var cur int
-	if hop == 0 {
-		cur = e.cfg.RouterOf(int(st.srcEP[id]))
-	} else {
-		cur = e.g.ChannelTo(int(st.chans[int(id)*pktStride+hop-1]))
-	}
-	dst := e.cfg.RouterOf(int(st.dstEP[id]))
+	p := e.pkts.at(e.queues[unit].front())
+	cur := int(e.unitHome[unit])
+	dst := e.cfg.RouterOf(int(p.dstEP))
 	mp := fs.health.mp
-	for l2 := int(st.lane[id]) + 1; l2 <= mp.TreeLanes(); l2++ {
+	for l2 := int(p.lane) + 1; l2 <= mp.TreeLanes(); l2++ {
 		if !fs.health.up[l2-1] {
 			continue
 		}
@@ -463,17 +458,17 @@ func (fs *faultState) laneFailover(sh *shardState, id int32, unit int32) bool {
 		if len(path) == 0 || len(path)-1 > pktStride {
 			continue // lane's tree path is out of bound or crosses a failure
 		}
-		base := int(id) * pktStride
 		for i := 0; i+1 < len(path); i++ {
-			st.chans[base+i] = int32(e.channelID(path[i], path[i+1]))
+			p.chans[i] = int32(e.channelID(path[i], path[i+1]))
 		}
-		st.nHops[id] = int8(len(path) - 1)
-		st.hop[id] = 0
-		st.lane[id] = int8(l2)
+		p.nHops = int8(len(path) - 1)
+		p.hop = 0
+		p.lane = int8(l2)
+		u.setHead(p)
 		if sh.met != nil && sh.met.laneFailover != nil {
 			sh.met.laneFailover[l2]++
 		}
-		e.wake[unit] = e.now + 1
+		u.wake = e.now + 1
 		return true
 	}
 	return false
@@ -483,8 +478,8 @@ func (fs *faultState) laneFailover(sh *shardState, id int32, unit int32) bool {
 // arbitration (dead channel ahead, or destination router down). The
 // journal is per shard; collectRetries serializes it.
 func (fs *faultState) retryFrom(sh *shardState, id int32) {
-	st := &fs.e.pkts
-	sh.retryQ = append(sh.retryQ, retryReq{ep: st.srcEP[id], dst: st.dstEP[id], gen: st.gen[id], retries: st.retries[id]})
+	p := fs.e.pkts.at(id)
+	sh.retryQ = append(sh.retryQ, retryReq{ep: p.srcEP, dst: p.dstEP, gen: p.gen, retries: p.retries})
 }
 
 // collectRetries drains the per-shard retry journals in fixed shard

@@ -22,10 +22,11 @@
 // aggregation. See DESIGN.md §7 for the semantics and the
 // deadlock-equivalence argument.
 //
-// Packet state lives in a structure-of-arrays slab (store.go) and cycles
-// with no possible work are skipped outright by the event-horizon
-// advance (horizon.go); DESIGN.md §10 argues why neither can change a
-// single Result bit.
+// Packet state lives in a slab of 64-byte records (store.go), arbitration
+// decides from a dense per-unit record of each queue's head (arbitrate.go)
+// and cycles with no possible work are skipped outright by the
+// event-horizon advance (horizon.go); DESIGN.md §10 argues why none of
+// them can change a single Result bit.
 package sim
 
 import (
@@ -200,9 +201,9 @@ type Engine struct {
 	laneBase  []int32 // lane -> first VC of its band
 	laneEnd   []int32 // lane -> one past the last VC of its band
 
-	// pkts is the structure-of-arrays packet slab; every queue and mail
-	// ring below holds int32 ids into it. See store.go for the id
-	// lifecycle and its serial-section free-list discipline.
+	// pkts is the packet slab; every queue and mail ring below holds int32
+	// ids into it. See store.go for the id lifecycle and its
+	// serial-section free-list discipline.
 	pkts pktStore
 
 	// Channels are the graph's dense directed-channel ids: channel
@@ -228,12 +229,12 @@ type Engine struct {
 	// bitset below is word-disjoint across shards. Credit state stays
 	// channel-indexed; the unit maps translate between the two.
 	queues     []pktQueue
-	unitHome   []int32 // unit -> router owning the queue
-	unitCredit []int32 // unit -> credit index (channel*vcs+vc), -1 for injection queues
-	unitMinVC  []int8  // unit -> lowest VC the next hop may use (vc+1; 0 for injection)
-	unitEP     []int32 // unit -> endpoint of an injection queue, -1 for channel queues
-	chanUnit   []int32 // credit index -> queue unit
-	injUnit    []int32 // endpoint -> its injection-queue unit
+	units      []unitState // unit -> wake cycle and head-packet record (arbitrate.go)
+	unitHome   []int32     // unit -> router owning the queue
+	unitCredit []int32     // unit -> credit index (channel*vcs+vc), -1 for injection queues
+	unitEP     []int32     // unit -> endpoint of an injection queue, -1 for channel queues
+	chanUnit   []int32     // credit index -> queue unit
+	injUnit    []int32     // endpoint -> its injection-queue unit
 
 	// Per-router active unit lists with lazy deletion, and the per-shard
 	// active-router worklists above them: a cycle touches only routers
@@ -254,8 +255,8 @@ type Engine struct {
 	// observed or not: telemetry credits the skipped attempts when the
 	// parked span ends (spans, below), and a fault plan re-arms every
 	// parked unit on the cycles it applies events (unparkAll), the only
-	// place blocker state changes outside arbitration and commit.
-	wake       []int64 // unit -> earliest cycle an attempt can succeed
+	// place blocker state changes outside arbitration and commit. A unit's
+	// own wake cycle sits next to its head record, in units[].wake.
 	routerWake []int64 // router -> min wake over its active units
 	waiterHead []int32 // channel -> first credit-waiting unit (-1: none)
 	waiterNext []int32 // unit -> next credit-waiting unit (-1: end)
@@ -504,7 +505,6 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 	e.active = make([][]int32, n)
 	e.inActive = newBitset(len(e.queues))
 	e.inWorklist = make([]bool, n)
-	e.wake = make([]int64, len(e.queues))
 	e.routerWake = make([]int64, n)
 	e.waiterHead = make([]int32, nChans)
 	e.waiterNext = make([]int32, len(e.queues))
@@ -584,7 +584,10 @@ func (e *Engine) buildUnits() {
 	maxUnits := nChans*e.vcs + eps + numShards*64
 	e.unitHome = make([]int32, maxUnits)
 	e.unitCredit = make([]int32, maxUnits)
-	e.unitMinVC = make([]int8, maxUnits)
+	e.units = make([]unitState, maxUnits)
+	for i := range e.units {
+		e.units[i].next = headEmpty
+	}
 	e.unitEP = make([]int32, maxUnits)
 	e.chanUnit = make([]int32, nChans*e.vcs)
 	e.injUnit = make([]int32, eps)
@@ -602,7 +605,7 @@ func (e *Engine) buildUnits() {
 				credit := c*int32(e.vcs) + int32(vc)
 				e.chanUnit[credit] = next
 				e.unitCredit[next] = credit
-				e.unitMinVC[next] = int8(vc + 1)
+				e.units[next].minVC = int8(vc + 1)
 				e.unitEP[next] = -1
 				e.unitHome[next] = int32(r)
 				next++
@@ -611,7 +614,6 @@ func (e *Engine) buildUnits() {
 		for _, ep := range epList[epOff[r]:epOff[r+1]] {
 			e.injUnit[ep] = next
 			e.unitCredit[next] = -1
-			e.unitMinVC[next] = 0
 			e.unitEP[next] = ep
 			e.unitHome[next] = int32(r)
 			next++
@@ -619,7 +621,7 @@ func (e *Engine) buildUnits() {
 	}
 	e.unitHome = e.unitHome[:next]
 	e.unitCredit = e.unitCredit[:next]
-	e.unitMinVC = e.unitMinVC[:next]
+	e.units = e.units[:next]
 	e.unitEP = e.unitEP[:next]
 	e.queues = make([]pktQueue, next)
 }
@@ -682,7 +684,7 @@ func (e *Engine) markActive(unit int32, sh *shardState) {
 		}
 		e.active[r] = append(e.active[r], unit)
 		// A newly non-empty unit has a new head packet: attemptable now.
-		e.wake[unit] = 0
+		e.units[unit].wake = 0
 		e.routerWake[r] = 0
 		if !e.inWorklist[r] {
 			e.inWorklist[r] = true
@@ -770,7 +772,7 @@ const cancelCheckStride = 256
 // AllocsPerRun regression test.
 func (e *Engine) stepCycle(t int64) {
 	e.now = t
-	e.measuring = t >= int64(e.p.Warmup) && t < int64(e.p.Warmup+e.p.Measure)
+	e.measuring = e.measured(t)
 	if e.fs != nil {
 		e.applyFaults(t)
 		e.injectRetries(t)
@@ -784,6 +786,11 @@ func (e *Engine) stepCycle(t int64) {
 		e.collectRetries(t)
 		e.watchdog(t)
 	}
+}
+
+// measured reports whether cycle c lies inside the measurement window.
+func (e *Engine) measured(c int64) bool {
+	return c >= int64(e.p.Warmup) && c < int64(e.p.Warmup+e.p.Measure)
 }
 
 // refillIDs tops up every shard's packet-id allocation cache to cover
@@ -823,7 +830,7 @@ func (e *Engine) commit(t int64) {
 			for u := e.waiterHead[credit/vcs]; u >= 0; {
 				nxt := e.waiterNext[u]
 				e.waiterNext[u] = -1
-				e.wake[u] = t + 1
+				e.units[u].wake = t + 1
 				e.routerWake[e.unitHome[u]] = 0
 				u = nxt
 			}
@@ -968,7 +975,6 @@ func (e *Engine) generate(t int64) {
 // state; the per-packet seed makes the result independent of how packets
 // are spread over shards and workers.
 func (e *Engine) routeShard(sh *shardState) {
-	st := &e.pkts
 	for _, pi := range sh.pending {
 		srcR, dstR := e.cfg.RouterOf(int(pi.ep)), e.cfg.RouterOf(int(pi.dst))
 		var path []int
@@ -1009,25 +1015,22 @@ func (e *Engine) routeShard(sh *shardState) {
 		// (refillIDs guaranteed one per pending injection) and fill it.
 		id := sh.freeIDs[len(sh.freeIDs)-1]
 		sh.freeIDs = sh.freeIDs[:len(sh.freeIDs)-1]
-		base := int(id) * pktStride
+		p := e.pkts.at(id)
 		for i := 0; i+1 < len(path); i++ {
 			c := e.channelID(path[i], path[i+1])
 			if c < 0 {
 				panic("sim: packet path uses a non-edge")
 			}
-			st.chans[base+i] = int32(c)
+			p.chans[i] = int32(c)
 		}
-		st.nHops[id] = int8(max(len(path)-1, 0))
-		st.hop[id] = 0
-		st.gen[id] = pi.gen
-		st.dstEP[id] = pi.dst
-		st.srcEP[id] = pi.ep
-		st.retries[id] = pi.retries
-		st.lane[id] = lane
-		st.measure[id] = pi.gen >= int64(e.p.Warmup) && pi.gen < int64(e.p.Warmup+e.p.Measure)
-		unit := e.injUnit[pi.ep]
-		e.queues[unit].push(id)
-		e.markActive(unit, sh)
+		p.nHops = int8(max(len(path)-1, 0))
+		p.hop = 0
+		p.gen = pi.gen
+		p.dstEP = pi.dst
+		p.srcEP = pi.ep
+		p.retries = pi.retries
+		p.lane = lane
+		e.enqueue(sh, e.injUnit[pi.ep], id)
 		if sh.met != nil {
 			sh.met.injected++
 			if sh.met.laneChosen != nil {
@@ -1036,360 +1039,6 @@ func (e *Engine) routeShard(sh *shardState) {
 		}
 	}
 	sh.pending = sh.pending[:0]
-}
-
-// arbitrateShard is the arbitration phase of one shard: drain the
-// packets other shards forwarded to this shard's queues (fixed source
-// order keeps queue contents deterministic), then arbitrate the active
-// routers of the worklist.
-func (e *Engine) arbitrateShard(sh *shardState, sid int) {
-	t := e.now
-	slot := int(t % int64(e.ringLen))
-	for src := 0; src < numShards; src++ {
-		box := &e.mail[(src*numShards+sid)*e.ringLen+slot]
-		for _, a := range *box {
-			e.queues[a.unit].push(a.id)
-			e.markActive(a.unit, sh)
-		}
-		sh.mailIn += int64(len(*box))
-		*box = (*box)[:0]
-	}
-
-	S := int64(e.p.PacketFlits)
-	kept := sh.routers[:0]
-	for _, r := range sh.routers {
-		if e.routerWake[r] > t {
-			// Every unit of this router is waiting on a known future
-			// cycle; nothing here can grant. Its active list is untouched
-			// (pops only happen through attempts), so skipping leaves the
-			// rotation exactly where an attempt-every-cycle engine's
-			// would be.
-			kept = append(kept, r)
-			continue
-		}
-		units := e.active[r]
-		minWake := int64(1) << 62
-		removed := false
-		// Round-robin: rotate by cycle to avoid static priority. The
-		// rotation is computed in int64 so 32-bit ints cannot truncate
-		// the cycle count.
-		j := int(t % int64(len(units)))
-		for i := 0; i < len(units); i++ {
-			unit := units[j]
-			if j++; j == len(units) {
-				j = 0
-			}
-			if w := e.wake[unit]; w > t {
-				if w < minWake {
-					minWake = w
-				}
-				continue
-			}
-			q := &e.queues[unit]
-			if q.empty() {
-				e.inActive.clear(unit)
-				removed = true
-				continue
-			}
-			e.tryForward(sh, sid, unit, q, S)
-			if q.empty() {
-				e.inActive.clear(unit)
-				removed = true
-			} else if w := e.wake[unit]; w < minWake {
-				minWake = w
-			}
-		}
-		if removed {
-			// Rebuild the active list without emptied units (preserving
-			// original order for fairness stability). Skipped when nothing
-			// emptied — the common saturated-steady-state case.
-			keptUnits := units[:0]
-			for _, unit := range units {
-				if e.inActive.get(unit) {
-					if e.spans != nil {
-						e.spans[unit].pos = int32(len(keptUnits))
-					}
-					keptUnits = append(keptUnits, unit)
-				}
-			}
-			e.active[r] = keptUnits
-			units = keptUnits
-		}
-		if len(units) == 0 {
-			e.inWorklist[r] = false
-		} else {
-			kept = append(kept, r)
-			e.routerWake[r] = minWake
-		}
-	}
-	sh.routers = kept
-}
-
-// tryForward attempts to advance the head packet of a unit queue: at
-// most one packet per input unit per cycle; one grant per output
-// resource per cycle is enforced by the busy timestamps. All state it
-// writes is owned by the arbitrating router (channel busy/occ of its
-// outgoing channels, its endpoints' injection/ejection serialization) or
-// by the packet itself (the hop cursor of its own queue head); effects
-// on other routers — forwarded packets, freed credits, freed ids — go
-// into the shard journals.
-func (e *Engine) tryForward(sh *shardState, sid int, unit int32, q *pktQueue, S int64) {
-	id := q.front()
-	st := &e.pkts
-	sm := sh.met
-	if sm != nil {
-		// An attempt ends the unit's parked span, if it has one.
-		if sp := &e.spans[unit]; sp.reason != stallNone {
-			sm.stall[stallChannel] -= sm.settleSpan(sp, e.now-1)
-			sp.reason = stallNone
-		}
-	}
-	// Injection serialization: a packet leaves its endpoint at most
-	// every S cycles.
-	if ep := e.unitEP[unit]; ep >= 0 {
-		if e.injBusy[ep] > e.now {
-			e.wake[unit] = e.injBusy[ep]
-			if sm != nil {
-				e.openSpan(unit, stallInject, 0)
-			}
-			return
-		}
-	}
-	hop, nHops := st.hop[id], st.nHops[id]
-	if hop == nHops {
-		// Ejection to the destination endpoint.
-		ep := st.dstEP[id]
-		if e.fs != nil && e.fs.deadRouter[e.cfg.RouterOf(int(ep))] {
-			// The destination router died under the packet: drop it here,
-			// release this buffer's credit, and source-retry.
-			e.fs.retryFrom(sh, id)
-			e.release(sh, unit)
-			sh.freed = append(sh.freed, id)
-			q.pop()
-			return
-		}
-		if e.ejBusy[ep] > e.now {
-			e.wake[unit] = e.ejBusy[ep]
-			if sm != nil {
-				e.openSpan(unit, stallEject, 0)
-			}
-			return
-		}
-		e.ejBusy[ep] = e.now + S
-		sh.deliver(st, id, e.now+S, e.p.PacketFlits)
-		if sm != nil && sm.laneDelivered != nil {
-			sm.laneDelivered[st.lane[id]]++
-		}
-		e.release(sh, unit)
-		sh.freed = append(sh.freed, id)
-		e.wake[unit] = e.now + 1
-		q.pop()
-		return
-	}
-	c := st.chans[int(id)*pktStride+int(hop)]
-	if e.fs != nil && e.fs.deadChan[c] {
-		// The next link of the packet's path is down. A multipath packet
-		// first tries a lane failover: re-route in place from this router
-		// onto a live tree lane with a strictly higher index (its VC band
-		// sits strictly above every VC the packet can currently occupy,
-		// so the global VC-monotonicity invariant survives the reroute).
-		if e.laneCount > 1 && e.fs.laneFailover(sh, id, unit) {
-			return // forwards on the new lane from the next cycle
-		}
-		// No live higher lane offers a path: the packet is dropped from
-		// this buffer (credit released at commit, preserving the reclaim
-		// invariant) and source-retried — the retry re-routes around the
-		// failure.
-		e.fs.retryFrom(sh, id)
-		e.release(sh, unit)
-		sh.freed = append(sh.freed, id)
-		q.pop()
-		return
-	}
-	if e.busy[c] > e.now {
-		e.wake[unit] = e.busy[c]
-		if sm != nil {
-			e.openSpan(unit, stallChannel, 0)
-		}
-		return
-	}
-	// VC allocation: each hop must use a VC strictly greater than the
-	// packet's current one (injection starts below VC 0), so VC
-	// indices strictly increase along every path and the channel/VC
-	// dependency graph stays acyclic — while still letting packets
-	// spread over the free VCs to reduce head-of-line blocking.
-	// Pick the eligible VC with the most free credits.
-	// The eligible window is clamped to the packet's lane band: with a
-	// single lane the band is the whole ladder and the bounds reduce to
-	// the classic minVC..vcs-1-remaining.
-	minVC := int(e.unitMinVC[unit])
-	lane := st.lane[id]
-	if base := int(e.laneBase[lane]); minVC < base {
-		minVC = base
-	}
-	// Leave VC headroom for the links after this one: choosing too
-	// high a VC now would strand the packet later.
-	remaining := int(nHops) - 1 - int(hop)
-	maxVC := int(e.laneEnd[lane]) - 1 - remaining
-	if minVC > maxVC {
-		panic("sim: path longer than VC count")
-	}
-	slotIdx, bestFree := -1, 0
-	for vc := minVC; vc <= maxVC; vc++ {
-		idx := int(c)*e.vcs + vc
-		if free := e.p.BufFlitsPerVC - int(e.occ[idx]); free >= int(S) && free > bestFree {
-			slotIdx, bestFree = idx, free
-		}
-	}
-	if slotIdx < 0 {
-		// No credits downstream on any eligible VC. Credits only come
-		// back through a commit-applied release on channel c, so park
-		// the unit on c's waiter list; commit re-arms it (wake = t+1)
-		// when any release for c lands. Waking on any VC of c is
-		// conservative — the unit may stall again — but never late.
-		e.wake[unit] = int64(1) << 62
-		e.waiterNext[unit] = e.waiterHead[c]
-		e.waiterHead[c] = unit
-		if sm != nil {
-			e.openSpan(unit, stallCredit, minVC)
-		}
-		return
-	}
-	// Grant.
-	e.occ[slotIdx] += int32(S)
-	e.occSum[c] += int32(S)
-	if e.occHWM != nil {
-		e.occHWM.Observe(int(c), e.occSum[c])
-	}
-	e.busy[c] = e.now + S
-	if sm != nil && e.waiterHead[c] >= 0 {
-		e.chargeBusy(sm, c, unit, S)
-	}
-	if ep := e.unitEP[unit]; ep >= 0 {
-		e.injBusy[ep] = e.now + S
-	}
-	st.hop[id] = hop + 1
-	dstShard := int(e.routerShard[e.g.ChannelTo(int(c))])
-	arrive := int((e.now + S + int64(e.p.LinkLatency)) % int64(e.ringLen))
-	box := &e.mail[(sid*numShards+dstShard)*e.ringLen+arrive]
-	*box = append(*box, inflight{id: id, unit: e.chanUnit[slotIdx]})
-	sh.mailOut++
-	e.release(sh, unit)
-	e.wake[unit] = e.now + 1
-	q.pop()
-}
-
-// openSpan starts unit's parked span at the attempt that just failed for
-// reason. The failed attempt itself is the span's first cycle, so every
-// stall is counted in one place: settleSpan.
-func (e *Engine) openSpan(unit int32, reason uint8, minVC int) {
-	sp := &e.spans[unit]
-	sp.from = e.now - 1
-	sp.reason = reason
-	sp.vc = int8(minVC)
-}
-
-// settleSpan counts the attempts of an open span on cycles (sp.from, last]
-// — the failed one that opened it and the ones parking skipped — exactly
-// as an attempt-every-cycle engine would have recorded them, and moves
-// sp.from to last. The span is over when its unit next attempts
-// (tryForward, last = now-1) or the run ends; interval rows settle it in
-// passing. Why the reason holds for the whole span:
-//
-//   - inject, eject, channel: the unit wakes at the busy-until timestamp
-//     it stalled on. Such a timestamp only moves through a grant, no grant
-//     on that resource is possible before it expires, and the head packet
-//     only leaves through an attempt; every skipped attempt would have hit
-//     the same test.
-//   - credit: credits on the awaited channel come back only through a
-//     commit-applied release, which ends the span (the waiter list), so a
-//     skipped attempt fails the same VC scan — unless it finds the channel
-//     busy first, which tryForward tests earlier and counts as a channel
-//     stall. The channel turns busy only through grants by units of the
-//     same router in the same arbitration loop, and chargeBusy counts
-//     those cycles on the spot.
-//
-// A fault event can change any of this, and unparkAll ends every span on
-// the cycle one applies.
-//
-// chargeBusy counts a whole busy window at the grant, so sp.from can be
-// past last: the span is then left alone and the cycles counted ahead are
-// returned. They are channel stalls; a caller ending the span takes them
-// back, a caller sampling the counters leaves them out.
-func (m *shardMetrics) settleSpan(sp *parkSpan, last int64) (ahead int64) {
-	n := last - sp.from
-	if n < 0 {
-		return -n
-	}
-	sp.from = last
-	m.stall[sp.reason] += n
-	if sp.reason == stallCredit {
-		m.creditVC[sp.vc] += n
-	}
-	return 0
-}
-
-// settleOpenSpans settles every parked unit of the shard through cycle
-// last, leaving the spans open, and returns the stalls counted ahead of
-// last. Serial sections only.
-func (e *Engine) settleOpenSpans(sh *shardState, last int64) (ahead int64) {
-	for _, r := range sh.routers {
-		for _, unit := range e.active[r] {
-			if sp := &e.spans[unit]; sp.reason != stallNone {
-				ahead += sh.met.settleSpan(sp, last)
-			}
-		}
-	}
-	return ahead
-}
-
-// chargeBusy accounts for the units parked for credit on channel c when
-// granter takes it for S cycles. Up to here their skipped attempts were
-// credit stalls — this cycle's too for a waiter whose turn in the
-// round-robin came before granter's — and from here to the end of the
-// busy window an attempt-every-cycle engine would count channel stalls.
-func (e *Engine) chargeBusy(sm *shardMetrics, c, granter int32, S int64) {
-	n := int32(len(e.active[e.unitHome[granter]]))
-	first := int32(e.now % int64(n)) // the unit the rotation started at
-	turn := func(unit int32) int32 { return (e.spans[unit].pos - first + n) % n }
-	g := turn(granter)
-	busyEnd := e.now + S - 1
-	for w := e.waiterHead[c]; w >= 0; w = e.waiterNext[w] {
-		sp := &e.spans[w]
-		free := e.now - 1 // last cycle w found the channel free
-		if turn(w) < g {
-			free = e.now
-		}
-		sm.settleSpan(sp, free) // nothing ahead: the previous window has expired
-		sm.stall[stallChannel] += busyEnd - free
-		sp.from = busyEnd
-	}
-}
-
-// release journals the upstream buffer credit freed when a packet leaves
-// a channel queue (injection queues are unbounded and hold no credits).
-// The credit becomes visible at commit, after every router has
-// arbitrated this cycle.
-func (e *Engine) release(sh *shardState, unit int32) {
-	if credit := e.unitCredit[unit]; credit >= 0 {
-		sh.releases = append(sh.releases, credit)
-	}
-}
-
-func (sh *shardState) deliver(st *pktStore, id int32, at int64, flits int) {
-	sh.deliveredAll++
-	if st.measure[id] {
-		sh.deliveredMeas++
-		lat := at - st.gen[id]
-		sh.latencySumMeas += lat
-		if lat > sh.latencyMax {
-			sh.latencyMax = lat
-		}
-		sh.injectedFlits += int64(flits)
-		if sh.met != nil {
-			sh.met.lat.Observe(lat)
-		}
-	}
 }
 
 // Result aggregates one simulation run.

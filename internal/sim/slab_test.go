@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"polarstar/internal/obs"
 )
@@ -27,53 +28,142 @@ func slabExpectedLive(e *Engine, res Result) int {
 	return res.Backlog + inFlight
 }
 
-// slabRun drives one short ps-iq-small run and returns the engine for
-// post-run slab inspection.
-func slabRun(t *testing.T, workers int, load float64, plan *Plan, retry RetryPolicy) (*Engine, Result) {
+// slabCase is one run whose slab and head-record invariants are checked.
+type slabCase struct {
+	name     string
+	spec     string // "" selects ps-iq-small
+	mode     RoutingMode
+	pattern  string // "" selects uniform
+	bufFlits int    // 0 keeps the default VC depth
+	lanes    int
+	load     float64
+	plan     *Plan
+	retry    RetryPolicy
+	// during also checks every 64 cycles while the run is in progress, so
+	// a stale head record is caught when it happens rather than at drain.
+	during bool
+	// pins, when set, makes the run observed and names the mechanisms the
+	// case exists for: a case whose counter reads zero pins nothing.
+	pins func(t *testing.T, m *obs.SimRun)
+}
+
+// run drives the case at the given worker count and returns the engine
+// for post-run slab inspection.
+func (c slabCase) run(t *testing.T, workers int) (*Engine, Result) {
 	t.Helper()
 	spec := fuzzSpec("ps-iq-small")
+	if c.spec != "" {
+		spec = MustNewSpec(c.spec)
+	}
 	p := DefaultParams(11)
 	p.Warmup, p.Measure, p.Drain = 300, 600, 1500
 	p.Workers = workers
-	p.Plan = plan
-	p.Retry = retry
-	pattern, err := spec.Pattern("uniform", p.Seed)
+	p.Lanes = c.lanes
+	p.Plan = c.plan
+	p.Retry = c.retry
+	if c.bufFlits > 0 {
+		p.BufFlitsPerVC = c.bufFlits
+	}
+	if c.pins != nil {
+		p.Metrics = &obs.SimRun{}
+	}
+	name := c.pattern
+	if name == "" {
+		name = "uniform"
+	}
+	pattern, err := spec.Pattern(name, p.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(p, spec.Graph, spec.Config(), spec.UGALRouting(p.PacketFlits), pattern)
-	res := runGuarded(t, eng, load)
+	routing, err := spec.Routing(c.mode, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(p, spec.Graph, spec.Config(), routing, pattern)
+	var res Result
+	if c.during {
+		res = runChecking(t, eng, c.load)
+	} else {
+		res = runGuarded(t, eng, c.load)
+	}
+	if c.pins != nil {
+		c.pins(t, p.Metrics)
+	}
 	return eng, res
 }
 
-// TestSlabInvariantAfterRun pins the allocator contract of the SoA
-// packet store: after any run, every id ever created is accounted for
-// exactly once (no leaks, no id live in two queues), and a fully drained
-// healthy run returns every id to the allocator (allocated − freed == 0).
+// runChecking is Engine.Run stepped by hand — without the event-horizon
+// skips, which change no result — checking the invariants between cycles.
+func runChecking(t *testing.T, e *Engine, load float64) Result {
+	t.Helper()
+	total := int64(e.p.Warmup + e.p.Measure + e.p.Drain)
+	e.initGeneration(load / float64(e.p.PacketFlits))
+	for c := int64(0); c < total; c++ {
+		e.stepCycle(c)
+		if c%64 == 0 {
+			if err := e.slabCheck(); err != nil {
+				t.Fatalf("cycle %d: %v", c, err)
+			}
+		}
+		if e.fs != nil && e.fs.done {
+			total = c + 1
+			break
+		}
+	}
+	e.now = total
+	e.pool.stop()
+	return e.result(load)
+}
+
+// TestSlabInvariantAfterRun pins the allocator contract of the packet
+// store and the head-record contract of arbitration: between cycles and
+// after any run, every id ever created is accounted for exactly once (no
+// leaks, no id live in two queues), every unit's head record agrees with
+// its queue, and a fully drained healthy run returns every id to the
+// allocator (allocated − freed == 0).
 func TestSlabInvariantAfterRun(t *testing.T) {
-	cases := []struct {
-		name  string
-		load  float64
-		plan  *Plan
-		retry RetryPolicy
-	}{
-		{name: "healthy-low", load: 0.2},
-		{name: "healthy-saturated", load: 0.9},
-		{name: "faulty", load: 0.3, plan: &Plan{Events: []FaultEvent{
+	// Links of two of the three tree lanes fail one after another; the third
+	// lane stays whole, the failover target of packets queued behind them.
+	var lanePlan Plan
+	for _, edges := range laneEdges(t, MustNewSpec(mpTestSpec), 3)[:2] {
+		for i := 0; i < 6; i++ {
+			e := edges[i*7%len(edges)]
+			lanePlan.Events = append(lanePlan.Events, FaultEvent{Cycle: int64(350 + 40*i), Kind: LinkDown, U: e[0], V: e[1]})
+		}
+	}
+	cases := []slabCase{
+		{name: "healthy-low", mode: UGALMode, load: 0.2},
+		{name: "healthy-saturated", mode: UGALMode, load: 0.9, during: true},
+		{name: "faulty", mode: UGALMode, load: 0.3, during: true, plan: &Plan{Events: []FaultEvent{
 			{Cycle: 350, Kind: LinkDown, U: 0, V: 1},
 			{Cycle: 500, Kind: RouterDown, U: 5},
 			{Cycle: 700, Kind: LinkUp, U: 0, V: 1},
 		}}},
-		{name: "terminated-early", load: 0.3,
+		{name: "terminated-early", mode: UGALMode, load: 0.3,
 			plan:  &Plan{Events: []FaultEvent{{Cycle: 50, Kind: RouterDown, U: 3}}},
 			retry: RetryPolicy{MaxRetries: 3, BackoffBase: 4, BackoffCap: 64, MaxAge: 1500}},
+		// laneFailover is the only code that changes a head packet's path
+		// while it is queued. Shallow buffers under adversarial traffic keep
+		// units parked for credit while lanes fail under them.
+		{name: "lane-failover", spec: mpTestSpec, mode: MPUGALMode, lanes: 3, pattern: "adversarial",
+			bufFlits: 8, load: 0.7, during: true, plan: &lanePlan,
+			pins: func(t *testing.T, m *obs.SimRun) {
+				var failovers int64
+				for _, n := range m.Lanes.Failovers {
+					failovers += n
+				}
+				if failovers == 0 || m.Faults.DroppedInFlight == 0 || m.StallCredit == 0 {
+					t.Errorf("lane_failovers %d, dropped_in_flight %d, stall_credit %d: all must be > 0",
+						failovers, m.Faults.DroppedInFlight, m.StallCredit)
+				}
+			}},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			for _, workers := range []int{1, 4} {
-				eng, res := slabRun(t, workers, c.load, c.plan, c.retry)
+				eng, res := c.run(t, workers)
 				if err := eng.slabCheck(); err != nil {
 					t.Fatalf("workers=%d: %v (result %+v)", workers, err, res)
 				}
@@ -85,6 +175,18 @@ func TestSlabInvariantAfterRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecordSizes pins the two layouts arbitration's memory traffic and
+// the engine's footprint rest on: a packet is one cache line, and a unit
+// costs 16 bytes however many VCs multiply the unit count.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(pkt{}); n != 64 {
+		t.Errorf("pkt is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(unitState{}); n != 16 {
+		t.Errorf("unitState is %d bytes, want 16", n)
 	}
 }
 

@@ -2,12 +2,19 @@ package sim
 
 import "fmt"
 
-// Structure-of-arrays packet storage. Packets used to be 48-byte structs
-// copied through every queue push, mail-ring hop and forward; they are
-// now a recycled int32 id into parallel field slabs, so queues and mail
-// rings move 4–8 bytes per packet and arbitration touches only the
-// fields it reads (hop, nHops, the next channel id) instead of dragging
-// whole structs through the cache. See DESIGN.md §10.
+// Packet storage. A packet is a recycled int32 id into a slab of 64-byte
+// records, so queues and mail rings move 4–8 bytes per packet.
+// Arbitration does not read the slab to decide anything: what it needs to
+// know about a queue's head packet — next channel or ejection endpoint,
+// links left, lane — is cached in the unit's 16-byte unitState
+// (arbitrate.go) and refreshed only when the head changes. That matters
+// because most attempts lose: at the saturated fig_sweep points 68 % of
+// the 26.3 M attempts of a pass failed, and while each of them walked
+// queue buffer → hop → chans through per-field arrays to find the
+// resource to test, arbitration was 57 % of the profile. A grant, a drop
+// or a delivery touches the record of the packet it moves and the record
+// of the packet that becomes the head, one cache line each. See
+// DESIGN.md §10.
 //
 // Id lifecycle (the determinism contract):
 //
@@ -24,23 +31,41 @@ import "fmt"
 //     ordering comes from the queues — but keeping the allocator
 //     deterministic means memory layout (and thus any accidental
 //     dependence) cannot vary with the worker count either.
+//
+// A record is written only by whoever holds its id: the routing shard
+// that fills it, then the home shard of the queue it heads (the hop
+// cursor on a grant, the path on a lane failover), handed over through
+// the mail rings across the phase barrier.
 
 // pktStride is the per-packet channel-id capacity: one slot per link of
 // the longest representable path.
 const pktStride = MaxPathNodes - 1
 
-// pktStore holds every packet field as a dense parallel array indexed by
-// packet id. chans is flattened at pktStride int32s per id.
+// pkt is one packet: 64 bytes, so the path and the cursor into it share
+// a cache line (chunks are page-aligned).
+type pkt struct {
+	chans   [pktStride]int32 // channel id of hop i
+	dstEP   int32            // destination endpoint
+	gen     int64            // generation cycle: latency base, and measured iff inside the window
+	srcEP   int32            // source endpoint: the re-injection point under faults
+	nHops   int8             // channels on the path; 0 = source == destination router
+	hop     int8             // channels already traversed; ejects at hop == nHops
+	lane    int8             // routing lane: 0 = minimal band, 1.. = tree lanes (multipath only)
+	retries uint8            // source retries already consumed (faults only)
+}
+
+// The slab grows by whole chunks and never moves a record. One array
+// regrown by copying leaves each outgrown copy behind as garbage too small
+// for the next one to reuse, which doubles peak RSS at the saturated
+// points, where the source backlog keeps the slab growing all run.
+const (
+	pktChunkBits = 10
+	pktChunk     = 1 << pktChunkBits // records per chunk: 64 KB
+)
+
+// pktStore is the packet slab, indexed by packet id.
 type pktStore struct {
-	chans   []int32 // id*pktStride + i: channel id of hop i
-	nHops   []int8  // channels on the path; 0 = source == destination router
-	hop     []int8  // channels already traversed; ejects at hop == nHops
-	gen     []int64 // generation cycle (latency base)
-	dstEP   []int32 // destination endpoint
-	srcEP   []int32 // source endpoint: the re-injection point under faults
-	retries []uint8 // source retries already consumed (faults only)
-	lane    []int8  // routing lane: 0 = minimal band, 1.. = tree lanes (multipath only)
-	measure []bool  // generated inside the measurement window
+	chunks []*[pktChunk]pkt
 
 	// free is the global id stack. Serial sections only: refillIDs pops,
 	// commit and the fault paths push. Capacity always equals the slab
@@ -48,33 +73,28 @@ type pktStore struct {
 	free []int32
 }
 
+// at returns packet id's record.
+func (st *pktStore) at(id int32) *pkt {
+	return &st.chunks[id>>pktChunkBits][id&(pktChunk-1)]
+}
+
 // cap returns the slab capacity (ids ever created).
-func (st *pktStore) cap() int { return len(st.nHops) }
+func (st *pktStore) cap() int { return len(st.chunks) * pktChunk }
 
 // grow extends the slab so at least n more ids are free, growing
-// geometrically to amortize. Serial sections only.
+// geometrically to amortize the free stack's reallocation. Serial
+// sections only.
 func (st *pktStore) grow(n int) {
-	if n < st.cap()/2 {
-		n = st.cap() / 2
-	}
-	if n < 256 {
-		n = 256
-	}
+	n = max(n, st.cap()/2)
 	old := st.cap()
-	st.chans = append(st.chans, make([]int32, n*pktStride)...)
-	st.nHops = append(st.nHops, make([]int8, n)...)
-	st.hop = append(st.hop, make([]int8, n)...)
-	st.gen = append(st.gen, make([]int64, n)...)
-	st.dstEP = append(st.dstEP, make([]int32, n)...)
-	st.srcEP = append(st.srcEP, make([]int32, n)...)
-	st.retries = append(st.retries, make([]uint8, n)...)
-	st.lane = append(st.lane, make([]int8, n)...)
-	st.measure = append(st.measure, make([]bool, n)...)
+	for c := (n + pktChunk - 1) / pktChunk; c > 0; c-- {
+		st.chunks = append(st.chunks, new([pktChunk]pkt))
+	}
 	free := make([]int32, len(st.free), st.cap())
 	copy(free, st.free)
 	// Hand out low ids first (descending push, LIFO pop) to keep the
 	// working set compact.
-	for id := old + n - 1; id >= old; id-- {
+	for id := st.cap() - 1; id >= old; id-- {
 		free = append(free, int32(id))
 	}
 	st.free = free
@@ -85,9 +105,14 @@ func (st *pktStore) grow(n int) {
 // allocation cache or freed journal, a queue, or a mail ring. Violations
 // mean a leak (an id lost to the allocator forever) or a double-spend
 // (one id live in two queues, i.e. two packets aliasing one slab slot).
-// Called by the property and fuzz tests after runs, including
-// terminated-early fault runs where stranded ids legitimately stay in
-// queues.
+// It also verifies the head-record invariant of arbitrate.go: a unit's
+// record is the empty sentinel exactly when its queue is empty, and
+// otherwise equals a fresh reading of the queue's front packet — a stale
+// record would arbitrate a packet that is no longer (or not yet) there —
+// and sends it over a channel, or to an endpoint, of the unit's own router.
+// Both hold between any two cycles; the property and fuzz tests call it
+// after runs (including terminated-early fault runs where stranded ids
+// legitimately stay in queues) and every few cycles during some.
 func (e *Engine) slabCheck() error {
 	owner := make([]string, e.pkts.cap())
 	claim := func(id int32, where string) error {
@@ -123,6 +148,28 @@ func (e *Engine) slabCheck() error {
 			if err := claim(id, fmt.Sprintf("queue %d", u)); err != nil {
 				return err
 			}
+		}
+		got := e.units[u]
+		if q.empty() {
+			if got.next != headEmpty {
+				return fmt.Errorf("sim: unit %d is empty, its head record says next %d", u, got.next)
+			}
+			continue
+		}
+		want := got
+		want.setHead(e.pkts.at(q.front()))
+		if got != want {
+			return fmt.Errorf("sim: unit %d (queue length %d) has head record {next %d rem %d lane %d}, its queue says {next %d rem %d lane %d}",
+				u, q.len(), got.next, got.rem, got.lane, want.next, want.rem, want.lane)
+		}
+		// The head must be going somewhere its router can send it.
+		home := int(e.unitHome[u])
+		if got.rem == headEject {
+			if r := e.cfg.RouterOf(int(got.next)); r != home {
+				return fmt.Errorf("sim: unit %d at router %d ejects to endpoint %d of router %d", u, home, got.next, r)
+			}
+		} else if first := e.g.FirstChannel(home); int(got.next) < first || int(got.next) >= first+e.g.Degree(home) {
+			return fmt.Errorf("sim: unit %d at router %d forwards on channel %d, not one of its own", u, home, got.next)
 		}
 	}
 	for i := range e.mail {
