@@ -6,12 +6,13 @@
 // with the median disconnection ratio; this package reproduces that
 // protocol with seeded determinism.
 //
-// The sweep hot loop — dozens of subgraph builds and connectivity checks
-// per trial, across up to 100 trials — runs through a reusable sweeper:
-// removal ranks are kept per channel id, subgraphs are rebuilt in place
-// with graph.FilterEdgesScratch (no Builder round-trip), and the
-// connectivity BFS reuses one distance array and queue. A full sweep
-// allocates a small constant amount of memory regardless of trial count.
+// Up to 100 trials run through one reusable sweeper. A trial's
+// disconnection point costs one union-find pass over its removal order
+// and builds no graph; only the sampled failure fractions of a trial
+// whose curve is wanted rebuild a degraded subgraph, in place with
+// graph.FilterEdgesScratch, and measure it with the bit-parallel BFS
+// kernel. A full sweep allocates a small constant amount of memory
+// regardless of trial count.
 package faults
 
 import (
@@ -24,17 +25,25 @@ import (
 )
 
 // validate rejects malformed sweep inputs up front — an empty host set,
-// host indices outside the graph, or a failure-fraction ladder that is
-// not ascending within [0, 1] — so the sweeps fail with a descriptive
-// error instead of panicking or silently measuring nonsense.
+// host indices outside the graph or listed twice, or a failure-fraction
+// ladder that is not ascending within [0, 1] — so the sweeps fail with a
+// descriptive error instead of panicking or silently measuring nonsense.
 func validate(g *graph.Graph, hosts Hosts, fracs []float64) error {
 	if hosts != nil && len(hosts) == 0 {
 		return fmt.Errorf("faults: empty host set (nil means all routers)")
+	}
+	var seen []bool
+	if hosts != nil {
+		seen = make([]bool, g.N())
 	}
 	for _, h := range hosts {
 		if h < 0 || h >= g.N() {
 			return fmt.Errorf("faults: host %d outside the %d-router graph", h, g.N())
 		}
+		if seen[h] {
+			return fmt.Errorf("faults: host %d listed more than once", h)
+		}
+		seen[h] = true
 	}
 	prev := -1.0
 	for i, f := range fracs {
@@ -80,32 +89,93 @@ type Hosts []int
 // sweeper owns the reusable state of repeated fault trials on one graph.
 type sweeper struct {
 	g       *graph.Graph
-	arcChan []int32 // e-th u<v edge -> channel id of its u→v arc
-	order   []int32 // shuffled edge indices of the current trial
-	rank    []int32 // channel id (u<v arc) -> removal position
+	arcChan []int32    // e-th u<v edge -> channel id of its u→v arc
+	ends    [][2]int32 // e-th u<v edge -> (u, v)
+	order   []int32    // shuffled edge indices of the current trial
+	rank    []int32    // channel id (u<v arc) -> removal position
 	scratch graph.FilterScratch
-	dist    []int32
-	bfs     graph.BFSScratch
 	bitbfs  graph.BitBFSScratch // arena of the per-point degraded stats
 	inHosts []bool
+	parent  []int32 // union-find forest of disconnectAt
+	nhosts  []int32 // per root: hosts in its component
 }
 
 func newSweeper(g *graph.Graph) *sweeper {
 	sw := &sweeper{
 		g:       g,
 		arcChan: make([]int32, 0, g.M()),
+		ends:    make([][2]int32, 0, g.M()),
 		order:   make([]int32, g.M()),
 		rank:    make([]int32, g.NumChannels()),
+		parent:  make([]int32, g.N()),
+		nhosts:  make([]int32, g.N()),
 	}
 	for u := 0; u < g.N(); u++ {
 		base := g.FirstChannel(u)
 		for k, w := range g.Neighbors(u) {
 			if int(w) > u {
 				sw.arcChan = append(sw.arcChan, int32(base+k))
+				sw.ends = append(sw.ends, [2]int32{int32(u), w})
 			}
 		}
 	}
 	return sw
+}
+
+// find returns the root of v's component, halving the path behind it.
+func (sw *sweeper) find(v int32) int32 {
+	p := sw.parent
+	for p[v] != v {
+		p[v] = p[p[v]]
+		v = p[v]
+	}
+	return v
+}
+
+// disconnectAt returns the smallest k ≥ 1 such that removing the first k
+// edges of the current removal order leaves the hosts in more than one
+// component: m+1 when even the edgeless graph cannot separate them (at
+// most one host), 1 when the intact graph already does. It adds the
+// edges back in reverse removal order to a union-find forest until one
+// component holds every host.
+func (sw *sweeper) disconnectAt(hosts Hosts) int {
+	total := int32(len(hosts))
+	if hosts == nil {
+		total = int32(len(sw.parent))
+	}
+	if total <= 1 {
+		return len(sw.order) + 1
+	}
+	for v := range sw.parent {
+		sw.parent[v] = int32(v)
+	}
+	if hosts == nil {
+		for v := range sw.nhosts {
+			sw.nhosts[v] = 1
+		}
+	} else {
+		clear(sw.nhosts)
+		for _, h := range hosts {
+			sw.nhosts[h] = 1
+		}
+	}
+	for k := len(sw.order) - 1; k >= 0; k-- {
+		e := sw.ends[sw.order[k]]
+		a, b := sw.find(e[0]), sw.find(e[1])
+		if a == b {
+			continue
+		}
+		// No union by rank: path halving alone bounds a find by O(log n)
+		// amortised, and the pass is a few percent of a median trial.
+		sw.parent[b] = a
+		sw.nhosts[a] += sw.nhosts[b]
+		if sw.nhosts[a] == total {
+			// With the first k edges removed the hosts are connected, and
+			// with one more they are not.
+			return k + 1
+		}
+	}
+	return 1
 }
 
 // subgraph rebuilds (into the scratch CSR) the graph with the first k
@@ -116,21 +186,6 @@ func (sw *sweeper) subgraph(k int) *graph.Graph {
 	return sw.g.FilterEdgesScratch(&sw.scratch, func(c, _, _ int) bool {
 		return sw.rank[c] >= kk
 	})
-}
-
-// connected reports whether the host set is in one component of h.
-func (sw *sweeper) connected(h *graph.Graph, hosts Hosts) bool {
-	if h.N() == 0 {
-		return true
-	}
-	if hosts == nil {
-		ok, dist := h.IsConnectedScratch(sw.dist, &sw.bfs)
-		sw.dist = dist
-		return ok
-	}
-	ok, dist := h.ConnectedSubset(hosts, sw.dist, &sw.bfs)
-	sw.dist = dist
-	return ok
 }
 
 // stats computes diameter and average path length restricted to host
@@ -198,23 +253,7 @@ func (sw *sweeper) runTrial(hosts Hosts, seed int64, fracs []float64, mt *obs.Fa
 	}
 
 	tr := Trial{Seed: seed}
-	// Exact disconnection point by bisection: the smallest k such that
-	// removing the first k edges disconnects the hosts.
-	lo, hi := 1, m
-	if sw.connected(sw.subgraph(m), hosts) {
-		// Removing everything leaves hosts connected only if there is at
-		// most one host.
-		lo = m + 1
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sw.connected(sw.subgraph(mid), hosts) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	disconnectAt := lo
+	disconnectAt := sw.disconnectAt(hosts)
 	tr.DisconnectionRatio = float64(disconnectAt) / float64(m)
 	if mt != nil {
 		mt.Seed = seed
@@ -239,8 +278,7 @@ func (sw *sweeper) runTrial(hosts Hosts, seed int64, fracs []float64, mt *obs.Fa
 // RunTrial removes links of g in a seed-determined random order,
 // sampling diameter and average path length among hosts at each failure
 // fraction in fracs (which must be ascending). Sampling stops once the
-// host set is disconnected; the disconnection ratio is located exactly by
-// bisection over the removal order.
+// host set is disconnected; the disconnection ratio is exact.
 func RunTrial(g *graph.Graph, hosts Hosts, seed int64, fracs []float64) (Trial, error) {
 	if err := validate(g, hosts, fracs); err != nil {
 		return Trial{}, err
@@ -271,8 +309,8 @@ func MedianTrialObs(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs [
 		fm.IntactDiameter = intactDiam
 		fm.Trials = make([]obs.FaultTrial, 0, trials)
 	}
-	// Rank trials by disconnection ratio (cheap: bisection only), then
-	// compute the full curve for the median one.
+	// Rank trials by disconnection ratio (cheap: no subgraph is built),
+	// then compute the full curve for the median one.
 	type ranked struct {
 		seed  int64
 		ratio float64

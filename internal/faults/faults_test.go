@@ -130,6 +130,11 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := RunTrial(ps.G, Hosts{ps.G.N()}, 1, nil); err == nil {
 		t.Error("out-of-range host accepted")
 	}
+	// A repeated host used to pass and make the pair count disagree with
+	// len(hosts)·(len(hosts)−1): an intact graph read as disconnected.
+	if _, err := RunTrial(ps.G, Hosts{0, 1, 1, 2}, 1, []float64{0}); err == nil {
+		t.Error("duplicate host accepted")
+	}
 	if _, err := RunTrial(ps.G, nil, 1, []float64{-0.1}); err == nil {
 		t.Error("negative failure fraction accepted")
 	}

@@ -102,7 +102,7 @@ func (g *Graph) IsConnected() bool {
 // IsConnectedScratch is IsConnected reusing dist and scratch across calls
 // (both sized on first use; the possibly-grown dist is returned). Use it
 // in loops that screen many candidate graphs, e.g. the randomized
-// Jellyfish construction and the fault-sweep bisection.
+// Jellyfish construction.
 func (g *Graph) IsConnectedScratch(dist []int32, s *BFSScratch) (bool, []int32) {
 	if g.n == 0 {
 		return true, dist
@@ -110,22 +110,6 @@ func (g *Graph) IsConnectedScratch(dist []int32, s *BFSScratch) (bool, []int32) 
 	dist = g.BFSDistancesScratch(0, dist, s)
 	for _, d := range dist {
 		if d == Unreachable {
-			return false, dist
-		}
-	}
-	return true, dist
-}
-
-// ConnectedSubset reports whether every vertex of hosts is reachable from
-// hosts[0], reusing dist and scratch (both sized on first use). It is the
-// allocation-free connectivity check of the fault-sweep bisection.
-func (g *Graph) ConnectedSubset(hosts []int, dist []int32, s *BFSScratch) (bool, []int32) {
-	if g.n == 0 || len(hosts) == 0 {
-		return true, dist
-	}
-	dist = g.BFSDistancesScratch(hosts[0], dist, s)
-	for _, h := range hosts {
-		if dist[h] < 0 {
 			return false, dist
 		}
 	}

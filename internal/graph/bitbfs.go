@@ -1,27 +1,35 @@
 // Bit-parallel multi-source BFS: the all-pairs engine behind the
-// diameter-3 verification, the fault-tolerance sweeps and the measured
-// design-space tables.
+// diameter-3 verification, the fault-tolerance sweeps, the measured
+// design-space tables and the search's delta evaluation.
 //
 // The kernel runs up to 64 BFS traversals simultaneously, one per bit
 // lane of a machine word: frontier/visited state is one uint64 per
 // vertex, a level expansion ORs frontier words across the CSR adjacency,
-// and per-level popcounts recover exact per-source distance aggregates
-// (sum, count, eccentricity) plus an optional global distance histogram.
-// One batch therefore traverses the edge array once per BFS *level*
-// instead of once per *source* — on the diameter-3 graphs this
-// repository studies (three or four levels), that replaces 64 full
-// scalar traversals with ~4 word-parallel ones.
+// and per-level lane counts recover exact per-source distance aggregates
+// (sum, count, eccentricity) plus, on request, a global distance
+// histogram, per-lane level counts or full distance vectors. One batch
+// therefore traverses the edge array once per BFS *level* instead of once
+// per *source*: on the diameter-3 graphs this repository studies, three
+// word-parallel expansions replace 64 scalar traversals.
+//
+// There is one level loop (bitBFS) behind the three exported entry
+// points. Its advance pass does a few word operations per vertex: new bits
+// are attributed to lanes by a bit-sliced counter (laneCounter) that is
+// read out once per level, and a running count of visited (vertex, lane)
+// bits ends the batch the moment every lane has covered the graph, so
+// the last frontier of a connected batch is never expanded. Batches that
+// cannot cover the graph end on the first empty level.
 //
 // All aggregates are integers, so every summation order yields the same
 // result; the parallel drivers nevertheless shard source batches in a
-// fixed stride order and merge per-worker partials in worker order (the
-// PR-1 link-load discipline), keeping results bit-identical to the
-// scalar reference at any GOMAXPROCS.
+// fixed stride order and merge per-worker partials in worker order,
+// keeping results bit-identical to the scalar reference at any
+// GOMAXPROCS.
 //
 // Scalar BFS (BFSDistancesScratch) still wins when the caller needs the
-// actual distance vector of one source (routing-table construction,
-// connectivity bisection) or when the graph is tiny enough that arena
-// setup dominates; the kernel wins whenever ≥64 sources are aggregated.
+// actual distance vector of one source (routing-table construction) or
+// when the graph is tiny enough that arena setup dominates; the kernel
+// wins whenever ≥64 sources are aggregated.
 package graph
 
 import (
@@ -76,9 +84,148 @@ type BatchBFSStats struct {
 	Reached [64]int64 // counted destinations per lane
 }
 
+// laneCounter counts, for each of the 64 bit lanes, the added words that
+// had the lane's bit set. It is bit-sliced: plane i holds bit i of all 64
+// counts, so add is a ripple-carry increment of every set lane at once.
+// The carry runs as far as the longest run of low one-bits among those
+// lanes' counts — two planes for a sparse word, about log₂(set bits)+2
+// for a dense one — where attributing bits to lanes one at a time costs
+// one step per set bit. 32 planes hold any count a level can produce
+// (below 2³¹ vertices).
+type laneCounter [32]uint64
+
+func (c *laneCounter) add(w uint64) {
+	for i := 0; w != 0; i++ {
+		c[i], w = c[i]^w, c[i]&w
+	}
+}
+
+// drain writes the 64 counts to out and zeroes the counter.
+func (c *laneCounter) drain(out *[64]int64) {
+	*out = [64]int64{}
+	for i, plane := range c {
+		for w := plane; w != 0; w &= w - 1 {
+			out[bits.TrailingZeros64(w)] += 1 << uint(i)
+		}
+		c[i] = 0
+	}
+}
+
+// bfsRecord selects what one batch records besides its BatchBFSStats;
+// the zero value records nothing more.
+type bfsRecord struct {
+	dst    []bool  // count only these destinations (nil: all)
+	hist   []int64 // hist[d] += counted pairs at distance d (nil: off)
+	dist   []uint8 // vertex-major distance vectors, see BitBFSBatchDist
+	rows   []int32 // lane-major level counts, see BitBFSBatchRows
+	stride int     // of dist or rows
+	limit  int32   // smallest distance that does not fit (0: none)
+}
+
+// bitBFS is the level loop behind the three exported batch entry points:
+// one level-synchronous bit-parallel BFS from up to 64 sources. It
+// returns ok=false as soon as a non-empty level reaches r.limit. It ends
+// once every lane has visited every vertex — so a connected batch never
+// expands its last frontier only to find nothing new — and otherwise on
+// the first empty level.
+func (g *Graph) bitBFS(srcs []int32, s *BitBFSScratch, r *bfsRecord) (st BatchBFSStats, ok bool) {
+	st.Lanes = len(srcs)
+	if len(srcs) == 0 {
+		return st, true
+	}
+	if len(srcs) > 64 {
+		panic("graph: bit-parallel BFS batch exceeds 64 sources")
+	}
+	s.reset(g.n)
+	visited, frontier, next := s.visited, s.frontier, s.next
+	for lane, v := range srcs {
+		bit := uint64(1) << uint(lane)
+		visited[v] |= bit
+		frontier[v] |= bit
+	}
+	dst, dist, stride := r.dst, r.dist, r.stride
+	// Coverage counts every visited (vertex, lane) bit, counted
+	// destination or not: it decides termination, not statistics.
+	covered, all := len(srcs), len(srcs)*g.n
+	var cnt laneCounter
+	var laneCnt [64]int64
+	for level := int32(1); covered < all; level++ {
+		// Expand: next[v] accumulates the frontier words of v's neighbors.
+		for u, f := range frontier {
+			if f == 0 {
+				continue
+			}
+			for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
+				next[v] |= f
+			}
+		}
+		// Advance: newly-reached bits become the next frontier and are
+		// counted per lane.
+		before := covered
+		for v := range next {
+			nw := next[v] &^ visited[v]
+			next[v] = 0
+			frontier[v] = nw
+			if nw == 0 {
+				continue
+			}
+			visited[v] |= nw
+			covered += bits.OnesCount64(nw)
+			if dist != nil {
+				row := dist[v*stride : v*stride+len(srcs)]
+				for w := nw; w != 0; w &= w - 1 {
+					row[bits.TrailingZeros64(w)] = uint8(level)
+				}
+			}
+			if dst == nil || dst[v] {
+				cnt.add(nw)
+			}
+		}
+		if covered == before {
+			break
+		}
+		// Checked only once the level is known non-empty, so a batch whose
+		// largest distance is exactly limit-1 still fits.
+		if r.limit > 0 && level >= r.limit {
+			return st, false
+		}
+		cnt.drain(&laneCnt)
+		levelTotal := int64(0)
+		for lane, c := range laneCnt[:len(srcs)] {
+			if c == 0 {
+				continue
+			}
+			levelTotal += c
+			st.Reached[lane] += c
+			st.Sum[lane] += int64(level) * c
+			st.Ecc[lane] = level
+			if r.rows != nil {
+				r.rows[lane*r.stride+int(level)] = int32(c)
+			}
+		}
+		if r.hist != nil && levelTotal > 0 {
+			for len(r.hist) <= int(level) {
+				r.hist = append(r.hist, 0)
+			}
+			r.hist[level] += levelTotal
+		}
+	}
+	if dist != nil && covered < all {
+		// dist was written only for visited vertices, so lanes that did
+		// not reach the whole graph still hold stale bytes elsewhere.
+		full := ^uint64(0) >> uint(64-len(srcs))
+		for v := 0; v < g.n; v++ {
+			for w := full &^ visited[v]; w != 0; w &= w - 1 {
+				dist[v*stride+bits.TrailingZeros64(w)] = DistUnreachable
+			}
+		}
+	}
+	return st, true
+}
+
 // BitBFSBatch runs one level-synchronous bit-parallel BFS from up to 64
 // sources simultaneously and returns exact per-source distance
-// aggregates derived from per-level popcounts.
+// aggregates derived from per-level lane counts.
 //
 // dst, when non-nil (length N), restricts which destinations are
 // *counted*; traversal still crosses every vertex, so distances through
@@ -89,73 +236,9 @@ type BatchBFSStats struct {
 // The kernel only reads the graph, so concurrent batches on one graph
 // are safe as long as each goroutine owns its scratch.
 func (g *Graph) BitBFSBatch(srcs []int32, s *BitBFSScratch, dst []bool, hist []int64) (BatchBFSStats, []int64) {
-	var st BatchBFSStats
-	st.Lanes = len(srcs)
-	if len(srcs) == 0 {
-		return st, hist
-	}
-	if len(srcs) > 64 {
-		panic("graph: BitBFSBatch batch exceeds 64 sources")
-	}
-	s.reset(g.n)
-	for lane, v := range srcs {
-		bit := uint64(1) << uint(lane)
-		s.visited[v] |= bit
-		s.frontier[v] |= bit
-	}
-	collect := hist != nil
-	for level := int32(1); ; level++ {
-		// Expand: next[v] accumulates the frontier words of v's neighbors.
-		for u := 0; u < g.n; u++ {
-			f := s.frontier[u]
-			if f == 0 {
-				continue
-			}
-			for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
-				s.next[v] |= f
-			}
-		}
-		// Advance: newly-reached bits become the next frontier; popcount
-		// them into per-lane counters for this level.
-		var laneCnt [64]int64
-		levelTotal := int64(0)
-		anyNew := false
-		for v := 0; v < g.n; v++ {
-			nw := s.next[v] &^ s.visited[v]
-			s.next[v] = 0
-			s.frontier[v] = nw
-			if nw == 0 {
-				continue
-			}
-			anyNew = true
-			s.visited[v] |= nw
-			if dst != nil && !dst[v] {
-				continue
-			}
-			levelTotal += int64(bits.OnesCount64(nw))
-			for w := nw; w != 0; w &= w - 1 {
-				laneCnt[bits.TrailingZeros64(w)]++
-			}
-		}
-		if !anyNew {
-			return st, hist
-		}
-		if collect && levelTotal > 0 {
-			for len(hist) <= int(level) {
-				hist = append(hist, 0)
-			}
-			hist[level] += levelTotal
-		}
-		for lane := 0; lane < st.Lanes; lane++ {
-			c := laneCnt[lane]
-			if c == 0 {
-				continue
-			}
-			st.Reached[lane] += c
-			st.Sum[lane] += int64(level) * c
-			st.Ecc[lane] = level
-		}
-	}
+	r := bfsRecord{dst: dst, hist: hist}
+	st, _ := g.bitBFS(srcs, s, &r)
+	return st, r.hist
 }
 
 // DistUnreachable marks an unreached vertex in the uint8 distance
@@ -173,91 +256,16 @@ const DistUnreachable = ^uint8(0)
 // regions and measures ~4x slower at n=4096 — and it is also the access
 // order of the delta-evaluation dirty tests (DeltaStats), which read all
 // probe distances of one source together. Returns ok=false (dist
-// contents unspecified) if any distance would reach 255, so callers can
+// contents unspecified) if any distance reaches 255, so callers can
 // fall back to treating every source as dirty.
 func (g *Graph) BitBFSBatchDist(srcs []int32, s *BitBFSScratch, dist []uint8, stride int) (st BatchBFSStats, ok bool) {
-	st.Lanes = len(srcs)
-	if len(srcs) == 0 {
-		return st, true
-	}
-	if len(srcs) > 64 {
-		panic("graph: BitBFSBatchDist batch exceeds 64 sources")
-	}
 	if stride < len(srcs) {
 		panic("graph: BitBFSBatchDist stride below lane count")
 	}
-	lanes := len(srcs)
-	s.reset(g.n)
 	for lane, v := range srcs {
-		bit := uint64(1) << uint(lane)
-		s.visited[v] |= bit
-		s.frontier[v] |= bit
 		dist[int(v)*stride+lane] = 0
 	}
-	for level := int32(1); ; level++ {
-		if level >= int32(DistUnreachable) {
-			return st, false
-		}
-		for u := 0; u < g.n; u++ {
-			f := s.frontier[u]
-			if f == 0 {
-				continue
-			}
-			for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
-				s.next[v] |= f
-			}
-		}
-		var laneCnt [64]int64
-		anyNew := false
-		for v := 0; v < g.n; v++ {
-			nw := s.next[v] &^ s.visited[v]
-			s.next[v] = 0
-			s.frontier[v] = nw
-			if nw == 0 {
-				continue
-			}
-			anyNew = true
-			s.visited[v] |= nw
-			row := dist[v*stride : v*stride+lanes]
-			for w := nw; w != 0; w &= w - 1 {
-				lane := bits.TrailingZeros64(w)
-				laneCnt[lane]++
-				row[lane] = uint8(level)
-			}
-		}
-		if !anyNew {
-			break
-		}
-		for lane := 0; lane < st.Lanes; lane++ {
-			c := laneCnt[lane]
-			if c == 0 {
-				continue
-			}
-			st.Reached[lane] += c
-			st.Sum[lane] += int64(level) * c
-			st.Ecc[lane] = level
-		}
-	}
-	// Unreached fix-up: dist was written only for visited vertices, so
-	// lanes that did not reach the whole graph still hold stale bytes
-	// there. Skipped entirely on the (common) all-lanes-connected path.
-	needFix := false
-	for lane := 0; lane < lanes; lane++ {
-		if st.Reached[lane] != int64(g.n-1) {
-			needFix = true
-			break
-		}
-	}
-	if needFix {
-		full := ^uint64(0) >> uint(64-lanes)
-		for v := 0; v < g.n; v++ {
-			miss := full &^ s.visited[v]
-			for w := miss; w != 0; w &= w - 1 {
-				dist[v*stride+bits.TrailingZeros64(w)] = DistUnreachable
-			}
-		}
-	}
-	return st, true
+	return g.bitBFS(srcs, s, &bfsRecord{dist: dist, stride: stride, limit: int32(DistUnreachable)})
 }
 
 // BitBFSBatchRows is BitBFSBatch additionally recording per-lane level
@@ -269,67 +277,11 @@ func (g *Graph) BitBFSBatchDist(srcs []int32, s *BitBFSScratch, dist []uint8, st
 // when some lane's eccentricity reaches stride, letting DeltaStats grow
 // its row stride and retry.
 func (g *Graph) BitBFSBatchRows(srcs []int32, s *BitBFSScratch, rows []int32, stride int) (st BatchBFSStats, ok bool) {
-	st.Lanes = len(srcs)
-	if len(srcs) == 0 {
-		return st, true
-	}
-	if len(srcs) > 64 {
-		panic("graph: BitBFSBatchRows batch exceeds 64 sources")
-	}
 	if stride < 1 {
 		panic("graph: BitBFSBatchRows stride must be >= 1")
 	}
 	clear(rows[:len(srcs)*stride])
-	s.reset(g.n)
-	for lane, v := range srcs {
-		bit := uint64(1) << uint(lane)
-		s.visited[v] |= bit
-		s.frontier[v] |= bit
-	}
-	for level := int32(1); ; level++ {
-		for u := 0; u < g.n; u++ {
-			f := s.frontier[u]
-			if f == 0 {
-				continue
-			}
-			for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
-				s.next[v] |= f
-			}
-		}
-		var laneCnt [64]int64
-		anyNew := false
-		for v := 0; v < g.n; v++ {
-			nw := s.next[v] &^ s.visited[v]
-			s.next[v] = 0
-			s.frontier[v] = nw
-			if nw == 0 {
-				continue
-			}
-			anyNew = true
-			s.visited[v] |= nw
-			for w := nw; w != 0; w &= w - 1 {
-				laneCnt[bits.TrailingZeros64(w)]++
-			}
-		}
-		if !anyNew {
-			return st, true
-		}
-		// Checked only once the level is known non-empty, so a graph
-		// whose eccentricity is exactly stride-1 still fits.
-		if int(level) >= stride {
-			return st, false
-		}
-		for lane := 0; lane < st.Lanes; lane++ {
-			c := laneCnt[lane]
-			if c == 0 {
-				continue
-			}
-			st.Reached[lane] += c
-			st.Sum[lane] += int64(level) * c
-			st.Ecc[lane] = level
-			rows[lane*stride+int(level)] = int32(c)
-		}
-	}
+	return g.bitBFS(srcs, s, &bfsRecord{rows: rows, stride: stride, limit: int32(stride)})
 }
 
 // forEachBatch is the one all-pairs driver loop: it calls visit once per

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -288,5 +289,220 @@ func TestScratchVariantsMatch(t *testing.T) {
 		if ecc != wantEcc || conn != wantConn {
 			t.Errorf("seed %d: EccentricityScratch = (%d,%v), want (%d,%v)", seed, ecc, conn, wantEcc, wantConn)
 		}
+	}
+}
+
+// TestBitBFSOneKernelThreeFaces: BitBFSBatch, BitBFSBatchDist and
+// BitBFSBatchRows run the same level loop, so on any batch they return
+// the same BatchBFSStats, and everything each records agrees lane by lane
+// with a scalar BFS — whichever way the loop ends (coverage, empty level,
+// limit).
+func TestBitBFSOneKernelThreeFaces(t *testing.T) {
+	// Two components and an isolated vertex: no lane ever covers the
+	// graph, so every batch must end on an empty level.
+	split := NewBuilder("split", 71)
+	for i := 0; i+1 < 40; i++ {
+		split.AddEdge(i, i+1)
+	}
+	for i := 40; i < 70; i++ {
+		split.AddEdge(i, 40+(i-39)%30)
+	}
+	consecutive := func(n int) []int32 {
+		srcs := make([]int32, n)
+		for i := range srcs {
+			srcs[i] = int32(i)
+		}
+		return srcs
+	}
+	// Sources drawn from a 12-cycle repeat in every batch wider than 12.
+	repeated := func(lanes int) []int32 {
+		srcs := make([]int32, lanes)
+		for i := range srcs {
+			srcs[i] = int32((7 * i) % 12)
+		}
+		return srcs
+	}
+	dense := gnp(150, 0.06, 3)
+	few := make([]bool, dense.N())
+	few[3], few[77], few[149] = true, true, true
+	cases := []struct {
+		name   string
+		g      *Graph
+		srcs   []int32
+		dst    []bool // BitBFSBatch only
+		distOK bool   // every distance below 255
+	}{
+		{"disconnected", split.Build(), consecutive(64), nil, true},
+		{"disconnected, one lane", split.Build(), []int32{70}, nil, true},
+		{"mask excludes most vertices", dense, consecutive(64), few, true},
+		{"1 lane", cycle(12), repeated(1), nil, true},
+		{"63 lanes, repeated sources", cycle(12), repeated(63), nil, true},
+		{"64 lanes, repeated sources", cycle(12), repeated(64), nil, true},
+		{"eccentricity 254", path(255), []int32{0, 254, 100}, nil, true},
+		{"eccentricity 255", path(256), []int32{100, 0}, nil, false},
+		{"path of 300", path(300), []int32{0}, nil, false},
+	}
+	var s BitBFSScratch
+	for _, c := range cases {
+		g, n, lanes := c.g, c.g.N(), len(c.srcs)
+		// Scalar oracle: distance vectors, level counts, lane stats.
+		ref := make([][]int32, lanes)
+		want := BatchBFSStats{Lanes: lanes}
+		var maxEcc int32
+		for l, src := range c.srcs {
+			ref[l] = g.BFSDistances(int(src), nil)
+			want.Ecc[l], want.Sum[l], want.Reached[l] = scalarStats(g, int(src), nil)
+			maxEcc = max(maxEcc, want.Ecc[l])
+		}
+		wantHist := make([]int64, maxEcc+1)
+		for l := range c.srcs {
+			for v, d := range ref[l] {
+				if d > 0 && (c.dst == nil || c.dst[v]) {
+					wantHist[d]++
+				}
+			}
+		}
+
+		plain, _ := g.BitBFSBatch(c.srcs, &s, nil, nil)
+		if plain != want {
+			t.Errorf("%s: BitBFSBatch %+v, scalar %+v", c.name, plain, want)
+		}
+		masked, hist := g.BitBFSBatch(c.srcs, &s, c.dst, []int64{0})
+		for l, src := range c.srcs {
+			ecc, sum, reached := scalarStats(g, int(src), c.dst)
+			if masked.Ecc[l] != ecc || masked.Sum[l] != sum || masked.Reached[l] != reached {
+				t.Errorf("%s lane %d: masked stats (%d,%d,%d), scalar (%d,%d,%d)", c.name, l,
+					masked.Ecc[l], masked.Sum[l], masked.Reached[l], ecc, sum, reached)
+			}
+		}
+		for len(hist) < len(wantHist) {
+			hist = append(hist, 0) // trailing levels without a counted pair
+		}
+		for d := range hist {
+			if d >= len(wantHist) || hist[d] != wantHist[d] {
+				t.Errorf("%s: hist %v, scalar %v", c.name, hist, wantHist)
+				break
+			}
+		}
+
+		stride := lanes + 3 // a caller's stride may exceed the batch
+		dist := make([]uint8, n*stride)
+		for i := range dist {
+			dist[i] = 0xAA // stale bytes the kernel must overwrite
+		}
+		st, ok := g.BitBFSBatchDist(c.srcs, &s, dist, stride)
+		if ok != c.distOK {
+			t.Errorf("%s: BitBFSBatchDist ok=%v, want %v", c.name, ok, c.distOK)
+		}
+		if ok {
+			if st != want {
+				t.Errorf("%s: BitBFSBatchDist %+v, scalar %+v", c.name, st, want)
+			}
+			for l := range c.srcs {
+				for v, d := range ref[l] {
+					wantD := DistUnreachable
+					if d != Unreachable {
+						wantD = uint8(d)
+					}
+					if dist[v*stride+l] != wantD {
+						t.Fatalf("%s lane %d: dist[%d] = %d, want %d", c.name, l, v, dist[v*stride+l], wantD)
+					}
+				}
+			}
+		}
+
+		// One short of the largest eccentricity does not fit; one more does.
+		rows := make([]int32, lanes*int(maxEcc+1))
+		if maxEcc >= 1 {
+			if _, ok := g.BitBFSBatchRows(c.srcs, &s, rows, int(maxEcc)); ok {
+				t.Errorf("%s: BitBFSBatchRows fit eccentricity %d into stride %d", c.name, maxEcc, maxEcc)
+			}
+		}
+		for i := range rows {
+			rows[i] = -1 // a dirty buffer is allowed
+		}
+		rstride := int(maxEcc + 1)
+		st, ok = g.BitBFSBatchRows(c.srcs, &s, rows, rstride)
+		if !ok || st != want {
+			t.Errorf("%s: BitBFSBatchRows ok=%v %+v, scalar %+v", c.name, ok, st, want)
+		}
+		for l := range c.srcs {
+			wantRow := make([]int32, rstride)
+			for _, d := range ref[l] {
+				if d > 0 {
+					wantRow[d]++
+				}
+			}
+			for d, w := range wantRow {
+				if rows[l*rstride+d] != w {
+					t.Fatalf("%s lane %d: rows[%d] = %d, want %d", c.name, l, d, rows[l*rstride+d], w)
+				}
+			}
+		}
+	}
+}
+
+// TestLaneCounter checks the bit-sliced counter against counting each
+// lane's bit directly, past 2¹⁶ additions and across a drain.
+func TestLaneCounter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var c laneCounter
+	var got, want [64]int64
+	for round, adds := range []int{0, 1, 1000, 1<<16 + 5} {
+		want = [64]int64{}
+		for i := 0; i < adds; i++ {
+			w := rng.Uint64() & rng.Uint64() // lanes set a quarter of the time
+			w |= 1 << 5                      // lane 5 always: its count is adds
+			w &^= 1 << 9                     // lane 9 never
+			c.add(w)
+			for lane := 0; lane < 64; lane++ {
+				want[lane] += int64(w >> uint(lane) & 1)
+			}
+		}
+		c.drain(&got)
+		if got != want {
+			t.Fatalf("round %d (%d adds): counts %v, want %v", round, adds, got, want)
+		}
+		if c != (laneCounter{}) {
+			t.Fatalf("round %d: counter not zero after drain", round)
+		}
+	}
+	if want[5] < 1<<16 || want[9] != 0 {
+		t.Fatalf("test does not reach 2^16: lane 5 = %d, lane 9 = %d", want[5], want[9])
+	}
+	// One word is OnesCount64 spread over the lanes.
+	w := rng.Uint64()
+	c.add(w)
+	c.drain(&got)
+	var total int64
+	for _, n := range got {
+		total += n
+	}
+	if total != int64(bits.OnesCount64(w)) {
+		t.Fatalf("one word: lane counts sum to %d, popcount %d", total, bits.OnesCount64(w))
+	}
+}
+
+// TestBitBFSBatchZeroAllocs: on a warmed scratch none of the three entry
+// points allocates, so all-pairs drivers and DeltaStats pay per batch
+// for traversal only.
+func TestBitBFSBatchZeroAllocs(t *testing.T) {
+	g := gnp(200, 0.05, 7)
+	srcs := make([]int32, 64)
+	for i := range srcs {
+		srcs[i] = int32(i)
+	}
+	var s BitBFSScratch
+	hist := make([]int64, 64)
+	dist := make([]uint8, g.N()*64)
+	rows := make([]int32, 64*64)
+	allocs := testing.AllocsPerRun(10, func() {
+		g.BitBFSBatch(srcs, &s, nil, nil)
+		g.BitBFSBatch(srcs, &s, nil, hist)
+		g.BitBFSBatchDist(srcs, &s, dist, 64)
+		g.BitBFSBatchRows(srcs, &s, rows, 64)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per four batches on a warmed scratch, want 0", allocs)
 	}
 }

@@ -105,7 +105,7 @@ func TestFilterEdgesMatchesBuilderRoundTrip(t *testing.T) {
 
 // TestFilterEdgesScratchReuse: repeated filtering through one scratch must
 // give the same result as fresh filtering, for shrinking and growing kept
-// sets alike (the bisection access pattern).
+// sets alike.
 func TestFilterEdgesScratchReuse(t *testing.T) {
 	g := randomTestGraph(t, 40, 250, 4)
 	edges := g.Edges()
@@ -137,26 +137,5 @@ func TestFilterEdgesChannelArgument(t *testing.T) {
 	})
 	if calls != g.M() {
 		t.Fatalf("keep called %d times, want M=%d", calls, g.M())
-	}
-}
-
-func TestConnectedSubset(t *testing.T) {
-	b := NewBuilder("two-comps", 6)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(3, 4)
-	g := b.Build()
-	var s BFSScratch
-	var dist []int32
-	ok, dist := g.ConnectedSubset([]int{0, 1, 2}, dist, &s)
-	if !ok {
-		t.Error("0-1-2 should be connected")
-	}
-	ok, dist = g.ConnectedSubset([]int{0, 3}, dist, &s)
-	if ok {
-		t.Error("0 and 3 are in different components")
-	}
-	if ok, _ := g.ConnectedSubset(nil, dist, &s); !ok {
-		t.Error("empty host set is trivially connected")
 	}
 }

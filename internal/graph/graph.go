@@ -278,7 +278,8 @@ func (g *Graph) FilterEdges(keep func(c, u, v int) bool) *Graph {
 // FilterEdgesScratch is FilterEdges reusing the allocations of s across
 // calls. The returned graph aliases s: it is invalidated by the next
 // FilterEdgesScratch call with the same scratch. Use it in tight loops
-// that build, measure and discard subgraphs (the fault-sweep bisection).
+// that build, measure and discard subgraphs (the fault sweep's sampled
+// failure fractions).
 func (g *Graph) FilterEdgesScratch(s *FilterScratch, keep func(c, u, v int) bool) *Graph {
 	nc := len(g.nbr)
 	if cap(s.keep) < (nc+63)/64 {

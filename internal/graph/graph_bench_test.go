@@ -34,6 +34,26 @@ func BenchmarkAllPairsStats1k(b *testing.B) {
 	}
 }
 
+// BenchmarkBitBFSBatchRows is one DeltaStats row batch: 64 sources with
+// per-lane level counts at n = 4096.
+func BenchmarkBitBFSBatchRows(b *testing.B) {
+	g := randomGraph(4096, 16, 1)
+	srcs := make([]int32, 64)
+	for i := range srcs {
+		srcs[i] = int32(i * 64)
+	}
+	const stride = 16
+	rows := make([]int32, len(srcs)*stride)
+	var s BitBFSScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := g.BitBFSBatchRows(srcs, &s, rows, stride); !ok {
+			b.Fatal("stride overflow")
+		}
+	}
+}
+
 func BenchmarkBuild10kEdges(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		randomGraph(1000, 20, int64(i))
