@@ -5,190 +5,57 @@ import (
 )
 
 // Incremental degraded repair of all-pairs routing tables. A link failure
-// invalidates only the distance rows of sources for which the dead edge
-// was on some shortest path; DropEdge re-runs BFS for exactly those
-// sources and repacks the minimal-next-hop CSR copying the untouched
-// per-source blocks, instead of rebuilding the whole table (n BFS
-// traversals) from scratch. The result is bit-identical to a from-scratch
-// NewTable on the degraded graph — pinned by the repair property test.
+// invalidates only the rows of vertices for which the dead edge was on
+// some shortest path; DropEdge re-runs BFS for exactly those and rewrites
+// their dist and masks rows in place, instead of rebuilding the whole
+// table (n BFS traversals) from scratch. Every other row keeps its
+// distances and loses only the dead edge's adjacency slot at the two
+// endpoints. The result is bit-identical to a from-scratch NewTable on
+// the degraded graph — pinned by the repair property test.
 
-// repairScratch is the reusable state of repeated DropEdge calls: the BFS
-// row and scratch, per-source dirty marks, and the spare dist/off/nh
-// slabs the repack writes into (swapped with the live ones each repair).
+// repairScratch is the reusable BFS state of repeated DropEdge calls.
 type repairScratch struct {
-	row      []int32
-	bfs      graph.BFSScratch
-	dirty    []bool  // source -> distance row changed
-	nhDirty  []bool  // source -> next-hop block must be refilled
-	dirtyLst []int32 // dirty sources of the current repair
-	cnt      []int32 // per-destination count/cursor of one source
-	spareOff []int32 // swap target for nhOff
-	spareNh  []int32 // swap target for nh
+	row []int32
+	bfs graph.BFSScratch
 }
 
 // Clone returns an independent deep copy of the table for in-place
 // repair: DropEdge on the clone leaves the original (typically shared by
 // a Spec across runs) untouched.
 func (t *Table) Clone() *Table {
-	c := &Table{g: t.g, mode: t.mode}
-	c.dist = append([]uint8(nil), t.dist...)
-	if t.nhOff != nil {
-		c.nhOff = append([]int32(nil), t.nhOff...)
-		c.nh = append([]int32(nil), t.nh...)
-	}
-	return c
+	c := *t
+	slab := append([]uint8(nil), t.Slab()...)
+	c.dist, c.masks, c.rs = slab[:len(t.dist)], slab[len(t.dist):], nil
+	return &c
 }
 
 // DropEdge removes the undirected edge (u, v) from the table's graph and
-// repairs the distance table and next-hop CSR incrementally. Dropping an
-// edge the graph no longer has is a no-op. Removals may disconnect the
-// graph; unreachable pairs read distance -1 and empty next-hop rows,
-// exactly as a rebuild would produce.
+// repairs distances and masks incrementally. Dropping an edge the graph
+// no longer has is a no-op. Removals may disconnect the graph;
+// unreachable pairs read distance -1 and empty masks, exactly as a
+// rebuild would produce.
 func (t *Table) DropEdge(u, v int) {
 	if !t.g.HasEdge(u, v) {
 		return
 	}
 	n := t.g.N()
 	newG := t.g.RemoveEdges([][2]int{{u, v}})
-	rs := t.repairScratch()
-
-	// Dirty sources: the edge (u,v) can lie on a shortest path from s only
-	// when dist(s,u) and dist(s,v) differ by exactly one (they differ by at
-	// most one while the edge exists, and an equal pair never uses it).
-	rs.dirtyLst = rs.dirtyLst[:0]
+	if t.rs == nil {
+		t.rs = &repairScratch{row: make([]int32, n)}
+	}
 	for s := 0; s < n; s++ {
-		du, dv := t.dist[s*n+u], t.dist[s*n+v]
-		d := du != dv && du != 0xff && dv != 0xff
-		rs.dirty[s] = d
-		if d {
-			rs.dirtyLst = append(rs.dirtyLst, int32(s))
+		// The edge can lie on a shortest path from s only when dist(s,u)
+		// and dist(s,v) differ by exactly one (they differ by at most one
+		// while the edge exists — both finite or both unreachable — and an
+		// equal pair never uses it). Distances are symmetric, so the same
+		// s are the destinations whose masks row changes beyond columns u
+		// and v, whose adjacency slots shifted.
+		if t.dist[s*n+u] != t.dist[s*n+v] {
+			t.fillRow(newG, s, t.rs.row, &t.rs.bfs)
+		} else {
+			t.fillEntry(newG, s, u)
+			t.fillEntry(newG, s, v)
 		}
-	}
-	for _, s := range rs.dirtyLst {
-		newG.BFSDistancesScratch(int(s), rs.row, &rs.bfs)
-		base := int(s) * n
-		for w, d := range rs.row {
-			if d < 0 {
-				t.dist[base+w] = 0xff
-			} else {
-				t.dist[base+w] = uint8(d)
-			}
-		}
-	}
-
-	if t.mode == AllMinPaths {
-		// A source's next-hop block depends on its own adjacency and
-		// distance row plus every neighbor's row: refill blocks of the
-		// endpoints, the dirty sources, and every neighbor of a dirty
-		// source; copy all other blocks verbatim.
-		for s := range rs.nhDirty {
-			rs.nhDirty[s] = false
-		}
-		rs.nhDirty[u], rs.nhDirty[v] = true, true
-		for _, s := range rs.dirtyLst {
-			rs.nhDirty[s] = true
-			for _, w := range newG.Neighbors(int(s)) {
-				rs.nhDirty[w] = true
-			}
-		}
-		t.repackNextHops(newG, rs)
 	}
 	t.g = newG
-}
-
-// repairScratch lazily allocates the repair scratch.
-func (t *Table) repairScratch() *repairScratch {
-	if t.rs == nil {
-		n := t.g.N()
-		t.rs = &repairScratch{
-			row:     make([]int32, n),
-			dirty:   make([]bool, n),
-			nhDirty: make([]bool, n),
-			cnt:     make([]int32, n),
-		}
-	}
-	return t.rs
-}
-
-// repackNextHops rebuilds the next-hop CSR into the scratch's spare
-// slabs: clean per-source blocks are block-copied with a shifted offset,
-// nhDirty blocks are recounted and refilled from the repaired distance
-// rows (the same two-pass fill as buildNextHops, restricted to one
-// source). The spare slabs then swap with the live ones.
-func (t *Table) repackNextHops(g *graph.Graph, rs *repairScratch) {
-	n := g.N()
-	if cap(rs.spareOff) < n*n+1 {
-		rs.spareOff = make([]int32, n*n+1)
-	}
-	newOff := rs.spareOff[:n*n+1]
-	// Upper bound on the new total: the old total plus every dirty
-	// source's degree×n (a block can't exceed that). Grow the spare lazily
-	// instead: count dirty blocks first.
-	var newTotal int32
-	for s := 0; s < n; s++ {
-		base := s * n
-		if !rs.nhDirty[s] {
-			newTotal += t.nhOff[base+n] - t.nhOff[base]
-			continue
-		}
-		sRow := t.dist[base : base+n]
-		for _, w := range g.Neighbors(s) {
-			wRow := t.dist[int(w)*n : int(w)*n+n]
-			for dst, d := range sRow {
-				if d != 0 && d != 0xff && wRow[dst] == d-1 {
-					newTotal++
-				}
-			}
-		}
-	}
-	if cap(rs.spareNh) < int(newTotal) {
-		rs.spareNh = make([]int32, newTotal)
-	}
-	newNh := rs.spareNh[:newTotal]
-
-	var pos int32
-	for s := 0; s < n; s++ {
-		base := s * n
-		if !rs.nhDirty[s] {
-			oldStart, oldEnd := t.nhOff[base], t.nhOff[base+n]
-			delta := pos - oldStart
-			copy(newNh[pos:], t.nh[oldStart:oldEnd])
-			for d := 0; d < n; d++ {
-				newOff[base+d] = t.nhOff[base+d] + delta
-			}
-			pos += oldEnd - oldStart
-			continue
-		}
-		sRow := t.dist[base : base+n]
-		cnt := rs.cnt
-		for d := range cnt {
-			cnt[d] = 0
-		}
-		for _, w := range g.Neighbors(s) {
-			wRow := t.dist[int(w)*n : int(w)*n+n]
-			for dst, d := range sRow {
-				if d != 0 && d != 0xff && wRow[dst] == d-1 {
-					cnt[dst]++
-				}
-			}
-		}
-		for d := 0; d < n; d++ {
-			newOff[base+d] = pos
-			pos += cnt[d]
-			cnt[d] = newOff[base+d] // becomes the fill cursor
-		}
-		for _, w := range g.Neighbors(s) {
-			wRow := t.dist[int(w)*n : int(w)*n+n]
-			for dst, d := range sRow {
-				if d != 0 && d != 0xff && wRow[dst] == d-1 {
-					newNh[cnt[dst]] = w
-					cnt[dst]++
-				}
-			}
-		}
-	}
-	newOff[n*n] = pos
-
-	rs.spareOff, t.nhOff = t.nhOff, newOff
-	rs.spareNh, t.nh = t.nh, newNh
 }

@@ -12,6 +12,7 @@
 package route
 
 import (
+	"math/bits"
 	"math/rand"
 	"runtime"
 
@@ -48,26 +49,26 @@ func Path(e Engine, src, dst int, rng *rand.Rand) []int {
 	return e.AppendPath(nil, src, dst, rng)
 }
 
-// Table is the all-pairs BFS routing engine: a distance table plus
-// per-step next-hop sampling. Mode AllMinPaths samples uniformly among all
+// Table is the all-pairs BFS routing engine: a distance table plus a
+// minimal-next-hop table. Mode AllMinPaths samples uniformly among all
 // minimal next hops at every step (the "all minpaths in routing tables"
 // configuration used for Spectralfly and Bundlefly in §9.3); SinglePath
 // always picks the lowest-numbered next hop (one fixed minpath per pair).
 type Table struct {
 	g    *graph.Graph
-	dist []uint8 // n*n hop distances
 	mode TableMode
+	dist []uint8 // n*n hop distances, 0xff unreachable
 
-	// Minimal-next-hop CSR (AllMinPaths only): nh[nhOff[src*n+dst] :
-	// nhOff[src*n+dst+1]] lists the neighbors of src one hop closer to
-	// dst, in ascending adjacency order. Precomputed at build time so
-	// AppendPath samples a next hop in O(candidates) instead of scanning
-	// every neighbor with a distance lookup per hop.
-	nhOff []int32
-	nh    []int32
+	// Minimal next hops as adjacency-slot bitmasks, destination-major:
+	// entry (dst, cur) is the mb bytes at masks[(dst*n+cur)*mb:], and bit
+	// k of it says Neighbors(cur)[k] is one hop closer to dst. A path to
+	// dst reads one row of n*mb bytes, one entry per hop; an empty entry
+	// means cur == dst or dst unreachable. dist and masks share one
+	// backing (Slab).
+	masks []uint8
+	mb    int // bytes per entry: ⌈max degree / 8⌉ of the graph the table was built on
 
-	// Incremental-repair scratch (see repair.go), allocated on the first
-	// DropEdge and reused across repairs.
+	// Reusable BFS state of DropEdge (repair.go), allocated on first use.
 	rs *repairScratch
 }
 
@@ -81,84 +82,76 @@ const (
 	AllMinPaths
 )
 
-// NewTable builds the all-pairs table for g. Graphs are limited to 65534
-// vertices and diameter 254 (far beyond every evaluated configuration).
+// NewTable builds the all-pairs table for g. Graphs are limited to
+// diameter 254 (far beyond every evaluated configuration).
 func NewTable(g *graph.Graph, mode TableMode) *Table {
 	return NewTableInto(g, mode, nil)
 }
 
-// NewTableInto is NewTable reusing slab as the n×n distance backing when
-// it has sufficient capacity (pass the Slab of a dead Table to rebuild
-// routing tables across fault trials without reallocating).
+// NewTableInto is NewTable reusing slab as the table backing when it has
+// sufficient capacity (pass the Slab of a dead Table to rebuild routing
+// tables across fault trials without reallocating).
 func NewTableInto(g *graph.Graph, mode TableMode, slab []uint8) *Table {
 	n := g.N()
-	if cap(slab) < n*n {
-		slab = make([]uint8, n*n)
+	mb := (g.MaxDegree() + 7) / 8
+	if size := n * n * (1 + mb); cap(slab) < size {
+		slab = make([]uint8, size)
 	}
-	t := &Table{g: g, dist: slab[:n*n], mode: mode}
-	// Parallel BFS over sources.
-	parallelFor(n, func(src int, row []int32, scratch *graph.BFSScratch) {
-		g.BFSDistancesScratch(src, row, scratch)
-		base := src * n
-		for v, d := range row {
-			if d < 0 {
-				t.dist[base+v] = 0xff
-			} else {
-				t.dist[base+v] = uint8(d)
-			}
-		}
+	t := &Table{g: g, mode: mode, mb: mb, dist: slab[:n*n], masks: slab[n*n : n*n*(1+mb)]}
+	// Distances are symmetric, so the BFS row of dst is both dist row dst
+	// and everything masks row dst depends on: one parallel pass over
+	// destinations fills both.
+	parallelFor(n, func(dst int, row []int32, scratch *graph.BFSScratch) {
+		t.fillRow(g, dst, row, scratch)
 	})
-	if mode == AllMinPaths {
-		t.buildNextHops()
-	}
 	return t
 }
 
-// buildNextHops fills the minimal-next-hop CSR: a parallel count pass, a
-// serial prefix sum, then a parallel fill pass. Both passes stream the
-// source's and each neighbor's distance rows sequentially; the fill
-// keeps a per-destination cursor in the worker's scratch row.
-func (t *Table) buildNextHops() {
-	n := t.g.N()
-	t.nhOff = make([]int32, n*n+1)
-	parallelFor(n, func(src int, _ []int32, _ *graph.BFSScratch) {
-		base := src * n
-		cnt := t.nhOff[base+1 : base+n+1]
-		sRow := t.dist[base : base+n]
-		for _, w := range t.g.Neighbors(src) {
-			wRow := t.dist[int(w)*n : int(w)*n+n]
-			for dst, d := range sRow {
-				if d != 0 && d != 0xff && wRow[dst] == d-1 {
-					cnt[dst]++
-				}
-			}
+// fillRow recomputes dist row v and masks row v from one BFS of g.
+func (t *Table) fillRow(g *graph.Graph, v int, row []int32, scratch *graph.BFSScratch) {
+	n := g.N()
+	g.BFSDistancesScratch(v, row, scratch)
+	drow := t.dist[v*n : v*n+n]
+	for w, d := range row {
+		if d < 0 {
+			drow[w] = 0xff
+		} else {
+			drow[w] = uint8(d)
 		}
-	})
-	var total int32
-	for i := 1; i < len(t.nhOff); i++ {
-		total += t.nhOff[i]
-		t.nhOff[i] = total
 	}
-	t.nh = make([]int32, total)
-	parallelFor(n, func(src int, pos []int32, _ *graph.BFSScratch) {
-		base := src * n
-		copy(pos, t.nhOff[base:base+n])
-		sRow := t.dist[base : base+n]
-		for _, w := range t.g.Neighbors(src) {
-			wRow := t.dist[int(w)*n : int(w)*n+n]
-			for dst, d := range sRow {
-				if d != 0 && d != 0xff && wRow[dst] == d-1 {
-					t.nh[pos[dst]] = w
-					pos[dst]++
-				}
-			}
-		}
-	})
+	for cur := 0; cur < n; cur++ {
+		t.fillEntry(g, v, cur)
+	}
 }
 
-// Slab exposes the distance backing for reuse via NewTableInto. The table
-// must not be used after its slab has been handed to a new table.
-func (t *Table) Slab() []uint8 { return t.dist }
+// fillEntry recomputes masks entry (dst, cur) from dist row dst and cur's
+// adjacency in g.
+func (t *Table) fillEntry(g *graph.Graph, dst, cur int) {
+	n := g.N()
+	drow := t.dist[dst*n : dst*n+n]
+	e := t.masks[(dst*n+cur)*t.mb:][:t.mb]
+	nbr := g.Neighbors(cur)
+	d := drow[cur]
+	if d == 0 || d == 0xff {
+		nbr = nil
+	}
+	for i := range e {
+		var b, bit uint8 = 0, 1
+		for _, w := range nbr[min(i*8, len(nbr)):min(i*8+8, len(nbr))] {
+			// Branch-free "if drow[w] == d-1 { b |= bit }": the build
+			// spends most of its time here and the outcome is unpredictable.
+			b |= bit & uint8(int32(uint32(drow[w]^(d-1))-1)>>31)
+			bit <<= 1
+		}
+		e[i] = b
+	}
+}
+
+// Slab exposes the table backing (distances and masks) for reuse via
+// NewTableInto (dist is the head of that backing, masks the rest of its
+// length). The table must not be used after its slab has been handed to a
+// new table.
+func (t *Table) Slab() []uint8 { return t.dist[:len(t.dist)+len(t.masks)] }
 
 // Mode returns the table's minpath-diversity mode.
 func (t *Table) Mode() TableMode { return t.mode }
@@ -186,45 +179,36 @@ func (t *Table) Dist(src, dst int) int {
 	return int(d)
 }
 
-// AppendPath implements Engine.
+// AppendPath implements Engine: one entry of masks row dst per hop.
+// AllMinPaths draws rng.Intn(k) for the k-th candidate in ascending slot
+// order and keeps it on 0 — a reservoir sample, and the draw sequence
+// every golden is pinned to; SinglePath takes the first.
 func (t *Table) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	if src == dst {
 		return buf
 	}
-	n := t.g.N()
-	if t.dist[src*n+dst] == 0xff {
-		return buf
-	}
+	mb, single := t.mb, t.mode == SinglePath
+	base := dst * t.g.N() * mb
 	buf = append(buf, src)
-	cur := src
-	if t.mode == AllMinPaths {
-		// O(candidates) per hop off the precomputed CSR. The reservoir
-		// draw sequence — rng.Intn(k) per candidate in ascending
-		// adjacency order — matches the neighbor-scan implementation
-		// exactly, so paths are byte-identical under a fixed seed.
-		for cur != dst {
-			row := t.nh[t.nhOff[cur*n+dst]:t.nhOff[cur*n+dst+1]]
-			pick := row[0]
-			for k := 1; k <= len(row); k++ {
-				if rng.Intn(k) == 0 {
-					pick = row[k-1]
-				}
-			}
-			cur = int(pick)
-			buf = append(buf, cur)
-		}
-		return buf
-	}
-	for cur != dst {
-		d := t.dist[cur*n+dst]
-		var pick int32 = -1
-		for _, w := range t.g.Neighbors(cur) {
-			if t.dist[int(w)*n+dst] == d-1 {
-				pick = w
+	for cur := src; cur != dst; {
+		slot, k := -1, int32(0)
+		for i, b := range t.masks[base+cur*mb:][:mb] {
+			if single && b != 0 {
+				slot = i*8 + bits.TrailingZeros8(b)
 				break
 			}
+			for ; b != 0; b &= b - 1 {
+				// Intn(k) is Int31n(k) behind one more call; the test
+				// oracle draws with Intn, so the streams stay tied.
+				if k++; rng.Int31n(k) == 0 {
+					slot = i*8 + bits.TrailingZeros8(b)
+				}
+			}
 		}
-		cur = int(pick)
+		if slot < 0 {
+			return buf[:len(buf)-1] // only at src: dst is unreachable
+		}
+		cur = t.g.ChannelTo(t.g.FirstChannel(cur) + slot)
 		buf = append(buf, cur)
 	}
 	return buf

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"polarstar/internal/graph"
@@ -35,10 +36,10 @@ func TestTableRouting(t *testing.T) {
 	}
 }
 
-// referenceNextHopPath replicates the pre-CSR AllMinPaths AppendPath: a
-// reservoir scan over all neighbors with a distance lookup per step. The
-// CSR implementation must consume the RNG identically and produce
-// byte-identical paths.
+// referenceNextHopPath is the oracle for Table.AppendPath: a reservoir
+// scan over all neighbors with a distance lookup per step (SinglePath: the
+// first minimal neighbor). The mask table must consume the RNG identically
+// and produce byte-identical paths.
 func referenceNextHopPath(tab *Table, buf []int, src, dst int, rng *rand.Rand) []int {
 	if src == dst {
 		return buf
@@ -57,6 +58,10 @@ func referenceNextHopPath(tab *Table, buf []int, src, dst int, rng *rand.Rand) [
 		for _, w := range g.Neighbors(cur) {
 			if tab.dist[int(w)*n+dst] == d-1 {
 				count++
+				if tab.mode == SinglePath {
+					pick = w
+					break
+				}
 				if rng.Intn(count) == 0 {
 					pick = w
 				}
@@ -68,29 +73,68 @@ func referenceNextHopPath(tab *Table, buf []int, src, dst int, rng *rand.Rand) [
 	return buf
 }
 
-func TestTableMultiPathCSRMatchesScan(t *testing.T) {
-	for _, g := range []*graph.Graph{
-		topo.MustNewPolarStar(3, 3, topo.KindIQ).G,
-		topo.MustNewDragonfly(4, 2).G,
-		topo.MustNewLPS(13, 5).G,
-	} {
-		tab := NewTable(g, AllMinPaths)
-		rngA := rand.New(rand.NewSource(42))
-		rngB := rand.New(rand.NewSource(42))
-		var bufA, bufB []int
-		for src := 0; src < g.N(); src += 3 {
-			for dst := 0; dst < g.N(); dst += 7 {
-				bufA = tab.AppendPath(bufA[:0], src, dst, rngA)
-				bufB = referenceNextHopPath(tab, bufB[:0], src, dst, rngB)
-				if len(bufA) != len(bufB) {
-					t.Fatalf("%s %d->%d: CSR path %v != scan path %v", g.Name(), src, dst, bufA, bufB)
-				}
-				for i := range bufA {
-					if bufA[i] != bufB[i] {
-						t.Fatalf("%s %d->%d: CSR path %v != scan path %v", g.Name(), src, dst, bufA, bufB)
-					}
-				}
+// assertMatchesReference routes the ordered pairs of every third source
+// through AppendPath and the oracle on twin RNG streams and requires equal paths,
+// each ending at dst, and an equal RNG position afterwards.
+func assertMatchesReference(t *testing.T, tab *Table) {
+	t.Helper()
+	g := tab.Graph()
+	rngA := rand.New(rand.NewSource(42))
+	rngB := rand.New(rand.NewSource(42))
+	bufA, bufB := []int{-7}, []int{-7} // a non-empty prefix AppendPath must leave alone
+	for src := 0; src < g.N(); src += 3 {
+		for dst := 0; dst < g.N(); dst++ {
+			bufA = tab.AppendPath(bufA[:1], src, dst, rngA)
+			bufB = referenceNextHopPath(tab, bufB[:1], src, dst, rngB)
+			if !slices.Equal(bufA, bufB) {
+				t.Fatalf("%s mode %d %d->%d: path %v != reference %v", g.Name(), tab.mode, src, dst, bufA[1:], bufB[1:])
 			}
+			if reachable := src != dst && tab.Dist(src, dst) > 0; reachable != (len(bufA) > 1) || reachable && bufA[len(bufA)-1] != dst {
+				t.Fatalf("%s mode %d %d->%d: path %v, dist %d", g.Name(), tab.mode, src, dst, bufA[1:], tab.Dist(src, dst))
+			}
+		}
+	}
+	if rngA.Int63() != rngB.Int63() {
+		t.Fatalf("%s mode %d: RNG streams diverged", g.Name(), tab.mode)
+	}
+}
+
+func TestTableMatchesNeighborScan(t *testing.T) {
+	star := graph.NewBuilder("star70", 71) // hub degree 70: a 9-byte entry
+	for leaf := 1; leaf <= 70; leaf++ {
+		star.AddEdge(0, leaf)
+	}
+	k66 := graph.NewBuilder("k66", 66) // degree 65 everywhere: the one set bit lands in every byte of a 9-byte entry
+	for u := 0; u < 66; u++ {
+		for v := u + 1; v < 66; v++ {
+			k66.AddEdge(u, v)
+		}
+	}
+	split := graph.NewBuilder("two-cycles+isolated", 11) // C4, C6 and a lone vertex
+	for i := 0; i < 4; i++ {
+		split.AddEdge(i, (i+1)%4)
+	}
+	for i := 0; i < 6; i++ {
+		split.AddEdge(4+i, 4+(i+1)%6)
+	}
+	for _, g := range []*graph.Graph{
+		// Every table-routed -small spec of internal/sim, then ft-small
+		// (degree 2p at the aggregation level) and PolarStar.
+		topo.MustNewBundlefly(5, 2).G,
+		topo.MustNewDragonfly(6, 3).G,
+		topo.MustNewLPS(13, 5).G,
+		topo.MustNewMegafly(3, 6).G,
+		topo.MustNewER(7).G,
+		topo.MustNewMMS(5).G,
+		topo.MustNewFatTree(5).G,
+		topo.MustNewPolarStar(3, 3, topo.KindIQ).G,
+		star.Build(),
+		k66.Build(),
+		split.Build(),
+		graph.NewBuilder("single", 1).Build(),
+	} {
+		for _, mode := range []TableMode{AllMinPaths, SinglePath} {
+			assertMatchesReference(t, NewTable(g, mode))
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package route
 
+import "math/bits"
+
 // Routing-state accounting: the §9.2/§9.3 storage argument quantified.
 // The paper's point is that Spectralfly and Bundlefly need all-minpath
 // routing tables (per-router state linear in the network size) for
@@ -9,7 +11,7 @@ package route
 // StateBytes estimates the total routing state of the Table engine: one
 // distance byte per (router, destination) pair — the floor for
 // destination-based table routing; all-minpath next-hop sets add a
-// per-destination next-hop list on top (reported by NextHopEntries).
+// per-destination next-hop set on top (reported by NextHopEntries).
 func (t *Table) StateBytes() int64 {
 	n := int64(t.g.N())
 	return n * n
@@ -18,30 +20,19 @@ func (t *Table) StateBytes() int64 {
 // MemBytes reports the actual heap footprint of the table's routing
 // arrays — the number a serving layer charges against its resident-spec
 // budget. Unlike StateBytes (the paper's storage model) this counts what
-// the process really holds: the distance matrix plus, in AllMinPaths mode,
-// the next-hop CSR.
+// the process really holds: the distance matrix plus the next-hop masks,
+// ⌈max degree / 8⌉ bytes per pair.
 func (t *Table) MemBytes() int64 {
-	return int64(len(t.dist)) + 4*int64(len(t.nhOff)) + 4*int64(len(t.nh))
+	return int64(len(t.dist) + len(t.masks))
 }
 
 // NextHopEntries counts the total (router, destination, minimal next
 // hop) entries an all-minpath routing table stores — the storage the
-// paper attributes to SF/BF MIN routing.
+// paper attributes to SF/BF MIN routing: one per set mask bit.
 func (t *Table) NextHopEntries() int64 {
-	n := t.g.N()
 	var total int64
-	for r := 0; r < n; r++ {
-		for dst := 0; dst < n; dst++ {
-			if r == dst {
-				continue
-			}
-			d := t.dist[r*n+dst]
-			for _, w := range t.g.Neighbors(r) {
-				if t.dist[int(w)*n+dst] == d-1 {
-					total++
-				}
-			}
-		}
+	for _, b := range t.masks {
+		total += int64(bits.OnesCount8(b))
 	}
 	return total
 }

@@ -27,7 +27,7 @@ type unitState struct {
 	next  int32 // head's next channel; its destination endpoint when rem == headEject; headEmpty: no head
 	rem   int8  // links left on the head's path after next
 	lane  int8  // head's routing lane
-	minVC int8  // lowest VC the next hop may use (vc+1; 0 for injection): fixed at construction
+	minVC int8  // lowest VC the next hop may use (vc+1; 0 exactly for injection queues, whose endpoint is unitEP): fixed at construction
 }
 
 const (
@@ -185,8 +185,8 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 	}
 	// Injection serialization: a packet leaves its endpoint at most
 	// every S cycles.
-	if ep := e.unitEP[unit]; ep >= 0 {
-		if e.injBusy[ep] > e.now {
+	if u.minVC == 0 {
+		if ep := e.unitEP[unit]; e.injBusy[ep] > e.now {
 			u.wake = e.injBusy[ep]
 			if sm != nil {
 				e.openSpan(unit, stallInject, 0)
@@ -293,8 +293,8 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 	if sm != nil && e.waiterHead[c] >= 0 {
 		e.chargeBusy(sm, c, unit, S)
 	}
-	if ep := e.unitEP[unit]; ep >= 0 {
-		e.injBusy[ep] = e.now + S
+	if u.minVC == 0 {
+		e.injBusy[e.unitEP[unit]] = e.now + S
 	}
 	q := &e.queues[unit]
 	id := q.front()

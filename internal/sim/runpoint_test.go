@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"sync"
 	"testing"
 )
 
@@ -113,5 +114,51 @@ func TestRunPointMatchesSweep(t *testing.T) {
 		if point != sweep.Points[i] {
 			t.Errorf("load %g: RunPoint %+v != Sweep point %+v", load, point, sweep.Points[i])
 		}
+	}
+}
+
+// TestRunPointSharesLanesAcrossRuns: a spec builds its multipath lanes
+// once and concurrent runs share them (psserve runs requests on one built
+// spec). Eight concurrent mp-min runs must equal the run of a fresh spec,
+// and -race must see no unsynchronised access to the lane cache.
+func TestRunPointSharesLanesAcrossRuns(t *testing.T) {
+	p := DefaultParams(5)
+	p.Warmup, p.Measure, p.Drain = 100, 200, 300
+	run := func(spec *Spec) (Result, error) {
+		return RunPoint(context.Background(), spec, MPMINMode, "uniform", 0.3, p)
+	}
+	fresh, err := NewSpec("ps-iq-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := run(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewSpec("ps-iq-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]Result, 8)
+	errs := make([]error, len(got))
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run(shared)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want {
+			t.Errorf("concurrent run %d: %+v, fresh spec: %+v", i, got[i], want)
+		}
+	}
+	if len(shared.lanes) != 1 {
+		t.Errorf("spec holds %d lane structures after 8 runs at one lane count, want 1", len(shared.lanes))
 	}
 }

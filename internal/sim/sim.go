@@ -30,6 +30,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -215,12 +216,14 @@ type Engine struct {
 	occ    []int32 // credit index (channel id * vcs + vc) -> queued+reserved flits
 	occSum []int32 // channel id -> occ summed over VCs (Occupancy fast path)
 
-	// chanIdx densifies ChannelID: (u*n+v) -> channel id or -1. Path→
-	// channel resolution and UGAL occupancy scoring perform one lookup
-	// per hop per packet — tens of millions per run — so the ~n² int32
-	// table (4.5 MB for the Table-3 PolarStar) beats the per-call
-	// binary search. nil above the size cap (huge design-space graphs).
-	chanIdx []int32
+	// chanSlot densifies ChannelID: (u*n+v) -> v's adjacency slot at u,
+	// 0xff when {u,v} is no edge; the channel is FirstChannel(u)+slot.
+	// Path→channel resolution and UGAL occupancy scoring perform one
+	// lookup per hop per packet — tens of millions per run — so the n²
+	// bytes (1.1 MB for the Table-3 PolarStar) beat the per-call binary
+	// search. nil above the size cap (huge design-space graphs) and for
+	// degrees a byte cannot hold.
+	chanSlot []uint8
 
 	// Queues ("units"): per channel per VC input queues at the channel's
 	// destination router, plus one injection queue per endpoint. Units
@@ -485,15 +488,11 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 	e.busy = make([]int64, nChans)
 	e.occ = make([]int32, nChans*e.vcs)
 	e.occSum = make([]int32, nChans)
-	if n*n <= 1<<22 { // ≤ 16 MB; covers every Table-3 configuration
-		e.chanIdx = make([]int32, n*n)
-		for i := range e.chanIdx {
-			e.chanIdx[i] = -1
-		}
+	if n*n <= 1<<22 && g.MaxDegree() < 0xff { // ≤ 4 MB; covers every Table-3 configuration
+		e.chanSlot = bytes.Repeat([]byte{0xff}, n*n)
 		for u := 0; u < n; u++ {
-			first := g.FirstChannel(u)
 			for k, w := range g.Neighbors(u) {
-				e.chanIdx[u*n+int(w)] = int32(first + k)
+				e.chanSlot[u*n+int(w)] = uint8(k)
 			}
 		}
 	}
@@ -598,6 +597,7 @@ func (e *Engine) buildUnits() {
 			for ; next%64 != 0; next++ {
 				e.unitCredit[next] = -1
 				e.unitEP[next] = -1
+				e.units[next].minVC = 1 // padding is no injection queue
 			}
 		}
 		for _, c := range inCh[inOff[r]:inOff[r+1]] {
@@ -666,10 +666,14 @@ func (e *Engine) Occupancy(u, v int) int {
 }
 
 func (e *Engine) channelID(u, v int) int {
-	if e.chanIdx != nil {
-		return int(e.chanIdx[u*e.g.N()+v])
+	if e.chanSlot == nil {
+		return e.g.ChannelID(u, v)
 	}
-	return e.g.ChannelID(u, v)
+	slot := e.chanSlot[u*e.g.N()+v]
+	if slot == 0xff {
+		return -1
+	}
+	return e.g.FirstChannel(u) + int(slot)
 }
 
 // markActive lists a newly non-empty unit on its router, and the router

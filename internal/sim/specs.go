@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"polarstar/internal/graph"
 	"polarstar/internal/route"
@@ -23,6 +24,12 @@ type Spec struct {
 	MinEngine route.Engine
 	MinHops   int   // max hops of a minimal path between hosts
 	UGALMids  []int // Valiant intermediates (nil: all switches)
+
+	// Multipath lane structures by requested lane count, built on first
+	// use: they are a function of Graph and MinEngine alone, and runs
+	// sharing the spec (a sweep's points, psserve requests) share them.
+	lanesMu sync.Mutex
+	lanes   map[int]*route.MultiPath
 }
 
 // Config returns the endpoint arrangement of the spec.
@@ -82,11 +89,31 @@ func (s *Spec) Routing(mode RoutingMode, params Params) (Routing, error) {
 	if lanes == 0 {
 		lanes = 3
 	}
-	mp, err := route.NewMultiPath(s.Graph, s.MinEngine, lanes, pktStride, laneTreeSeed)
+	mp, err := s.multiPath(lanes)
 	if err != nil {
 		return nil, fmt.Errorf("sim: spec %s: %w", s.Name, err)
 	}
 	return &MultiPathRouting{Base: base, MP: mp, PktSize: params.PacketFlits}, nil
+}
+
+// multiPath returns the spec's lane structure for a lane count, building
+// it once (route.MultiPath is immutable). Concurrent callers wait for the
+// one build.
+func (s *Spec) multiPath(lanes int) (*route.MultiPath, error) {
+	s.lanesMu.Lock()
+	defer s.lanesMu.Unlock()
+	if mp := s.lanes[lanes]; mp != nil {
+		return mp, nil
+	}
+	mp, err := route.NewMultiPath(s.Graph, s.MinEngine, lanes, pktStride, laneTreeSeed)
+	if err != nil {
+		return nil, err
+	}
+	if s.lanes == nil {
+		s.lanes = make(map[int]*route.MultiPath)
+	}
+	s.lanes[lanes] = mp
+	return mp, nil
 }
 
 // Table3Names lists the §9.1 simulated configurations.
@@ -186,7 +213,7 @@ func (s *Spec) Degraded(removed [][2]int) *Spec {
 // DegradedInto is Degraded reusing slab as the routing-table backing (see
 // route.NewTableInto). Sweeps that degrade the same spec repeatedly pass
 // the previous degraded spec's TableSlab to avoid reallocating the n×n
-// distance table on every trial.
+// distance and next-hop table on every trial.
 func (s *Spec) DegradedInto(removed [][2]int, slab []uint8) *Spec {
 	g := s.Graph.RemoveEdges(removed)
 	tab := route.NewTableInto(g, route.AllMinPaths, slab)
@@ -211,7 +238,7 @@ func (s *Spec) DegradedInto(removed [][2]int, slab []uint8) *Spec {
 	}
 }
 
-// TableSlab returns the distance-table backing of a table-routed spec for
+// TableSlab returns the routing-table backing of a table-routed spec for
 // reuse via DegradedInto, or nil when the spec routes analytically.
 func (s *Spec) TableSlab() []uint8 {
 	if t, ok := s.MinEngine.(*route.Table); ok {

@@ -109,7 +109,9 @@ func (st *pktStore) grow(n int) {
 // record is the empty sentinel exactly when its queue is empty, and
 // otherwise equals a fresh reading of the queue's front packet — a stale
 // record would arbitrate a packet that is no longer (or not yet) there —
-// and sends it over a channel, or to an endpoint, of the unit's own router.
+// and sends it over a channel, or to an endpoint, of the unit's own router;
+// and that minVC == 0 marks exactly the injection queues (tryForward reads
+// unitEP on that condition alone).
 // Both hold between any two cycles; the property and fuzz tests call it
 // after runs (including terminated-early fault runs where stranded ids
 // legitimately stay in queues) and every few cycles during some.
@@ -150,6 +152,9 @@ func (e *Engine) slabCheck() error {
 			}
 		}
 		got := e.units[u]
+		if (got.minVC == 0) != (e.unitEP[u] >= 0) {
+			return fmt.Errorf("sim: unit %d has minVC %d and endpoint %d: minVC 0 must mark exactly the injection queues", u, got.minVC, e.unitEP[u])
+		}
 		if q.empty() {
 			if got.next != headEmpty {
 				return fmt.Errorf("sim: unit %d is empty, its head record says next %d", u, got.next)
