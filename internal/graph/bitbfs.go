@@ -13,12 +13,14 @@
 // word-parallel expansions replace 64 scalar traversals.
 //
 // There is one level loop (bitBFS) behind the three exported entry
-// points. Its advance pass does a few word operations per vertex: new bits
-// are attributed to lanes by a bit-sliced counter (laneCounter) that is
-// read out once per level, and a running count of visited (vertex, lane)
-// bits ends the batch the moment every lane has covered the graph, so
-// the last frontier of a connected batch is never expanded. Batches that
-// cannot cover the graph end on the first empty level.
+// points. Its advance pass does a few branch-free word operations per
+// vertex: new bits are attributed to lanes by a bit-sliced carry-save
+// counter (laneCounter) that is read out once per level, and a running
+// count of visited (vertex, lane) bits ends the batch the moment every
+// lane has covered the graph, so the last frontier of a connected batch
+// is never expanded. Batches that cannot cover the graph end on the
+// first empty level. Most of a level's cost is the expand pass: one
+// random OR into next per CSR arc.
 //
 // All aggregates are integers, so every summation order yields the same
 // result; the parallel drivers nevertheless shard source batches in a
@@ -85,30 +87,78 @@ type BatchBFSStats struct {
 }
 
 // laneCounter counts, for each of the 64 bit lanes, the added words that
-// had the lane's bit set. It is bit-sliced: plane i holds bit i of all 64
-// counts, so add is a ripple-carry increment of every set lane at once.
-// The carry runs as far as the longest run of low one-bits among those
-// lanes' counts — two planes for a sparse word, about log₂(set bits)+2
-// for a dense one — where attributing bits to lanes one at a time costs
-// one step per set bit. 32 planes hold any count a level can produce
-// (below 2³¹ vertices).
-type laneCounter [32]uint64
+// had the lane's bit set. It is bit-sliced — plane i holds bit i of all
+// 64 counts — and fed Harley–Seal style: add only buffers a word, and
+// every 16th add compresses the block into planes 0–3 with 15 carry-save
+// adders (five word operations each, no branch), leaving one "sixteens"
+// word that ripples upward from plane 4. A ripple-carry add per word
+// would run one dependent step per plane its carry crosses and end on a
+// branch the CPU cannot predict. 32 planes hold any count a level can
+// produce (below 2³¹ vertices).
+type laneCounter struct {
+	plane [32]uint64
+	buf   [16]uint64
+	n     int // words in buf
+}
 
 func (c *laneCounter) add(w uint64) {
-	for i := 0; w != 0; i++ {
-		c[i], w = c[i]^w, c[i]&w
+	c.buf[c.n&15] = w // n < 16 here; the mask only drops the bounds check
+	if c.n++; c.n == len(c.buf) {
+		c.flush()
 	}
 }
 
-// drain writes the 64 counts to out and zeroes the counter.
+// csa is a carry-save adder: per lane, a+b+c = 2·hi + lo.
+func csa(a, b, c uint64) (hi, lo uint64) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
+}
+
+// flush compresses the full buffer into the planes.
+func (c *laneCounter) flush() {
+	b := &c.buf
+	ones, twos, fours, eights := c.plane[0], c.plane[1], c.plane[2], c.plane[3]
+	var twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens uint64
+	twosA, ones = csa(ones, b[0], b[1])
+	twosB, ones = csa(ones, b[2], b[3])
+	foursA, twos = csa(twos, twosA, twosB)
+	twosA, ones = csa(ones, b[4], b[5])
+	twosB, ones = csa(ones, b[6], b[7])
+	foursB, twos = csa(twos, twosA, twosB)
+	eightsA, fours = csa(fours, foursA, foursB)
+	twosA, ones = csa(ones, b[8], b[9])
+	twosB, ones = csa(ones, b[10], b[11])
+	foursA, twos = csa(twos, twosA, twosB)
+	twosA, ones = csa(ones, b[12], b[13])
+	twosB, ones = csa(ones, b[14], b[15])
+	foursB, twos = csa(twos, twosA, twosB)
+	eightsB, fours = csa(fours, foursA, foursB)
+	sixteens, eights = csa(eights, eightsA, eightsB)
+	c.plane[0], c.plane[1], c.plane[2], c.plane[3] = ones, twos, fours, eights
+	c.ripple(4, sixteens)
+	c.n = 0
+}
+
+// ripple adds w at plane i: bit-sliced ripple-carry.
+func (c *laneCounter) ripple(i int, w uint64) {
+	for ; w != 0; i++ {
+		c.plane[i], w = c.plane[i]^w, c.plane[i]&w
+	}
+}
+
+// drain writes the 64 counts to out and zeroes the counter, buffer
+// included.
 func (c *laneCounter) drain(out *[64]int64) {
+	for _, w := range c.buf[:c.n] {
+		c.ripple(0, w)
+	}
 	*out = [64]int64{}
-	for i, plane := range c {
+	for i, plane := range c.plane {
 		for w := plane; w != 0; w &= w - 1 {
 			out[bits.TrailingZeros64(w)] += 1 << uint(i)
 		}
-		c[i] = 0
 	}
+	*c = laneCounter{}
 }
 
 // bfsRecord selects what one batch records besides its BatchBFSStats;

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -443,12 +444,14 @@ func TestBitBFSOneKernelThreeFaces(t *testing.T) {
 }
 
 // TestLaneCounter checks the bit-sliced counter against counting each
-// lane's bit directly, past 2¹⁶ additions and across a drain.
+// lane's bit directly: on both sides of the 16-word block boundaries, so
+// drains land mid-block and on one, past 2¹⁶ additions and across
+// drains.
 func TestLaneCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var c laneCounter
 	var got, want [64]int64
-	for round, adds := range []int{0, 1, 1000, 1<<16 + 5} {
+	for round, adds := range []int{0, 1, 15, 16, 17, 31, 32, 33, 1000, 1<<16 + 5} {
 		want = [64]int64{}
 		for i := 0; i < adds; i++ {
 			w := rng.Uint64() & rng.Uint64() // lanes set a quarter of the time
@@ -481,6 +484,41 @@ func TestLaneCounter(t *testing.T) {
 	if total != int64(bits.OnesCount64(w)) {
 		t.Fatalf("one word: lane counts sum to %d, popcount %d", total, bits.OnesCount64(w))
 	}
+}
+
+// FuzzLaneCounter checks arbitrary word sequences, drained at arbitrary
+// points, against counting each lane's bit directly.
+func FuzzLaneCounter(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff"), uint16(1))
+	f.Add(make([]byte, 8*40), uint16(16))
+	f.Add([]byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"+
+		"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"), uint16(5))
+	f.Fuzz(func(t *testing.T, data []byte, every uint16) {
+		var c laneCounter
+		var got, want [64]int64
+		check := func(i int) {
+			c.drain(&got)
+			if got != want {
+				t.Fatalf("after word %d: counts %v, want %v", i, got, want)
+			}
+			if c != (laneCounter{}) {
+				t.Fatalf("after word %d: counter not zero after drain", i)
+			}
+			want = [64]int64{}
+		}
+		for i := 0; i+8 <= len(data); i += 8 {
+			w := binary.LittleEndian.Uint64(data[i:])
+			c.add(w)
+			for lane := 0; lane < 64; lane++ {
+				want[lane] += int64(w >> uint(lane) & 1)
+			}
+			if every > 0 && (i/8+1)%int(every) == 0 {
+				check(i / 8)
+			}
+		}
+		check(len(data) / 8)
+	})
 }
 
 // TestBitBFSBatchZeroAllocs: on a warmed scratch none of the three entry

@@ -54,6 +54,37 @@ func BenchmarkBitBFSBatchRows(b *testing.B) {
 	}
 }
 
+var laneCountSink [64]int64
+
+// BenchmarkLaneCounter is the advance pass's lane attribution alone: one
+// add per op, drained every 4096 adds (a level at n = 4096). sparse words
+// carry one or two lanes, as a vertex does on the first level of a batch;
+// dense words carry about half of them, as on the middle levels.
+func BenchmarkLaneCounter(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	sparse := make([]uint64, 4096)
+	dense := make([]uint64, 4096)
+	for i := range sparse {
+		sparse[i] = 1<<uint(rng.Intn(64)) | 1<<uint(rng.Intn(64))
+		dense[i] = rng.Uint64()
+	}
+	for _, c := range []struct {
+		name  string
+		words []uint64
+	}{{"sparse", sparse}, {"dense", dense}} {
+		b.Run(c.name, func(b *testing.B) {
+			var cnt laneCounter
+			for i := 0; i < b.N; i++ {
+				cnt.add(c.words[i&4095])
+				if i&4095 == 4095 {
+					cnt.drain(&laneCountSink)
+				}
+			}
+			cnt.drain(&laneCountSink)
+		})
+	}
+}
+
 func BenchmarkBuild10kEdges(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		randomGraph(1000, 20, int64(i))

@@ -213,12 +213,33 @@ func TestEdgeListIO(t *testing.T) {
 	}
 }
 
+// TestReadEdgeListErrors: malformed outside bytes are errors, never
+// panics or silently accepted lines.
 func TestReadEdgeListErrors(t *testing.T) {
-	if _, err := ReadEdgeList(bytes.NewBufferString("")); err == nil {
-		t.Error("empty input should error")
-	}
-	if _, err := ReadEdgeList(bytes.NewBufferString("0 1\n")); err == nil {
-		t.Error("edge before header should error")
+	for _, in := range []string{
+		"",                         // empty input
+		"0 1\n",                    // edge before header
+		"# n 3\n0 5\n",             // id above n
+		"# n 3\n-1 2\n",            // negative id
+		"# n 2\n7 loop\n",          // loop on an id above n
+		"# n 3\n0 1 junk\n",        // trailing token
+		"# n 3\n0\n",               // one token
+		"# n 3\nx 1\n",             // not an integer
+		"# n -3\n",                 // negative vertex count
+		"# n 3x\n",                 // vertex count with a suffix
+		"# n 99999999999\n",        // vertex count above the cap
+		"# n 3\n0 1\n# n 4\n1 3\n", // count redefined after an edge
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("ReadEdgeList(%q) panicked: %v", in, r)
+				}
+			}()
+			if g, err := ReadEdgeList(bytes.NewBufferString(in)); err == nil {
+				t.Errorf("ReadEdgeList(%q) = %v, want an error", in, g)
+			}
+		}()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -40,28 +41,53 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the format produced by WriteEdgeList.
+// maxEdgeListVertices caps the vertex count ReadEdgeList accepts, so
+// that no header can make it allocate more than a few tens of MB before
+// the first edge is read. It is far above any graph the repository
+// builds (the largest, IQ(23,11), has 13 272 vertices) and keeps every id
+// inside the CSR's int32 range.
+const maxEdgeListVertices = 1 << 22
+
+// ReadEdgeList parses the format produced by WriteEdgeList. Input is
+// outside bytes: a malformed header, a line that is not exactly "u v" or
+// "v loop", a vertex id outside [0, n) or a vertex count above
+// maxEdgeListVertices is an error, never a panic.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	name := ""
 	n := -1
 	var b *Builder
+	vertex := func(line, s string) (int, error) {
+		v, err := strconv.Atoi(s)
+		if err != nil {
+			return 0, fmt.Errorf("graph: bad line %q: %v", line, err)
+		}
+		if v < 0 || v >= n {
+			return 0, fmt.Errorf("graph: line %q: vertex %d out of range [0,%d)", line, v, n)
+		}
+		return v, nil
+	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
+		fields := strings.Fields(line)
 		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
 			for i := 1; i < len(fields)-1; i++ {
 				switch fields[i] {
 				case "name":
 					name = fields[i+1]
 				case "n":
-					if _, err := fmt.Sscanf(fields[i+1], "%d", &n); err != nil {
-						return nil, fmt.Errorf("graph: bad header %q: %v", line, err)
+					if b != nil {
+						return nil, fmt.Errorf("graph: header %q after the first edge", line)
 					}
+					c, err := strconv.Atoi(fields[i+1])
+					if err != nil || c < 0 || c > maxEdgeListVertices {
+						return nil, fmt.Errorf("graph: bad header %q: vertex count must be an integer in [0,%d]", line, maxEdgeListVertices)
+					}
+					n = c
 				}
 			}
 			continue
@@ -69,19 +95,21 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if n < 0 {
 			return nil, fmt.Errorf("graph: edge before '# n <count>' header")
 		}
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("graph: bad line %q: want \"u v\" or \"v loop\"", line)
+		}
 		if b == nil {
 			b = NewBuilder(name, n)
 		}
-		var u, v int
-		if strings.HasSuffix(line, "loop") {
-			if _, err := fmt.Sscanf(line, "%d loop", &u); err != nil {
-				return nil, fmt.Errorf("graph: bad loop line %q: %v", line, err)
-			}
-			b.AddEdge(u, u)
-			continue
+		u, err := vertex(line, fields[0])
+		if err != nil {
+			return nil, err
 		}
-		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
-			return nil, fmt.Errorf("graph: bad edge line %q: %v", line, err)
+		v := u
+		if fields[1] != "loop" {
+			if v, err = vertex(line, fields[1]); err != nil {
+				return nil, err
+			}
 		}
 		b.AddEdge(u, v)
 	}

@@ -10,7 +10,9 @@ package search
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"strconv"
 
 	"polarstar/internal/graph"
 )
@@ -88,6 +90,14 @@ func Restore(cp *Checkpoint, workers, epochs int) (*Engine, error) {
 	if len(cp.States) != p.Searchers {
 		return nil, fmt.Errorf("search: checkpoint has %d states for %d searchers", len(cp.States), p.Searchers)
 	}
+	// Edges are int32 pairs, so no vertex count above MaxInt32 is
+	// addressable.
+	if cp.N < 0 || cp.N > math.MaxInt32 {
+		return nil, fmt.Errorf("search: checkpoint vertex count %d outside [0,%d]", cp.N, math.MaxInt32)
+	}
+	if err := checkEdges("best", cp.BestEdges, cp.N); err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		p:         p,
 		name:      cp.Name,
@@ -102,9 +112,18 @@ func Restore(cp *Checkpoint, workers, epochs int) (*Engine, error) {
 		if st.ID != i {
 			return nil, fmt.Errorf("search: checkpoint state %d has id %d", i, st.ID)
 		}
-		var x uint64
-		if _, err := fmt.Sscanf(st.Rng, "%x", &x); err != nil {
+		x, err := strconv.ParseUint(st.Rng, 16, 64)
+		if err != nil {
 			return nil, fmt.Errorf("search: state %d rng %q: %v", i, st.Rng, err)
+		}
+		if len(st.Edges) < 2 {
+			return nil, fmt.Errorf("search: state %d has %d edges; 2-opt needs at least 2", i, len(st.Edges))
+		}
+		if err := checkEdges(fmt.Sprintf("state %d", i), st.Edges, cp.N); err != nil {
+			return nil, err
+		}
+		if err := checkEdges(fmt.Sprintf("state %d best", i), st.BestEdges, cp.N); err != nil {
+			return nil, err
 		}
 		s := &searcher{
 			id:          st.ID,
@@ -123,6 +142,16 @@ func Restore(cp *Checkpoint, workers, epochs int) (*Engine, error) {
 		e.searchers = append(e.searchers, s)
 	}
 	return e, nil
+}
+
+// checkEdges rejects an edge snapshot with an endpoint outside [0, n).
+func checkEdges(what string, edges [][2]int32, n int) error {
+	for _, e := range edges {
+		if e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n {
+			return fmt.Errorf("search: checkpoint %s edge %v outside [0,%d)", what, e, n)
+		}
+	}
+	return nil
 }
 
 // WriteCheckpoint writes the checkpoint as indented JSON with a trailing

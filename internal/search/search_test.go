@@ -253,32 +253,68 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// TestRestoreValidation: a malformed checkpoint (`pssearch -resume` reads
+// outside bytes) is an error from Restore, never a panic there or later.
 func TestRestoreValidation(t *testing.T) {
 	e, err := New(startGraph(t), testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := e.Checkpoint()
-
-	bad := *good
-	bad.Schema = "nope/v0"
-	if _, err := Restore(&bad, 1, 0); err == nil {
-		t.Error("bad schema accepted")
+	if _, err := Restore(good, 1, 0); err != nil {
+		t.Fatalf("good checkpoint rejected: %v", err)
 	}
-
-	bad = *good
-	bad.States = bad.States[:1]
-	if _, err := Restore(&bad, 1, 0); err == nil {
-		t.Error("truncated states accepted")
+	for _, c := range []struct {
+		name   string
+		mutate func(cp *Checkpoint)
+	}{
+		{"bad schema", func(cp *Checkpoint) { cp.Schema = "nope/v0" }},
+		{"truncated states", func(cp *Checkpoint) { cp.States = cp.States[:1] }},
+		{"cost/graph mismatch", func(cp *Checkpoint) { cp.States[0].Cost += 5 }},
+		{"negative n", func(cp *Checkpoint) { cp.N = -1 }},
+		{"edge endpoint above n", func(cp *Checkpoint) { cp.States[1].Edges[3][1] = int32(cp.N) }},
+		{"negative edge endpoint", func(cp *Checkpoint) { cp.States[1].Edges[3][0] = -2 }},
+		{"best edge above n", func(cp *Checkpoint) { cp.BestEdges[0][1] = int32(cp.N) + 7 }},
+		{"state best edge above n", func(cp *Checkpoint) { cp.States[2].BestEdges[5][0] = int32(cp.N) }},
+		{"too few edges", func(cp *Checkpoint) {
+			// Consistent cost, so only the edge count is wrong: 2-opt
+			// would draw from zero arcs.
+			st := &cp.States[0]
+			st.Edges = st.Edges[:0]
+			st.Cost = costOf(graph.NewDeltaStats(buildFromEdges(cp.Name, cp.N, st.Edges)), cp.N)
+		}},
+		{"non-hex rng", func(cp *Checkpoint) { cp.States[0].Rng = "0123456789abcdeg" }},
+	} {
+		bad := cloneCheckpoint(good)
+		c.mutate(bad)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", c.name, r)
+				}
+			}()
+			// Run too: an accepted checkpoint whose best edges are out of
+			// range would panic only when the result is built.
+			if e, err := Restore(bad, 1, 0); err == nil {
+				e.Run()
+				t.Errorf("%s: accepted", c.name)
+			}
+		}()
 	}
+}
 
-	bad = *good
-	states := append([]SearcherState(nil), good.States...)
-	states[0].Cost += 5
-	bad.States = states
-	if _, err := Restore(&bad, 1, 0); err == nil {
-		t.Error("cost/graph mismatch accepted")
+// cloneCheckpoint deep-copies the parts of a checkpoint the validation
+// cases mutate.
+func cloneCheckpoint(cp *Checkpoint) *Checkpoint {
+	edges := func(es [][2]int32) [][2]int32 { return append([][2]int32(nil), es...) }
+	c := *cp
+	c.BestEdges = edges(cp.BestEdges)
+	c.States = append([]SearcherState(nil), cp.States...)
+	for i := range c.States {
+		c.States[i].Edges = edges(c.States[i].Edges)
+		c.States[i].BestEdges = edges(c.States[i].BestEdges)
 	}
+	return &c
 }
 
 func TestNewRejectsDegenerateStarts(t *testing.T) {
