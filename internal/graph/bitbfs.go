@@ -1,18 +1,20 @@
 // Bit-parallel multi-source BFS: the all-pairs engine behind the
 // diameter-3 verification, the fault-tolerance sweeps, the measured
-// design-space tables and the search's delta evaluation.
+// design-space tables, the search's delta evaluation and the all-pairs
+// routing tables.
 //
 // The kernel runs up to 64 BFS traversals simultaneously, one per bit
 // lane of a machine word: frontier/visited state is one uint64 per
 // vertex, a level expansion ORs frontier words across the CSR adjacency,
 // and per-level lane counts recover exact per-source distance aggregates
 // (sum, count, eccentricity) plus, on request, a global distance
-// histogram, per-lane level counts or full distance vectors. One batch
+// histogram, per-lane level counts, full distance vectors or, per arc,
+// the lanes whose source the arc steps one hop closer to. One batch
 // therefore traverses the edge array once per BFS *level* instead of once
 // per *source*: on the diameter-3 graphs this repository studies, three
 // word-parallel expansions replace 64 scalar traversals.
 //
-// There is one level loop (bitBFS) behind the three exported entry
+// There is one level loop (bitBFS) behind the four exported entry
 // points. Its advance pass does a few branch-free word operations per
 // vertex: new bits are attributed to lanes by a bit-sliced carry-save
 // counter (laneCounter) that is read out once per level, and a running
@@ -28,10 +30,10 @@
 // keeping results bit-identical to the scalar reference at any
 // GOMAXPROCS.
 //
-// Scalar BFS (BFSDistancesScratch) still wins when the caller needs the
-// actual distance vector of one source (routing-table construction) or
-// when the graph is tiny enough that arena setup dominates; the kernel
-// wins whenever ≥64 sources are aggregated.
+// Scalar BFS (BFSDistancesScratch) serves single-source queries; the
+// kernel wins whenever many sources are traversed, whether their results
+// are aggregated or kept (routing tables read each batch's distance
+// vectors and arc record).
 package graph
 
 import (
@@ -164,15 +166,16 @@ func (c *laneCounter) drain(out *[64]int64) {
 // bfsRecord selects what one batch records besides its BatchBFSStats;
 // the zero value records nothing more.
 type bfsRecord struct {
-	dst    []bool  // count only these destinations (nil: all)
-	hist   []int64 // hist[d] += counted pairs at distance d (nil: off)
-	dist   []uint8 // vertex-major distance vectors, see BitBFSBatchDist
-	rows   []int32 // lane-major level counts, see BitBFSBatchRows
-	stride int     // of dist or rows
-	limit  int32   // smallest distance that does not fit (0: none)
+	dst    []bool   // count only these destinations (nil: all)
+	hist   []int64  // hist[d] += counted pairs at distance d (nil: off)
+	dist   []uint8  // vertex-major distance vectors, see BitBFSBatchDist
+	rows   []int32  // lane-major level counts, see BitBFSBatchRows
+	arcs   []uint64 // per-arc lanes that step one hop closer, see BitBFSBatchArcs
+	stride int      // of dist or rows
+	limit  int32    // smallest distance that does not fit (0: none)
 }
 
-// bitBFS is the level loop behind the three exported batch entry points:
+// bitBFS is the level loop behind the four exported batch entry points:
 // one level-synchronous bit-parallel BFS from up to 64 sources. It
 // returns ok=false as soon as a non-empty level reaches r.limit. It ends
 // once every lane has visited every vertex — so a connected batch never
@@ -208,6 +211,11 @@ func (g *Graph) bitBFS(srcs []int32, s *BitBFSScratch, r *bfsRecord) (st BatchBF
 			for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
 				next[v] |= f
 			}
+		}
+		// Arcs come only with distance vectors (BitBFSBatchArcs); testing
+		// dist first measured ~1.5 % faster on batches recording neither.
+		if dist != nil && r.arcs != nil {
+			g.recordArcs(r.arcs, s)
 		}
 		// Advance: newly-reached bits become the next frontier and are
 		// counted per lane.
@@ -273,6 +281,19 @@ func (g *Graph) bitBFS(srcs []int32, s *BitBFSScratch, r *bfsRecord) (st BatchBF
 	return st, true
 }
 
+// recordArcs is the arc pass between a level's expand and advance: a
+// lane new at v steps one hop closer to its source over every arc v→w
+// whose w is on the lane's current frontier.
+func (g *Graph) recordArcs(arcs []uint64, s *BitBFSScratch) {
+	for v, x := range s.next {
+		if nw := x &^ s.visited[v]; nw != 0 {
+			for c := g.off[v]; c < g.off[v+1]; c++ {
+				arcs[c] |= s.frontier[g.nbr[c]] & nw
+			}
+		}
+	}
+}
+
 // BitBFSBatch runs one level-synchronous bit-parallel BFS from up to 64
 // sources simultaneously and returns exact per-source distance
 // aggregates derived from per-level lane counts.
@@ -309,13 +330,22 @@ const DistUnreachable = ^uint8(0)
 // contents unspecified) if any distance reaches 255, so callers can
 // fall back to treating every source as dirty.
 func (g *Graph) BitBFSBatchDist(srcs []int32, s *BitBFSScratch, dist []uint8, stride int) (st BatchBFSStats, ok bool) {
+	return g.BitBFSBatchArcs(srcs, s, dist, stride, nil)
+}
+
+// BitBFSBatchArcs is BitBFSBatchDist additionally recording every
+// source's minimal next hops: bit lane of arcs[c], c the channel id of
+// arc v→w, is set exactly when dist(srcs[lane], w) = dist(srcs[lane], v)
+// − 1. arcs (length ≥ NumChannels()) is cleared first; nil records none.
+func (g *Graph) BitBFSBatchArcs(srcs []int32, s *BitBFSScratch, dist []uint8, stride int, arcs []uint64) (st BatchBFSStats, ok bool) {
 	if stride < len(srcs) {
 		panic("graph: BitBFSBatchDist stride below lane count")
 	}
+	clear(arcs)
 	for lane, v := range srcs {
 		dist[int(v)*stride+lane] = 0
 	}
-	return g.bitBFS(srcs, s, &bfsRecord{dist: dist, stride: stride, limit: int32(DistUnreachable)})
+	return g.bitBFS(srcs, s, &bfsRecord{dist: dist, arcs: arcs, stride: stride, limit: int32(DistUnreachable)})
 }
 
 // BitBFSBatchRows is BitBFSBatch additionally recording per-lane level

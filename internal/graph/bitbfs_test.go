@@ -443,6 +443,63 @@ func TestBitBFSOneKernelThreeFaces(t *testing.T) {
 	}
 }
 
+// TestBitBFSBatchArcs: on random graphs (disconnected ones included),
+// bit lane of arcs[c], c = v→w, is set exactly when a scalar BFS from
+// srcs[lane] puts w one hop closer than v, and the distances match too —
+// for a full consecutive batch, a partial one and a sorted
+// non-consecutive source list (a repair's dirty rows), each time into a
+// dirty arc buffer.
+func TestBitBFSBatchArcs(t *testing.T) {
+	var s BitBFSScratch
+	for seed := int64(0); seed < 30; seed++ {
+		g := randomBitGraph(seed)
+		n := g.N()
+		rng := rand.New(rand.NewSource(seed))
+		var scattered []int32
+		for v := 0; v < n && len(scattered) < 64; v++ {
+			if rng.Intn(3) == 0 {
+				scattered = append(scattered, int32(v))
+			}
+		}
+		consecutive := make([]int32, min(64, n))
+		for i := range consecutive {
+			consecutive[i] = int32(i)
+		}
+		partial := consecutive[:min(37, n)]
+		for _, srcs := range [][]int32{consecutive, partial, scattered} {
+			dist := make([]uint8, n*64)
+			arcs := make([]uint64, g.NumChannels())
+			for c := range arcs {
+				arcs[c] = rng.Uint64()
+			}
+			if _, ok := g.BitBFSBatchArcs(srcs, &s, dist, 64, arcs); !ok {
+				t.Fatalf("seed %d: distance limit hit", seed)
+			}
+			for lane, src := range srcs {
+				ref := g.BFSDistances(int(src), nil)
+				for v := 0; v < n; v++ {
+					if want := uint8(ref[v]); dist[v*64+lane] != want {
+						t.Fatalf("seed %d lane %d: dist[%d] = %d, want %d", seed, lane, v, dist[v*64+lane], want)
+					}
+					for c := g.FirstChannel(v); c < g.FirstChannel(v)+g.Degree(v); c++ {
+						w := g.ChannelTo(c)
+						want := ref[v] > 0 && ref[w] == ref[v]-1
+						if got := arcs[c]>>uint(lane)&1 == 1; got != want {
+							t.Fatalf("seed %d lane %d (src %d): arc %d→%d = %v, want %v (dist %d→%d)",
+								seed, lane, src, v, w, got, want, ref[v], ref[w])
+						}
+					}
+				}
+			}
+			for c, a := range arcs {
+				if a>>uint(len(srcs)) != 0 {
+					t.Fatalf("seed %d: arc %d has bits beyond lane %d", seed, c, len(srcs))
+				}
+			}
+		}
+	}
+}
+
 // TestLaneCounter checks the bit-sliced counter against counting each
 // lane's bit directly: on both sides of the 16-word block boundaries, so
 // drains land mid-block and on one, past 2¹⁶ additions and across
@@ -521,9 +578,9 @@ func FuzzLaneCounter(f *testing.F) {
 	})
 }
 
-// TestBitBFSBatchZeroAllocs: on a warmed scratch none of the three entry
-// points allocates, so all-pairs drivers and DeltaStats pay per batch
-// for traversal only.
+// TestBitBFSBatchZeroAllocs: on a warmed scratch none of the four entry
+// points allocates, so all-pairs drivers, DeltaStats and table builds pay
+// per batch for traversal only.
 func TestBitBFSBatchZeroAllocs(t *testing.T) {
 	g := gnp(200, 0.05, 7)
 	srcs := make([]int32, 64)
@@ -534,13 +591,15 @@ func TestBitBFSBatchZeroAllocs(t *testing.T) {
 	hist := make([]int64, 64)
 	dist := make([]uint8, g.N()*64)
 	rows := make([]int32, 64*64)
+	arcs := make([]uint64, g.NumChannels())
 	allocs := testing.AllocsPerRun(10, func() {
 		g.BitBFSBatch(srcs, &s, nil, nil)
 		g.BitBFSBatch(srcs, &s, nil, hist)
 		g.BitBFSBatchDist(srcs, &s, dist, 64)
 		g.BitBFSBatchRows(srcs, &s, rows, 64)
+		g.BitBFSBatchArcs(srcs, &s, dist, 64, arcs)
 	})
 	if allocs != 0 {
-		t.Errorf("%v allocations per four batches on a warmed scratch, want 0", allocs)
+		t.Errorf("%v allocations per five batches on a warmed scratch, want 0", allocs)
 	}
 }

@@ -46,7 +46,7 @@ const adjBitmapMax = 2048
 type Builder struct {
 	name  string
 	n     int
-	edges map[int64]struct{}
+	keys  []int64 // min(u,v)<<32 | max(u,v) per AddEdge, duplicates included
 	loops []bool
 }
 
@@ -55,19 +55,7 @@ func NewBuilder(name string, n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Builder{
-		name:  name,
-		n:     n,
-		edges: make(map[int64]struct{}),
-		loops: make([]bool, n),
-	}
-}
-
-func (b *Builder) key(u, v int) int64 {
-	if u > v {
-		u, v = v, u
-	}
-	return int64(u)<<32 | int64(v)
+	return &Builder{name: name, n: n, loops: make([]bool, n)}
 }
 
 // AddEdge inserts the undirected edge {u, v}. Inserting an existing edge is
@@ -80,42 +68,53 @@ func (b *Builder) AddEdge(u, v int) {
 		b.loops[u] = true
 		return
 	}
-	b.edges[b.key(u, v)] = struct{}{}
-}
-
-// HasEdge reports whether {u,v} was already added.
-func (b *Builder) HasEdge(u, v int) bool {
-	if u == v {
-		return b.loops[u]
-	}
-	_, ok := b.edges[b.key(u, v)]
-	return ok
+	b.keys = append(b.keys, int64(min(u, v))<<32|int64(max(u, v)))
 }
 
 // Build finalizes the graph. The builder must not be used afterwards.
+// Two counting-sort passes (by v, then stably by u) order the keys by
+// (u, v) and Compact drops duplicates; emitting the CSR in key order then
+// leaves every neighbour list sorted, as FilterEdgesScratch's second pass
+// does.
 func (b *Builder) Build() *Graph {
-	deg := make([]int32, b.n)
-	for k := range b.edges {
-		deg[int(k>>32)]++
-		deg[int(k&0xffffffff)]++
+	keys, buf := b.keys, make([]int64, len(b.keys))
+	pos := make([]int32, b.n+1)
+	for _, shift := range [2]uint{0, 32} {
+		clear(pos)
+		for _, k := range keys {
+			pos[k>>shift&0xffffffff+1]++
+		}
+		for v := 0; v < b.n; v++ {
+			pos[v+1] += pos[v]
+		}
+		for _, k := range keys {
+			d := k >> shift & 0xffffffff
+			buf[pos[d]] = k
+			pos[d]++
+		}
+		keys, buf = buf, keys
 	}
+	keys = slices.Compact(keys)
 	off := make([]int32, b.n+1)
+	for _, k := range keys {
+		off[k>>32+1]++
+		off[k&0xffffffff+1]++
+	}
 	for v := 0; v < b.n; v++ {
-		off[v+1] = off[v] + deg[v]
+		off[v+1] += off[v]
 	}
 	nbr := make([]int32, off[b.n])
-	fill := make([]int32, b.n)
-	for k := range b.edges {
-		u, v := int(k>>32), int(k&0xffffffff)
-		nbr[off[u]+fill[u]] = int32(v)
-		nbr[off[v]+fill[v]] = int32(u)
+	fill := slices.Clone(off[:b.n])
+	for _, k := range keys {
+		u, v := k>>32, k&0xffffffff
+		nbr[fill[u]] = int32(v)
+		nbr[fill[v]] = int32(u)
 		fill[u]++
 		fill[v]++
 	}
 	nLoops := 0
-	for v := 0; v < b.n; v++ {
-		slices.Sort(nbr[off[v]:off[v+1]])
-		if b.loops[v] {
+	for _, l := range b.loops {
+		if l {
 			nLoops++
 		}
 	}
@@ -125,7 +124,7 @@ func (b *Builder) Build() *Graph {
 		off:    off,
 		nbr:    nbr,
 		loops:  b.loops,
-		nEdges: len(b.edges),
+		nEdges: len(keys),
 		nLoops: nLoops,
 	}
 	g.buildAdjBitmap()

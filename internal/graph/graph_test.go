@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +56,80 @@ func TestBuilderDedupAndLoops(t *testing.T) {
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) || g.HasEdge(0, 2) || g.HasEdge(2, 2) {
 		t.Error("HasEdge wrong")
+	}
+}
+
+// mapBuild is the hash-set Builder that the sorted key slice replaced,
+// kept as its oracle: edges deduplicated through a map, CSR filled in
+// map order, then every neighbour list sorted.
+func mapBuild(name string, n int, edges [][2]int) *Graph {
+	set := map[int64]struct{}{}
+	loops := make([]bool, n)
+	nLoops := 0
+	for _, e := range edges {
+		u, v := min(e[0], e[1]), max(e[0], e[1])
+		if u == v {
+			if !loops[u] {
+				nLoops++
+			}
+			loops[u] = true
+			continue
+		}
+		set[int64(u)<<32|int64(v)] = struct{}{}
+	}
+	off := make([]int32, n+1)
+	for k := range set {
+		off[k>>32+1]++
+		off[k&0xffffffff+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	nbr := make([]int32, off[n])
+	fill := slices.Clone(off[:n])
+	for k := range set {
+		u, v := k>>32, k&0xffffffff
+		nbr[fill[u]], nbr[fill[v]] = int32(v), int32(u)
+		fill[u]++
+		fill[v]++
+	}
+	for v := 0; v < n; v++ {
+		slices.Sort(nbr[off[v]:off[v+1]])
+	}
+	g := &Graph{name: name, n: n, off: off, nbr: nbr, loops: loops, nEdges: len(set), nLoops: nLoops}
+	g.buildAdjBitmap()
+	return g
+}
+
+// TestBuilderMatchesMapBuild: the key-slice Builder produces the map
+// oracle's graph — CSR, loops, counts and adjacency bitmap — whatever the
+// insertion order, duplicates, reversed pairs and loops included.
+func TestBuilderMatchesMapBuild(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(300)
+		var edges [][2]int
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			e := [2]int{rng.Intn(n), rng.Intn(n)}
+			if rng.Intn(8) == 0 {
+				e[1] = e[0] // loop
+			}
+			edges = append(edges, e)
+			if rng.Intn(4) == 0 {
+				edges = append(edges, [2]int{e[1], e[0]}) // reversed duplicate
+			}
+		}
+		want := mapBuild("g", n, edges)
+		for pass := 0; pass < 2; pass++ {
+			b := NewBuilder("g", n)
+			for _, e := range edges {
+				b.AddEdge(e[0], e[1])
+			}
+			if got := b.Build(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d pass %d: Build %v differs from the map oracle %v", seed, pass, got, want)
+			}
+			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		}
 	}
 }
 

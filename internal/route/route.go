@@ -12,23 +12,15 @@
 package route
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"polarstar/internal/graph"
 )
-
-func workerCount(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // Engine computes router-level paths through one topology.
 type Engine interface {
@@ -67,9 +59,6 @@ type Table struct {
 	// backing (Slab).
 	masks []uint8
 	mb    int // bytes per entry: ⌈max degree / 8⌉ of the graph the table was built on
-
-	// Reusable BFS state of DropEdge (repair.go), allocated on first use.
-	rs *repairScratch
 }
 
 // TableMode selects minpath diversity for Table engines.
@@ -82,8 +71,9 @@ const (
 	AllMinPaths
 )
 
-// NewTable builds the all-pairs table for g. Graphs are limited to
-// diameter 254 (far beyond every evaluated configuration).
+// NewTable builds the all-pairs table for g. Distances are limited to
+// 254 (far beyond every evaluated configuration); a graph with a longer
+// shortest path panics.
 func NewTable(g *graph.Graph, mode TableMode) *Table {
 	return NewTableInto(g, mode, nil)
 }
@@ -98,52 +88,103 @@ func NewTableInto(g *graph.Graph, mode TableMode, slab []uint8) *Table {
 		slab = make([]uint8, size)
 	}
 	t := &Table{g: g, mode: mode, mb: mb, dist: slab[:n*n], masks: slab[n*n : n*n*(1+mb)]}
-	// Distances are symmetric, so the BFS row of dst is both dist row dst
-	// and everything masks row dst depends on: one parallel pass over
-	// destinations fills both.
-	parallelFor(n, func(dst int, row []int32, scratch *graph.BFSScratch) {
-		t.fillRow(g, dst, row, scratch)
+	// Distances are symmetric, so the kernel batch from destinations
+	// base…base+63 writes their dist columns in place (vertex-major,
+	// stride n) and its arc record gives their masks rows. Batches are
+	// striped over GOMAXPROCS pool tasks, each owning one scratch.
+	ids := make([]int32, n)
+	for v := range ids {
+		ids[v] = int32(v)
+	}
+	workers := min(runtime.GOMAXPROCS(0), (n+63)/64)
+	var long atomic.Bool
+	graph.NewEvalPool(workers).Run(workers, nil, func(w int, _ *graph.BitBFSScratch) {
+		s := fillScratches.Get().(*fillScratch)
+		defer fillScratches.Put(s)
+		for base := 64 * w; base < n; base += 64 * workers {
+			if !t.fillBatch(g, ids[base:min(base+64, n)], t.dist[base:], n, s) {
+				long.Store(true)
+				return
+			}
+		}
 	})
+	if long.Load() {
+		panic(fmt.Sprintf(tooLong, g))
+	}
 	return t
 }
 
-// fillRow recomputes dist row v and masks row v from one BFS of g.
-func (t *Table) fillRow(g *graph.Graph, v int, row []int32, scratch *graph.BFSScratch) {
-	n := g.N()
-	g.BFSDistancesScratch(v, row, scratch)
-	drow := t.dist[v*n : v*n+n]
-	for w, d := range row {
-		if d < 0 {
-			drow[w] = 0xff
-		} else {
-			drow[w] = uint8(d)
-		}
-	}
-	for cur := 0; cur < n; cur++ {
-		t.fillEntry(g, v, cur)
-	}
+// tooLong is the panic of a table whose graph has a shortest path that a
+// dist byte cannot hold.
+const tooLong = "route: %v has a shortest path longer than 254 hops, the table limit"
+
+// fillScratch is one goroutine's state for fillBatch, recycled across
+// table builds and repairs through fillScratches.
+type fillScratch struct {
+	bfs   graph.BitBFSScratch
+	arcs  []uint64
+	dirty []int32 // DropEdge's dirty destinations
+	dist  []uint8 // DropEdge's vertex-major batch distances
 }
 
-// fillEntry recomputes masks entry (dst, cur) from dist row dst and cur's
-// adjacency in g.
-func (t *Table) fillEntry(g *graph.Graph, dst, cur int) {
-	n := g.N()
-	drow := t.dist[dst*n : dst*n+n]
-	e := t.masks[(dst*n+cur)*t.mb:][:t.mb]
-	nbr := g.Neighbors(cur)
-	d := drow[cur]
-	if d == 0 || d == 0xff {
-		nbr = nil
+var fillScratches = sync.Pool{New: func() any { return new(fillScratch) }}
+
+// fillBatch recomputes the masks rows of up to 64 destinations dsts from
+// one kernel batch on g, which also writes their distances into dist
+// (vertex-major with the given stride, see graph.BitBFSBatchDist). It
+// returns false, rows unspecified, if a distance exceeds 254.
+func (t *Table) fillBatch(g *graph.Graph, dsts []int32, dist []uint8, stride int, s *fillScratch) bool {
+	if len(s.arcs) < g.NumChannels() {
+		s.arcs = make([]uint64, g.NumChannels())
 	}
-	for i := range e {
-		var b, bit uint8 = 0, 1
-		for _, w := range nbr[min(i*8, len(nbr)):min(i*8+8, len(nbr))] {
-			// Branch-free "if drow[w] == d-1 { b |= bit }": the build
-			// spends most of its time here and the outcome is unpredictable.
-			b |= bit & uint8(int32(uint32(drow[w]^(d-1))-1)>>31)
-			bit <<= 1
+	if _, ok := g.BitBFSBatchArcs(dsts, &s.bfs, dist, stride, s.arcs); !ok {
+		return false
+	}
+	// Bit lane of arcs[c], c the k-th arc out of cur, is bit k of entry
+	// (dsts[lane], cur): eight slots' words transpose to 64 entry bytes.
+	n, mb := g.N(), t.mb
+	for cur := 0; cur < n; cur++ {
+		slots := s.arcs[g.FirstChannel(cur):][:g.Degree(cur)]
+		for i := 0; i < mb; i++ {
+			var w [8]uint64
+			copy(w[:], slots[min(8*i, len(slots)):])
+			transposeSlots(&w)
+			for lane, d := range dsts {
+				t.masks[(int(d)*n+cur)*mb+i] = uint8(w[lane>>3] >> (8 * (lane & 7)))
+			}
 		}
-		e[i] = b
+	}
+	return true
+}
+
+// transposeSlots turns eight slot words (bit lane of w[k]: slot k steps
+// closer to lane's destination) into 64 entry bytes (byte lane of w read
+// little-endian: bit k set for each such slot k). It is an 8×8 byte
+// transpose followed by an 8×8 bit transpose of every word.
+func transposeSlots(w *[8]uint64) {
+	for i := 0; i < 4; i++ {
+		t := (w[i]>>32 ^ w[i+4]) & 0x00000000ffffffff
+		w[i] ^= t << 32
+		w[i+4] ^= t
+	}
+	for _, i := range [4]int{0, 1, 4, 5} {
+		t := (w[i]>>16 ^ w[i+2]) & 0x0000ffff0000ffff
+		w[i] ^= t << 16
+		w[i+2] ^= t
+	}
+	for i := 0; i < 8; i += 2 {
+		t := (w[i]>>8 ^ w[i+1]) & 0x00ff00ff00ff00ff
+		w[i] ^= t << 8
+		w[i+1] ^= t
+	}
+	for p, x := range w {
+		t := (x ^ x>>7) & 0x00aa00aa00aa00aa
+		x ^= t ^ t<<7
+		t = (x ^ x>>14) & 0x0000cccc0000cccc
+		x ^= t ^ t<<14
+		t = (x ^ x>>28) & 0x00000000f0f0f0f0
+		x ^= t ^ t<<28
+		w[p] = x
 	}
 }
 
@@ -226,24 +267,4 @@ func PathValid(g *graph.Graph, path []int) bool {
 		}
 	}
 	return true
-}
-
-// parallelFor runs fn(i, row, scratch) for i in [0, n) across GOMAXPROCS
-// workers; each worker owns one reusable distance row and BFS scratch.
-func parallelFor(n int, fn func(int, []int32, *graph.BFSScratch)) {
-	workers := workerCount(n)
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			row := make([]int32, n)
-			var scratch graph.BFSScratch
-			for i := w; i < n; i += workers {
-				fn(i, row, &scratch)
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
 }

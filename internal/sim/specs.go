@@ -269,15 +269,9 @@ func bundleflySpec(name string, q, dPrime, p int) (*Spec, error) {
 		return nil, err
 	}
 	// §9.3: Bundlefly stores all minpaths in routing tables.
-	return &Spec{
-		Name:      name,
-		Graph:     bf.G,
-		PerRouter: p,
-		NumGroups: bf.NumGroups(),
-		GroupOf:   bf.GroupOf,
-		MinEngine: route.NewTable(bf.G, route.AllMinPaths),
-		MinHops:   3,
-	}, nil
+	s := tableSpec(name, bf.G, p)
+	s.NumGroups, s.GroupOf = bf.NumGroups(), bf.GroupOf
+	return s, nil
 }
 
 func hyperXSpec(name string, dims []int, p int) (*Spec, error) {
@@ -318,16 +312,23 @@ func lpsSpec(name string, pp, q, p int) (*Spec, error) {
 		return nil, err
 	}
 	// §9.3: Spectralfly stores all minpaths in routing tables.
-	d := int(l.G.Diameter())
+	return tableSpec(name, l.G, p), nil
+}
+
+// tableSpec is a spec routed by an all-minpath table, every router its
+// own group; the table's largest distance is the diameter, which bounds
+// every minimal path.
+func tableSpec(name string, g *graph.Graph, p int) *Spec {
+	tab := route.NewTable(g, route.AllMinPaths)
 	return &Spec{
 		Name:      name,
-		Graph:     l.G,
+		Graph:     g,
 		PerRouter: p,
-		NumGroups: l.G.N(),
+		NumGroups: g.N(),
 		GroupOf:   func(v int) int { return v },
-		MinEngine: route.NewTable(l.G, route.AllMinPaths),
-		MinHops:   d,
-	}, nil
+		MinEngine: tab,
+		MinHops:   tab.MaxDist(),
+	}
 }
 
 func megaflySpec(name string, rho, a, p int) (*Spec, error) {
@@ -358,15 +359,7 @@ func polarFlySpec(name string, q, p int) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Spec{
-		Name:      name,
-		Graph:     er.G,
-		PerRouter: p,
-		NumGroups: er.N(),
-		GroupOf:   func(v int) int { return v },
-		MinEngine: route.NewTable(er.G, route.AllMinPaths),
-		MinHops:   2,
-	}, nil
+	return tableSpec(name, er.G, p), nil
 }
 
 // slimFlySpec builds the diameter-2 SlimFly network (the MMS graph used
@@ -377,15 +370,7 @@ func slimFlySpec(name string, q, p int) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Spec{
-		Name:      name,
-		Graph:     mms.G,
-		PerRouter: p,
-		NumGroups: mms.N(),
-		GroupOf:   func(v int) int { return v },
-		MinEngine: route.NewTable(mms.G, route.AllMinPaths),
-		MinHops:   2,
-	}, nil
+	return tableSpec(name, mms.G, p), nil
 }
 
 func fatTreeSpec(name string, p int) (*Spec, error) {

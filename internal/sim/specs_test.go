@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"polarstar/internal/route"
@@ -64,6 +66,30 @@ func TestSpecDiametersAtMost3ForDirectDiam3Topologies(t *testing.T) {
 		if d := spec.Graph.Diameter(); d > int32(spec.MinHops) {
 			t.Errorf("%s diameter %d exceeds MinHops %d", name, d, spec.MinHops)
 		}
+	}
+}
+
+// TestTableSpecMinHopsIsDiameter: every table-routed spec (-small and
+// Table 3) bounds its minimal paths by the graph's diameter, which
+// Spectralfly reads off its routing table instead of a second all-pairs
+// pass.
+func TestTableSpecMinHopsIsDiameter(t *testing.T) {
+	checked := 0
+	for _, name := range SpecNames() {
+		if !strings.HasSuffix(name, "-small") && !slices.Contains(Table3Names, name) {
+			continue
+		}
+		spec := MustNewSpec(name)
+		if _, ok := spec.MinEngine.(*route.Table); !ok {
+			continue
+		}
+		checked++
+		if d := spec.Graph.Diameter(); spec.MinHops != int(d) {
+			t.Errorf("%s: MinHops %d, diameter %d", name, spec.MinHops, d)
+		}
+	}
+	if checked < 6 { // bf, sf and the -small bf, sf, pf, slimfly
+		t.Errorf("only %d table-routed specs checked", checked)
 	}
 }
 
