@@ -8,8 +8,9 @@
 // vertex, a level expansion ORs frontier words across the CSR adjacency,
 // and per-level lane counts recover exact per-source distance aggregates
 // (sum, count, eccentricity) plus, on request, a global distance
-// histogram, per-lane level counts, full distance vectors or, per arc,
-// the lanes whose source the arc steps one hop closer to. One batch
+// histogram, per-lane level counts, full distance vectors (one byte per
+// vertex and lane, or eight bit planes per vertex) or, per arc, the
+// lanes whose source the arc steps one hop closer to. One batch
 // therefore traverses the edge array once per BFS *level* instead of once
 // per *source*: on the diameter-3 graphs this repository studies, three
 // word-parallel expansions replace 64 scalar traversals.
@@ -168,7 +169,8 @@ func (c *laneCounter) drain(out *[64]int64) {
 type bfsRecord struct {
 	dst    []bool   // count only these destinations (nil: all)
 	hist   []int64  // hist[d] += counted pairs at distance d (nil: off)
-	dist   []uint8  // vertex-major distance vectors, see BitBFSBatchDist
+	dist   []uint8  // vertex-major distance vectors, see BitBFSBatchArcs
+	planes []uint64 // vertex-major distance bit planes, see BitBFSBatchPlanes
 	rows   []int32  // lane-major level counts, see BitBFSBatchRows
 	arcs   []uint64 // per-arc lanes that step one hop closer, see BitBFSBatchArcs
 	stride int      // of dist or rows
@@ -196,7 +198,8 @@ func (g *Graph) bitBFS(srcs []int32, s *BitBFSScratch, r *bfsRecord) (st BatchBF
 		visited[v] |= bit
 		frontier[v] |= bit
 	}
-	dst, dist, stride := r.dst, r.dist, r.stride
+	dst, dist, planes, stride := r.dst, r.dist, r.planes, r.stride
+	distances := dist != nil || planes != nil // one test per new word for both records
 	// Coverage counts every visited (vertex, lane) bit, counted
 	// destination or not: it decides termination, not statistics.
 	covered, all := len(srcs), len(srcs)*g.n
@@ -229,10 +232,18 @@ func (g *Graph) bitBFS(srcs []int32, s *BitBFSScratch, r *bfsRecord) (st BatchBF
 			}
 			visited[v] |= nw
 			covered += bits.OnesCount64(nw)
-			if dist != nil {
-				row := dist[v*stride : v*stride+len(srcs)]
-				for w := nw; w != 0; w &= w - 1 {
-					row[bits.TrailingZeros64(w)] = uint8(level)
+			if distances {
+				if dist != nil {
+					row := dist[v*stride : v*stride+len(srcs)]
+					for w := nw; w != 0; w &= w - 1 {
+						row[bits.TrailingZeros64(w)] = uint8(level)
+					}
+				} else {
+					// One OR per set bit of level, usually one or two.
+					p := planes[v*8 : v*8+8]
+					for b := uint32(level); b != 0; b &= b - 1 {
+						p[bits.TrailingZeros32(b)&7] |= nw
+					}
 				}
 			}
 			if dst == nil || dst[v] {
@@ -268,12 +279,16 @@ func (g *Graph) bitBFS(srcs []int32, s *BitBFSScratch, r *bfsRecord) (st BatchBF
 			r.hist[level] += levelTotal
 		}
 	}
-	if dist != nil && covered < all {
-		// dist was written only for visited vertices, so lanes that did
-		// not reach the whole graph still hold stale bytes elsewhere.
+	if distances && covered < all {
+		// Distances were written only at visited vertices; an unreached
+		// lane gets DistUnreachable, as a byte or as every plane set.
 		full := ^uint64(0) >> uint(64-len(srcs))
 		for v := 0; v < g.n; v++ {
-			for w := full &^ visited[v]; w != 0; w &= w - 1 {
+			w := full &^ visited[v]
+			for i := v * 8; planes != nil && i < v*8+8; i++ {
+				planes[i] |= w
+			}
+			for ; dist != nil && w != 0; w &= w - 1 {
 				dist[v*stride+bits.TrailingZeros64(w)] = DistUnreachable
 			}
 		}
@@ -312,34 +327,33 @@ func (g *Graph) BitBFSBatch(srcs []int32, s *BitBFSScratch, dst []bool, hist []i
 	return st, r.hist
 }
 
-// DistUnreachable marks an unreached vertex in the uint8 distance
-// vectors produced by BitBFSBatchDist.
+// DistUnreachable marks an unreached vertex in the distance vectors of
+// BitBFSBatchArcs and BitBFSBatchPlanes.
 const DistUnreachable = ^uint8(0)
 
-// BitBFSBatchDist is BitBFSBatch additionally recording the full
-// distance vector of every lane in vertex-major layout: on return
-// dist[v·stride+lane] holds the hop distance from srcs[lane] to v, or
-// DistUnreachable. stride must be ≥ len(srcs) and dist must have length
-// ≥ (N()−1)·stride + len(srcs); a caller assembling more than 64 source
-// vectors passes the same stride with an offset slice per batch. The
-// vertex-major layout keeps one vertex's lanes in one cache line — the
-// lane-major alternative scatters every distance write across stride-N
-// regions and measures ~4x slower at n=4096 — and it is also the access
-// order of the delta-evaluation dirty tests (DeltaStats), which read all
-// probe distances of one source together. Returns ok=false (dist
-// contents unspecified) if any distance reaches 255, so callers can
-// fall back to treating every source as dirty.
-func (g *Graph) BitBFSBatchDist(srcs []int32, s *BitBFSScratch, dist []uint8, stride int) (st BatchBFSStats, ok bool) {
-	return g.BitBFSBatchArcs(srcs, s, dist, stride, nil)
+// BitBFSBatchPlanes is BitBFSBatch additionally recording every lane's
+// distance vector as bit planes: on return, bit lane of planes[v·8+i] is
+// bit i of the hop distance from srcs[lane] to v (DistUnreachable: all
+// eight set), so a lane mask of "distance equals k" at v costs eight
+// word operations. planes (length ≥ 8·N()) is cleared first; lanes ≥
+// len(srcs) read 0. Returns ok=false (planes contents unspecified) if
+// any distance reaches 255.
+func (g *Graph) BitBFSBatchPlanes(srcs []int32, s *BitBFSScratch, planes []uint64) (st BatchBFSStats, ok bool) {
+	clear(planes[:8*g.n])
+	return g.bitBFS(srcs, s, &bfsRecord{planes: planes, limit: int32(DistUnreachable)})
 }
 
-// BitBFSBatchArcs is BitBFSBatchDist additionally recording every
-// source's minimal next hops: bit lane of arcs[c], c the channel id of
+// BitBFSBatchArcs is BitBFSBatch additionally recording every lane's
+// distance vector and, unless arcs is nil, every source's minimal next
+// hops. On return dist[v·stride+lane] holds the hop distance from
+// srcs[lane] to v, or DistUnreachable (stride ≥ len(srcs), len(dist) ≥
+// (N()−1)·stride + len(srcs)); bit lane of arcs[c], c the channel id of
 // arc v→w, is set exactly when dist(srcs[lane], w) = dist(srcs[lane], v)
-// − 1. arcs (length ≥ NumChannels()) is cleared first; nil records none.
+// − 1, and arcs (length ≥ NumChannels()) is cleared first. Returns
+// ok=false (dist contents unspecified) if any distance reaches 255.
 func (g *Graph) BitBFSBatchArcs(srcs []int32, s *BitBFSScratch, dist []uint8, stride int, arcs []uint64) (st BatchBFSStats, ok bool) {
 	if stride < len(srcs) {
-		panic("graph: BitBFSBatchDist stride below lane count")
+		panic("graph: BitBFSBatchArcs stride below lane count")
 	}
 	clear(arcs)
 	for lane, v := range srcs {

@@ -293,8 +293,9 @@ func TestScratchVariantsMatch(t *testing.T) {
 	}
 }
 
-// TestBitBFSOneKernelThreeFaces: BitBFSBatch, BitBFSBatchDist and
-// BitBFSBatchRows run the same level loop, so on any batch they return
+// TestBitBFSOneKernelThreeFaces: BitBFSBatch, BitBFSBatchArcs,
+// BitBFSBatchPlanes and BitBFSBatchRows run the same level loop, so on
+// any batch they return
 // the same BatchBFSStats, and everything each records agrees lane by lane
 // with a scalar BFS — whichever way the loop ends (coverage, empty level,
 // limit).
@@ -391,13 +392,18 @@ func TestBitBFSOneKernelThreeFaces(t *testing.T) {
 		for i := range dist {
 			dist[i] = 0xAA // stale bytes the kernel must overwrite
 		}
-		st, ok := g.BitBFSBatchDist(c.srcs, &s, dist, stride)
-		if ok != c.distOK {
-			t.Errorf("%s: BitBFSBatchDist ok=%v, want %v", c.name, ok, c.distOK)
+		planes := make([]uint64, 8*n)
+		for i := range planes {
+			planes[i] = 0xAAAA_AAAA_AAAA_AAAA
 		}
-		if ok {
-			if st != want {
-				t.Errorf("%s: BitBFSBatchDist %+v, scalar %+v", c.name, st, want)
+		st, ok := g.BitBFSBatchArcs(c.srcs, &s, dist, stride, nil)
+		pst, pok := g.BitBFSBatchPlanes(c.srcs, &s, planes)
+		if ok != c.distOK || pok != c.distOK {
+			t.Errorf("%s: BitBFSBatchArcs ok=%v, BitBFSBatchPlanes ok=%v, want %v", c.name, ok, pok, c.distOK)
+		}
+		if ok && pok {
+			if st != want || pst != want {
+				t.Errorf("%s: BitBFSBatchArcs %+v, BitBFSBatchPlanes %+v, scalar %+v", c.name, st, pst, want)
 			}
 			for l := range c.srcs {
 				for v, d := range ref[l] {
@@ -407,6 +413,9 @@ func TestBitBFSOneKernelThreeFaces(t *testing.T) {
 					}
 					if dist[v*stride+l] != wantD {
 						t.Fatalf("%s lane %d: dist[%d] = %d, want %d", c.name, l, v, dist[v*stride+l], wantD)
+					}
+					if got := planeDist(planes[8*v:8*v+8], l); got != wantD {
+						t.Fatalf("%s lane %d: planes at %d read %d, want %d", c.name, l, v, got, wantD)
 					}
 				}
 			}
@@ -441,6 +450,15 @@ func TestBitBFSOneKernelThreeFaces(t *testing.T) {
 			}
 		}
 	}
+}
+
+// planeDist decodes lane's distance from the eight bit planes p.
+func planeDist(p []uint64, lane int) uint8 {
+	var d uint8
+	for i, w := range p[:8] {
+		d |= uint8(w>>uint(lane)&1) << uint(i)
+	}
+	return d
 }
 
 // TestBitBFSBatchArcs: on random graphs (disconnected ones included),
@@ -590,12 +608,13 @@ func TestBitBFSBatchZeroAllocs(t *testing.T) {
 	var s BitBFSScratch
 	hist := make([]int64, 64)
 	dist := make([]uint8, g.N()*64)
+	planes := make([]uint64, g.N()*8)
 	rows := make([]int32, 64*64)
 	arcs := make([]uint64, g.NumChannels())
 	allocs := testing.AllocsPerRun(10, func() {
 		g.BitBFSBatch(srcs, &s, nil, nil)
 		g.BitBFSBatch(srcs, &s, nil, hist)
-		g.BitBFSBatchDist(srcs, &s, dist, 64)
+		g.BitBFSBatchPlanes(srcs, &s, planes)
 		g.BitBFSBatchRows(srcs, &s, rows, 64)
 		g.BitBFSBatchArcs(srcs, &s, dist, 64, arcs)
 	})

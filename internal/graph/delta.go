@@ -22,9 +22,12 @@
 // recomputation bit for bit (the property tests in delta_test.go pin
 // this against a scalar all-pairs scan and DistanceHistogram after every
 // swap). The removal test consults the distances of the endpoints'
-// neighbors, which is why the per-swap probe runs BitBFSBatchDist over
-// the closed neighborhoods of the four endpoints: a constant number of
-// batches, independent of n, versus ⌈n/64⌉ for the full recomputation.
+// neighbors, which is why the per-swap probe runs BitBFSBatchPlanes from
+// the four endpoints and their neighborhoods, up to 64 of them per batch:
+// a constant number of batches, independent of n, versus ⌈n/64⌉ for the
+// full recomputation. The bit planes make the removal test word-parallel:
+// per batch, the lanes at distance d(s,y)−1 from source s ANDed with the
+// lanes holding y's neighbours replace a scan of y's neighbour list.
 //
 // All state updates are integer and processed in ascending source order,
 // so DeltaStats inherits the repository-wide determinism contract: the
@@ -35,14 +38,17 @@
 // an EvalPool and every phase of Apply — the region probe batches, the
 // O(n) dirty-source scan, and the ⌈|dirty|/64⌉ recompute batches — plus
 // the rebuild/Resync full passes shard across it. Workers write only
-// into task-indexed slots (probe-distance columns, per-chunk dirty
+// into task-indexed slots (probe-plane blocks, per-chunk dirty
 // lists, per-batch rows and lane stats) and the aggregates are folded
 // serially in fixed batch/chunk order, so pooled results are
 // bit-identical to the serial path at any pool width (pinned by
 // TestDeltaStatsParallelDeterminism).
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DeltaStats maintains the exact all-pairs distance aggregates —
 // diameter, average path length, connected pair count and the global
@@ -71,9 +77,10 @@ type DeltaStats struct {
 	// Per-swap scratch, reused across Apply calls (allocation-free once
 	// warm).
 	scratch   BitBFSScratch
-	regionIdx []int32 // vertex -> lane in dists, -1 outside the region
+	regionIdx []int32 // vertex -> probe lane (64·batch + lane), -1 outside the region
 	region    []int32
-	dists     []uint8 // len(region)×n distance vectors on the pre-swap graph
+	planes    []uint64 // per probe batch, an 8n-word BitBFSBatchPlanes block on the pre-swap graph
+	nbrMask   []uint64 // nbrMask[k·batches+b]: lanes of batch b holding a neighbour of endpoint k
 	dirty     []int32
 	rowBuf    []int32 // per-batch 64×stride recompute output
 
@@ -92,7 +99,7 @@ type DeltaStats struct {
 	Resyncs      int64 // Resync calls
 	DirtyTotal   int64 // Σ dirty-set sizes over all Applies
 	LastDirty    int   // dirty-set size of the most recent Apply
-	DistsBytes   int64 // high-water probe-buffer footprint (n·|region| bytes)
+	DistsBytes   int64 // high-water n·|region|: the probe's distances at a byte each (its planes take 64·n bytes a batch)
 }
 
 // dirtyChunkSize is the source-range granule of the parallel dirty scan:
@@ -130,21 +137,44 @@ func NewDeltaStats(g *Graph) *DeltaStats { return NewDeltaStatsPool(g, nil) }
 // every later phase) sharded across p; nil p means serial. Results are
 // bit-identical either way.
 func NewDeltaStatsPool(g *Graph, p *EvalPool) *DeltaStats {
-	d := &DeltaStats{
-		g:      g.CloneEditable(),
-		n:      g.N(),
-		stride: initStride,
-		pool:   p,
-	}
-	d.regionIdx = make([]int32, d.n)
+	d := newDeltaStats(g, p)
+	d.rebuild()
+	return d
+}
+
+// newDeltaStats allocates the state of g that a build fills.
+func newDeltaStats(g *Graph, p *EvalPool) *DeltaStats {
+	n := g.N()
+	d := &DeltaStats{g: g.CloneEditable(), n: n, stride: initStride, pool: p,
+		regionIdx: make([]int32, n), ecc: make([]int32, n), srcSum: make([]int64, n), srcReached: make([]int64, n)}
 	for i := range d.regionIdx {
 		d.regionIdx[i] = -1
 	}
-	d.ecc = make([]int32, d.n)
-	d.srcSum = make([]int64, d.n)
-	d.srcReached = make([]int64, d.n)
-	d.rebuild()
 	return d
+}
+
+// Clone returns what NewDeltaStatsPool(d.Graph(), p) would build, copied
+// instead of recomputed: the CSR (ApplySwap keeps it sorted, as a Builder
+// makes it), the aggregates, and the rows at the stride a build picks —
+// the smallest 8·2ᵏ above the largest eccentricity — should a swap once
+// have grown d's. Telemetry starts at zero; there is nothing to Revert.
+func (d *DeltaStats) Clone(p *EvalPool) *DeltaStats {
+	c := newDeltaStats(d.g, p)
+	for _, e := range d.ecc {
+		for int(e) >= c.stride {
+			c.stride *= 2
+		}
+	}
+	c.rows = make([]int32, c.n*c.stride)
+	for s := 0; s < c.n; s++ {
+		copy(c.rows[s*c.stride:(s+1)*c.stride], d.rows[s*d.stride:])
+	}
+	copy(c.ecc, d.ecc)
+	copy(c.srcSum, d.srcSum)
+	copy(c.srcReached, d.srcReached)
+	c.sum, c.pairs = d.sum, d.pairs
+	c.hist, c.eccCnt = slices.Clone(d.hist[:c.stride]), slices.Clone(d.eccCnt[:c.stride])
+	return c
 }
 
 // SetPool attaches (or, with nil, detaches) the worker pool the next
@@ -222,9 +252,9 @@ func (d *DeltaStats) Apply(sw Swap) int {
 	d.buildRegion(sw)
 	d.dirty = d.dirty[:0]
 	if d.regionDists() {
-		d.findDirty(sw)
+		d.findDirty()
 	} else {
-		// A distance overflowed the uint8 probe encoding; treat every
+		// A distance overflowed the 8-bit probe planes; treat every
 		// source as dirty. Correct, just not incremental.
 		for v := 0; v < d.n; v++ {
 			d.dirty = append(d.dirty, int32(v))
@@ -363,8 +393,9 @@ func (d *DeltaStats) tryBuild() bool {
 }
 
 // buildRegion collects the four endpoints of sw followed by their
-// (pre-swap) neighborhoods, deduplicated, and indexes them in regionIdx.
-// The endpoints always occupy lanes 0..3.
+// (pre-swap) neighborhoods, deduplicated, indexes them in regionIdx and
+// records in nbrMask which probe lanes hold each endpoint's neighbours.
+// The endpoints always occupy lanes 0..3 of batch 0.
 func (d *DeltaStats) buildRegion(sw Swap) {
 	for _, v := range d.region {
 		d.regionIdx[v] = -1
@@ -377,51 +408,48 @@ func (d *DeltaStats) buildRegion(sw Swap) {
 		}
 	}
 	// Endpoints are distinct (CanSwap), so they take lanes 0..3.
-	add(sw.A)
-	add(sw.B)
-	add(sw.C)
-	add(sw.D)
-	for _, e := range [4]int32{sw.A, sw.B, sw.C, sw.D} {
+	ends := [4]int32{sw.A, sw.B, sw.C, sw.D}
+	for _, e := range ends {
+		add(e)
+	}
+	for _, e := range ends {
 		for _, w := range d.g.Neighbors(int(e)) {
 			add(w)
 		}
 	}
+	nb := (len(d.region) + 63) / 64
+	d.nbrMask = append(d.nbrMask[:0], make([]uint64, 4*nb)...)
+	for k, e := range ends {
+		for _, w := range d.g.Neighbors(int(e)) {
+			i := d.regionIdx[w]
+			d.nbrMask[k*nb+int(i>>6)] |= 1 << uint(i&63)
+		}
+	}
 }
 
-// regionDists runs BitBFSBatchDist from every region vertex on the
-// pre-swap graph, assembling dists in vertex-major layout:
-// dists[s·R+idx] is the distance between source s and region[idx], with
-// R = len(region). Returns false if some distance exceeds the uint8
-// probe range.
+// regionDists runs BitBFSBatchPlanes from every region vertex on the
+// pre-swap graph, batch b writing block b of planes: word
+// planes[8n·b + 8s + i] holds bit i of the distances between source s
+// and the 64 region vertices of the batch. Returns false if some
+// distance exceeds the probe range.
 //
-// The buffer grows geometrically — the region size varies swap to swap
-// (neighborhood overlap), and doubling keeps paper-scale runs from
-// re-allocating megabytes every time a swap's region sets a new record
-// by one vertex. DistsBytes records the high-water of the *used* length
-// (a pure function of the swap sequence, so it checkpoints and resumes
-// deterministically); actual capacity is at most ~2x that.
+// The buffer grows by whole batches and never shrinks. DistsBytes
+// records the high-water of n·|region| (a pure function of the swap
+// sequence, so it checkpoints and resumes deterministically).
 func (d *DeltaStats) regionDists() bool {
 	r := len(d.region)
-	need := d.n * r
-	if int64(need) > d.DistsBytes {
-		d.DistsBytes = int64(need)
-	}
-	if cap(d.dists) < need {
-		newCap := 2 * cap(d.dists)
-		if newCap < need {
-			newCap = need
-		}
-		d.dists = make([]uint8, need, newCap)
-	}
-	d.dists = d.dists[:need]
+	d.DistsBytes = max(d.DistsBytes, int64(d.n*r))
 	nb := (r + 63) / 64
+	block := 8 * d.n
+	if cap(d.planes) < nb*block {
+		d.planes = make([]uint64, nb*block)
+	}
+	d.planes = d.planes[:nb*block]
 	d.growBatchBufs(nb)
-	// Batch b writes lane columns [64b, 64b+lanes) of every row — byte
-	// ranges disjoint from every other batch's.
 	d.pool.Run(nb, &d.scratch, func(b int, s *BitBFSScratch) {
 		base := b * 64
 		lanes := min(64, r-base)
-		_, ok := d.g.BitBFSBatchDist(d.region[base:base+lanes], s, d.dists[base:], r)
+		_, ok := d.g.BitBFSBatchPlanes(d.region[base:base+lanes], s, d.planes[b*block:(b+1)*block])
 		d.batchOK[b] = ok
 	})
 	for b := 0; b < nb; b++ {
@@ -436,10 +464,10 @@ func (d *DeltaStats) regionDists() bool {
 // change under sw, in ascending order. With a pool attached the scan is
 // chunked over fixed source ranges; per-chunk lists concatenated in
 // chunk order reproduce the serial ascending order exactly.
-func (d *DeltaStats) findDirty(sw Swap) {
+func (d *DeltaStats) findDirty() {
 	nc := (d.n + dirtyChunkSize - 1) / dirtyChunkSize
 	if d.pool.Width() <= 1 || nc <= 1 {
-		d.findDirtyRange(sw, 0, d.n, &d.dirty)
+		d.findDirtyRange(0, d.n, &d.dirty)
 		return
 	}
 	if cap(d.dirtyChunks) < nc {
@@ -452,7 +480,7 @@ func (d *DeltaStats) findDirty(sw Swap) {
 		lo := c * dirtyChunkSize
 		hi := min(lo+dirtyChunkSize, d.n)
 		out := d.dirtyChunks[c][:0]
-		d.findDirtyRange(sw, lo, hi, &out)
+		d.findDirtyRange(lo, hi, &out)
 		d.dirtyChunks[c] = out
 	})
 	for _, chunk := range d.dirtyChunks {
@@ -461,22 +489,23 @@ func (d *DeltaStats) findDirty(sw Swap) {
 }
 
 // findDirtyRange runs the dirty test for sources in [lo, hi), appending
-// hits to out in ascending order. It only reads the pre-swap graph, the
-// probe distances and the region index, so disjoint ranges are safe to
-// scan concurrently.
-func (d *DeltaStats) findDirtyRange(sw Swap, lo, hi int, out *[]int32) {
-	r := len(d.region)
+// hits to out in ascending order. It only reads the probe planes and
+// the neighbour masks, so disjoint ranges are safe to scan concurrently.
+func (d *DeltaStats) findDirtyRange(lo, hi int, out *[]int32) {
 	for s := lo; s < hi; s++ {
-		// All probe distances of source s sit in one contiguous row;
-		// the endpoints occupy indices 0..3 (buildRegion adds them
-		// first). Partner distances: each endpoint gains exactly one
-		// new edge (A~C, B~D), which can replace a lost shortest-path
-		// parent.
-		row := d.dists[s*r : (s+1)*r]
-		da, db, dc, dd := row[0], row[1], row[2], row[3]
+		// The endpoints are lanes 0..3 of batch 0 (buildRegion adds them
+		// first). Partner distances: each endpoint gains exactly one new
+		// edge (A~C, B~D), which can replace a lost shortest-path parent.
+		// Bit k of plane i (lane k's distance bit i) goes to bit 8k+i of
+		// x: the multiply spreads the lanes 0..3 nibble one per byte.
+		var x uint32
+		for i, w := range d.planes[8*s : 8*s+8] {
+			x |= uint32(w&15) * 0x204081 & 0x01010101 << uint(i)
+		}
+		da, db, dc, dd := uint8(x), uint8(x>>8), uint8(x>>16), uint8(x>>24)
 		if addedDirty(da, dc) || addedDirty(db, dd) ||
-			d.removedDirty(row, sw.A, sw.B, da, db, dc, dd) ||
-			d.removedDirty(row, sw.C, sw.D, dc, dd, da, db) {
+			d.removedDirty(s, 0, 1, da, db, dc, dd) ||
+			d.removedDirty(s, 2, 3, dc, dd, da, db) {
 			*out = append(*out, int32(s))
 		}
 	}
@@ -499,18 +528,18 @@ func addedDirty(dx, dy uint8) bool {
 	return dy-dx >= 2
 }
 
-// removedDirty reports whether removing existing edge {x,y} can change
-// the source's distances: the edge must be on the source's shortest-path
-// DAG and be the deeper endpoint's only parent edge — counting, as a
-// possible replacement parent, the new partner that endpoint gains from
-// the swap's added edges (px partners x, py partners y). Called on the
-// pre-swap graph, so Neighbors and the probe distances agree.
-func (d *DeltaStats) removedDirty(row []uint8, x, y int32, dx, dy, px, py uint8) bool {
+// removedDirty reports whether removing existing edge {x,y}, the
+// endpoints in lanes kx and ky, can change the distances from source s:
+// the edge must be on s's shortest-path DAG and be the deeper endpoint's
+// only parent edge — counting, as a possible replacement parent, the new
+// partner that endpoint gains from the swap's added edges (px partners x,
+// py partners y). Per probe batch, one lane mask finds other parents.
+func (d *DeltaStats) removedDirty(s, kx, ky int, dx, dy, px, py uint8) bool {
 	if dx == dy {
 		return false // not a DAG edge (covers both-unreachable)
 	}
 	if dx > dy {
-		x, y = y, x
+		kx, ky = ky, kx
 		dx, dy = dy, dx
 		px, py = py, px
 	}
@@ -520,11 +549,16 @@ func (d *DeltaStats) removedDirty(row []uint8, x, y int32, dx, dy, px, py uint8)
 		// level-by-level induction goes through without x.
 		return false
 	}
-	for _, w := range d.g.Neighbors(int(y)) {
-		if w == x {
-			continue
+	nb := len(d.nbrMask) / 4
+	for b, m := range d.nbrMask[ky*nb : (ky+1)*nb] {
+		if b == 0 {
+			m &^= 1 << uint(kx)
 		}
-		if row[d.regionIdx[w]] == parent {
+		at := 8*d.n*b + 8*s
+		for i, w := range d.planes[at : at+8] {
+			m &= w ^ (uint64(parent>>uint(i)&1) - 1) // lanes whose bit i is parent's
+		}
+		if m != 0 {
 			return false // y keeps another parent; all levels survive
 		}
 	}

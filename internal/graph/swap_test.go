@@ -197,8 +197,10 @@ func TestBitBFSScratchDivergedPanics(t *testing.T) {
 	s.reset(3)
 }
 
-// TestBitBFSBatchDist checks the per-lane distance vectors against the
-// scalar BFS oracle, including unreachable encoding.
+// TestBitBFSBatchDist checks the per-lane distance vectors of the byte
+// record (BitBFSBatchArcs without arcs) and of the bit planes
+// (BitBFSBatchPlanes) against the scalar BFS oracle, including the
+// unreachable encoding.
 func TestBitBFSBatchDist(t *testing.T) {
 	graphs := []*Graph{
 		path(9),
@@ -215,9 +217,11 @@ func TestBitBFSBatchDist(t *testing.T) {
 		}
 		stride := len(srcs)
 		dist := make([]uint8, n*stride)
-		st, ok := g.BitBFSBatchDist(srcs, &s, dist, stride)
-		if !ok {
-			t.Fatalf("%s: unexpected distance overflow", g.Name())
+		st, ok := g.BitBFSBatchArcs(srcs, &s, dist, stride, nil)
+		planes := make([]uint64, 8*n)
+		pst, pok := g.BitBFSBatchPlanes(srcs, &s, planes)
+		if !ok || !pok || pst != st {
+			t.Fatalf("%s: overflow (%v, %v) or plane stats %+v != byte stats %+v", g.Name(), ok, pok, pst, st)
 		}
 		ref := make([]int32, n)
 		var bs BFSScratch
@@ -239,6 +243,9 @@ func TestBitBFSBatchDist(t *testing.T) {
 				}
 				if dist[v*stride+l] != want {
 					t.Fatalf("%s src %d: dist[%d] = %d, want %d", g.Name(), src, v, dist[v*stride+l], want)
+				}
+				if got := planeDist(planes[8*v:8*v+8], l); got != want {
+					t.Fatalf("%s src %d: planes at %d read %d, want %d", g.Name(), src, v, got, want)
 				}
 			}
 			if st.Sum[l] != sum || st.Reached[l] != reached || st.Ecc[l] != ecc {

@@ -131,7 +131,7 @@ var fillScratches = sync.Pool{New: func() any { return new(fillScratch) }}
 
 // fillBatch recomputes the masks rows of up to 64 destinations dsts from
 // one kernel batch on g, which also writes their distances into dist
-// (vertex-major with the given stride, see graph.BitBFSBatchDist). It
+// (vertex-major with the given stride, see graph.BitBFSBatchArcs). It
 // returns false, rows unspecified, if a distance exceeds 254.
 func (t *Table) fillBatch(g *graph.Graph, dsts []int32, dist []uint8, stride int, s *fillScratch) bool {
 	if len(s.arcs) < g.NumChannels() {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 
 	"polarstar/internal/graph"
@@ -65,8 +66,8 @@ func (e *Engine) Checkpoint() *Checkpoint {
 			BestCost:    s.bestCost,
 			SinceResync: s.sinceResync,
 			Counters:    s.ctr,
-			Edges:       edgesOf(s.d.Graph()),
-			BestEdges:   s.bestEdges,
+			Edges:       appendEdges(nil, s.d.Graph()),
+			BestEdges:   slices.Clone(s.bestEdges), // the searcher may overwrite its own
 		})
 	}
 	return cp
@@ -104,6 +105,7 @@ func Restore(cp *Checkpoint, workers, epochs int) (*Engine, error) {
 		n:         cp.N,
 		bestCost:  cp.BestCost,
 		bestEdges: cp.BestEdges,
+		bestOwner: -1,
 		epoch:     cp.Epoch,
 		traj:      cp.Trajectory,
 	}
@@ -112,9 +114,11 @@ func Restore(cp *Checkpoint, workers, epochs int) (*Engine, error) {
 		if st.ID != i {
 			return nil, fmt.Errorf("search: checkpoint state %d has id %d", i, st.ID)
 		}
+		// Checkpoint writes 16 lowercase hex digits; anything else would
+		// not round-trip.
 		x, err := strconv.ParseUint(st.Rng, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("search: state %d rng %q: %v", i, st.Rng, err)
+		if err != nil || fmt.Sprintf("%016x", x) != st.Rng {
+			return nil, fmt.Errorf("search: state %d rng %q is not 16 lowercase hex digits", i, st.Rng)
 		}
 		if len(st.Edges) < 2 {
 			return nil, fmt.Errorf("search: state %d has %d edges; 2-opt needs at least 2", i, len(st.Edges))
@@ -127,15 +131,19 @@ func Restore(cp *Checkpoint, workers, epochs int) (*Engine, error) {
 		}
 		s := &searcher{
 			id:          st.ID,
-			d:           nil,
 			rng:         splitmix{x: x},
 			cost:        st.Cost,
 			bestCost:    st.BestCost,
 			bestEdges:   st.BestEdges,
+			bestShared:  true,
 			sinceResync: st.SinceResync,
 			ctr:         st.Counters,
 		}
-		s.d = graph.NewDeltaStatsPool(buildFromEdges(cp.Name, cp.N, st.Edges), e.pools[0])
+		g := buildFromEdges(cp.Name, cp.N, st.Edges)
+		if !slices.Equal(appendEdges(nil, g), st.Edges) {
+			return nil, fmt.Errorf("search: state %d edges are not the sorted u < v pairs Checkpoint writes", i)
+		}
+		s.d = graph.NewDeltaStatsPool(g, e.pools[0])
 		if got := costOf(s.d, cp.N); got != st.Cost {
 			return nil, fmt.Errorf("search: state %d cost %d does not match its graph (recomputed %d)", i, st.Cost, got)
 		}

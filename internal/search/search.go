@@ -28,6 +28,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -112,11 +113,10 @@ type Counters struct {
 	Resyncs      int64 `json:"resyncs"`
 	Drift        int64 `json:"drift"` // resyncs that found divergence (must stay 0)
 
-	// DistsBytes is the high-water probe-buffer footprint (bytes) any
-	// searcher's delta oracle needed — max-merged, not summed, so it
-	// reads as "peak per-searcher memory" at paper scale. A pure
-	// function of the swap sequence (graph.DeltaStats tracks used
-	// length, not capacity), so it survives checkpoint/resume exactly.
+	// DistsBytes is the largest delta-oracle probe of any searcher, as
+	// n·|region|: its distances at one byte each (graph.DeltaStats). Max-
+	// merged, not summed, and a pure function of the swap sequence, so it
+	// survives checkpoint/resume exactly.
 	DistsBytes int64 `json:"dists_bytes"`
 }
 
@@ -157,6 +157,8 @@ type searcher struct {
 	cost        int64
 	bestCost    int64
 	bestEdges   [][2]int32
+	bestShared  bool // bestEdges is held elsewhere too: the next best goes to a new buffer
+	atBest      bool // the current graph is bestEdges: set by a strict improvement, cleared by any other accepted move
 	sinceResync int
 	ctr         Counters
 	evalNS      *obs.Histogram // nil unless Params.TimeEvals
@@ -171,6 +173,7 @@ type Engine struct {
 	searchers []*searcher
 	bestCost  int64
 	bestEdges [][2]int32
+	bestOwner int // index of the searcher that supplied bestEdges; -1 after Restore
 	epoch     int
 	traj      []EpochStat
 
@@ -226,20 +229,22 @@ func New(start *graph.Graph, p Params) (*Engine, error) {
 	}
 	e := &Engine{p: p, name: start.Name(), n: start.N()}
 	e.initPools()
+	// Construction runs on this goroutine, so sharing pool 0 across the
+	// initial build and its copies is safe.
+	d := graph.NewDeltaStatsPool(start, e.pools[0])
+	e.bestCost = costOf(d, e.n)
+	e.bestEdges = appendEdges(nil, d.Graph())
 	for id := 0; id < p.Searchers; id++ {
-		// Construction runs on this goroutine, so sharing pool 0 across
-		// the sequential initial builds is safe.
-		s := &searcher{id: id, d: graph.NewDeltaStatsPool(start, e.pools[0]), rng: newSplitmix(p.Seed, id)}
+		if id > 0 {
+			d = e.searchers[0].d.Clone(e.pools[0])
+		}
+		s := &searcher{id: id, d: d, rng: newSplitmix(p.Seed, id), cost: e.bestCost, bestCost: e.bestCost,
+			bestEdges: e.bestEdges, bestShared: true, atBest: true}
 		if p.TimeEvals {
 			s.evalNS = &obs.Histogram{}
 		}
-		s.cost = costOf(s.d, e.n)
-		s.bestCost = s.cost
-		s.bestEdges = edgesOf(s.d.Graph())
 		e.searchers = append(e.searchers, s)
 	}
-	e.bestCost = e.searchers[0].cost
-	e.bestEdges = e.searchers[0].bestEdges
 	return e, nil
 }
 
@@ -250,14 +255,18 @@ func costOf(d *graph.DeltaStats, n int) int64 {
 	return sum + missing*int64(n)
 }
 
-// edgesOf snapshots a graph's edge set as sorted (u < v) int32 pairs.
-func edgesOf(g *graph.Graph) [][2]int32 {
-	es := g.Edges()
-	out := make([][2]int32, len(es))
-	for i, e := range es {
-		out[i] = [2]int32{int32(e[0]), int32(e[1])}
+// appendEdges appends a graph's edge set to dst as sorted (u < v) int32
+// pairs, the form Graph.Edges returns.
+func appendEdges(dst [][2]int32, g *graph.Graph) [][2]int32 {
+	dst = slices.Grow(dst, g.M())
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if int(v) > u {
+				dst = append(dst, [2]int32{int32(u), v})
+			}
+		}
 	}
-	return out
+	return dst
 }
 
 // Epoch returns the number of completed epochs.
@@ -291,9 +300,11 @@ func (e *Engine) Run() *Result {
 // runEpoch runs every searcher for Iters proposals — across the
 // budget's driver goroutines, each lending its private EvalPool to
 // whichever searcher it currently runs — and then performs the serial
-// barrier: aggregate in id order, update the global best, hand the
-// global best to the worst searcher, and record the trajectory point.
-func (e *Engine) runEpoch() {
+// barrier: aggregate in id order, update the global best, restart the
+// worst searcher from the global best, and record the trajectory point.
+// It returns the restarted searcher, if any, and whether its state was
+// copied from a searcher at the global best rather than rebuilt.
+func (e *Engine) runEpoch() (restarted *searcher, copied bool) {
 	temp := e.temperature()
 	if e.pools == nil {
 		e.initPools()
@@ -328,12 +339,13 @@ func (e *Engine) runEpoch() {
 
 	// Serial barrier, ascending id order throughout.
 	var proposed, accepted int64
-	for _, s := range e.searchers {
+	for i, s := range e.searchers {
 		proposed += s.ctr.Proposed
 		accepted += s.ctr.Accepted
 		if s.bestCost < e.bestCost {
 			e.bestCost = s.bestCost
-			e.bestEdges = s.bestEdges
+			e.bestEdges, e.bestOwner = s.bestEdges, i
+			s.bestShared = true // the engine holds it now
 		}
 	}
 	// Best-so-far exchange: the currently worst searcher (highest cost,
@@ -345,11 +357,16 @@ func (e *Engine) runEpoch() {
 		}
 	}
 	if worst.cost > e.bestCost {
-		g := buildFromEdges(e.name, e.n, e.bestEdges)
-		// The barrier is serial, so pool 0 is free to shard the rebuild;
+		// The barrier is serial, so pool 0 is free to shard a rebuild;
 		// the next epoch re-points the searcher at its driver's pool.
-		worst.d = graph.NewDeltaStatsPool(g, e.pools[0])
+		if e.bestOwner >= 0 && e.searchers[e.bestOwner].atBest {
+			worst.d, copied = e.searchers[e.bestOwner].d.Clone(e.pools[0]), true
+		} else {
+			worst.d = graph.NewDeltaStatsPool(buildFromEdges(e.name, e.n, e.bestEdges), e.pools[0])
+		}
 		worst.cost = costOf(worst.d, e.n)
+		worst.atBest = false
+		restarted = worst
 	}
 	bestASPL := 0.0
 	if pairs := int64(e.n) * int64(e.n-1); pairs > 0 {
@@ -364,6 +381,7 @@ func (e *Engine) runEpoch() {
 		Proposed: proposed,
 		Accepted: accepted,
 	})
+	return restarted, copied
 }
 
 // buildFromEdges reconstructs a graph from an edge snapshot.
@@ -425,9 +443,13 @@ func (s *searcher) runEpoch(iters int, temp float64, resyncEvery, n int) {
 		}
 		s.ctr.Accepted++
 		s.cost = newCost
-		if newCost < s.bestCost {
+		s.atBest = newCost < s.bestCost
+		if s.atBest {
 			s.bestCost = newCost
-			s.bestEdges = edgesOf(s.d.Graph())
+			if s.bestShared {
+				s.bestEdges, s.bestShared = nil, false
+			}
+			s.bestEdges = appendEdges(s.bestEdges[:0], s.d.Graph())
 		}
 		if resyncEvery > 0 {
 			s.sinceResync++

@@ -2,12 +2,16 @@ package search
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"polarstar/internal/graph"
+	"polarstar/internal/moore"
 	"polarstar/internal/topo"
 )
 
@@ -341,4 +345,223 @@ func TestProposeSwapCoversArcs(t *testing.T) {
 			t.Fatalf("arc %d attributed to vertex %d outside its window", c, u)
 		}
 	}
+}
+
+// bench4k is graph_search's 4k search: jellyfish(4096, 16) and two
+// searchers × 2 epochs × 25 proposals on one worker, at seed 1.
+func bench4k(t testing.TB) (*graph.Graph, Params) {
+	t.Helper()
+	g, err := topo.NewJellyfish(4096, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, Params{Seed: 1, Searchers: 2, Epochs: 2, Iters: 25, Workers: 1}
+}
+
+// TestSearchBenchGolden pins the trajectory of the benchmark's 4k search:
+// a change that moves it fails here, not only in the bench digest.
+func TestSearchBenchGolden(t *testing.T) {
+	e, err := New(bench4k(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := e.Run()
+	wantStats := graph.PathStats{Diameter: 5, AvgPath: 3.322910704746642, Pairs: 16773120, Connected: true}
+	wantCtr := Counters{Proposed: 100, Accepted: 59, Invalid: 1, Evals: 99, DirtyTotal: 58683, DistsBytes: 262144}
+	if r.BestCost != 55735580 || r.Stats != wantStats || r.Counters != wantCtr {
+		t.Errorf("best cost %d, stats %+v, counters %+v; want 55735580, %+v, %+v", r.BestCost, r.Stats, r.Counters, wantStats, wantCtr)
+	}
+}
+
+// BenchmarkSearchRun4k is the benchmark's 4k search unit end to end:
+// search.New (one all-pairs build and a copy) and Run (100 proposals).
+func BenchmarkSearchRun4k(b *testing.B) {
+	g, p := bench4k(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := New(g, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Run()
+	}
+}
+
+// sameAsRebuild fails the test unless d holds what a fresh
+// graph.NewDeltaStats of g would: the same edges, statistics, histogram
+// and integer cost terms, and zero telemetry.
+func sameAsRebuild(t *testing.T, what string, d *graph.DeltaStats, g *graph.Graph) {
+	t.Helper()
+	ref := graph.NewDeltaStats(g)
+	sum, pairs := d.SumPairs()
+	rsum, rpairs := ref.SumPairs()
+	if !reflect.DeepEqual(d.Graph().Edges(), g.Edges()) || d.Stats() != ref.Stats() || sum != rsum || pairs != rpairs ||
+		!reflect.DeepEqual(d.Histogram(), ref.Histogram()) {
+		t.Fatalf("%s: state %+v (%d, %d) differs from a rebuild %+v (%d, %d)", what, d.Stats(), sum, pairs, ref.Stats(), rsum, rpairs)
+	}
+	if d.Evals != 0 || d.FullRebuilds != 0 || d.Resyncs != 0 || d.DirtyTotal != 0 || d.LastDirty != 0 || d.DistsBytes != 0 {
+		t.Fatalf("%s: copied telemetry %d/%d/%d/%d/%d/%d, want zero", what,
+			d.Evals, d.FullRebuilds, d.Resyncs, d.DirtyTotal, d.LastDirty, d.DistsBytes)
+	}
+}
+
+// TestBarrierCopyMatchesRebuild: the searchers New copies from searcher 0,
+// and every searcher a barrier restarts, hold what a rebuild from the
+// start graph or from the global best edges would, and the copy path is
+// taken. No searcher writes into the engine's best edges or into a
+// checkpoint taken mid-run, and an engine restored from that checkpoint,
+// which knows no searcher at the best until one improves on it, ends
+// where the copying one does.
+func TestBarrierCopyMatchesRebuild(t *testing.T) {
+	g, err := topo.NewJellyfish(256, 8, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Seed: 5, Searchers: 3, Epochs: 12, Iters: 40, InitTemp: 30, Cooling: 0.8, ResyncEvery: 32}
+	e, err := New(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range e.searchers {
+		sameAsRebuild(t, fmt.Sprintf("New, searcher %d", s.id), s.d, g)
+	}
+	var cp *Checkpoint
+	var before []byte
+	copies := 0
+	for e.epoch < p.Epochs {
+		if e.epoch == 3 {
+			cp = e.Checkpoint()
+			before, _ = json.Marshal(cp)
+		}
+		best, held := e.bestEdges, append([][2]int32(nil), e.bestEdges...)
+		restarted, copied := e.runEpoch()
+		if !reflect.DeepEqual(best, held) {
+			t.Fatalf("epoch %d: a searcher wrote into the engine's best edges", e.epoch)
+		}
+		if restarted == nil {
+			continue
+		}
+		if copied {
+			copies++
+		}
+		sameAsRebuild(t, fmt.Sprintf("barrier %d, searcher %d", e.epoch, restarted.id), restarted.d, buildFromEdges(e.name, e.n, e.bestEdges))
+	}
+	if copies == 0 {
+		t.Error("no barrier copied a searcher")
+	}
+	r, err := Restore(cp, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := r.Run(), e.result()
+	if got.BestCost != want.BestCost || got.Counters != want.Counters || !reflect.DeepEqual(got.Trajectory, want.Trajectory) {
+		t.Errorf("restored run ends at %d %+v, the copying run at %d %+v", got.BestCost, got.Counters, want.BestCost, want.Counters)
+	}
+	if after, _ := json.Marshal(cp); !bytes.Equal(after, before) {
+		t.Fatal("the checkpoint changed while the engines ran on")
+	}
+
+	// After Restore no searcher is known to hold the global best, so one
+	// that only beats its own recorded best is not copied: here the
+	// global best costs 0, searcher 0's own best is beaten by any graph,
+	// and each searcher makes one proposal that any cost accepts.
+	odd := cloneCheckpoint(cp)
+	odd.BestCost, odd.States[0].BestCost = 0, math.MaxInt64
+	odd.Params.Iters, odd.Params.InitTemp = 1, 1e18
+	if r, err = Restore(odd, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	restarted, copied := r.runEpoch()
+	if restarted == nil || copied || !r.searchers[0].atBest {
+		t.Fatalf("restart %v, copied %v, searcher 0 at its best %v: want a rebuild while searcher 0 is at its own best",
+			restarted != nil, copied, r.searchers[0].atBest)
+	}
+	sameAsRebuild(t, "after Restore", restarted.d, buildFromEdges(r.name, r.n, r.bestEdges))
+}
+
+// TestAcceptedGraphsRespectMooreBound is the Shimizu–Mori oracle on the
+// search: one proposal per searcher per epoch, and after each epoch every
+// connected graph a searcher holds, like the final best, has an average
+// path length no lower than the Moore-type bound for its order and
+// degree.
+func TestAcceptedGraphsRespectMooreBound(t *testing.T) {
+	for _, c := range []struct{ n, d int }{{64, 4}, {256, 8}} {
+		g, err := topo.NewJellyfish(c.n, c.d, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, _ := moore.ASPLLowerBound(c.n, g.MaxDegree())
+		p := Params{Seed: 9, Searchers: 3, Epochs: 150, Iters: 1, InitTemp: 20, Cooling: 0.98}
+		e, err := New(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for e.epoch < p.Epochs {
+			e.runEpoch()
+			for _, s := range e.searchers {
+				if st := s.d.Stats(); st.Connected {
+					checked++
+					if st.AvgPath < bound {
+						t.Fatalf("jellyfish %d,%d epoch %d searcher %d: ASPL %v below the bound %v", c.n, c.d, e.epoch, s.id, st.AvgPath, bound)
+					}
+				}
+			}
+		}
+		r := e.result()
+		if !r.Stats.Connected || r.Stats.AvgPath < bound || checked == 0 {
+			t.Fatalf("jellyfish %d,%d: best %+v against the bound %v (%d states checked)", c.n, c.d, r.Stats, bound, checked)
+		}
+	}
+}
+
+// FuzzCheckpoint: a checkpoint decoded from arbitrary bytes is rejected
+// by Restore or restores to an engine whose Checkpoint encodes to the
+// same bytes, and neither step panics. Inputs above 1024 vertices are
+// skipped: Restore runs an all-pairs build per searcher.
+func FuzzCheckpoint(f *testing.F) {
+	g, err := topo.NewJellyfish(64, 4, 9)
+	if err != nil {
+		f.Fatal(err)
+	}
+	e, err := New(g, Params{Seed: 3, Searchers: 2, Epochs: 2, Iters: 40, InitTemp: 10})
+	if err != nil {
+		f.Fatal(err)
+	}
+	e.Run()
+	seed, err := json.Marshal(e.Checkpoint())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	// A minimal valid checkpoint (two disjoint edges on four vertices:
+	// distance sum 4, eight missing pairs at penalty 4, cost 36) and two
+	// spellings of it that Restore must refuse because they would not
+	// re-encode the same.
+	small := `{"schema":"pssearch-checkpoint/v1","n":4,"params":{"searchers":1},"states":[{"rng":"%s","cost":36,"edges":%s}]}`
+	for _, c := range [][2]string{{"0000000000000001", "[[0,1],[2,3]]"}, {"1", "[[0,1],[2,3]]"}, {"0000000000000001", "[[1,0],[2,3]]"}} {
+		f.Add([]byte(fmt.Sprintf(small, c[0], c[1])))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp := &Checkpoint{}
+		if json.Unmarshal(data, cp) != nil || cp.N > 1024 {
+			return
+		}
+		e, err := Restore(cp, 1, 0)
+		if err != nil {
+			return
+		}
+		want, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(e.Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("restored checkpoint re-encodes as\n%s\nnot\n%s", got, want)
+		}
+	})
 }

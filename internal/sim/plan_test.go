@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -120,4 +121,26 @@ func TestRetryPolicyNormalized(t *testing.T) {
 	if got.MaxRetries != 0 || got.BackoffBase != 1 || got.BackoffCap != 1 || got.MaxAge != 7 {
 		t.Errorf("degenerate policy normalized to %+v", got)
 	}
+}
+
+// FuzzParsePlan: ParsePlan never panics, and a plan it accepts reads
+// back from its canonical text unchanged.
+func FuzzParsePlan(f *testing.F) {
+	f.Add("# a comment\n10 link-down 0 1\n\n5 router-down 2\n20 link-up 0 1\n30 router-up 2\n")
+	f.Add("7 link-down 3 4\n7 link-up 3 4\n7 link-down 3 4\n")
+	f.Add("  +12\trouter-up -1  \r\n")
+	f.Add("1 link-down 0\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ParsePlan(text)
+		if err != nil {
+			return
+		}
+		q, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not parse: %v", p.String(), text, err)
+		}
+		if !reflect.DeepEqual(q, p) {
+			t.Fatalf("plan %+v reads back from %q as %+v", p, p.String(), q)
+		}
+	})
 }
