@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"polarstar/internal/graph"
 	"polarstar/internal/moore"
 	"polarstar/internal/partition"
 	"polarstar/internal/sim"
@@ -30,14 +31,13 @@ func main() {
 		maxN     = flag.Int("maxn", 40000, "skip graphs larger than this")
 	)
 	flag.Parse()
-	opts := partition.Options{}
 
 	if *specName != "" {
 		spec, err := sim.NewSpec(*specName)
 		if err != nil {
 			fatal(err)
 		}
-		f := partition.CutFraction(spec.Graph, *seed, opts)
+		f := partition.CutFraction(spec.Graph, *seed, partition.Options{})
 		fmt.Printf("%s: n=%d m=%d bisection fraction %.3f\n", spec.Name, spec.Graph.N(), spec.Graph.M(), f)
 		return
 	}
@@ -47,110 +47,34 @@ func main() {
 		fmt.Printf("%-6s %-10s %-10s %-10s %-10s %-10s\n", "radix", "polarstar", "bundlefly", "dragonfly", "hyperx", "jellyfish")
 		for r := *lo; r <= *hi; r++ {
 			fmt.Printf("%-6d %-10s %-10s %-10s %-10s %-10s\n", r,
-				frac(buildBestPolarStar(r, *maxN), *seed, opts),
-				frac(buildBestBundlefly(r, *maxN), *seed, opts),
-				frac(buildBestDragonfly(r, *maxN), *seed, opts),
-				frac(buildBestHyperX(r, *maxN), *seed, opts),
-				frac(buildJellyfishLike(r, *maxN, *seed), *seed, opts))
+				moore.CutCell(moore.LargestPolarStarGraph(r, *maxN), *seed),
+				moore.CutCell(pointGraph(moore.BestBundlefly(r), *maxN), *seed),
+				moore.CutCell(pointGraph(moore.BestDragonfly(r), *maxN), *seed),
+				moore.CutCell(pointGraph(moore.BestHyperX3D(r), *maxN), *seed),
+				moore.CutCell(jellyfishLike(r, *maxN, *seed), *seed))
 		}
 	case 13:
-		fmt.Printf("%-6s %-10s %-10s\n", "radix", "ps-iq", "ps-paley")
-		for r := *lo; r <= *hi; r++ {
-			fmt.Printf("%-6d %-10s %-10s\n", r,
-				frac(buildBestPolarStarKind(r, topo.KindIQ, *maxN), *seed, opts),
-				frac(buildBestPolarStarKind(r, topo.KindPaley, *maxN), *seed, opts))
-		}
+		moore.WriteFig13(os.Stdout, *lo, *hi, *maxN, *seed)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-func frac(g *topo.Flat, seed int64, opts partition.Options) string {
-	if g == nil {
-		return "-"
+// pointGraph builds the design point's topology; nil when the point is
+// infeasible, larger than maxN or fails to build.
+func pointGraph(p moore.Point, maxN int) *graph.Graph {
+	if !p.Valid() || int(p.Order) > maxN {
+		return nil
 	}
-	return fmt.Sprintf("%.3f", partition.CutFraction(g.G, seed, opts))
+	g, _ := p.Graph()
+	return g
 }
 
-func buildBestPolarStar(radix, maxN int) *topo.Flat {
-	cfgs := moore.PolarStarConfigs(radix)
-	for _, c := range cfgs {
-		if int(c.Order) > maxN {
-			continue
-		}
-		ps, err := topo.NewPolarStar(c.Q, c.DPrime, c.Kind)
-		if err == nil {
-			return &topo.Flat{G: ps.G}
-		}
-	}
-	return nil
-}
-
-func buildBestPolarStarKind(radix int, kind topo.SupernodeKind, maxN int) *topo.Flat {
-	for _, c := range moore.PolarStarConfigs(radix) {
-		if c.Kind != kind || int(c.Order) > maxN {
-			continue
-		}
-		ps, err := topo.NewPolarStar(c.Q, c.DPrime, c.Kind)
-		if err == nil {
-			return &topo.Flat{G: ps.G}
-		}
-	}
-	return nil
-}
-
-func buildBestBundlefly(radix, maxN int) *topo.Flat {
-	best := moore.BestBundlefly(radix)
-	if !best.Valid() || int(best.Order) > maxN {
-		return nil
-	}
-	var q, d int
-	if _, err := fmt.Sscanf(best.Config, "q=%d d'=%d", &q, &d); err != nil {
-		return nil
-	}
-	bf, err := topo.NewBundlefly(q, d)
-	if err != nil {
-		return nil
-	}
-	return &topo.Flat{G: bf.G}
-}
-
-func buildBestDragonfly(radix, maxN int) *topo.Flat {
-	best := moore.BestDragonfly(radix)
-	if !best.Valid() || int(best.Order) > maxN {
-		return nil
-	}
-	var a, h int
-	if _, err := fmt.Sscanf(best.Config, "a=%d h=%d", &a, &h); err != nil {
-		return nil
-	}
-	df, err := topo.NewDragonfly(a, h)
-	if err != nil {
-		return nil
-	}
-	return &topo.Flat{G: df.G}
-}
-
-func buildBestHyperX(radix, maxN int) *topo.Flat {
-	best := moore.BestHyperX3D(radix)
-	if !best.Valid() || int(best.Order) > maxN {
-		return nil
-	}
-	var a, b, c int
-	if _, err := fmt.Sscanf(best.Config, "%dx%dx%d", &a, &b, &c); err != nil {
-		return nil
-	}
-	hx, err := topo.NewHyperX(a, b, c)
-	if err != nil {
-		return nil
-	}
-	return &topo.Flat{G: hx.G}
-}
-
-// buildJellyfishLike builds a random regular graph with the same radix
-// and scale as the best PolarStar (the Fig 12 protocol).
-func buildJellyfishLike(radix, maxN int, seed int64) *topo.Flat {
+// jellyfishLike builds a random regular graph with the same radix and
+// scale as the best PolarStar (the Fig 12 protocol); nil, printed "-",
+// when that scale exceeds maxN or the construction fails.
+func jellyfishLike(radix, maxN int, seed int64) *graph.Graph {
 	best := moore.BestPolarStar(radix)
 	if !best.Valid() || int(best.Order) > maxN {
 		return nil
@@ -159,11 +83,8 @@ func buildJellyfishLike(radix, maxN int, seed int64) *topo.Flat {
 	if n*radix%2 != 0 {
 		n++
 	}
-	g, err := topo.NewJellyfish(n, radix, seed)
-	if err != nil {
-		return nil
-	}
-	return &topo.Flat{G: g}
+	g, _ := topo.NewJellyfish(n, radix, seed)
+	return g
 }
 
 func fatal(err error) {

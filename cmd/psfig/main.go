@@ -27,7 +27,6 @@ import (
 	"polarstar/internal/plot"
 	"polarstar/internal/prof"
 	"polarstar/internal/sim"
-	"polarstar/internal/topo"
 )
 
 type ctx struct {
@@ -373,24 +372,7 @@ func fig13(c ctx) error {
 	if c.full {
 		hi, maxN = 24, 40000
 	}
-	fmt.Fprintf(f, "%-6s %-10s %-10s\n", "radix", "ps-iq", "ps-paley")
-	for r := 8; r <= hi; r++ {
-		row := []string{"-", "-"}
-		for ki, kind := range []topo.SupernodeKind{topo.KindIQ, topo.KindPaley} {
-			for _, cfg := range moore.PolarStarConfigs(r) {
-				if cfg.Kind != kind || int(cfg.Order) > maxN {
-					continue
-				}
-				ps, err := topo.NewPolarStar(cfg.Q, cfg.DPrime, cfg.Kind)
-				if err != nil {
-					continue
-				}
-				row[ki] = fmt.Sprintf("%.3f", partition.CutFraction(ps.G, c.seed, partition.Options{}))
-				break
-			}
-		}
-		fmt.Fprintf(f, "%-6d %-10s %-10s\n", r, row[0], row[1])
-	}
+	moore.WriteFig13(f, 8, hi, maxN, c.seed)
 	return nil
 }
 

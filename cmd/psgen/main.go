@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"polarstar"
+	"polarstar/internal/topo"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 	)
 	flag.Parse()
 
-	kind, err := parseKind(*kindName)
+	kind, err := topo.ParseKind(*kindName)
 	if err != nil {
 		fatal(err)
 	}
@@ -158,7 +159,7 @@ func build(name string, kind polarstar.SupernodeKind, q, dPrime, a, h, rho, p, n
 		}
 		return er.G, nil
 	case "iq", "paley", "bdf", "complete":
-		k, _ := parseKind(name)
+		k, _ := topo.ParseKind(name)
 		s, err := polarstar.NewSupernode(k, dPrime)
 		if err != nil {
 			return nil, err
@@ -224,20 +225,6 @@ func build(name string, kind polarstar.SupernodeKind, q, dPrime, a, h, rho, p, n
 		return l.G, nil
 	}
 	return nil, fmt.Errorf("unknown topology %q", name)
-}
-
-func parseKind(s string) (polarstar.SupernodeKind, error) {
-	switch s {
-	case "iq":
-		return polarstar.IQ, nil
-	case "paley":
-		return polarstar.Paley, nil
-	case "bdf":
-		return polarstar.BDF, nil
-	case "complete":
-		return polarstar.Complete, nil
-	}
-	return 0, fmt.Errorf("unknown supernode kind %q", s)
 }
 
 func fatal(err error) {

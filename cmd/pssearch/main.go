@@ -19,7 +19,7 @@
 //
 //	-start jellyfish:N,D[,SEED]   random D-regular graph on N vertices
 //	-start er:Q                   ER_Q Paley-quadratic diameter-3 graph
-//	-start polarstar:Q,D'[,KIND]  PolarStar star product (KIND: iq|paley)
+//	-start polarstar:Q,D'[,KIND]  PolarStar star product (KIND: iq|paley|bdf|complete)
 //	-start file:PATH              edge list (psgen format)
 //
 // A finished run can be continued: -resume CHECKPOINT restarts from the
@@ -101,13 +101,8 @@ func buildStart(spec string, seed int64) (*graph.Graph, error) {
 		}
 		sk := topo.KindIQ
 		if len(args) >= 3 {
-			switch strings.TrimSpace(args[2]) {
-			case "iq":
-				sk = topo.KindIQ
-			case "paley":
-				sk = topo.KindPaley
-			default:
-				return nil, fmt.Errorf("polarstar kind %q (want iq|paley)", args[2])
+			if sk, err = topo.ParseKind(strings.TrimSpace(args[2])); err != nil {
+				return nil, err
 			}
 		}
 		ps, err := topo.NewPolarStar(q, dPrime, sk)

@@ -30,7 +30,7 @@ func main() {
 	} {
 		moore := polarstar.MooreBound(radix, 3)
 		fmt.Printf("  %-11s %7d routers (%s), %.1f%% of the Moore bound %d\n",
-			p.name, p.point.Order, p.point.Config,
+			p.name, p.point.Order, p.point.Config(),
 			100*float64(p.point.Order)/float64(moore), moore)
 	}
 

@@ -14,9 +14,9 @@ func hostsConnected(h *graph.Graph, hosts Hosts) bool {
 		return true
 	}
 	if hosts == nil {
-		return h.IsConnected()
+		return h.IsConnected(nil)
 	}
-	dist := h.BFSDistances(hosts[0], nil)
+	dist := h.BFSDistances(hosts[0], nil, nil)
 	for _, v := range hosts {
 		if dist[v] == graph.Unreachable {
 			return false

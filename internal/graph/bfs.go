@@ -4,24 +4,24 @@ package graph
 // components.
 const Unreachable = int32(-1)
 
-// BFSScratch holds the reusable traversal queue for repeated BFS calls.
-// The zero value is ready to use; one scratch serves one goroutine.
+// BFSScratch holds the reusable state of repeated BFS calls: the
+// traversal queue, and the distance row Eccentricity and IsConnected
+// fill. The zero value is ready to use; one scratch serves one
+// goroutine. Every BFS method takes an optional scratch; nil gives the
+// call a fresh one.
 type BFSScratch struct {
 	queue []int32
+	dist  []int32
 }
 
 // BFSDistances returns the hop distance from src to every vertex, with
-// Unreachable for vertices in other components. If dist is non-nil and has
-// length N it is reused, avoiding an allocation in hot loops.
-func (g *Graph) BFSDistances(src int, dist []int32) []int32 {
-	var s BFSScratch
-	return g.BFSDistancesScratch(src, dist, &s)
-}
-
-// BFSDistancesScratch is BFSDistances with an explicit scratch, making
-// repeated traversals allocation-free once dist and the scratch have
-// reached size N.
-func (g *Graph) BFSDistancesScratch(src int, dist []int32, s *BFSScratch) []int32 {
+// Unreachable for vertices in other components. If dist is non-nil and
+// has length N it is reused; with a scratch as well, repeated traversals
+// allocate nothing once both have reached size N.
+func (g *Graph) BFSDistances(src int, dist []int32, s *BFSScratch) []int32 {
+	if s == nil {
+		s = &BFSScratch{}
+	}
 	if dist == nil || len(dist) != g.n {
 		dist = make([]int32, g.n)
 	}
@@ -51,19 +51,13 @@ func (g *Graph) BFSDistancesScratch(src int, dist []int32, s *BFSScratch) []int3
 // Eccentricity returns the largest finite distance from src and whether all
 // vertices were reachable. For the eccentricity of every vertex at once,
 // Eccentricities (the bit-parallel variant) is ~64× cheaper.
-func (g *Graph) Eccentricity(src int) (ecc int32, connected bool) {
-	var s BFSScratch
-	ecc, connected, _ = g.EccentricityScratch(src, nil, &s)
-	return ecc, connected
-}
-
-// EccentricityScratch is Eccentricity reusing dist and scratch across
-// calls (both sized on first use; the possibly-grown dist is returned).
-// Use it in loops that probe many sources or many graphs.
-func (g *Graph) EccentricityScratch(src int, dist []int32, s *BFSScratch) (ecc int32, connected bool, distOut []int32) {
-	dist = g.BFSDistancesScratch(src, dist, s)
+func (g *Graph) Eccentricity(src int, s *BFSScratch) (ecc int32, connected bool) {
+	if s == nil {
+		s = &BFSScratch{}
+	}
+	s.dist = g.BFSDistances(src, s.dist, s)
 	connected = true
-	for _, d := range dist {
+	for _, d := range s.dist {
 		if d == Unreachable {
 			connected = false
 			continue
@@ -72,7 +66,7 @@ func (g *Graph) EccentricityScratch(src int, dist []int32, s *BFSScratch) (ecc i
 			ecc = d
 		}
 	}
-	return ecc, connected, dist
+	return ecc, connected
 }
 
 // PathStats aggregates the all-pairs shortest-path structure of a graph.
@@ -93,27 +87,22 @@ func (g *Graph) Diameter() int32 {
 }
 
 // IsConnected reports whether the graph has a single connected component.
-func (g *Graph) IsConnected() bool {
-	var s BFSScratch
-	ok, _ := g.IsConnectedScratch(nil, &s)
-	return ok
-}
-
-// IsConnectedScratch is IsConnected reusing dist and scratch across calls
-// (both sized on first use; the possibly-grown dist is returned). Use it
-// in loops that screen many candidate graphs, e.g. the randomized
-// Jellyfish construction.
-func (g *Graph) IsConnectedScratch(dist []int32, s *BFSScratch) (bool, []int32) {
+// Loops that screen many candidate graphs (the randomized Jellyfish
+// construction) pass one scratch to every call.
+func (g *Graph) IsConnected(s *BFSScratch) bool {
 	if g.n == 0 {
-		return true, dist
+		return true
 	}
-	dist = g.BFSDistancesScratch(0, dist, s)
-	for _, d := range dist {
+	if s == nil {
+		s = &BFSScratch{}
+	}
+	s.dist = g.BFSDistances(0, s.dist, s)
+	for _, d := range s.dist {
 		if d == Unreachable {
-			return false, dist
+			return false
 		}
 	}
-	return true, dist
+	return true
 }
 
 // Components returns the vertex sets of the connected components, largest

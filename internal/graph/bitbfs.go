@@ -31,7 +31,7 @@
 // keeping results bit-identical to the scalar reference at any
 // GOMAXPROCS.
 //
-// Scalar BFS (BFSDistancesScratch) serves single-source queries; the
+// Scalar BFS (BFSDistances) serves single-source queries; the
 // kernel wins whenever many sources are traversed, whether their results
 // are aggregated or kept (routing tables read each batch's distance
 // vectors and arc record).

@@ -12,7 +12,7 @@ import (
 // scalarStats recomputes what BitBFSBatch reports for one source from the
 // scalar BFS distance vector: the oracle of the cross-checks below.
 func scalarStats(g *Graph, src int, dst []bool) (ecc int32, sum int64, reached int64) {
-	dist := g.BFSDistances(src, nil)
+	dist := g.BFSDistances(src, nil, nil)
 	for v, d := range dist {
 		if v == src || d == Unreachable {
 			continue
@@ -114,7 +114,7 @@ func (g *Graph) AllPairsStatsScalar() PathStats {
 	var dist []int32
 	var scratch BFSScratch
 	for src := 0; src < g.n; src++ {
-		dist = g.BFSDistancesScratch(src, dist, &scratch)
+		dist = g.BFSDistances(src, dist, &scratch)
 		for v, d := range dist {
 			switch {
 			case v == src:
@@ -191,7 +191,7 @@ func TestDistanceHistogram(t *testing.T) {
 		g := randomBitGraph(seed)
 		want := map[int32]int64{}
 		for src := 0; src < g.N(); src++ {
-			dist := g.BFSDistances(src, nil)
+			dist := g.BFSDistances(src, nil, nil)
 			for v, d := range dist {
 				if v != src && d != Unreachable {
 					want[d]++
@@ -231,7 +231,7 @@ func TestEccentricities(t *testing.T) {
 		g := randomBitGraph(seed)
 		eccs := g.Eccentricities()
 		for v := 0; v < g.N(); v++ {
-			want, _ := g.Eccentricity(v)
+			want, _ := g.Eccentricity(v, nil)
 			if eccs[v] != want {
 				t.Errorf("seed %d: ecc[%d] = %d, want %d", seed, v, eccs[v], want)
 			}
@@ -268,27 +268,21 @@ func TestBitBFSBatchEdgeCases(t *testing.T) {
 	g65.BitBFSBatch(make([]int32, 65), &s, nil, nil)
 }
 
-// TestScratchVariantsMatch: the scratch-reusing Eccentricity/IsConnected
-// variants agree with their allocating counterparts across graphs of
-// different sizes (the scratch must regrow correctly).
+// TestScratchVariantsMatch: Eccentricity and IsConnected give the same
+// answers with a scratch reused across graphs of different sizes (the
+// scratch must regrow correctly) as with a fresh one per call.
 func TestScratchVariantsMatch(t *testing.T) {
-	var (
-		dist []int32
-		s    BFSScratch
-	)
+	var s BFSScratch
 	for seed := int64(0); seed < 12; seed++ {
 		g := randomBitGraph(seed)
-		gotConn, d := g.IsConnectedScratch(dist, &s)
-		dist = d
-		if want := g.IsConnected(); gotConn != want {
-			t.Errorf("seed %d: IsConnectedScratch = %v, want %v", seed, gotConn, want)
+		if got, want := g.IsConnected(&s), g.IsConnected(nil); got != want {
+			t.Errorf("seed %d: IsConnected with reused scratch = %v, want %v", seed, got, want)
 		}
 		src := int(seed) % g.N()
-		ecc, conn, d2 := g.EccentricityScratch(src, dist, &s)
-		dist = d2
-		wantEcc, wantConn := g.Eccentricity(src)
+		ecc, conn := g.Eccentricity(src, &s)
+		wantEcc, wantConn := g.Eccentricity(src, nil)
 		if ecc != wantEcc || conn != wantConn {
-			t.Errorf("seed %d: EccentricityScratch = (%d,%v), want (%d,%v)", seed, ecc, conn, wantEcc, wantConn)
+			t.Errorf("seed %d: Eccentricity with reused scratch = (%d,%v), want (%d,%v)", seed, ecc, conn, wantEcc, wantConn)
 		}
 	}
 }
@@ -352,7 +346,7 @@ func TestBitBFSOneKernelThreeFaces(t *testing.T) {
 		want := BatchBFSStats{Lanes: lanes}
 		var maxEcc int32
 		for l, src := range c.srcs {
-			ref[l] = g.BFSDistances(int(src), nil)
+			ref[l] = g.BFSDistances(int(src), nil, nil)
 			want.Ecc[l], want.Sum[l], want.Reached[l] = scalarStats(g, int(src), nil)
 			maxEcc = max(maxEcc, want.Ecc[l])
 		}
@@ -494,7 +488,7 @@ func TestBitBFSBatchArcs(t *testing.T) {
 				t.Fatalf("seed %d: distance limit hit", seed)
 			}
 			for lane, src := range srcs {
-				ref := g.BFSDistances(int(src), nil)
+				ref := g.BFSDistances(int(src), nil, nil)
 				for v := 0; v < n; v++ {
 					if want := uint8(ref[v]); dist[v*64+lane] != want {
 						t.Fatalf("seed %d lane %d: dist[%d] = %d, want %d", seed, lane, v, dist[v*64+lane], want)

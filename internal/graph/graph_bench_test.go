@@ -22,7 +22,7 @@ func BenchmarkBFS1k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.BFSDistances(i%g.N(), dist)
+		g.BFSDistances(i%g.N(), dist, nil)
 	}
 }
 

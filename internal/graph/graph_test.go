@@ -155,7 +155,7 @@ func TestDegreesAndRegularity(t *testing.T) {
 
 func TestBFSDistances(t *testing.T) {
 	g := path(5)
-	dist := g.BFSDistances(0, nil)
+	dist := g.BFSDistances(0, nil, nil)
 	for i, want := range []int32{0, 1, 2, 3, 4} {
 		if dist[i] != want {
 			t.Errorf("dist[%d] = %d, want %d", i, dist[i], want)
@@ -165,7 +165,7 @@ func TestBFSDistances(t *testing.T) {
 	b := NewBuilder("g", 3)
 	b.AddEdge(0, 1)
 	g2 := b.Build()
-	dist2 := g2.BFSDistances(0, nil)
+	dist2 := g2.BFSDistances(0, nil, nil)
 	if dist2[2] != Unreachable {
 		t.Errorf("dist[2] = %d, want Unreachable", dist2[2])
 	}
@@ -204,7 +204,7 @@ func TestDiameterDisconnected(t *testing.T) {
 	if g.Diameter() != Unreachable {
 		t.Error("disconnected graph should report Unreachable diameter")
 	}
-	if g.IsConnected() {
+	if g.IsConnected(nil) {
 		t.Error("IsConnected wrong")
 	}
 	comps := g.Components()
@@ -330,7 +330,7 @@ func TestBFSPropertyTriangleInequality(t *testing.T) {
 			b.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
 		g := b.Build()
-		dist := g.BFSDistances(0, nil)
+		dist := g.BFSDistances(0, nil, nil)
 		for u := 0; u < n; u++ {
 			for _, v := range g.Neighbors(u) {
 				du, dv := dist[u], dist[v]
@@ -364,7 +364,7 @@ func TestAllPairsMatchesSingleSource(t *testing.T) {
 	var diam int32
 	var sum, pairs int64
 	for s := 0; s < g.N(); s++ {
-		dist := g.BFSDistances(s, nil)
+		dist := g.BFSDistances(s, nil, nil)
 		for v, d := range dist {
 			if v == s || d == Unreachable {
 				continue
@@ -387,11 +387,11 @@ func TestAllPairsMatchesSingleSource(t *testing.T) {
 
 func TestEccentricity(t *testing.T) {
 	g := path(5)
-	ecc, conn := g.Eccentricity(0)
+	ecc, conn := g.Eccentricity(0, nil)
 	if ecc != 4 || !conn {
 		t.Errorf("ecc=%d conn=%v", ecc, conn)
 	}
-	ecc, conn = g.Eccentricity(2)
+	ecc, conn = g.Eccentricity(2, nil)
 	if ecc != 2 || !conn {
 		t.Errorf("ecc=%d conn=%v", ecc, conn)
 	}

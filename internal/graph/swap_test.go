@@ -226,7 +226,7 @@ func TestBitBFSBatchDist(t *testing.T) {
 		ref := make([]int32, n)
 		var bs BFSScratch
 		for l, src := range srcs {
-			ref = g.BFSDistancesScratch(int(src), ref, &bs)
+			ref = g.BFSDistances(int(src), ref, &bs)
 			var sum, reached int64
 			var ecc int32
 			for v := 0; v < n; v++ {
@@ -274,7 +274,7 @@ func TestBitBFSBatchRows(t *testing.T) {
 	ref := make([]int32, n)
 	var bs BFSScratch
 	for l, src := range srcs {
-		ref = g.BFSDistancesScratch(int(src), ref, &bs)
+		ref = g.BFSDistances(int(src), ref, &bs)
 		want := make([]int32, stride)
 		for v := 0; v < n; v++ {
 			if ref[v] != Unreachable && ref[v] > 0 {

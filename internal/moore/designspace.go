@@ -3,9 +3,11 @@ package moore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"polarstar/internal/gf"
+	"polarstar/internal/graph"
 	"polarstar/internal/topo"
 )
 
@@ -20,6 +22,26 @@ type Config struct {
 
 func (c Config) String() string {
 	return fmt.Sprintf("PolarStar-%v(q=%d,d'=%d): radix %d, %d routers", c.Kind, c.Q, c.DPrime, c.Radix, c.Order)
+}
+
+// Point returns the configuration as a design point.
+func (c Config) Point() Point {
+	return Point{Radix: c.Radix, Order: c.Order, family: famPolarStar, kind: c.Kind, args: [3]int{c.Q, c.DPrime}}
+}
+
+// LargestPolarStarGraph builds the largest PolarStar of the radix with at
+// most maxOrder routers, among the given supernode kinds (every kind when
+// none are given): the Fig 12 and Fig 13 protocol. nil when none fits.
+func LargestPolarStarGraph(radix, maxOrder int, kinds ...topo.SupernodeKind) *graph.Graph {
+	for _, c := range PolarStarConfigs(radix) {
+		if int(c.Order) > maxOrder || len(kinds) > 0 && !slices.Contains(kinds, c.Kind) {
+			continue
+		}
+		if g, err := c.Point().Graph(); err == nil {
+			return g
+		}
+	}
+	return nil
 }
 
 // PolarStarConfigs enumerates every feasible PolarStar configuration at
@@ -67,18 +89,14 @@ func MaxOrderIQ(dStar int) float64 {
 	return (8*d*d*d + 12*d*d + 18*d) / 27
 }
 
-// Diam2Point mirrors Point for the diameter-2 families of Fig 4.
-
 // BestERPoint returns the ER graph point at the radix: order q²+q+1 at
 // degree q+1 when q = radix−1 is a prime power.
 func BestERPoint(radix int) Point {
-	p := Point{Radix: radix}
 	q := radix - 1
-	if q >= 2 && isPrimePower(q) {
-		p.Order = int64(q*q + q + 1)
-		p.Config = fmt.Sprintf("ER_%d", q)
+	if q < 2 || !gf.IsPrimePower(q) {
+		return Point{Radix: radix}
 	}
-	return p
+	return Point{Radix: radix, Order: int64(q*q + q + 1), family: famER, args: [3]int{q}}
 }
 
 // BestMMSPoint returns the MMS graph point: order 2q² at degree
@@ -87,8 +105,7 @@ func BestMMSPoint(radix int) Point {
 	p := Point{Radix: radix}
 	for q := 3; q <= radix; q++ {
 		if topo.MMSDegree(q) == radix {
-			p.Order = int64(topo.MMSOrder(q))
-			p.Config = fmt.Sprintf("MMS_%d", q)
+			p = Point{Radix: radix, Order: int64(topo.MMSOrder(q)), family: famMMS, args: [3]int{q}}
 		}
 	}
 	return p
@@ -97,13 +114,11 @@ func BestMMSPoint(radix int) Point {
 // PaleyPoint returns the Paley graph point: order 2d+1 at degree d when
 // 2d+1 is a prime power ≡ 1 mod 4.
 func PaleyPoint(radix int) Point {
-	p := Point{Radix: radix}
 	q := 2*radix + 1
-	if radix >= 2 && radix%2 == 0 && isPrimePower(q) && q%4 == 1 {
-		p.Order = int64(q)
-		p.Config = fmt.Sprintf("Paley(%d)", q)
+	if radix < 2 || radix%2 != 0 || !gf.IsPrimePower(q) || q%4 != 1 {
+		return Point{Radix: radix}
 	}
-	return p
+	return Point{Radix: radix, Order: int64(q), family: famPaley, args: [3]int{q}}
 }
 
 // CayleyDiam2Point returns the reference curve for the best known
@@ -112,7 +127,5 @@ func PaleyPoint(radix int) Point {
 // reference, not an explicit construction in this repository.
 func CayleyDiam2Point(radix int) Point {
 	d := int64(radix)
-	return Point{Radix: radix, Order: (d*d + d + 2) / 2, Config: "Cayley(Abas)"}
+	return Point{Radix: radix, Order: (d*d + d + 2) / 2, family: famCayley}
 }
-
-func isPrimePower(q int) bool { return gf.IsPrimePower(q) }

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"polarstar/internal/graph"
+	"polarstar/internal/partition"
+	"polarstar/internal/topo"
 )
 
 // Fig1Row is one radix of the diameter-3 scalability comparison (Fig 1):
@@ -82,7 +86,28 @@ func pointCell(p Point) string {
 	if !p.Valid() {
 		return "-"
 	}
-	return fmt.Sprintf("%d (%s)", p.Order, p.Config)
+	return fmt.Sprintf("%d (%s)", p.Order, p.Config())
+}
+
+// WriteFig13 renders Fig 13 (§11.1): per radix, the bisection cut
+// fraction of the largest PolarStar-IQ and PolarStar-Paley with at most
+// maxOrder routers.
+func WriteFig13(w io.Writer, lo, hi, maxOrder int, seed int64) {
+	fmt.Fprintf(w, "%-6s %-10s %-10s\n", "radix", "ps-iq", "ps-paley")
+	for r := lo; r <= hi; r++ {
+		fmt.Fprintf(w, "%-6d %-10s %-10s\n", r,
+			CutCell(LargestPolarStarGraph(r, maxOrder, topo.KindIQ), seed),
+			CutCell(LargestPolarStarGraph(r, maxOrder, topo.KindPaley), seed))
+	}
+}
+
+// CutCell formats g's bisection cut fraction for the Fig 12/13 tables,
+// "-" when there is no graph.
+func CutCell(g *graph.Graph, seed int64) string {
+	if g == nil {
+		return "-"
+	}
+	return fmt.Sprintf("%.3f", partition.CutFraction(g, seed, partition.Options{}))
 }
 
 // Fig4Row is one radix of the diameter-2 family comparison (Fig 4).

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"polarstar/internal/graph"
-	"polarstar/internal/topo"
 )
 
 // MeasuredConfig pairs a design-space point with measured structural
@@ -48,12 +47,12 @@ func MeasureConfigs(cfgs []Config, maxOrder int) []MeasuredConfig {
 				if maxOrder > 0 && c.Order > int64(maxOrder) {
 					continue
 				}
-				ps, err := topo.NewPolarStar(c.Q, c.DPrime, c.Kind)
+				g, err := c.Point().Graph()
 				if err != nil {
 					continue
 				}
 				out[i].Measured = true
-				out[i].Stats = ps.G.AllPairsStatsSerial(&scratch)
+				out[i].Stats = g.AllPairsStatsSerial(&scratch)
 			}
 		}(w)
 	}

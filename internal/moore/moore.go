@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"polarstar/internal/gf"
+	"polarstar/internal/graph"
 	"polarstar/internal/topo"
 )
 
@@ -47,29 +48,110 @@ func Efficiency(order int64, radix, diameter int) float64 {
 	return float64(order) / float64(Bound(radix, diameter))
 }
 
+// family names the topology family a design point belongs to. Point.Graph
+// builds PolarStar, Bundlefly, Dragonfly and 3-D HyperX points; the
+// others are orders from closed forms or measurements.
+type family uint8
+
+const (
+	famNone family = iota
+	famPolarStar
+	famBundlefly
+	famDragonfly
+	famHyperX3D
+	famKautz
+	famStarMax
+	famSpectralfly
+	famER
+	famMMS
+	famPaley
+	famCayley
+)
+
 // Point is one design point of a topology family: the largest order
-// achievable at the given radix, with a description of the configuration.
+// achievable at the given radix and the parameters that achieve it.
 type Point struct {
 	Radix  int
 	Order  int64
-	Config string
+	family family
+	kind   topo.SupernodeKind // supernode kind of a PolarStar point
+	args   [3]int             // the family's parameters, in the order Config prints them
 }
 
 // Valid reports whether the family has any configuration at this radix.
 func (p Point) Valid() bool { return p.Order > 0 }
+
+// Config describes the point's parameters, e.g. "IQ q=11 d'=3" or
+// "a=12 h=6" ("" for an infeasible point).
+func (p Point) Config() string {
+	a := p.args
+	switch p.family {
+	case famPolarStar:
+		return fmt.Sprintf("%v q=%d d'=%d", p.kind, a[0], a[1])
+	case famBundlefly:
+		return fmt.Sprintf("q=%d d'=%d", a[0], a[1])
+	case famDragonfly:
+		return fmt.Sprintf("a=%d h=%d", a[0], a[1])
+	case famHyperX3D:
+		return fmt.Sprintf("%dx%dx%d", a[0], a[1], a[2])
+	case famKautz:
+		return fmt.Sprintf("K(%d,2)", a[0])
+	case famStarMax:
+		return fmt.Sprintf("dG=%d d'=%d", a[0], a[1])
+	case famSpectralfly:
+		return fmt.Sprintf("X^{%d,%d}", a[0], a[1])
+	case famER:
+		return fmt.Sprintf("ER_%d", a[0])
+	case famMMS:
+		return fmt.Sprintf("MMS_%d", a[0])
+	case famPaley:
+		return fmt.Sprintf("Paley(%d)", a[0])
+	case famCayley:
+		return "Cayley(Abas)"
+	}
+	return ""
+}
+
+// Graph builds the point's topology; only PolarStar, Bundlefly,
+// Dragonfly and 3-D HyperX points have a construction here.
+func (p Point) Graph() (*graph.Graph, error) {
+	a := p.args
+	switch p.family {
+	case famPolarStar:
+		ps, err := topo.NewPolarStar(a[0], a[1], p.kind)
+		if err != nil {
+			return nil, err
+		}
+		return ps.G, nil
+	case famBundlefly:
+		bf, err := topo.NewBundlefly(a[0], a[1])
+		if err != nil {
+			return nil, err
+		}
+		return bf.G, nil
+	case famDragonfly:
+		df, err := topo.NewDragonfly(a[0], a[1])
+		if err != nil {
+			return nil, err
+		}
+		return df.G, nil
+	case famHyperX3D:
+		hx, err := topo.NewHyperX(a[0], a[1], a[2])
+		if err != nil {
+			return nil, err
+		}
+		return hx.G, nil
+	}
+	return nil, fmt.Errorf("moore: no construction for design point %q", p.Config())
+}
 
 // BestPolarStar returns the largest PolarStar at the given radix across
 // both supernode kinds and all structure/supernode degree splits (§7.1).
 func BestPolarStar(radix int) Point {
 	best := Point{Radix: radix}
 	for _, kind := range []topo.SupernodeKind{topo.KindIQ, topo.KindPaley} {
-		for q := 2; q+1 <= radix; q++ {
-			dPrime := radix - (q + 1)
-			order := int64(topo.PolarStarOrder(q, dPrime, kind))
-			if order > best.Order {
-				best.Order = order
-				best.Config = fmt.Sprintf("%v q=%d d'=%d", kind, q, dPrime)
-			}
+		if p := BestPolarStarKind(radix, kind); p.Order > best.Order {
+			best = p
 		}
 	}
 	return best
@@ -80,10 +162,8 @@ func BestPolarStarKind(radix int, kind topo.SupernodeKind) Point {
 	best := Point{Radix: radix}
 	for q := 2; q+1 <= radix; q++ {
 		dPrime := radix - (q + 1)
-		order := int64(topo.PolarStarOrder(q, dPrime, kind))
-		if order > best.Order {
-			best.Order = order
-			best.Config = fmt.Sprintf("%v q=%d d'=%d", kind, q, dPrime)
+		if order := int64(topo.PolarStarOrder(q, dPrime, kind)); order > best.Order {
+			best = Point{Radix: radix, Order: order, family: famPolarStar, kind: kind, args: [3]int{q, dPrime}}
 		}
 	}
 	return best
@@ -99,10 +179,8 @@ func BestBundlefly(radix int) Point {
 			continue
 		}
 		dPrime := radix - md
-		order := int64(topo.BundleflyOrder(q, dPrime))
-		if order > best.Order {
-			best.Order = order
-			best.Config = fmt.Sprintf("q=%d d'=%d", q, dPrime)
+		if order := int64(topo.BundleflyOrder(q, dPrime)); order > best.Order {
+			best = Point{Radix: radix, Order: order, family: famBundlefly, args: [3]int{q, dPrime}}
 		}
 	}
 	return best
@@ -113,10 +191,8 @@ func BestDragonfly(radix int) Point {
 	best := Point{Radix: radix}
 	for a := 2; a-1 < radix; a++ {
 		h := radix - (a - 1)
-		order := int64(topo.DragonflyOrder(a, h))
-		if order > best.Order {
-			best.Order = order
-			best.Config = fmt.Sprintf("a=%d h=%d", a, h)
+		if order := int64(topo.DragonflyOrder(a, h)); order > best.Order {
+			best = Point{Radix: radix, Order: order, family: famDragonfly, args: [3]int{a, h}}
 		}
 	}
 	return best
@@ -131,10 +207,8 @@ func BestHyperX3D(radix int) Point {
 			if s3 < s2 {
 				continue
 			}
-			order := int64(s1) * int64(s2) * int64(s3)
-			if order > best.Order {
-				best.Order = order
-				best.Config = fmt.Sprintf("%dx%dx%d", s1, s2, s3)
+			if order := int64(s1) * int64(s2) * int64(s3); order > best.Order {
+				best = Point{Radix: radix, Order: order, family: famHyperX3D, args: [3]int{s1, s2, s3}}
 			}
 		}
 	}
@@ -144,13 +218,11 @@ func BestHyperX3D(radix int) Point {
 // KautzDiam3 returns the bidirectional diameter-3 Kautz point: order
 // (d+1)d² with undirected radix 2d, so only even radixes are feasible.
 func KautzDiam3(radix int) Point {
-	p := Point{Radix: radix}
-	if radix%2 == 0 && radix >= 4 {
-		d := radix / 2
-		p.Order = int64(topo.KautzOrder(d, 2))
-		p.Config = fmt.Sprintf("K(%d,2)", d)
+	if radix%2 != 0 || radix < 4 {
+		return Point{Radix: radix}
 	}
-	return p
+	d := radix / 2
+	return Point{Radix: radix, Order: int64(topo.KautzOrder(d, 2)), family: famKautz, args: [3]int{d}}
 }
 
 // StarMax returns the upper bound on diameter-3 star products built from
@@ -161,10 +233,8 @@ func StarMax(radix int) Point {
 	best := Point{Radix: radix}
 	for dg := 1; dg <= radix; dg++ {
 		dPrime := radix - dg
-		order := Diam2Bound(dg) * int64(2*dPrime+2)
-		if order > best.Order {
-			best.Order = order
-			best.Config = fmt.Sprintf("dG=%d d'=%d", dg, dPrime)
+		if order := Diam2Bound(dg) * int64(2*dPrime+2); order > best.Order {
+			best = Point{Radix: radix, Order: order, family: famStarMax, args: [3]int{dg, dPrime}}
 		}
 	}
 	return best
@@ -196,8 +266,7 @@ func SpectralflyDiam3(radix, maxOrder int) Point {
 			continue
 		}
 		if d := l.G.Diameter(); d >= 0 && d <= 3 && int64(order) > best.Order {
-			best.Order = int64(order)
-			best.Config = fmt.Sprintf("X^{%d,%d}", p, q)
+			best = Point{Radix: radix, Order: int64(order), family: famSpectralfly, args: [3]int{p, q}}
 		}
 	}
 	return best

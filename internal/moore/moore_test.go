@@ -42,8 +42,8 @@ func TestBestPolarStarKnownPoints(t *testing.T) {
 	if p.Order != 1064 {
 		t.Errorf("BestPolarStar(15).Order = %d, want 1064", p.Order)
 	}
-	if !strings.Contains(p.Config, "q=11") {
-		t.Errorf("BestPolarStar(15).Config = %q, want q=11", p.Config)
+	if !strings.Contains(p.Config(), "q=11") {
+		t.Errorf("BestPolarStar(15).Config() = %q, want q=11", p.Config())
 	}
 }
 
@@ -156,7 +156,7 @@ func TestBestDragonflyBalanced(t *testing.T) {
 	// The canonical maximum Dragonfly uses a ≈ 2h; check radix 17
 	// (Table 3 uses a=12, h=6 — exactly the maximizer).
 	p := BestDragonfly(17)
-	if p.Config != "a=12 h=6" || p.Order != 876 {
+	if p.Config() != "a=12 h=6" || p.Order != 876 {
 		t.Errorf("BestDragonfly(17) = %+v, want a=12 h=6, 876", p)
 	}
 }
@@ -165,6 +165,26 @@ func TestBestHyperX3DBalanced(t *testing.T) {
 	p := BestHyperX3D(23)
 	if p.Order != 648 {
 		t.Errorf("BestHyperX3D(23).Order = %d, want 648 (9x9x8)", p.Order)
+	}
+}
+
+// TestPointGraphOrder: a constructible design point builds a graph of
+// exactly its closed-form order from its typed parameters; a closed-form
+// family has no construction.
+func TestPointGraphOrder(t *testing.T) {
+	for _, p := range []Point{BestPolarStar(11), BestPolarStarKind(12, topo.KindPaley),
+		BestBundlefly(11), BestDragonfly(9), BestHyperX3D(10)} {
+		g, err := p.Graph()
+		if err != nil {
+			t.Errorf("%s: %v", p.Config(), err)
+			continue
+		}
+		if int64(g.N()) != p.Order {
+			t.Errorf("%s: built %d routers, want %d", p.Config(), g.N(), p.Order)
+		}
+	}
+	if _, err := StarMax(10).Graph(); err == nil {
+		t.Error("a StarMax point built a graph")
 	}
 }
 

@@ -9,6 +9,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 
 	"polarstar/internal/graph"
 )
@@ -87,10 +88,15 @@ func (w *wgraph) coarsen(rng *rand.Rand) (*wgraph, []int32) {
 		}
 		c.vwgt[cv] = vw
 		adj := make([]int32, 0, len(acc))
-		ew := make([]int32, 0, len(acc))
-		for cu, wt := range acc {
+		for cu := range acc {
 			adj = append(adj, cu)
-			ew = append(ew, wt)
+		}
+		// Map order is random and the matching breaks weight ties by
+		// adjacency order, so the order is fixed here.
+		slices.Sort(adj)
+		ew := make([]int32, len(adj))
+		for i, cu := range adj {
+			ew[i] = acc[cu]
 		}
 		c.adj[cv] = adj
 		c.ewgt[cv] = ew

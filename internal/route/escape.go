@@ -14,12 +14,12 @@ import "polarstar/internal/graph"
 // TreeEscape is immutable after construction and safe for concurrent
 // readers: AppendPath keeps its working set in stack-local arrays.
 type TreeEscape struct {
-	parent [][]int32 // per tree: vertex -> parent (-1 root, -2 unreached)
-	depth  [][]int32 // per tree: vertex -> depth from root
+	trees []pathTree
 }
 
-// escMaxDepth bounds tree depth usable by AppendPath; ascents deeper
-// than this skip the tree (simulator paths are capped far below anyway).
+// escMaxDepth bounds the tree depth a path query can climb; a pair
+// deeper than this skips the tree (simulator paths are capped far below
+// anyway).
 const escMaxDepth = 64
 
 // NewTreeEscape extracts up to maxTrees edge-disjoint spanning trees of g
@@ -36,36 +36,13 @@ func NewTreeEscape(g *graph.Graph, maxTrees int, seed int64) (*TreeEscape, error
 	}
 	te := &TreeEscape{}
 	for _, tr := range trees {
-		depth := make([]int32, len(tr.Parent))
-		for i := range depth {
-			depth[i] = -1
-		}
-		var dfs func(v int32) int32
-		dfs = func(v int32) int32 {
-			if depth[v] >= 0 {
-				return depth[v]
-			}
-			p := tr.Parent[v]
-			if p < 0 {
-				depth[v] = 0
-			} else {
-				depth[v] = dfs(p) + 1
-			}
-			return depth[v]
-		}
-		for v := range tr.Parent {
-			if tr.Parent[v] != -2 {
-				dfs(int32(v))
-			}
-		}
-		te.parent = append(te.parent, tr.Parent)
-		te.depth = append(te.depth, depth)
+		te.trees = append(te.trees, newPathTree(tr))
 	}
 	return te, nil
 }
 
 // Trees returns the number of escape trees available.
-func (te *TreeEscape) Trees() int { return len(te.parent) }
+func (te *TreeEscape) Trees() int { return len(te.trees) }
 
 // AppendPath appends the shortest fully-live up-down tree path from src
 // to dst onto buf and returns the extended slice (buf unchanged when no
@@ -76,81 +53,106 @@ func (te *TreeEscape) AppendPath(buf []int, src, dst int, live func(u, v int) bo
 	if src == dst {
 		return buf
 	}
-	bestTree, bestLen := -1, 0
-	var bestUp, bestDown [escMaxDepth]int32
-	var bestNU, bestND int
-	var bestLCA int32
-	for ti := range te.parent {
-		parent, depth := te.parent[ti], te.depth[ti]
-		if parent[src] == -2 || parent[dst] == -2 {
+	var best, cur treeWalk
+	found := false
+	for _, tr := range te.trees {
+		if !tr.walk(&cur, src, dst) || found && cur.hops() >= best.hops() {
 			continue
 		}
-		var up, down [escMaxDepth]int32
-		nu, nd := 0, 0
-		a, b := int32(src), int32(dst)
-		da, db := depth[a], depth[b]
-		if da >= escMaxDepth || db >= escMaxDepth {
+		if live != nil && !cur.live(live) {
 			continue
 		}
-		for da > db {
-			up[nu] = a
-			nu++
-			a, da = parent[a], da-1
-		}
-		for db > da {
-			down[nd] = b
-			nd++
-			b, db = parent[b], db-1
-		}
-		for a != b {
-			up[nu] = a
-			down[nd] = b
-			nu++
-			nd++
-			a, b = parent[a], parent[b]
-		}
-		length := nu + nd // hops: up to the LCA and back down
-		if bestTree >= 0 && length >= bestLen {
-			continue
-		}
-		if live != nil && !treePathLive(up[:nu], a, down[:nd], live) {
-			continue
-		}
-		bestTree, bestLen = ti, length
-		bestUp, bestDown = up, down
-		bestNU, bestND, bestLCA = nu, nd, a
+		best, found = cur, true
 	}
-	if bestTree < 0 {
+	if !found {
 		return buf
 	}
-	for i := 0; i < bestNU; i++ {
-		buf = append(buf, int(bestUp[i]))
-	}
-	buf = append(buf, int(bestLCA))
-	for i := bestND - 1; i >= 0; i-- {
-		buf = append(buf, int(bestDown[i]))
-	}
-	return buf
+	return best.appendTo(buf)
 }
 
-// treePathLive checks every directed hop of the up-LCA-down walk.
-func treePathLive(up []int32, lca int32, down []int32, live func(u, v int) bool) bool {
-	prev := int32(-1)
-	for _, v := range up {
-		if prev >= 0 && !live(int(prev), int(v)) {
-			return false
-		}
-		prev = v
-	}
-	if prev >= 0 && !live(int(prev), int(lca)) {
+// pathTree is a spanning tree prepared for up-down path queries: the
+// parent links and every vertex's depth. TreeEscape and MultiPath route
+// over it.
+type pathTree struct {
+	parent []int32 // vertex -> parent (-1 root, -2 unreached)
+	depth  []int32 // vertex -> depth from the root
+}
+
+func newPathTree(t *SpanningTree) pathTree {
+	return pathTree{parent: t.Parent, depth: t.Depths()}
+}
+
+// treeWalk is one up-down tree path: up climbs from src and down from dst,
+// each stopping below their lowest common ancestor lca. The path is up,
+// then lca, then down reversed.
+type treeWalk struct {
+	up, down [escMaxDepth]int32
+	nu, nd   int
+	lca      int32
+}
+
+// walk fills w with the tree's path from src to dst (src != dst). It
+// reports false when either end is outside the tree or deeper than
+// escMaxDepth.
+func (t pathTree) walk(w *treeWalk, src, dst int) bool {
+	if t.parent[src] == -2 || t.parent[dst] == -2 {
 		return false
 	}
-	prev = lca
-	for i := len(down) - 1; i >= 0; i-- {
-		if !live(int(prev), int(down[i])) {
+	a, b := int32(src), int32(dst)
+	da, db := t.depth[a], t.depth[b]
+	if da >= escMaxDepth || db >= escMaxDepth {
+		return false
+	}
+	w.nu, w.nd = 0, 0
+	for da > db {
+		w.up[w.nu] = a
+		w.nu++
+		a, da = t.parent[a], da-1
+	}
+	for db > da {
+		w.down[w.nd] = b
+		w.nd++
+		b, db = t.parent[b], db-1
+	}
+	for a != b {
+		w.up[w.nu] = a
+		w.down[w.nd] = b
+		w.nu++
+		w.nd++
+		a, b = t.parent[a], t.parent[b]
+	}
+	w.lca = a
+	return true
+}
+
+// hops is the path's link count: up to the LCA and back down.
+func (w *treeWalk) hops() int { return w.nu + w.nd }
+
+// at returns the path's i-th router, 0 <= i <= hops (0 is src).
+func (w *treeWalk) at(i int) int {
+	switch {
+	case i < w.nu:
+		return int(w.up[i])
+	case i == w.nu:
+		return int(w.lca)
+	}
+	return int(w.down[w.nu+w.nd-i])
+}
+
+// live checks every directed hop of the path, in path order.
+func (w *treeWalk) live(live func(u, v int) bool) bool {
+	for i := 0; i < w.hops(); i++ {
+		if !live(w.at(i), w.at(i+1)) {
 			return false
 		}
-		prev = down[i]
 	}
 	return true
+}
+
+// appendTo appends the path's routers, src to dst, onto buf.
+func (w *treeWalk) appendTo(buf []int) []int {
+	for i := 0; i <= w.hops(); i++ {
+		buf = append(buf, w.at(i))
+	}
+	return buf
 }

@@ -24,9 +24,8 @@ import (
 // it can stand wherever a single-path engine does.
 type MultiPath struct {
 	min     Engine
-	parent  [][]int32 // per tree: vertex -> parent (-1 root)
-	depth   [][]int32 // per tree: vertex -> depth from root
-	maxHops []int     // per tree: usable up-down hop bound (depth- and cap-limited)
+	trees   []pathTree
+	maxHops []int // per tree: usable up-down hop bound (depth- and cap-limited)
 	edges   [][][2]int
 }
 
@@ -45,48 +44,20 @@ func NewMultiPath(g *graph.Graph, min Engine, lanes, hopCap int, seed int64) (*M
 	}
 	m := &MultiPath{min: min}
 	for _, tr := range trees {
-		n := len(tr.Parent)
-		depth := make([]int32, n)
-		maxDepth := 0
-		// Parents precede children in BFS order only per tree level; a
-		// simple two-pass fill: roots first, then children of settled
-		// vertices until fixpoint (trees are shallow, passes are few).
-		for i := range depth {
-			depth[i] = -1
-		}
-		depth[tr.Root] = 0
-		for settled := 1; settled < n; {
-			progressed := false
-			for v := 0; v < n; v++ {
-				if depth[v] >= 0 {
-					continue
-				}
-				if p := tr.Parent[v]; p >= 0 && depth[p] >= 0 {
-					depth[v] = depth[p] + 1
-					if int(depth[v]) > maxDepth {
-						maxDepth = int(depth[v])
-					}
-					settled++
-					progressed = true
-				}
-			}
-			if !progressed {
-				break
-			}
-		}
-		if maxDepth >= escMaxDepth {
+		pt := newPathTree(tr)
+		deepest := maxDepth(pt.depth)
+		if deepest >= escMaxDepth {
 			continue // pathological tree: unusable as a bounded lane
 		}
-		hops := 2 * maxDepth
+		hops := 2 * deepest
 		if hopCap > 0 && hops > hopCap {
 			hops = hopCap
 		}
-		m.parent = append(m.parent, tr.Parent)
-		m.depth = append(m.depth, depth)
+		m.trees = append(m.trees, pt)
 		m.maxHops = append(m.maxHops, hops)
 		m.edges = append(m.edges, tr.Edges())
 	}
-	if len(m.parent) == 0 {
+	if len(m.trees) == 0 {
 		return nil, fmt.Errorf("route: multipath lanes: %w (no tree usable within depth %d)", ErrDisconnected, escMaxDepth)
 	}
 	return m, nil
@@ -94,7 +65,7 @@ func NewMultiPath(g *graph.Graph, min Engine, lanes, hopCap int, seed int64) (*M
 
 // TreeLanes returns the number of tree lanes extracted (excluding the
 // minimal lane 0).
-func (m *MultiPath) TreeLanes() int { return len(m.parent) }
+func (m *MultiPath) TreeLanes() int { return len(m.trees) }
 
 // LaneMaxHops bounds the hop count of any path AppendTreePath returns
 // for tree lane l (0-based tree index).
@@ -115,45 +86,11 @@ func (m *MultiPath) AppendTreePath(buf []int, l, src, dst int, live func(u, v in
 	if src == dst {
 		return buf
 	}
-	parent, depth := m.parent[l], m.depth[l]
-	if parent[src] == -2 || parent[dst] == -2 {
+	var w treeWalk
+	if !m.trees[l].walk(&w, src, dst) || w.hops() > m.maxHops[l] || live != nil && !w.live(live) {
 		return buf
 	}
-	var up, down [escMaxDepth]int32
-	nu, nd := 0, 0
-	a, b := int32(src), int32(dst)
-	da, db := depth[a], depth[b]
-	for da > db {
-		up[nu] = a
-		nu++
-		a, da = parent[a], da-1
-	}
-	for db > da {
-		down[nd] = b
-		nd++
-		b, db = parent[b], db-1
-	}
-	for a != b {
-		up[nu] = a
-		down[nd] = b
-		nu++
-		nd++
-		a, b = parent[a], parent[b]
-	}
-	if nu+nd > m.maxHops[l] {
-		return buf
-	}
-	if live != nil && !treePathLive(up[:nu], a, down[:nd], live) {
-		return buf
-	}
-	for i := 0; i < nu; i++ {
-		buf = append(buf, int(up[i]))
-	}
-	buf = append(buf, int(a))
-	for i := nd - 1; i >= 0; i-- {
-		buf = append(buf, int(down[i]))
-	}
-	return buf
+	return w.appendTo(buf)
 }
 
 // AppendPath implements Engine via the minimal lane.

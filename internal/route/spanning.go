@@ -48,26 +48,44 @@ func (t *SpanningTree) Children() [][]int32 {
 }
 
 // Depth returns the maximum root-to-leaf distance.
-func (t *SpanningTree) Depth() int {
-	depth := make([]int, len(t.Parent))
-	max := 0
-	var dfs func(v int) int
-	dfs = func(v int) int {
-		p := t.Parent[v]
-		if p < 0 {
-			return 0
-		}
-		if depth[v] == 0 {
-			depth[v] = dfs(int(p)) + 1
-		}
-		return depth[v]
+func (t *SpanningTree) Depth() int { return maxDepth(t.Depths()) }
+
+// Depths returns every vertex's distance from the root, -1 for vertices
+// the tree does not reach (parent -2). Each vertex climbs to the first
+// ancestor of known depth, so the whole array costs one pass.
+func (t *SpanningTree) Depths() []int32 {
+	depth := make([]int32, len(t.Parent))
+	for i := range depth {
+		depth[i] = -1
 	}
+	var chain []int32
 	for v := range t.Parent {
-		if d := dfs(v); d > max {
-			max = d
+		chain = chain[:0]
+		u := int32(v)
+		for depth[u] < 0 && t.Parent[u] >= 0 {
+			chain = append(chain, u)
+			u = t.Parent[u]
+		}
+		if depth[u] < 0 {
+			if t.Parent[u] == -2 {
+				continue
+			}
+			depth[u] = 0 // the root
+		}
+		for i := len(chain) - 1; i >= 0; i-- {
+			depth[chain[i]] = depth[t.Parent[chain[i]]] + 1
 		}
 	}
-	return max
+	return depth
+}
+
+// maxDepth returns the largest entry of a Depths array (0 when empty).
+func maxDepth(depth []int32) int {
+	deepest := int32(0)
+	for _, d := range depth {
+		deepest = max(deepest, d)
+	}
+	return int(deepest)
 }
 
 // Edges returns the undirected tree edges (parent, child) in child order.
@@ -413,13 +431,9 @@ func (st *bfsTreesState) reattach(t2, child, exU, exV int) bool {
 	order := []int32{int32(child)}
 	inB[child] = true
 	kids := make([][]int32, st.n)
-	root2 := -1
 	for v := 0; v < st.n; v++ {
-		p := st.parent[t2][v]
-		if p >= 0 {
+		if p := st.parent[t2][v]; p >= 0 {
 			kids[p] = append(kids[p], int32(v))
-		} else if p == -1 {
-			root2 = v
 		}
 	}
 	for head := 0; head < len(order); head++ {
@@ -429,17 +443,7 @@ func (st *bfsTreesState) reattach(t2, child, exU, exV int) bool {
 		}
 	}
 	// Depths of the surviving part of t2 (B's depths are about to change).
-	depth2 := make([]int32, st.n)
-	if root2 >= 0 {
-		q := []int32{int32(root2)}
-		for head := 0; head < len(q); head++ {
-			u := q[head]
-			for _, c := range kids[u] {
-				depth2[c] = depth2[u] + 1
-				q = append(q, c)
-			}
-		}
-	}
+	depth2 := (&SpanningTree{Parent: st.parent[t2]}).Depths()
 	// Tree adjacency inside B, for per-candidate eccentricity.
 	adjB := make([][]int32, st.n)
 	for _, x := range order {

@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"polarstar/internal/graph"
@@ -96,6 +97,12 @@ func TestSpanningTreeDepth(t *testing.T) {
 	}
 	if d := trees[0].Depth(); d < 3 || d > 5 {
 		t.Errorf("C6 tree depth = %d, want 3..5", d)
+	}
+	// Depths walks parent chains in any vertex order; a vertex the tree
+	// does not reach reads -1.
+	partial := &SpanningTree{Root: 2, Parent: []int32{1, 2, -1, -2, 0}}
+	if got, want := partial.Depths(), []int32{2, 1, 0, -1, 3}; !slices.Equal(got, want) || partial.Depth() != 3 {
+		t.Errorf("partial tree depths = %v (max %d), want %v (max 3)", got, partial.Depth(), want)
 	}
 	children := trees[0].Children()
 	total := 0

@@ -23,7 +23,7 @@ func scalarTable(g *graph.Graph, mode TableMode) *Table {
 	var row []int32
 	var scratch graph.BFSScratch
 	for dst := 0; dst < n; dst++ {
-		row = g.BFSDistancesScratch(dst, row, &scratch)
+		row = g.BFSDistances(dst, row, &scratch)
 		for w, d := range row {
 			t.dist[dst*n+w] = uint8(d) // Unreachable (-1) is 0xff
 		}

@@ -32,11 +32,62 @@ type goldenCase struct {
 	observed bool   // attach an obs.SimRun with a 250-cycle interval series
 	lanes    int
 	plan     *Plan
+	pins     mechanism // engine paths the run must exercise (observed cases only)
+}
+
+// mechanism is one engine path a golden case pins, proven to have run by
+// a nonzero counter in the case's obs artifact.
+type mechanism uint8
+
+const (
+	creditStall  mechanism = 1 << iota // stall_credit
+	sourceRetry                        // faults.retries
+	inFlightDrop                       // faults.dropped_in_flight
+	appliedEvent                       // faults.events_applied
+	laneDemotion                       // lanes.demoted
+	// laneFailover (lanes.failovers) is pinned by no case: the lanes case
+	// reads 0, and a case that reaches it moves the golden file.
+	laneFailover
+)
+
+// unexercised names the mechanisms of ms whose counter in m is zero.
+func (ms mechanism) unexercised(m *obs.SimRun) []string {
+	var faults obs.SimFaults
+	if m.Faults != nil {
+		faults = *m.Faults
+	}
+	var lanes obs.SimLanes
+	if m.Lanes != nil {
+		lanes = *m.Lanes
+	}
+	var failovers int64
+	for _, n := range lanes.Failovers {
+		failovers += n
+	}
+	var missing []string
+	for _, c := range []struct {
+		m     mechanism
+		name  string
+		count int64
+	}{
+		{creditStall, "credit stall", int64(m.StallCredit)},
+		{sourceRetry, "source retry", int64(faults.Retries)},
+		{inFlightDrop, "in-flight drop", int64(faults.DroppedInFlight)},
+		{appliedEvent, "applied event", faults.EventsApplied},
+		{laneDemotion, "lane demotion", lanes.Demoted},
+		{laneFailover, "lane failover", failovers},
+	} {
+		if ms&c.m != 0 && c.count == 0 {
+			missing = append(missing, c.name)
+		}
+	}
+	return missing
 }
 
 // digest runs the case and hashes its Result plus, when observed, the
 // marshaled obs.SimRun (every counter, stall bucket, per-VC vector,
-// occupancy mark, fault/lane section and interval row).
+// occupancy mark, fault/lane section and interval row). It fails the
+// test when a mechanism the case pins did not run.
 func (c goldenCase) digest(t *testing.T, workers int) string {
 	t.Helper()
 	p := DefaultParams(c.seed)
@@ -67,6 +118,9 @@ func (c goldenCase) digest(t *testing.T, workers int) string {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		fmt.Fprintf(h, "obs=%s\n", b)
+		if missing := c.pins.unexercised(p.Metrics); len(missing) > 0 {
+			t.Errorf("%s: pinned mechanisms never ran: %v", c.name, missing)
+		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -78,7 +132,9 @@ func (c goldenCase) digest(t *testing.T, workers int) string {
 // traffic at the default VC depth never runs a channel out of credits,
 // observed congested runs (adversarial traffic, shallow buffers, with and
 // without the dense plan) where most units sit parked for credit while
-// others keep winning the channel they wait on.
+// others keep winning the channel they wait on. Each case names the
+// mechanisms it pins, so a digest cannot keep matching after the path it
+// was recorded to cover stops running.
 func engineGoldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	var cases []goldenCase
@@ -123,11 +179,13 @@ func engineGoldenCases(t *testing.T) []goldenCase {
 		cases = append(cases, goldenCase{
 			name: "fault/" + mode.String(), spec: "ps-iq-small", mode: mode,
 			load: 0.3, seed: 7, windows: [3]int{300, 600, 2500}, observed: true, plan: scripted,
+			pins: sourceRetry | inFlightDrop | appliedEvent,
 		})
 		for _, load := range []float64{0.3, 0.7, 0.95} {
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("dense/%s/%.2f", mode, load), spec: "ps-iq-small", mode: mode,
 				load: load, seed: 7, windows: [3]int{300, 1200, 2500}, observed: true, plan: dense,
+				pins: sourceRetry | inFlightDrop | appliedEvent,
 			})
 		}
 	}
@@ -135,23 +193,25 @@ func engineGoldenCases(t *testing.T) []goldenCase {
 		for _, name := range []string{"ps-iq-small", "df-small", "bf-small"} {
 			cases = append(cases, goldenCase{
 				name: "congested/" + name + "/" + mode.String(), spec: name, pattern: "adversarial", mode: mode,
-				load: 0.6, seed: 3, windows: [3]int{200, 400, 400}, observed: true,
+				load: 0.6, seed: 3, windows: [3]int{200, 400, 400}, observed: true, pins: creditStall,
 			})
 		}
 		cases = append(cases, goldenCase{
 			name: "shallow/" + mode.String(), spec: "ps-iq-small", pattern: "permutation", bufFlits: 8, mode: mode,
 			// Ends mid-interval with the network still full: the spans open
 			// at the last cycle are settled by the run end, not by a row.
-			load: 0.95, seed: 3, windows: [3]int{200, 400, 300}, observed: true,
+			load: 0.95, seed: 3, windows: [3]int{200, 400, 300}, observed: true, pins: creditStall,
 		}, goldenCase{
 			name: "dense-congested/" + mode.String(), spec: "ps-iq-small", pattern: "adversarial", bufFlits: 8, mode: mode,
 			load: 0.7, seed: 7, windows: [3]int{300, 600, 600}, observed: true, plan: dense,
+			pins: creditStall | sourceRetry | inFlightDrop | appliedEvent,
 		})
 	}
 	cases = append(cases, goldenCase{
 		name: "lanes/" + MPUGALMode.String(), spec: mpTestSpec, mode: MPUGALMode,
 		load: 0.7, seed: 7, windows: [3]int{300, 600, 900}, observed: true, lanes: 3,
 		plan: treeLanePlan(t, MustNewSpec(mpTestSpec), 3, 2, 350, 700),
+		pins: sourceRetry | inFlightDrop | appliedEvent | laneDemotion,
 	})
 	return cases
 }

@@ -107,7 +107,7 @@ func TestDegradedSpecSimulates(t *testing.T) {
 	if deg.Graph.M() != spec.Graph.M()-len(removed) {
 		t.Fatalf("degraded edges = %d", deg.Graph.M())
 	}
-	if !deg.Graph.IsConnected() {
+	if !deg.Graph.IsConnected(nil) {
 		t.Fatal("test premise broken: degraded network disconnected")
 	}
 	p := testParams(21)

@@ -55,7 +55,7 @@ func allPairsStatsScalar(g *graph.Graph) graph.PathStats {
 	var dist []int32
 	var scratch graph.BFSScratch
 	for src := 0; src < g.N(); src++ {
-		dist = g.BFSDistancesScratch(src, dist, &scratch)
+		dist = g.BFSDistances(src, dist, &scratch)
 		for v, d := range dist {
 			switch {
 			case v == src:
@@ -158,7 +158,7 @@ func mustLPS(t *testing.T, p, q int) *LPS {
 // TestBitBFSPropertyJellyfishER is the ISSUE's named property test: on
 // random Jellyfish instances and on ER_q polarity graphs — plus degraded
 // (edge-deleted, often disconnected) versions of both — per-source
-// bit-parallel aggregates match scalar BFSDistancesScratch exactly.
+// bit-parallel aggregates match scalar BFSDistances exactly.
 func TestBitBFSPropertyJellyfishER(t *testing.T) {
 	graphs := []*graph.Graph{}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -194,7 +194,7 @@ func TestBitBFSPropertyJellyfishER(t *testing.T) {
 			st, _ := g.BitBFSBatch(srcs[:lanes], &bit, nil, nil)
 			for l := 0; l < lanes; l++ {
 				src := base + l
-				dist = g.BFSDistancesScratch(src, dist, &bfs)
+				dist = g.BFSDistances(src, dist, &bfs)
 				var ecc int32
 				var sum, reached int64
 				for v, d := range dist {

@@ -129,7 +129,7 @@ func TestFatTreeStructure(t *testing.T) {
 	}
 	// Any two leaves are within 4 switch hops (up to top, down).
 	small := MustNewFatTree(4)
-	dist := small.G.BFSDistances(0, nil)
+	dist := small.G.BFSDistances(0, nil, nil)
 	for _, leaf := range small.LeafRouters() {
 		if dist[leaf] > 4 {
 			t.Errorf("leaf distance %d > 4", dist[leaf])
@@ -160,7 +160,7 @@ func TestMegaflyStructure(t *testing.T) {
 	}
 	// Leaf-to-leaf diameter <= 4 (leaf-spine-spine-leaf).
 	leaves := mf.LeafRouters()
-	dist := mf.G.BFSDistances(leaves[0], nil)
+	dist := mf.G.BFSDistances(leaves[0], nil, nil)
 	for _, l := range leaves {
 		if dist[l] > 4 {
 			t.Errorf("leaf distance %d > 4", dist[l])
@@ -182,7 +182,7 @@ func TestKautzStructure(t *testing.T) {
 	if d := k.G.Diameter(); d > 3 {
 		t.Errorf("undirected diameter = %d, want <= 3", d)
 	}
-	if !k.G.IsConnected() {
+	if !k.G.IsConnected(nil) {
 		t.Error("Kautz disconnected")
 	}
 }
@@ -195,7 +195,7 @@ func TestJellyfishStructure(t *testing.T) {
 	if !g.IsRegular() || g.MaxDegree() != 7 {
 		t.Errorf("not 7-regular: [%d,%d]", g.MinDegree(), g.MaxDegree())
 	}
-	if !g.IsConnected() {
+	if !g.IsConnected(nil) {
 		t.Error("Jellyfish disconnected")
 	}
 	// Determinism.
@@ -227,7 +227,7 @@ func TestLPSSpectralfly(t *testing.T) {
 	if !l.G.IsRegular() || l.G.MaxDegree() != 6 {
 		t.Errorf("not 6-regular: [%d,%d]", l.G.MinDegree(), l.G.MaxDegree())
 	}
-	if !l.G.IsConnected() {
+	if !l.G.IsConnected(nil) {
 		t.Error("LPS disconnected")
 	}
 }

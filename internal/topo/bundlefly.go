@@ -51,9 +51,6 @@ func MustNewBundlefly(q, dPrime int) *Bundlefly {
 // Radix returns the network radix: MMS degree + d'.
 func (bf *Bundlefly) Radix() int { return MMSDegree(bf.q) + bf.dPrime }
 
-// Graph returns the product graph.
-func (bf *Bundlefly) Graph() *graph.Graph { return bf.G }
-
 // NumGroups returns the number of supernodes (2q²).
 func (bf *Bundlefly) NumGroups() int { return bf.Structure.N() }
 

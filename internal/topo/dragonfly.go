@@ -61,9 +61,6 @@ func MustNewDragonfly(a, h int) *Dragonfly {
 // Radix returns the network radix (a-1) + h.
 func (df *Dragonfly) Radix() int { return df.A - 1 + df.H }
 
-// Graph returns the switch graph.
-func (df *Dragonfly) Graph() *graph.Graph { return df.G }
-
 // NumGroups returns a·h + 1.
 func (df *Dragonfly) NumGroups() int { return df.A*df.H + 1 }
 
@@ -154,9 +151,6 @@ func (hx *HyperX) Radix() int {
 	}
 	return r
 }
-
-// Graph returns the switch graph.
-func (hx *HyperX) Graph() *graph.Graph { return hx.G }
 
 // NumGroups groups HyperX routers by their last coordinate plane.
 func (hx *HyperX) NumGroups() int { return hx.Dims[len(hx.Dims)-1] }

@@ -52,9 +52,6 @@ func MustNewFatTree(p int) *FatTree {
 	return ft
 }
 
-// Graph returns the switch graph.
-func (ft *FatTree) Graph() *graph.Graph { return ft.G }
-
 // Radix returns the full router radix 2p.
 func (ft *FatTree) Radix() int { return 2 * ft.P }
 
@@ -125,9 +122,6 @@ func MustNewMegafly(rho, a int) *Megafly {
 	}
 	return mf
 }
-
-// Graph returns the switch graph.
-func (mf *Megafly) Graph() *graph.Graph { return mf.G }
 
 // NumGroups returns ρ·a/2 + 1.
 func (mf *Megafly) NumGroups() int { return mf.Rho*mf.A/2 + 1 }

@@ -105,11 +105,7 @@ func NewJellyfish(n, r int, seed int64) (*graph.Graph, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	type edge [2]int
-	// Connectivity screening state reused across candidate graphs.
-	var (
-		connDist []int32
-		connBFS  graph.BFSScratch
-	)
+	var connBFS graph.BFSScratch // connectivity screening, reused across candidates
 	for attempt := 0; attempt < 200; attempt++ {
 		stubs := make([]int, 0, n*r)
 		for v := 0; v < n; v++ {
@@ -163,12 +159,8 @@ func NewJellyfish(n, r int, seed int64) (*graph.Graph, error) {
 			b.AddEdge(e[0], e[1])
 		}
 		g := b.Build()
-		if g.IsRegular() && g.MaxDegree() == r {
-			connected, dist := g.IsConnectedScratch(connDist, &connBFS)
-			connDist = dist
-			if connected {
-				return g, nil
-			}
+		if g.IsRegular() && g.MaxDegree() == r && g.IsConnected(&connBFS) {
+			return g, nil
 		}
 	}
 	return nil, fmt.Errorf("topo: Jellyfish construction failed for n=%d r=%d", n, r)

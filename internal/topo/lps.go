@@ -192,6 +192,3 @@ func LPSOrder(p, q int) int {
 
 // Radix returns p+1.
 func (l *LPS) Radix() int { return l.P + 1 }
-
-// Graph returns the Cayley graph.
-func (l *LPS) Graph() *graph.Graph { return l.G }

@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 
+	"polarstar/internal/gf"
 	"polarstar/internal/graph"
 )
 
@@ -104,9 +105,6 @@ func (ps *PolarStar) DPrime() int { return ps.dPrime }
 // Radix returns the network radix d* = (q+1) + d'.
 func (ps *PolarStar) Radix() int { return ps.q + 1 + ps.dPrime }
 
-// Graph returns the product graph.
-func (ps *PolarStar) Graph() *graph.Graph { return ps.G }
-
 // NumGroups returns the number of supernodes, q²+q+1.
 func (ps *PolarStar) NumGroups() int { return ps.Structure.N() }
 
@@ -134,5 +132,5 @@ func PolarStarOrder(q, dPrime int, kind SupernodeKind) int {
 }
 
 func isERFeasible(q int) bool {
-	return q >= 2 && func() bool { _, _, ok := primePower(q); return ok }()
+	return q >= 2 && gf.IsPrimePower(q)
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"strings"
 
 	"polarstar/internal/graph"
 )
@@ -61,6 +62,17 @@ func (k SupernodeKind) String() string {
 		return "Complete"
 	}
 	return fmt.Sprintf("SupernodeKind(%d)", int(k))
+}
+
+// ParseKind reads a supernode kind by its lower-case name: iq, paley,
+// bdf or complete.
+func ParseKind(name string) (SupernodeKind, error) {
+	for k := KindIQ; k <= KindComplete; k++ {
+		if strings.ToLower(k.String()) == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown supernode kind %q", name)
 }
 
 // NewSupernode constructs the supernode of the requested kind and degree.

@@ -28,8 +28,6 @@ import (
 	"polarstar/internal/motifs"
 	"polarstar/internal/partition"
 	"polarstar/internal/route"
-	"polarstar/internal/search"
-	"polarstar/internal/serve"
 	"polarstar/internal/sim"
 	"polarstar/internal/topo"
 	"polarstar/internal/traffic"
@@ -52,52 +50,6 @@ type PathStats = graph.PathStats
 // Graph.AllPairsStatsSerial to amortize all traversal state.
 type BitBFSScratch = graph.BitBFSScratch
 
-// MeasuredConfig is a Fig 7 design-space point with measured (not
-// closed-form) structural statistics.
-type MeasuredConfig = moore.MeasuredConfig
-
-// MeasureConfigs constructs each feasible configuration up to maxOrder
-// routers and measures its exact diameter and mean path length with the
-// bit-parallel all-pairs engine.
-var MeasureConfigs = moore.MeasureConfigs
-
-// ASPLLowerBound is the Moore-type lower bound on the average shortest
-// path length of any n-vertex graph with maximum degree d (after
-// Shimizu & Mori); it also returns the implied diameter lower bound.
-var ASPLLowerBound = moore.ASPLLowerBound
-
-// ASPLGap returns a measured ASPL's relative optimality gap against
-// ASPLLowerBound.
-var ASPLGap = moore.ASPLGap
-
-// Swap is a degree-preserving 2-opt edge exchange: remove {A,B} and
-// {C,D}, add {A,C} and {B,D}.
-type Swap = graph.Swap
-
-// DeltaStats maintains all-pairs path statistics under Swap edits,
-// re-running BFS only from sources whose distance tree can change —
-// the incremental oracle of the design-space search (DESIGN.md §11).
-type DeltaStats = graph.DeltaStats
-
-// NewDeltaStats builds the incremental oracle on a private editable
-// clone of g.
-func NewDeltaStats(g *Graph) *DeltaStats { return graph.NewDeltaStats(g) }
-
-// SearchParams configures the annealing search engine.
-type SearchParams = search.Params
-
-// SearchEngine is the deterministic multi-searcher annealer behind
-// cmd/pssearch: 2-opt swaps, delta evaluation, checkpoint/resume.
-type SearchEngine = search.Engine
-
-// SearchResult is a finished search: best graph, cost, trajectory and
-// counters.
-type SearchResult = search.Result
-
-// NewSearch builds a search engine starting from g. Results are a pure
-// function of the start graph and params minus Workers.
-func NewSearch(g *Graph, p SearchParams) (*SearchEngine, error) { return search.New(g, p) }
-
 // ---------------------------------------------------------------------
 // Topologies.
 
@@ -117,8 +69,6 @@ const (
 	Paley = topo.KindPaley
 	// BDF is the Bermond–Delorme–Farhi-style supernode (order 2d').
 	BDF = topo.KindBDF
-	// Complete is the complete-graph supernode (order d'+1).
-	Complete = topo.KindComplete
 )
 
 // New constructs PolarStar(q, d') with the given supernode kind. The
@@ -149,11 +99,6 @@ type Supernode = topo.Supernode
 // NewSupernode constructs a supernode of the given kind and degree.
 func NewSupernode(kind SupernodeKind, degree int) (*Supernode, error) {
 	return topo.NewSupernode(kind, degree)
-}
-
-// StarProduct computes the bijective star product G * G' (§4.2).
-func StarProduct(name string, g *Graph, super *Supernode, f []int) *Graph {
-	return topo.StarProduct(name, g, super, f)
 }
 
 // Baseline topologies (§9.1).
@@ -195,8 +140,6 @@ var (
 	HasPropertyR = topo.HasPropertyR
 	// HasPropertyRStar checks the involution supernode property.
 	HasPropertyRStar = topo.HasPropertyRStar
-	// HasPropertyR1 checks the Bermond–Delorme–Farhi property.
-	HasPropertyR1 = topo.HasPropertyR1
 )
 
 // ---------------------------------------------------------------------
@@ -214,21 +157,6 @@ func Route(r Router, src, dst int, rng *rand.Rand) []int { return route.Path(r, 
 // NewMinRouter builds the §9.2 analytic minimal-path router for a
 // PolarStar instance. Its state is O(q² + d'²): no product-wide tables.
 func NewMinRouter(ps *PolarStar) Router { return route.NewPolarStar(ps) }
-
-// NewBundleflyRouter builds the analytic single-minpath router for a
-// Bundlefly instance (factor-level state only) — the counterpart used to
-// test the §9.3 claim that Bundlefly needs all-minpath tables.
-func NewBundleflyRouter(bf *Bundlefly) Router { return route.NewBundlefly(bf) }
-
-// NewTableRouter builds an all-pairs BFS table router for any graph.
-// multipath selects uniform sampling among all minimal next hops.
-func NewTableRouter(g *Graph, multipath bool) Router {
-	mode := route.SinglePath
-	if multipath {
-		mode = route.AllMinPaths
-	}
-	return route.NewTable(g, mode)
-}
 
 // ValidPath reports whether path is a valid walk in g.
 func ValidPath(g *Graph, path []int) bool { return route.PathValid(g, path) }
@@ -299,16 +227,12 @@ var (
 	DefaultSimParams = sim.DefaultParams
 	// Sweep runs a latency-load experiment.
 	Sweep = sim.Sweep
-	// DefaultLoads is the standard offered-load ladder.
-	DefaultLoads = sim.DefaultLoads
 	// NewFlowNetwork builds the §10 flow-level simulator.
 	NewFlowNetwork = flowsim.New
 	// DefaultFlowParams mirrors the §10.1 configuration.
 	DefaultFlowParams = flowsim.DefaultParams
 	// RunAllreduce simulates the Allreduce motif.
 	RunAllreduce = motifs.Allreduce
-	// RunSweep3D simulates the Sweep3D wavefront motif.
-	RunSweep3D = motifs.Sweep3D
 )
 
 // RoutingMode selects MIN or UGAL for Sweep.
@@ -320,9 +244,6 @@ const (
 	MINRouting = sim.MIN
 	// UGALRouting selects load-balancing adaptive routing.
 	UGALRouting = sim.UGALMode
-	// UGALGRouting selects the idealized global-information UGAL
-	// variant (ablation only).
-	UGALGRouting = sim.UGALGMode
 	// MPMINRouting selects multipath routing over MIN: the minimal-path
 	// lane plus SimParams.Lanes edge-disjoint spanning-tree lanes with
 	// occupancy-aware spray and live-fault lane failover.
@@ -332,36 +253,12 @@ const (
 )
 
 // ---------------------------------------------------------------------
-// Evaluation service (cmd/psserve).
-
-// Evaluation-service types: the simulator behind an HTTP/JSON API with
-// a content-addressed artifact cache (see internal/serve and DESIGN.md
-// §12).
-type (
-	// EvalService is the multi-tenant evaluation daemon: bounded worker
-	// pool, singleflight topology builds, byte-bounded result LRU.
-	EvalService = serve.Service
-	// EvalServiceConfig bounds an EvalService; zero values take defaults.
-	EvalServiceConfig = serve.Config
-	// EvalRequest is the POST /v1/eval body.
-	EvalRequest = serve.EvalRequest
-	// EvalResponse is the body of a completed evaluation.
-	EvalResponse = serve.EvalResponse
-)
-
-// NewEvalService starts an evaluation service; serve its Handler() over
-// HTTP and stop it with Close.
-func NewEvalService(cfg EvalServiceConfig) *EvalService { return serve.New(cfg) }
-
-// ---------------------------------------------------------------------
 // Structural analysis (§11).
 
 // Structural analysis entry points.
 var (
 	// Bisect estimates the minimum bisection (METIS substitute).
 	Bisect = partition.Bisect
-	// CutFraction returns the fraction of links crossing the bisection.
-	CutFraction = partition.CutFraction
 	// FaultTrial runs one random link-failure scenario.
 	FaultTrial = faults.RunTrial
 	// FaultMedianTrial reproduces the §11.2 100-trial median protocol.
@@ -415,18 +312,8 @@ type LiveFaultPlan = faults.Plan
 type LiveFaultEvent = faults.FaultEvent
 
 // FaultRetryPolicy bounds source retries for packets that hit live
-// faults; the zero value selects DefaultFaultRetryPolicy.
+// faults; the zero value selects the simulator's standard retry bound.
 type FaultRetryPolicy = faults.RetryPolicy
-
-// Live fault-plan constructors.
-var (
-	// ParseFaultPlan reads a scripted plan ("<cycle> link-down <u> <v>" lines).
-	ParseFaultPlan = faults.ParsePlan
-	// RandomFaultPlan draws failures with the given mean cycles between them.
-	RandomFaultPlan = faults.RandomPlan
-	// DefaultFaultRetryPolicy is the simulator's standard retry bound.
-	DefaultFaultRetryPolicy = faults.DefaultRetryPolicy
-)
 
 // ---------------------------------------------------------------------
 // Path diversity and in-network collectives (extensions).
@@ -469,10 +356,6 @@ var NewTreeEscape = route.NewTreeEscape
 var (
 	// RunAllreduceRing is the bandwidth-optimal ring allreduce.
 	RunAllreduceRing = motifs.AllreduceRing
-	// RunAllreduceRabenseifner is reduce-scatter + allgather.
-	RunAllreduceRabenseifner = motifs.AllreduceRabenseifner
-	// RunAllToAll is the shifted-schedule personalized exchange.
-	RunAllToAll = motifs.AllToAll
 	// RunTreeAllreduce reduces over k edge-disjoint spanning trees.
 	RunTreeAllreduce = motifs.TreeAllreduce
 )
