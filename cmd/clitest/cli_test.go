@@ -26,6 +26,10 @@ var binaries = []string{
 	"pssearch", "psserve",
 }
 
+// examples are the public-API walkthroughs under examples/, built
+// alongside the binaries.
+var examples = []string{"designspace", "faulttolerance", "quickstart", "routingdemo", "trafficsim"}
+
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "polarstar-clitest")
 	if err != nil {
@@ -36,6 +40,9 @@ func TestMain(m *testing.M) {
 	args := []string{"build", "-o", dir}
 	for _, b := range binaries {
 		args = append(args, "polarstar/cmd/"+b)
+	}
+	for _, e := range examples {
+		args = append(args, "polarstar/examples/"+e)
 	}
 	build := exec.Command("go", args...)
 	build.Dir = "../.."

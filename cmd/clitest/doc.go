@@ -1,5 +1,8 @@
 // Package clitest smoke-tests every command-line tool end to end: it
-// builds all eight binaries once per test run and executes each against
-// a scaled-down spec, asserting exit status, non-empty output, and — for
-// the instrumented CLIs — a parseable, deterministic metrics artifact.
+// builds all ten binaries and the examples once per test run and
+// executes each against a scaled-down spec, asserting exit status,
+// non-empty output, and — for the instrumented CLIs — a parseable,
+// deterministic metrics artifact. TestCLIGolden pins the tools' flag
+// listings, seeded output, error messages and result files byte for
+// byte (testdata/golden.txt).
 package clitest
