@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestTrafficSweepValidation(t *testing.T) {
 	spec := sim.MustNewSpec("ps-iq-small")
 	p := sim.DefaultParams(3)
 	p.Warmup, p.Measure, p.Drain = 50, 100, 150
-	for _, load := range []float64{0, -0.2, 1.5} {
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.2, 1.5} {
 		if _, err := TrafficSweep(spec, sim.MIN, "uniform", load, []float64{0}, p, 5, nil); err == nil {
 			t.Errorf("offered load %g accepted", load)
 		}

@@ -86,7 +86,7 @@ func ResilienceSweep(spec *sim.Spec, cfg ResilienceConfig, params sim.Params) ([
 // spray/failover section on multipath modes). Results are identical
 // with fr on or off. (Both names stay: bench/ calls each.)
 func ResilienceSweepObs(spec *sim.Spec, cfg ResilienceConfig, params sim.Params, fr *obs.FaultResilience) ([]ResilienceCurve, error) {
-	if cfg.Load <= 0 || cfg.Load > 1 {
+	if !sim.ValidLoad(cfg.Load) {
 		return nil, fmt.Errorf("faults: offered load %g outside (0, 1]", cfg.Load)
 	}
 	if len(cfg.Counts) == 0 {

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 
 	"polarstar/internal/obs"
@@ -157,6 +158,9 @@ func TestResilienceSweepValidation(t *testing.T) {
 	}{
 		{"zero load", ResilienceConfig{Counts: []int{0}}},
 		{"load above one", ResilienceConfig{Counts: []int{0}, Load: 1.5}},
+		{"NaN load", ResilienceConfig{Counts: []int{0}, Load: math.NaN()}},
+		{"infinite load", ResilienceConfig{Counts: []int{0}, Load: math.Inf(1)}},
+		{"negative infinite load", ResilienceConfig{Counts: []int{0}, Load: math.Inf(-1)}},
 		{"no counts", ResilienceConfig{Load: 0.2}},
 		{"count above pool", ResilienceConfig{Load: 0.2, Counts: []int{1 << 20}}},
 		{"negative count", ResilienceConfig{Load: 0.2, Counts: []int{-1}}},

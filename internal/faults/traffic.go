@@ -36,7 +36,7 @@ type TrafficPoint struct {
 // artifact carries the full latency/stall/loss breakdown of every
 // degraded topology. Results are identical with ft on or off.
 func TrafficSweep(spec *sim.Spec, mode sim.RoutingMode, patternName string, load float64, fracs []float64, params sim.Params, seed int64, ft *obs.FaultTraffic) ([]TrafficPoint, error) {
-	if load <= 0 || load > 1 {
+	if !sim.ValidLoad(load) {
 		return nil, fmt.Errorf("faults: offered load %g outside (0, 1]", load)
 	}
 	if err := validate(spec.Graph, nil, fracs); err != nil {

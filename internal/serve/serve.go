@@ -136,7 +136,7 @@ func (req *EvalRequest) Normalize() error {
 	if req.Load == 0 {
 		req.Load = 0.2
 	}
-	if req.Load <= 0 || req.Load > 1 {
+	if !sim.ValidLoad(req.Load) {
 		return fmt.Errorf("serve: load must be in (0, 1], got %g", req.Load)
 	}
 	if req.Cycles < 0 || req.Cycles > maxEvalCycles {

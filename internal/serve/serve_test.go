@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -309,6 +310,22 @@ func TestServeMalformedInputs(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/v1/runs/00000000000000ab"); code != http.StatusNotFound {
 		t.Errorf("unknown run = %d, want 404", code)
+	}
+}
+
+// TestNormalizeLoad pins the load bound on requests that reach Normalize
+// without JSON (which cannot spell NaN or infinity): only (0, 1] passes,
+// and 0 is the "use the default" marker.
+func TestNormalizeLoad(t *testing.T) {
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.5} {
+		req := EvalRequest{Spec: "ps-iq-small", Load: load}
+		if err := req.Normalize(); err == nil || !strings.Contains(err.Error(), "load must be in (0, 1]") {
+			t.Errorf("load %g: err %v, want the load bound", load, err)
+		}
+	}
+	req := EvalRequest{Spec: "ps-iq-small"}
+	if err := req.Normalize(); err != nil || req.Load != 0.2 {
+		t.Errorf("load 0: err %v, load %g; want the 0.2 default", err, req.Load)
 	}
 }
 

@@ -193,6 +193,12 @@ func SweepObs(spec *Spec, mode RoutingMode, patternName string, loads []float64,
 	return res, firstErr
 }
 
+// ValidLoad reports whether an offered load, in flits per endpoint per
+// cycle, lies in (0, 1]. It is written as the conjunction of the
+// passing comparisons, so NaN, for which every comparison is false,
+// fails it.
+func ValidLoad(load float64) bool { return load > 0 && load <= 1 }
+
 // RunPoint evaluates one (spec, routing, pattern, load) point: it
 // validates the parameters, builds the pattern, checks reachability,
 // constructs an engine and runs it under ctx. Every failure mode —
@@ -202,7 +208,7 @@ func SweepObs(spec *Spec, mode RoutingMode, patternName string, loads []float64,
 // GOMAXPROCS. The Result is bit-identical for any worker count and any
 // non-cancelling context.
 func RunPoint(ctx context.Context, spec *Spec, mode RoutingMode, patternName string, load float64, params Params) (Result, error) {
-	if load <= 0 || load > 1 {
+	if !ValidLoad(load) {
 		return Result{}, fmt.Errorf("sim: offered load must be in (0, 1], got %g", load)
 	}
 	cfg := spec.Config()

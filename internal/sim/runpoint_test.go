@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 )
@@ -43,6 +44,20 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestValidLoad pins the one offered-load check every entry point uses:
+// (0, 1], with NaN and both infinities outside it.
+func TestValidLoad(t *testing.T) {
+	for load, want := range map[float64]bool{
+		math.NaN(): false, math.Inf(1): false, math.Inf(-1): false,
+		0: false, -0.2: false, 1.5: false,
+		math.SmallestNonzeroFloat64: true, 0.3: true, 1: true,
+	} {
+		if got := ValidLoad(load); got != want {
+			t.Errorf("ValidLoad(%g) = %v, want %v", load, got, want)
+		}
+	}
+}
+
 // TestRunPointErrors pins that RunPoint turns every invalid input into
 // an error — it is the entry point the serving layer feeds with
 // untrusted requests.
@@ -52,11 +67,10 @@ func TestRunPointErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := RunPoint(ctx, spec, MIN, "uniform", 0, DefaultParams(1)); err == nil {
-		t.Error("accepted load 0")
-	}
-	if _, err := RunPoint(ctx, spec, MIN, "uniform", 1.01, DefaultParams(1)); err == nil {
-		t.Error("accepted load > 1")
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1.01, 1.5} {
+		if _, err := RunPoint(ctx, spec, MIN, "uniform", load, DefaultParams(1)); err == nil {
+			t.Errorf("accepted load %g", load)
+		}
 	}
 	if _, err := RunPoint(ctx, spec, MIN, "no-such-pattern", 0.1, DefaultParams(1)); err == nil {
 		t.Error("accepted unknown pattern")
