@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"polarstar/internal/cli"
 	"polarstar/internal/graph"
 	"polarstar/internal/moore"
 	"polarstar/internal/partition"
@@ -35,7 +36,7 @@ func main() {
 	if *specName != "" {
 		spec, err := sim.NewSpec(*specName)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		f := partition.CutFraction(spec.Graph, *seed, partition.Options{})
 		fmt.Printf("%s: n=%d m=%d bisection fraction %.3f\n", spec.Name, spec.Graph.N(), spec.Graph.M(), f)
@@ -85,9 +86,4 @@ func jellyfishLike(radix, maxN int, seed int64) *graph.Graph {
 	}
 	g, _ := topo.NewJellyfish(n, radix, seed)
 	return g
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "psbisect:", err)
-	os.Exit(1)
 }

@@ -21,14 +21,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"runtime"
 	"strconv"
 	"strings"
 
+	"polarstar/internal/cli"
 	"polarstar/internal/faults"
 	"polarstar/internal/obs"
 	"polarstar/internal/plot"
-	"polarstar/internal/prof"
 	"polarstar/internal/sim"
 )
 
@@ -55,14 +55,14 @@ func main() {
 		rDelay     = flag.Int64("repair-delay", 0, "table-reconvergence stall in cycles after each -resilience fault event (0: instant repair)")
 
 		live = sim.Flags() // plan and -mtbf apply to -traffic runs, the retry flags to -resilience too
-		met  = obs.Flags()
+		met  = cli.Register("psfaults")
 	)
 	flag.Parse()
-	defer prof.Start()()
+	defer met.Profile()()
 
 	spec, err := sim.NewSpec(*specName)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	params := sim.DefaultParams(*seed)
 	params.MetricsInterval = *met.Interval
@@ -78,37 +78,30 @@ func main() {
 	if *traffic {
 		m, err := sim.ParseRoutingMode(*mode)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if err := live.Apply(&params, spec.Graph); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		runTraffic(spec, m, *pattern, *load, params, live, met)
 		return
 	}
 	if live.Active() {
-		fatal(fmt.Errorf("-fault-plan/-mtbf inject live faults into the simulator; combine them with -traffic"))
+		cli.Fatal(fmt.Errorf("-fault-plan/-mtbf inject live faults into the simulator; combine them with -traffic"))
 	}
-	var hosts faults.Hosts
-	if spec.Hosts != nil {
-		hosts = spec.Hosts // indirect topologies: endpoint routers only
-	}
-	var run *obs.Run
+	run := met.Run(obs.Manifest{Spec: spec.Name, Seed: *seed})
 	var fm *obs.FaultSweep
-	if met.Enabled() {
-		run = obs.NewRun("psfaults")
-		run.Manifest.Spec = spec.Name
-		run.Manifest.Seed = *seed
+	if run != nil {
 		fm = &obs.FaultSweep{Spec: spec.Name}
 		run.Faults = fm
 	}
 	var tr faults.Trial
-	var trErr error
-	prof.Task(func() {
-		tr, trErr = faults.MedianTrialObs(spec.Graph, hosts, *trials, *seed, faults.DefaultFracs, fm)
+	cli.Task(func() {
+		// Indirect topologies count endpoint routers only (nil Hosts: all).
+		tr, err = faults.MedianTrialObs(spec.Graph, spec.Hosts, *trials, *seed, faults.DefaultFracs, fm)
 	}, "phase", "faults", "spec", spec.Name)
-	if trErr != nil {
-		fatal(trErr)
+	if err != nil {
+		cli.Fatal(err)
 	}
 	fmt.Printf("# %s: %d routers, %d links; median disconnection ratio %.3f (%d trials)\n",
 		spec.Name, spec.Graph.N(), spec.Graph.M(), tr.DisconnectionRatio, *trials)
@@ -138,71 +131,48 @@ func main() {
 		}
 		chart.Add("avg path length", xs, apl)
 		chart.Add("diameter", xs, diam)
-		f, err := os.Create(*svgOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := chart.WriteSVG(f); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*svgOut, chart.WriteSVG); err != nil {
+			cli.Fatal(err)
 		}
 		fmt.Printf("# wrote %s\n", *svgOut)
 	}
-	if met.Enabled() {
-		if err := met.Write(run); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# wrote metrics %s\n", *met.Path)
-	}
+	met.Finish(run, "# wrote metrics ")
 }
 
-// newRun starts the artifact of a simulator-backed mode. The manifest
-// records the worker count the engine resolves -workers 0 to.
-func newRun(spec *sim.Spec, routing, pattern string, params sim.Params) *obs.Run {
-	run := obs.NewRun("psfaults")
-	run.Manifest.Spec = spec.Name
-	run.Manifest.Routing = routing
-	run.Manifest.Pattern = pattern
-	run.Manifest.Seed = params.Seed
-	if run.Manifest.Workers = params.Workers; params.Workers <= 0 {
-		run.Manifest.Workers = run.Manifest.GOMAXPROCS
+// simManifest is the manifest of a simulator-backed mode. It records the
+// worker count the engine resolves -workers 0 to.
+func simManifest(spec *sim.Spec, routing, pattern string, params sim.Params) obs.Manifest {
+	m := obs.Manifest{Spec: spec.Name, Routing: routing, Pattern: pattern, Seed: params.Seed, Workers: params.Workers}
+	if m.Workers <= 0 {
+		m.Workers = runtime.GOMAXPROCS(0)
 	}
-	return run
+	return m
 }
 
-func runResilience(spec *sim.Spec, cfg faults.ResilienceConfig, counts, rmodes string, params sim.Params, met *obs.FlagSet) {
-	for _, f := range strings.Split(counts, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			fatal(fmt.Errorf("-counts: %w", err))
-		}
-		cfg.Counts = append(cfg.Counts, n)
+func runResilience(spec *sim.Spec, cfg faults.ResilienceConfig, counts, rmodes string, params sim.Params, met *cli.Flags) {
+	var err error
+	if cfg.Counts, err = cli.List(counts, strconv.Atoi); err != nil {
+		cli.Fatal(fmt.Errorf("-counts: %w", err))
 	}
-	for _, name := range strings.Split(rmodes, ",") {
-		m, err := sim.ParseRoutingMode(strings.TrimSpace(name))
-		if err != nil {
-			fatal(fmt.Errorf("-rmodes: %w", err))
-		}
-		cfg.Modes = append(cfg.Modes, m)
+	if cfg.Modes, err = cli.List(rmodes, sim.ParseRoutingMode); err != nil {
+		cli.Fatal(fmt.Errorf("-rmodes: %w", err))
 	}
 	if cfg.KillCycle <= 0 {
 		cfg.KillCycle = int64(params.Warmup)
 	}
 
-	var run *obs.Run
+	run := met.Run(simManifest(spec, "", cfg.Pattern, params))
 	var fr *obs.FaultResilience
-	if met.Enabled() {
-		run = newRun(spec, "", cfg.Pattern, params)
+	if run != nil {
 		fr = &obs.FaultResilience{}
 		run.FaultResilience = fr
 	}
 	var curves []faults.ResilienceCurve
-	var err error
-	prof.Task(func() {
+	cli.Task(func() {
 		curves, err = faults.ResilienceSweepObs(spec, cfg, params, fr)
 	}, "phase", "fault-resilience", "spec", spec.Name)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	target := ""
 	if cfg.TargetLanes > 0 {
@@ -225,45 +195,30 @@ func runResilience(spec *sim.Spec, cfg faults.ResilienceConfig, counts, rmodes s
 				name, p.Failures, p.Throughput, p.AvgLatency, p.DeliveredFrac, p.Lost, p.Retried)
 		}
 	}
-	if met.Enabled() {
-		if err := met.Write(run); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# wrote metrics %s\n", *met.Path)
-	}
+	met.Finish(run, "# wrote metrics ")
 }
 
-func runTraffic(spec *sim.Spec, mode sim.RoutingMode, pattern string, load float64, params sim.Params, live *sim.FaultFlags, met *obs.FlagSet) {
-	var run *obs.Run
+func runTraffic(spec *sim.Spec, mode sim.RoutingMode, pattern string, load float64, params sim.Params, live *sim.FaultFlags, met *cli.Flags) {
+	m := simManifest(spec, mode.String(), pattern, params)
+	m.FaultPlan = live.Manifest(params)
+	run := met.Run(m)
 	var ft *obs.FaultTraffic
-	if met.Enabled() {
-		run = newRun(spec, mode.String(), pattern, params)
-		run.Manifest.FaultPlan = live.Manifest(params)
+	if run != nil {
 		ft = &obs.FaultTraffic{}
 		run.FaultTraffic = ft
 	}
 	var pts []faults.TrafficPoint
 	var err error
-	prof.Task(func() {
+	cli.Task(func() {
 		pts, err = faults.TrafficSweep(spec, mode, pattern, load, faults.DefaultFracs, params, params.Seed, ft)
 	}, "phase", "fault-traffic", "spec", spec.Name)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Printf("# %s %s %s under random link failures at load %.2f\n", spec.Name, mode, pattern, load)
 	fmt.Printf("%-10s %-8s %-12s %-10s %-10s\n", "failfrac", "removed", "avg-lat", "delivered", "saturated")
 	for _, p := range pts {
 		fmt.Printf("%-10.2f %-8d %-12.2f %-10.3f %-10v\n", p.FailFrac, p.Removed, p.AvgLatency, p.DeliveredFrac, p.Saturated)
 	}
-	if met.Enabled() {
-		if err := met.Write(run); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# wrote metrics %s\n", *met.Path)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "psfaults:", err)
-	os.Exit(1)
+	met.Finish(run, "# wrote metrics ")
 }

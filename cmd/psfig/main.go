@@ -13,11 +13,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
+	"polarstar/internal/cli"
 	"polarstar/internal/faults"
 	"polarstar/internal/flowsim"
 	"polarstar/internal/moore"
@@ -25,7 +26,6 @@ import (
 	"polarstar/internal/obs"
 	"polarstar/internal/partition"
 	"polarstar/internal/plot"
-	"polarstar/internal/prof"
 	"polarstar/internal/sim"
 )
 
@@ -45,23 +45,18 @@ func main() {
 		only = flag.String("only", "", "comma-separated subset: fig1,fig4,fig7,fig9,fig10,fig11,fig12,fig13,fig14,headline")
 		seed = flag.Int64("seed", 1, "seed")
 		wrk  = flag.Int("workers", 0, "sim engine shard workers per run (0: auto-split cores; results identical for any value)")
-		met  = obs.Flags()
+		met  = cli.Register("psfig")
 	)
 	flag.Parse()
-	defer prof.Start()()
+	defer met.Profile()()
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	c := ctx{out: *out, full: *full, seed: *seed, workers: *wrk, metInterval: *met.Interval}
-	var artifact *obs.Run
-	if met.Enabled() {
-		artifact = obs.NewRun("psfig")
-		artifact.Manifest.Seed = *seed
-		artifact.Manifest.Workers = *wrk
-	}
+	artifact := met.Run(obs.Manifest{Seed: *seed, Workers: *wrk})
 	want := map[string]bool{}
-	for _, f := range strings.Split(*only, ",") {
-		if f = strings.TrimSpace(f); f != "" {
+	for _, f := range cli.Split(*only) {
+		if f != "" {
 			want[f] = true
 		}
 	}
@@ -76,10 +71,9 @@ func main() {
 		}
 		start := time.Now()
 		var err error
-		prof.Task(func() { err = fn(c) }, "phase", name)
+		cli.Task(func() { err = fn(c) }, "phase", name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "psfig: %s failed: %v\n", name, err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("%s failed: %v", name, err))
 		}
 		fmt.Printf("%-10s done in %.1fs\n", name, time.Since(start).Seconds())
 	}
@@ -93,16 +87,12 @@ func main() {
 	run("fig12", fig12)
 	run("fig13", fig13)
 	run("fig14", fig14)
-	if artifact != nil {
-		if err := met.Write(artifact); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote metrics %s\n", *met.Path)
-	}
+	met.Finish(artifact, "wrote metrics ")
 }
 
-func (c ctx) file(name string) (*os.File, error) {
-	return os.Create(filepath.Join(c.out, name))
+// write writes the result file name in the output directory through fn.
+func (c ctx) write(name string, fn func(io.Writer) error) error {
+	return cli.WriteFile(filepath.Join(c.out, name), fn)
 }
 
 func (c ctx) simSpecs() []string {
@@ -134,13 +124,10 @@ func fig1(c ctx) error {
 	if c.full {
 		hi = 128
 	}
-	f, err := c.file("fig01_scalability.txt")
-	if err != nil {
+	rows := moore.Fig1(8, hi)
+	if err := c.write("fig01_scalability.txt", func(w io.Writer) error { moore.WriteFig1(w, rows); return nil }); err != nil {
 		return err
 	}
-	defer f.Close()
-	rows := moore.Fig1(8, hi)
-	moore.WriteFig1(f, rows)
 
 	chart := &plot.Chart{Title: "Fig 1: Moore-bound efficiency of diameter-3 topologies",
 		XLabel: "network radix", YLabel: "order / Moore bound"}
@@ -161,17 +148,14 @@ func fig1(c ctx) error {
 	add("Dragonfly", func(r moore.Fig1Row) moore.Point { return r.Dragonfly })
 	add("3D HyperX", func(r moore.Fig1Row) moore.Point { return r.HyperX3D })
 	add("Kautz", func(r moore.Fig1Row) moore.Point { return r.Kautz })
-	return writeChart(c, chart, "fig01_scalability.svg")
+	return c.write("fig01_scalability.svg", chart.WriteSVG)
 }
 
 func fig4(c ctx) error {
-	f, err := c.file("fig04_diameter2.txt")
-	if err != nil {
+	rows := moore.Fig4(5, 64)
+	if err := c.write("fig04_diameter2.txt", func(w io.Writer) error { moore.WriteFig4(w, rows); return nil }); err != nil {
 		return err
 	}
-	defer f.Close()
-	rows := moore.Fig4(5, 64)
-	moore.WriteFig4(f, rows)
 	chart := &plot.Chart{Title: "Fig 4: diameter-2 families vs Moore bound",
 		XLabel: "degree", YLabel: "order / Moore bound"}
 	add := func(name string, pick func(moore.Fig4Row) moore.Point) {
@@ -188,7 +172,7 @@ func fig4(c ctx) error {
 	add("MMS", func(r moore.Fig4Row) moore.Point { return r.MMS })
 	add("Paley", func(r moore.Fig4Row) moore.Point { return r.Paley })
 	add("Cayley", func(r moore.Fig4Row) moore.Point { return r.Cayley })
-	return writeChart(c, chart, "fig04_diameter2.svg")
+	return c.write("fig04_diameter2.svg", chart.WriteSVG)
 }
 
 func fig7(c ctx) error {
@@ -196,12 +180,9 @@ func fig7(c ctx) error {
 	if c.full {
 		hi = 128
 	}
-	f, err := c.file("fig07_designspace.txt")
-	if err != nil {
+	if err := c.write("fig07_designspace.txt", func(w io.Writer) error { moore.WriteFig7(w, 8, hi); return nil }); err != nil {
 		return err
 	}
-	defer f.Close()
-	moore.WriteFig7(f, 8, hi)
 	chart := &plot.Chart{Title: "Fig 7: feasible PolarStar orders per radix",
 		XLabel: "network radix", YLabel: "routers"}
 	var xs, ys []float64
@@ -212,59 +193,56 @@ func fig7(c ctx) error {
 		}
 	}
 	chart.Add("configurations", xs, ys)
-	return writeChart(c, chart, "fig07_designspace.svg")
+	return c.write("fig07_designspace.svg", chart.WriteSVG)
 }
 
 func headline(c ctx) error {
-	f, err := c.file("headline_ratios.txt")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	h := moore.Headline(8, 128)
-	fmt.Fprintf(f, "PolarStar vs Bundlefly:  %.3fx (paper 1.3x)\n", h.VsBundlefly)
-	fmt.Fprintf(f, "PolarStar vs Dragonfly:  %.3fx (paper 1.9x)\n", h.VsDragonfly)
-	fmt.Fprintf(f, "PolarStar vs 3-D HyperX: %.3fx (paper 6.7x)\n", h.VsHyperX)
-	return nil
+	return c.write("headline_ratios.txt", func(w io.Writer) error {
+		fmt.Fprintf(w, "PolarStar vs Bundlefly:  %.3fx (paper 1.3x)\n", h.VsBundlefly)
+		fmt.Fprintf(w, "PolarStar vs Dragonfly:  %.3fx (paper 1.9x)\n", h.VsDragonfly)
+		fmt.Fprintf(w, "PolarStar vs 3-D HyperX: %.3fx (paper 6.7x)\n", h.VsHyperX)
+		return nil
+	})
 }
 
 // simPanel runs one (routing, pattern) panel across all topologies and
 // writes a combined text table and latency-load SVG.
 func simPanel(c ctx, fileStem string, mode sim.RoutingMode, pattern string) error {
-	f, err := c.file(fileStem + ".txt")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	chart := &plot.Chart{Title: fmt.Sprintf("%s, %s routing", pattern, mode),
 		XLabel: "offered load", YLabel: "avg latency (cycles)"}
-	for _, name := range c.simSpecs() {
-		spec, err := sim.NewSpec(name)
-		if err != nil {
-			return err
-		}
-		var sm *obs.SimSweep
-		if c.fig != nil {
-			sm = obs.NewSimSweep(name, mode.String(), pattern, len(c.loads()))
-			c.fig.Sims = append(c.fig.Sims, sm)
-		}
-		res, err := sim.SweepObs(spec, mode, pattern, c.loads(), c.simParams(), sm)
-		if err != nil {
-			return err
-		}
-		sim.WriteSweep(f, res)
-		fmt.Fprintln(f)
-		var xs, ys []float64
-		for _, p := range res.Points {
-			if p.Saturated {
-				break
+	if err := c.write(fileStem+".txt", func(w io.Writer) error {
+		for _, name := range c.simSpecs() {
+			spec, err := sim.NewSpec(name)
+			if err != nil {
+				return err
 			}
-			xs = append(xs, p.Load)
-			ys = append(ys, p.AvgLatency)
+			var sm *obs.SimSweep
+			if c.fig != nil {
+				sm = obs.NewSimSweep(name, mode.String(), pattern, len(c.loads()))
+				c.fig.Sims = append(c.fig.Sims, sm)
+			}
+			res, err := sim.SweepObs(spec, mode, pattern, c.loads(), c.simParams(), sm)
+			if err != nil {
+				return err
+			}
+			sim.WriteSweep(w, res)
+			fmt.Fprintln(w)
+			var xs, ys []float64
+			for _, p := range res.Points {
+				if p.Saturated {
+					break
+				}
+				xs = append(xs, p.Load)
+				ys = append(ys, p.AvgLatency)
+			}
+			chart.Add(name, xs, ys)
 		}
-		chart.Add(name, xs, ys)
+		return nil
+	}); err != nil {
+		return err
 	}
-	return writeChart(c, chart, fileStem+".svg")
+	return c.write(fileStem+".svg", chart.WriteSVG)
 }
 
 func fig9(c ctx) error {
@@ -295,11 +273,6 @@ func fig10(c ctx) error {
 }
 
 func fig11(c ctx) error {
-	f, err := c.file("fig11_motifs.txt")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	ranks := 256
 	if c.full {
 		ranks = 4096
@@ -308,126 +281,104 @@ func fig11(c ctx) error {
 	if !c.full {
 		specs = []string{"ps-iq-small", "df-small", "hx-small", "ft-small"}
 	}
-	fmt.Fprintf(f, "%-12s %-14s %-14s %-14s %-14s\n", "topology",
-		"allreduce-MIN", "allreduce-UGAL", "sweep3d-MIN", "sweep3d-UGAL")
-	for _, name := range specs {
-		spec, err := sim.NewSpec(name)
-		if err != nil {
-			return err
-		}
-		r := ranks
-		if r > spec.Endpoints() {
-			r = spec.Endpoints()
-		}
-		side := 16
-		for side*side > spec.Endpoints() {
-			side /= 2
-		}
-		row := []float64{}
-		for _, motif := range []string{"allreduce", "sweep3d"} {
-			for _, adaptive := range []bool{false, true} {
-				p := flowsim.DefaultParams(c.seed)
-				p.Adaptive = adaptive
-				net := flowsim.New(spec.MinEngine, spec.Config(), spec.Graph, spec.UGALMids, p)
-				var t float64
-				if motif == "allreduce" {
-					t = motifs.Allreduce(net, r, 64*1024, 10)
-				} else {
-					t = motifs.Sweep3D(net, side, side, 4096, 100, 10)
-				}
-				row = append(row, t/1000)
+	return c.write("fig11_motifs.txt", func(w io.Writer) error {
+		fmt.Fprintf(w, "%-12s %-14s %-14s %-14s %-14s\n", "topology",
+			"allreduce-MIN", "allreduce-UGAL", "sweep3d-MIN", "sweep3d-UGAL")
+		for _, name := range specs {
+			spec, err := sim.NewSpec(name)
+			if err != nil {
+				return err
 			}
+			r := ranks
+			if r > spec.Endpoints() {
+				r = spec.Endpoints()
+			}
+			side := 16
+			for side*side > spec.Endpoints() {
+				side /= 2
+			}
+			row := []float64{}
+			for _, motif := range []string{"allreduce", "sweep3d"} {
+				for _, adaptive := range []bool{false, true} {
+					p := flowsim.DefaultParams(c.seed)
+					p.Adaptive = adaptive
+					net := flowsim.New(spec.MinEngine, spec.Config(), spec.Graph, spec.UGALMids, p)
+					var t float64
+					if motif == "allreduce" {
+						t = motifs.Allreduce(net, r, 64*1024, 10)
+					} else {
+						t = motifs.Sweep3D(net, side, side, 4096, 100, 10)
+					}
+					row = append(row, t/1000)
+				}
+			}
+			fmt.Fprintf(w, "%-12s %-14.1f %-14.1f %-14.1f %-14.1f\n", name, row[0], row[1], row[2], row[3])
 		}
-		fmt.Fprintf(f, "%-12s %-14.1f %-14.1f %-14.1f %-14.1f\n", name, row[0], row[1], row[2], row[3])
-	}
-	return nil
+		return nil
+	})
 }
 
 func fig12(c ctx) error {
-	f, err := c.file("fig12_bisection.txt")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	specs := c.simSpecs()
-	fmt.Fprintf(f, "%-14s %-8s %-8s %-10s\n", "topology", "n", "m", "cutfrac")
-	for _, name := range specs {
-		spec, err := sim.NewSpec(name)
-		if err != nil {
-			return err
+	return c.write("fig12_bisection.txt", func(w io.Writer) error {
+		fmt.Fprintf(w, "%-14s %-8s %-8s %-10s\n", "topology", "n", "m", "cutfrac")
+		for _, name := range c.simSpecs() {
+			spec, err := sim.NewSpec(name)
+			if err != nil {
+				return err
+			}
+			frac := partition.CutFraction(spec.Graph, c.seed, partition.Options{})
+			fmt.Fprintf(w, "%-14s %-8d %-8d %-10.3f\n", name, spec.Graph.N(), spec.Graph.M(), frac)
 		}
-		frac := partition.CutFraction(spec.Graph, c.seed, partition.Options{})
-		fmt.Fprintf(f, "%-14s %-8d %-8d %-10.3f\n", name, spec.Graph.N(), spec.Graph.M(), frac)
-	}
-	return nil
+		return nil
+	})
 }
 
 func fig13(c ctx) error {
-	f, err := c.file("fig13_bisection_polarstar.txt")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	hi, maxN := 16, 2500
 	if c.full {
 		hi, maxN = 24, 40000
 	}
-	moore.WriteFig13(f, 8, hi, maxN, c.seed)
-	return nil
+	return c.write("fig13_bisection_polarstar.txt", func(w io.Writer) error { moore.WriteFig13(w, 8, hi, maxN, c.seed); return nil })
 }
 
 func fig14(c ctx) error {
-	f, err := c.file("fig14_faults.txt")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	trials := 10
 	if c.full {
 		trials = 100
 	}
 	chart := &plot.Chart{Title: "Fig 14: avg path length under link failures",
 		XLabel: "fraction of failed links", YLabel: "avg shortest path (hops)"}
-	for _, name := range c.simSpecs() {
-		spec, err := sim.NewSpec(name)
-		if err != nil {
-			return err
-		}
-		var fm *obs.FaultSweep
-		if c.fig != nil {
-			fm = &obs.FaultSweep{Spec: name}
-			c.fig.Faults = append(c.fig.Faults, fm)
-		}
-		tr, err := faults.MedianTrialObs(spec.Graph, faults.Hosts(spec.Hosts), trials, c.seed, faults.DefaultFracs, fm)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(f, "# %s disconnection ratio %.3f\n", name, tr.DisconnectionRatio)
-		var xs, ys []float64
-		for _, p := range tr.Curve {
-			if !p.Connected {
-				break
+	if err := c.write("fig14_faults.txt", func(w io.Writer) error {
+		for _, name := range c.simSpecs() {
+			spec, err := sim.NewSpec(name)
+			if err != nil {
+				return err
 			}
-			fmt.Fprintf(f, "%s %.2f diam=%d apl=%.3f\n", name, p.FailFrac, p.Diameter, p.AvgPath)
-			xs = append(xs, p.FailFrac)
-			ys = append(ys, p.AvgPath)
+			var fm *obs.FaultSweep
+			if c.fig != nil {
+				fm = &obs.FaultSweep{Spec: name}
+				c.fig.Faults = append(c.fig.Faults, fm)
+			}
+			tr, err := faults.MedianTrialObs(spec.Graph, faults.Hosts(spec.Hosts), trials, c.seed, faults.DefaultFracs, fm)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "# %s disconnection ratio %.3f\n", name, tr.DisconnectionRatio)
+			var xs, ys []float64
+			for _, p := range tr.Curve {
+				if !p.Connected {
+					break
+				}
+				fmt.Fprintf(w, "%s %.2f diam=%d apl=%.3f\n", name, p.FailFrac, p.Diameter, p.AvgPath)
+				xs = append(xs, p.FailFrac)
+				ys = append(ys, p.AvgPath)
+			}
+			chart.Add(name, xs, ys)
+			fmt.Fprintln(w)
 		}
-		chart.Add(name, xs, ys)
-		fmt.Fprintln(f)
-	}
-	return writeChart(c, chart, "fig14_faults.svg")
-}
-
-func writeChart(c ctx, chart *plot.Chart, name string) error {
-	f, err := c.file(name)
-	if err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
-	defer f.Close()
-	return chart.WriteSVG(f)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "psfig:", err)
-	os.Exit(1)
+	return c.write("fig14_faults.svg", chart.WriteSVG)
 }

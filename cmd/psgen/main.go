@@ -7,7 +7,7 @@
 //	psgen -topo dragonfly -a 12 -h 6                          # Dragonfly
 //	psgen -topo hyperx -dims 9x9x8                            # 3-D HyperX
 //	psgen -topo er -q 11 | head                               # ER_11 factor
-//	psgen -topo stats -q 11 -dprime 3 -kind iq                # print stats only
+//	psgen -topo polarstar -q 11 -dprime 3 -kind iq -stats     # print stats only
 //	psgen -topo polarstar -kind iq -dprime 3 -sweep 5-16      # stats per q
 //
 // -sweep runs the -stats analysis for every q in the given range. The
@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -26,6 +27,7 @@ import (
 	"sync"
 
 	"polarstar"
+	"polarstar/internal/cli"
 	"polarstar/internal/topo"
 )
 
@@ -51,40 +53,34 @@ func main() {
 
 	kind, err := topo.ParseKind(*kindName)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if *sweep != "" {
 		if err := runSweep(*sweep, *topoName, kind, *dPrime, *a, *h, *rho, *p, *n, *dims, *seed); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		return
 	}
 	g, err := build(*topoName, kind, *q, *dPrime, *a, *h, *rho, *p, *n, *dims, *seed)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if *stats {
 		s := g.AllPairsStats()
 		fmt.Print(statsLine(g, s))
 		return
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
+	write := g.WriteEdgeList
 	if *dot {
-		if err := g.WriteDOT(w, nil); err != nil {
-			fatal(err)
-		}
-		return
+		write = func(w io.Writer) error { return g.WriteDOT(w, nil) }
 	}
-	if err := g.WriteEdgeList(w); err != nil {
-		fatal(err)
+	if *out == "" {
+		err = write(os.Stdout)
+	} else {
+		err = cli.WriteFile(*out, write)
+	}
+	if err != nil {
+		cli.Fatal(err)
 	}
 }
 
@@ -225,9 +221,4 @@ func build(name string, kind polarstar.SupernodeKind, q, dPrime, a, h, rho, p, n
 		return l.G, nil
 	}
 	return nil, fmt.Errorf("unknown topology %q", name)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "psgen:", err)
-	os.Exit(1)
 }

@@ -12,13 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
-	"strings"
 
+	"polarstar/internal/cli"
 	"polarstar/internal/flowsim"
 	"polarstar/internal/motifs"
 	"polarstar/internal/obs"
-	"polarstar/internal/prof"
 	"polarstar/internal/sim"
 )
 
@@ -31,22 +29,17 @@ func main() {
 		iters    = flag.Int("iters", 10, "iterations (paper: 10)")
 		compute  = flag.Float64("compute", 100, "sweep3d per-cell compute time (ns)")
 		seed     = flag.Int64("seed", 1, "seed")
-		met      = obs.Flags()
+		met      = cli.Register("psmotifs")
 	)
 	flag.Parse()
-	defer prof.Start()()
+	defer met.Profile()()
 
-	var artifact *obs.Run
-	if met.Enabled() {
-		artifact = obs.NewRun("psmotifs")
-		artifact.Manifest.Seed = *seed
-	}
+	artifact := met.Run(obs.Manifest{Seed: *seed})
 	fmt.Printf("%-10s %-14s %-14s %-8s\n", "topology", "MIN (us)", "UGAL (us)", "speedup")
-	for _, name := range strings.Split(*specsArg, ",") {
-		name = strings.TrimSpace(name)
+	for _, name := range cli.Split(*specsArg) {
 		spec, err := sim.NewSpec(name)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		run := func(adaptive bool) float64 {
 			p := flowsim.DefaultParams(*seed)
@@ -67,7 +60,7 @@ func main() {
 				r = spec.Endpoints()
 			}
 			var t float64
-			prof.Task(func() {
+			cli.Task(func() {
 				switch *motif {
 				case "allreduce":
 					t = motifs.Allreduce(net, r, *msgKB*1024, *iters)
@@ -75,7 +68,7 @@ func main() {
 					side := int(math.Sqrt(float64(r)))
 					t = motifs.Sweep3D(net, side, side, *msgKB*1024, *compute, *iters)
 				default:
-					fatal(fmt.Errorf("unknown motif %q", *motif))
+					cli.Fatal(fmt.Errorf("unknown motif %q", *motif))
 				}
 			}, "phase", *motif, "spec", name)
 			if fr != nil {
@@ -87,15 +80,5 @@ func main() {
 		ugal := run(true)
 		fmt.Printf("%-10s %-14.1f %-14.1f %-8.2f\n", name, min/1000, ugal/1000, min/ugal)
 	}
-	if artifact != nil {
-		if err := met.Write(artifact); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# wrote metrics %s\n", *met.Path)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "psmotifs:", err)
-	os.Exit(1)
+	met.Finish(artifact, "# wrote metrics ")
 }

@@ -13,8 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 
+	"polarstar/internal/cli"
 	"polarstar/internal/route"
 	"polarstar/internal/sim"
 )
@@ -33,10 +33,10 @@ func main() {
 
 	spec, err := sim.NewSpec(*specName)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if *src < 0 || *src >= spec.Graph.N() || *dst < 0 || *dst >= spec.Graph.N() {
-		fatal(fmt.Errorf("router ids must be in [0,%d)", spec.Graph.N()))
+		cli.Fatal(fmt.Errorf("router ids must be in [0,%d)", spec.Graph.N()))
 	}
 	rng := rand.New(rand.NewSource(*seed))
 
@@ -81,9 +81,4 @@ func main() {
 			fmt.Printf("  %2d: %v\n", i, p)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "psroute:", err)
-	os.Exit(1)
 }

@@ -35,17 +35,13 @@ import (
 	"strings"
 	"time"
 
+	"polarstar/internal/cli"
 	"polarstar/internal/graph"
 	"polarstar/internal/moore"
 	"polarstar/internal/obs"
 	"polarstar/internal/search"
 	"polarstar/internal/topo"
 )
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "pssearch:", err)
-	os.Exit(1)
-}
 
 // buildStart constructs the start graph from its spec string.
 func buildStart(spec string, seed int64) (*graph.Graph, error) {
@@ -149,9 +145,10 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "write the final search state to this JSON file")
 		resume     = flag.String("resume", "", "resume from a checkpoint written by -checkpoint")
 		bestOut    = flag.String("best-out", "", "write the best graph as an edge list to this file")
-		mflags     = obs.Flags()
+		met        = cli.Register("pssearch")
 	)
 	flag.Parse()
+	defer met.Profile()()
 
 	var (
 		eng       *search.Engine
@@ -167,22 +164,22 @@ func main() {
 		Cooling:     *cooling,
 		ResyncEvery: *resync,
 		Workers:     *workers,
-		TimeEvals:   mflags.Enabled() && *mflags.Timing,
+		TimeEvals:   *met.Metrics != "" && *met.Timing,
 	}
 	if *resume != "" {
 		cp, err := search.ReadCheckpoint(*resume)
 		if err != nil {
-			fail(err)
+			cli.Fatal(err)
 		}
 		cp.Params.TimeEvals = p.TimeEvals
 		eng, err = search.Restore(cp, *workers, *epochs)
 		if err != nil {
-			fail(err)
+			cli.Fatal(err)
 		}
 	} else {
 		g, err := buildStart(*start, *seed)
 		if err != nil {
-			fail(err)
+			cli.Fatal(err)
 		}
 		startASPL = g.AllPairsStats().AvgPath
 		if *temp < 0 {
@@ -190,7 +187,7 @@ func main() {
 		}
 		eng, err = search.New(g, p)
 		if err != nil {
-			fail(err)
+			cli.Fatal(err)
 		}
 	}
 
@@ -217,33 +214,23 @@ func main() {
 	fmt.Fprintf(os.Stderr, "pssearch: wall %.2fs (%.0f swaps/sec)\n",
 		wall.Seconds(), float64(res.Counters.Evals)/wall.Seconds())
 	if res.Counters.Drift > 0 {
-		fail(fmt.Errorf("delta state drifted from full recomputation %d times", res.Counters.Drift))
+		cli.Fatal(fmt.Errorf("delta state drifted from full recomputation %d times", res.Counters.Drift))
 	}
 
 	if *checkpoint != "" {
 		if err = search.WriteCheckpoint(*checkpoint, eng.Checkpoint()); err != nil {
-			fail(err)
+			cli.Fatal(err)
 		}
 	}
 	if *bestOut != "" {
-		f, err := os.Create(*bestOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.Best.WriteEdgeList(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
+		if err := cli.WriteFile(*bestOut, res.Best.WriteEdgeList); err != nil {
+			cli.Fatal(err)
 		}
 	}
 
-	if mflags.Enabled() {
-		run := obs.NewRun("pssearch")
-		run.Manifest.Spec = *start
-		run.Manifest.Seed = eng.Params().Seed
-		run.Manifest.Workers = *workers
-		run.Manifest.SearcherWorkers, run.Manifest.IntraWorkers = eng.WorkerSplit()
+	searcherWorkers, intraWorkers := eng.WorkerSplit()
+	if run := met.Run(obs.Manifest{Spec: *start, Seed: eng.Params().Seed, Workers: *workers,
+		SearcherWorkers: searcherWorkers, IntraWorkers: intraWorkers}); run != nil {
 		sr := &obs.SearchRun{
 			Graph:        eng.Name(),
 			N:            n,
@@ -276,14 +263,12 @@ func main() {
 		for _, ep := range res.Trajectory {
 			sr.Trajectory = append(sr.Trajectory, obs.SearchEpoch(ep))
 		}
-		if *mflags.Timing {
+		if *met.Timing {
 			sr.SwapsPerSec = float64(res.Counters.Evals) / wall.Seconds()
 			sr.EvalNS = res.EvalNS
 		}
 		run.Search = sr
-		if err := mflags.Write(run); err != nil {
-			fail(err)
-		}
+		met.Finish(run, "")
 	}
 }
 

@@ -24,13 +24,9 @@ import (
 	"syscall"
 	"time"
 
+	"polarstar/internal/cli"
 	"polarstar/internal/serve"
 )
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "psserve: %v\n", err)
-	os.Exit(1)
-}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
@@ -50,7 +46,7 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	// The parse target of the smoke tests: the resolved address, so
 	// callers can bind port 0 and discover the port.
@@ -64,7 +60,7 @@ func main() {
 	defer stop()
 	select {
 	case err := <-errc:
-		fatal(err)
+		cli.Fatal(err)
 	case <-ctx.Done():
 	}
 
@@ -74,11 +70,11 @@ func main() {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	svc.Close()
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	st := svc.Stats()
 	fmt.Printf("psserve: drained (requests=%d cache_hits=%d cache_misses=%d shed=%d builds=%d)\n",

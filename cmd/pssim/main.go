@@ -15,9 +15,9 @@ import (
 	"strconv"
 	"strings"
 
+	"polarstar/internal/cli"
 	"polarstar/internal/obs"
 	"polarstar/internal/plot"
-	"polarstar/internal/prof"
 	"polarstar/internal/sim"
 )
 
@@ -35,28 +35,24 @@ func main() {
 
 		repairDelay = flag.Int64("repair-delay", 0, "table-reconvergence stall in cycles after each applied fault event (0: instant repair)")
 		live        = sim.Flags()
-		met         = obs.Flags()
+		met         = cli.Register("pssim")
 	)
 	flag.Parse()
-	defer prof.Start()()
+	defer met.Profile()()
 
 	spec, err := sim.NewSpec(*specName)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	mode, err := sim.ParseRoutingMode(*routing)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	loads := sim.DefaultLoads
 	if *loadsArg != "" {
-		loads = nil
-		for _, part := range strings.Split(*loadsArg, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad -loads: %v", err))
-			}
-			loads = append(loads, v)
+		loads, err = cli.List(*loadsArg, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+		if err != nil {
+			cli.Fatal(fmt.Errorf("bad -loads: %v", err))
 		}
 	}
 	params := sim.DefaultParams(*seed)
@@ -66,37 +62,26 @@ func main() {
 	params.RepairDelay = *repairDelay
 	params.SetCycles(*cycles)
 	if err := live.Apply(&params, spec.Graph); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	var run *obs.Run
+	run := met.Run(obs.Manifest{Spec: spec.Name, Routing: mode.String(), Pattern: *pattern,
+		Seed: *seed, Workers: *workers, FaultPlan: live.Manifest(params)})
 	var sm *obs.SimSweep
-	if met.Enabled() {
-		run = obs.NewRun("pssim")
-		run.Manifest.Spec = spec.Name
-		run.Manifest.Routing = mode.String()
-		run.Manifest.Pattern = *pattern
-		run.Manifest.Seed = *seed
-		run.Manifest.Workers = *workers
-		run.Manifest.FaultPlan = live.Manifest(params)
+	if run != nil {
 		sm = obs.NewSimSweep(spec.Name, mode.String(), *pattern, len(loads))
 		run.Sim = sm
 	}
 	fmt.Printf("# %s: %d routers, %d endpoints\n", spec.Name, spec.Graph.N(), spec.Endpoints())
 	var res sim.SweepResult
-	prof.Task(func() {
+	cli.Task(func() {
 		res, err = sim.SweepObs(spec, mode, *pattern, loads, params, sm)
 	}, "phase", "sweep", "spec", spec.Name)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	sim.WriteSweep(os.Stdout, res)
 	fmt.Printf("# saturation load: %.3f\n", res.SaturationLoad())
-	if met.Enabled() {
-		if err := met.Write(run); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# wrote metrics %s\n", *met.Path)
-	}
+	met.Finish(run, "# wrote metrics ")
 
 	if *svgOut != "" {
 		chart := &plot.Chart{
@@ -113,19 +98,9 @@ func main() {
 			ys = append(ys, p.AvgLatency)
 		}
 		chart.Add(spec.Name, xs, ys)
-		f, err := os.Create(*svgOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := chart.WriteSVG(f); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*svgOut, chart.WriteSVG); err != nil {
+			cli.Fatal(err)
 		}
 		fmt.Printf("# wrote %s\n", *svgOut)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pssim:", err)
-	os.Exit(1)
 }

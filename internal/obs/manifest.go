@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -113,16 +112,6 @@ func NewRun(tool string) *Run {
 		startCPU: processCPUTime(),
 	}
 	return r
-}
-
-// CaptureArgs records every explicitly set flag of the default flag set
-// into the manifest (sorted on marshal). Call after flag.Parse.
-func (r *Run) CaptureArgs() {
-	args := map[string]string{}
-	flag.Visit(func(f *flag.Flag) { args[f.Name] = f.Value.String() })
-	if len(args) > 0 {
-		r.Manifest.Args = args
-	}
 }
 
 // Finish stamps the timing block from the run's start baselines.
