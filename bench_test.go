@@ -9,7 +9,6 @@ package polarstar_test
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"testing"
 
@@ -82,10 +81,11 @@ func BenchmarkFig01ScalabilityDiam3(b *testing.B) {
 	}
 	// Report the radix-64 Moore efficiencies (the data labels of Fig 1).
 	last := rows[len(rows)-1]
-	b.ReportMetric(moore.Efficiency(last.PolarStar.Order, last.Radix, 3), "polarstar_eff")
-	b.ReportMetric(moore.Efficiency(last.Bundlefly.Order, last.Radix, 3), "bundlefly_eff")
-	b.ReportMetric(moore.Efficiency(last.Dragonfly.Order, last.Radix, 3), "dragonfly_eff")
-	b.ReportMetric(moore.Efficiency(last.HyperX3D.Order, last.Radix, 3), "hyperx_eff")
+	eff := func(order int64) float64 { return float64(order) / float64(last.MooreBound) }
+	b.ReportMetric(eff(last.PolarStar.Order), "polarstar_eff")
+	b.ReportMetric(eff(last.Bundlefly.Order), "bundlefly_eff")
+	b.ReportMetric(eff(last.Dragonfly.Order), "dragonfly_eff")
+	b.ReportMetric(eff(last.HyperX3D.Order), "hyperx_eff")
 }
 
 // --- E2: Fig 4, diameter-2 factor-graph families. ---
@@ -118,25 +118,6 @@ func BenchmarkFig07DesignSpace(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(total), "feasible_configs")
-}
-
-// --- E5: Table 2, supernode families. ---
-
-func BenchmarkTable2Supernodes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, c := range []struct {
-			kind topo.SupernodeKind
-			d    int
-		}{{topo.KindIQ, 8}, {topo.KindIQ, 11}, {topo.KindPaley, 6}, {topo.KindBDF, 9}, {topo.KindComplete, 9}} {
-			s, err := topo.NewSupernode(c.kind, c.d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := topo.VerifySupernode(c.kind, s, c.d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
 // --- E6: Table 3, the simulated configurations. ---
@@ -328,23 +309,6 @@ func BenchmarkFig14FaultTolerance(b *testing.B) {
 	}
 }
 
-// --- E18: Equations (1) and (2). ---
-
-func BenchmarkEq1Eq2ClosedForms(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		worst = 0
-		for d := 8; d <= 128; d++ {
-			q := moore.OptimalQ(d)
-			if dev := math.Abs(q - 2*float64(d)/3); dev > worst {
-				worst = dev
-			}
-		}
-	}
-	b.ReportMetric(worst, "max_dev_from_2d3")
-	b.ReportMetric(moore.MaxOrderIQ(64), "eq2_at_64")
-}
-
 // --- E19: §1.3 headline geometric-mean scale ratios. ---
 
 func BenchmarkHeadlineScaleRatios(b *testing.B) {
@@ -425,7 +389,7 @@ func BenchmarkAblationStarProduct(b *testing.B) {
 // the paper's configuration) against the idealized global-information
 // UGAL-G on adversarial traffic.
 func BenchmarkAblationUGALVariants(b *testing.B) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	loads := []float64{0.1, 0.3}
 	params := simParams(1)
 	for _, mode := range []sim.RoutingMode{sim.UGALMode, sim.UGALGMode} {
@@ -447,7 +411,7 @@ func BenchmarkAblationUGALVariants(b *testing.B) {
 // BenchmarkAblationBisectionSeeds measures how the bisection estimate
 // improves with the number of multilevel random starts.
 func BenchmarkAblationBisectionSeeds(b *testing.B) {
-	spec := sim.MustNewSpec("bf-small")
+	spec := must(sim.NewSpec("bf-small"))
 	for _, seeds := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("seeds=%d", seeds), func(b *testing.B) {
 			var f float64

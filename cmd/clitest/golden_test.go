@@ -58,6 +58,8 @@ var goldenCases = func() []goldenCase {
 		goldenCase{bin: "psfaults", args: []string{"-spec", "ps-iq-small", "-resilience", "-counts", "x"}, stdout: true, stderr: true},
 		goldenCase{bin: "pssim", args: []string{"-spec", "ps-iq-small", "-cycles", "60", "-loads", "NaN"}, stdout: true, stderr: true},
 		goldenCase{bin: "psfaults", args: []string{"-spec", "ps-iq-small", "-traffic", "-load", "NaN"}, stdout: true, stderr: true},
+		goldenCase{bin: "psmotifs", args: []string{"-specs", "ps-iq-small", "-ranks", "0"}, stdout: true, stderr: true},
+		goldenCase{bin: "psmotifs", args: []string{"-specs", "ps-iq-small", "-msgkb", "NaN"}, stdout: true, stderr: true},
 
 		// Result files and metrics artifacts.
 		goldenCase{bin: "psfig", args: []string{"-only", "fig1,fig4,fig7,headline,fig12", "-out", tmp}, files: []string{"*"}},

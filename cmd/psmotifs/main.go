@@ -32,6 +32,16 @@ func main() {
 		met      = cli.Register("psmotifs")
 	)
 	flag.Parse()
+	switch {
+	case *ranks < 2:
+		cli.Fatal(fmt.Errorf("-ranks must be at least 2, got %d", *ranks))
+	case *iters < 1:
+		cli.Fatal(fmt.Errorf("-iters must be at least 1, got %d", *iters))
+	case !(*msgKB > 0) || math.IsInf(*msgKB, 1):
+		cli.Fatal(fmt.Errorf("-msgkb must be finite and > 0, got %g", *msgKB))
+	case !(*compute >= 0) || math.IsInf(*compute, 1):
+		cli.Fatal(fmt.Errorf("-compute must be finite and >= 0, got %g", *compute))
+	}
 	defer met.Profile()()
 
 	artifact := met.Run(obs.Manifest{Seed: *seed})

@@ -43,8 +43,6 @@ func main() {
 	if *storage {
 		psRouter, ok := spec.MinEngine.(*route.PolarStar)
 		if !ok {
-			// Build the PolarStar router if this is a PolarStar spec with
-			// a different engine; otherwise report table numbers only.
 			fmt.Println("spec does not use the analytic router; table accounting only")
 			tab := route.NewTable(spec.Graph, route.AllMinPaths)
 			fmt.Printf("distance-table floor: %d bytes total (%d per router)\n",

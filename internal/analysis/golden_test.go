@@ -16,7 +16,7 @@ import (
 // implementation could not be pinned at all — it summed in Go map
 // iteration order, so even its Mean varied from run to run.)
 func TestGoldenUniformLoadsPSIQSmall(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	pattern, err := spec.Pattern("uniform", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestGoldenUniformLoadsPSIQSmall(t *testing.T) {
 // every bit — the parallel shards may be scheduled arbitrarily, but the
 // merge order is fixed.
 func TestLinkLoadsRunToRunDeterminism(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	pattern, err := spec.Pattern("uniform", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func (selfPattern) Dest(src int, _ *rand.Rand) int { return src }
 // TestGiniZeroTrafficNoNaN: a distribution with no carried load must
 // report Gini 0, not NaN from the cum == 0 division.
 func TestGiniZeroTrafficNoNaN(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	for _, p := range []traffic.Pattern{selfPattern{}, idlePattern{}} {
 		l := ComputeLinkLoads(spec.Graph, spec.MinEngine, spec.Config(), p, 3, 1)
 		if math.IsNaN(l.Gini) || l.Gini != 0 {

@@ -7,7 +7,6 @@
 package analysis
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -32,15 +31,6 @@ type LinkLoads struct {
 	Gini float64
 	// UsedLinks counts links carrying any traffic.
 	UsedLinks int
-}
-
-// SaturationBound returns the offered load at which the bottleneck link
-// saturates: the upper bound on sustainable throughput.
-func (l LinkLoads) SaturationBound() float64 {
-	if l.Max <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / l.Max
 }
 
 // loadShards is the fixed endpoint-striping factor of ComputeLinkLoads.

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkComputeLinkLoadsPSIQSmall(b *testing.B) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	pattern, _ := spec.Pattern("uniform", 1)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func loadsFor(t *testing.T, specName, patternName string, rounds int) LinkLoads {
 	t.Helper()
-	spec := sim.MustNewSpec(specName)
+	spec := must(sim.NewSpec(specName))
 	pattern, err := spec.Pattern(patternName, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ func TestAdversarialBoundFarBelowUniform(t *testing.T) {
 // TestAnalyticBoundDominatesSimulation: the cycle simulator can never
 // sustain more than the bottleneck-link bound.
 func TestAnalyticBoundDominatesSimulation(t *testing.T) {
-	spec := sim.MustNewSpec("df-small")
+	spec := must(sim.NewSpec("df-small"))
 	pattern, _ := spec.Pattern("adversarial", 1)
 	bound := ComputeLinkLoads(spec.Graph, spec.MinEngine, spec.Config(), pattern, 5, 1).SaturationBound()
 
@@ -73,7 +74,7 @@ func TestAnalyticBoundDominatesSimulation(t *testing.T) {
 // analytic minpath (§9.3). All-minpath table routing must therefore give
 // essentially the same adversarial load profile as the analytic router.
 func TestMinpathNearUniquenessOnPolarStar(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	pattern, err := spec.Pattern("adversarial", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +93,7 @@ func TestMinpathNearUniquenessOnPolarStar(t *testing.T) {
 // network (and in PolarStar over the inter-supernode bundles), raising
 // the analytic saturation bound and flattening the load distribution.
 func TestValiantSpreadsAdversarialLoad(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	pattern, err := spec.Pattern("adversarial", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func (e valiantEngine) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int
 func (e valiantEngine) Dist(src, dst int) int { return e.v.Min.Dist(src, dst) }
 
 func TestEmptyPattern(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	idle := idlePattern{}
 	l := ComputeLinkLoads(spec.Graph, spec.MinEngine, spec.Config(), idle, 3, 1)
 	if l.UsedLinks != 0 || l.Max != 0 {
@@ -139,3 +140,21 @@ type idlePattern struct{}
 func (idlePattern) Name() string { return "idle" }
 
 func (idlePattern) Dest(int, *rand.Rand) int { return -1 }
+
+// must returns v and panics on err; test set-up here only builds valid
+// instances.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// SaturationBound returns the offered load at which the bottleneck link
+// saturates: the upper bound on sustainable throughput.
+func (l LinkLoads) SaturationBound() float64 {
+	if l.Max <= 0 {
+		return math.Inf(1)
+	}
+	return 1 / l.Max
+}

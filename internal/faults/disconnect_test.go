@@ -77,7 +77,7 @@ func TestDisconnectAtMatchesBisection(t *testing.T) {
 		"ps-iq-small", "ps-pal-small", "bf-small", "hx-small", "df-small",
 		"sf-small", "mf-small", "ft-small", "pf-small", "slimfly-small",
 	} {
-		spec := sim.MustNewSpec(name)
+		spec := must(sim.NewSpec(name))
 		checkDisconnectAt(t, name, spec.Graph, nil, 20, 0)
 		if name == "ft-small" || name == "mf-small" {
 			if len(spec.Hosts) == 0 || len(spec.Hosts) == spec.Graph.N() {
@@ -107,7 +107,7 @@ func TestDisconnectAtMatchesBisection(t *testing.T) {
 // BenchmarkMedianTrial is the Fig 14 unit of work: 20 ranked trials and
 // one fully sampled median trial on the paper-scale PolarStar.
 func BenchmarkMedianTrial(b *testing.B) {
-	spec := sim.MustNewSpec("ps-iq")
+	spec := must(sim.NewSpec("ps-iq"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

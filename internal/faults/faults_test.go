@@ -7,18 +7,18 @@ import (
 	"polarstar/internal/topo"
 )
 
-// mustTrial panics on a validation error and returns the trial; the
-// tests here always pass valid arguments.
-func mustTrial(tr Trial, err error) Trial {
+// must returns v and panics on err; the tests here always pass valid
+// arguments.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return tr
+	return v
 }
 
 func TestRunTrialOnPolarStar(t *testing.T) {
 	ps := topo.MustNewPolarStar(4, 3, topo.KindIQ)
-	tr := mustTrial(RunTrial(ps.G, nil, 1, []float64{0, 0.1, 0.3}))
+	tr := must(RunTrial(ps.G, nil, 1, []float64{0, 0.1, 0.3}))
 	if len(tr.Curve) != 3 {
 		t.Fatalf("curve length %d", len(tr.Curve))
 	}
@@ -51,7 +51,7 @@ func TestDisconnectionRatioExact(t *testing.T) {
 	for i := 0; i+1 < 10; i++ {
 		b.AddEdge(i, i+1)
 	}
-	tr := mustTrial(RunTrial(b.Build(), nil, 3, nil))
+	tr := must(RunTrial(b.Build(), nil, 3, nil))
 	if tr.DisconnectionRatio != 1.0/9.0 {
 		t.Errorf("path disconnection ratio = %f, want 1/9", tr.DisconnectionRatio)
 	}
@@ -59,8 +59,8 @@ func TestDisconnectionRatioExact(t *testing.T) {
 
 func TestMedianTrialDeterministic(t *testing.T) {
 	ps := topo.MustNewPolarStar(3, 3, topo.KindIQ)
-	a := mustTrial(MedianTrial(ps.G, nil, 9, 7, []float64{0, 0.2}))
-	b := mustTrial(MedianTrial(ps.G, nil, 9, 7, []float64{0, 0.2}))
+	a := must(MedianTrial(ps.G, nil, 9, 7, []float64{0, 0.2}))
+	b := must(MedianTrial(ps.G, nil, 9, 7, []float64{0, 0.2}))
 	if a.Seed != b.Seed || a.DisconnectionRatio != b.DisconnectionRatio {
 		t.Error("MedianTrial not deterministic")
 	}
@@ -72,9 +72,9 @@ func TestMedianTrialDeterministic(t *testing.T) {
 func TestHostRestrictedStats(t *testing.T) {
 	// Fat-tree: measure only leaf routers. Zero-failure leaf diameter is
 	// 4 (up to the core and down).
-	ft := topo.MustNewFatTree(4)
+	ft := must(topo.NewFatTree(4))
 	hosts := Hosts(ft.LeafRouters())
-	tr := mustTrial(RunTrial(ft.G, hosts, 2, []float64{0}))
+	tr := must(RunTrial(ft.G, hosts, 2, []float64{0}))
 	if tr.Curve[0].Diameter != 4 {
 		t.Errorf("fat-tree leaf diameter = %d, want 4", tr.Curve[0].Diameter)
 	}
@@ -89,11 +89,11 @@ func TestResilienceOrderingDFDiameterGrowsFast(t *testing.T) {
 	}
 	// §11.2: at low failure ratios Dragonfly's diameter grows quickly
 	// (single global link per group pair), while HyperX stays flat.
-	df := topo.MustNewDragonfly(8, 4)
-	hx := topo.MustNewHyperX(5, 5, 5)
+	df := must(topo.NewDragonfly(8, 4))
+	hx := must(topo.NewHyperX(5, 5, 5))
 	fr := []float64{0, 0.1}
-	dfTr := mustTrial(MedianTrial(df.G, nil, 5, 11, fr))
-	hxTr := mustTrial(MedianTrial(hx.G, nil, 5, 11, fr))
+	dfTr := must(MedianTrial(df.G, nil, 5, 11, fr))
+	hxTr := must(MedianTrial(hx.G, nil, 5, 11, fr))
 	if dfTr.Curve[1].Diameter <= dfTr.Curve[0].Diameter {
 		t.Errorf("dragonfly diameter did not grow under 10%% failures: %d -> %d",
 			dfTr.Curve[0].Diameter, dfTr.Curve[1].Diameter)
@@ -109,7 +109,7 @@ func TestSingleHostTrivially(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(0, 2)
-	tr := mustTrial(RunTrial(b.Build(), Hosts{1}, 1, []float64{0.9}))
+	tr := must(RunTrial(b.Build(), Hosts{1}, 1, []float64{0.9}))
 	if tr.DisconnectionRatio != float64(4)/float64(3) {
 		// A single host never disconnects: the bisection reports
 		// len(edges)+1 removals.

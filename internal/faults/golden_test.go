@@ -13,7 +13,7 @@ import (
 // behavior-preserving, down to RNG consumption and float summation order.
 
 func TestGoldenTrialPSIQSmall(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	tr, err := faults.RunTrial(spec.Graph, nil, 7, faults.DefaultFracs)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestGoldenTrialPSIQSmall(t *testing.T) {
 }
 
 func TestGoldenMedianTrial(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	med, err := faults.MedianTrial(spec.Graph, nil, 5, 1, faults.DefaultFracs)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestGoldenMedianTrial(t *testing.T) {
 // TestGoldenTrialHostsSubset pins the host-restricted protocol (Fat-tree:
 // only leaf routers count, §11.2).
 func TestGoldenTrialHostsSubset(t *testing.T) {
-	ft := sim.MustNewSpec("ft-small")
+	ft := must(sim.NewSpec("ft-small"))
 	tr, err := faults.RunTrial(ft.Graph, faults.Hosts(ft.Hosts), 3, []float64{0, 0.1, 0.2})
 	if err != nil {
 		t.Fatal(err)
@@ -84,4 +84,13 @@ func TestGoldenTrialHostsSubset(t *testing.T) {
 				i, p.Diameter, p.AvgPath, p.Connected)
 		}
 	}
+}
+
+// must returns v and panics on err; test set-up here only builds valid
+// instances.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

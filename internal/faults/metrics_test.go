@@ -16,9 +16,9 @@ import (
 func TestMedianTrialObsDoesNotPerturb(t *testing.T) {
 	ps := topo.MustNewPolarStar(3, 3, topo.KindIQ)
 	fracs := []float64{0, 0.2, 0.4, 0.6}
-	plain := mustTrial(MedianTrial(ps.G, nil, 7, 11, fracs))
+	plain := must(MedianTrial(ps.G, nil, 7, 11, fracs))
 	var fm obs.FaultSweep
-	observed := mustTrial(MedianTrialObs(ps.G, nil, 7, 11, fracs, &fm))
+	observed := must(MedianTrialObs(ps.G, nil, 7, 11, fracs, &fm))
 	if !reflect.DeepEqual(plain, observed) {
 		t.Errorf("observed trial %+v differs from plain %+v", observed, plain)
 	}
@@ -32,7 +32,7 @@ func TestMedianTrialObsAccounting(t *testing.T) {
 	fracs := []float64{0, 0.2, 0.4, 0.6, 0.8}
 	const trials = 7
 	var fm obs.FaultSweep
-	tr := mustTrial(MedianTrialObs(ps.G, nil, trials, 11, fracs, &fm))
+	tr := must(MedianTrialObs(ps.G, nil, trials, 11, fracs, &fm))
 	if fm.IntactDiameter != 3 {
 		t.Errorf("intact diameter %d, want 3 (PolarStar)", fm.IntactDiameter)
 	}
@@ -83,7 +83,7 @@ func TestMedianTrialObsAccounting(t *testing.T) {
 
 // TestTrafficSweepValidation pins the degraded-traffic input checks.
 func TestTrafficSweepValidation(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	p := sim.DefaultParams(3)
 	p.Warmup, p.Measure, p.Drain = 50, 100, 150
 	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.2, 1.5} {
@@ -119,7 +119,7 @@ func TestTrafficSweepValidation(t *testing.T) {
 // TestTrafficSweepObs pins non-interference and the per-point SimRun
 // plumbing of the degraded-traffic sweep.
 func TestTrafficSweepObs(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	p := sim.DefaultParams(3)
 	p.Warmup, p.Measure, p.Drain = 100, 200, 300
 	p.Workers = 2

@@ -29,7 +29,7 @@ func TestResilienceAcceptanceMultipathBeatsMinRepair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-window resilience sweep")
 	}
-	spec := sim.MustNewSpec("ps-iq-43")
+	spec := must(sim.NewSpec("ps-iq-43"))
 	cfg := ResilienceConfig{
 		Modes:       []sim.RoutingMode{sim.MIN, sim.MPUGALMode},
 		Counts:      []int{16},
@@ -67,7 +67,7 @@ func TestResilienceAcceptanceMultipathBeatsMinRepair(t *testing.T) {
 // engine's worker-count contract: identical Results at Workers 1 and 4,
 // including the per-lane obs sections.
 func TestResilienceSweepDeterministicAcrossWorkers(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	cfg := ResilienceConfig{
 		Modes:       []sim.RoutingMode{sim.MIN, sim.MPMINMode},
 		Counts:      []int{0, 2},
@@ -102,7 +102,7 @@ func TestResilienceSweepDeterministicAcrossWorkers(t *testing.T) {
 // per mode, one point per count, lane counters only on multipath curves,
 // and results unchanged by metrics collection.
 func TestResilienceSweepObsSections(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	cfg := ResilienceConfig{
 		Modes:       []sim.RoutingMode{sim.MIN, sim.MPMINMode},
 		Counts:      []int{0, 2},
@@ -149,7 +149,7 @@ func TestResilienceSweepObsSections(t *testing.T) {
 
 // TestResilienceSweepValidation covers the error paths.
 func TestResilienceSweepValidation(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	p := sim.DefaultParams(3)
 	p.Warmup, p.Measure, p.Drain = 100, 100, 300
 	cases := []struct {

@@ -14,7 +14,7 @@ func trafficParams() sim.Params {
 }
 
 func TestTrafficSweepDegrades(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	fracs := []float64{0, 0.05, 0.1}
 	pts, err := TrafficSweep(spec, sim.MIN, "uniform", 0.2, fracs, trafficParams(), 11, nil)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestTrafficSweepDegrades(t *testing.T) {
 // independent of the engine worker count.
 func TestTrafficSweepDeterministic(t *testing.T) {
 	run := func(workers int) []TrafficPoint {
-		spec := sim.MustNewSpec("ps-iq-small")
+		spec := must(sim.NewSpec("ps-iq-small"))
 		p := trafficParams()
 		p.Workers = workers
 		pts, err := TrafficSweep(spec, sim.UGALMode, "uniform", 0.2, []float64{0, 0.05}, p, 11, nil)
@@ -70,7 +70,7 @@ func TestTrafficSweepDeterministic(t *testing.T) {
 // damage disconnects the graph the lane extractor's error comes back
 // instead of single-table numbers.
 func TestTrafficSweepMultipath(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	p := trafficParams()
 	const load = 0.6
 	min, err := TrafficSweep(spec, sim.MIN, "uniform", load, []float64{0}, p, 11, nil)
@@ -82,7 +82,7 @@ func TestTrafficSweepMultipath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		want, err := sim.RunPoint(context.Background(), spec.Degraded(nil), mode, "uniform", load, p)
+		want, err := sim.RunPoint(context.Background(), spec.DegradedInto(nil, nil), mode, "uniform", load, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,9 +29,7 @@ type Field struct {
 	neg []int // additive inverses
 	inv []int // multiplicative inverses (inv[0] unused)
 
-	gen      int    // a multiplicative generator (primitive element)
-	logTab   []int  // discrete log base gen (logTab[0] unused)
-	expTab   []int  // gen^i for i in [0, q-1)
+	expTab   []int  // gen^i for i in [0, q-1), gen a primitive element
 	residues []bool // residues[x]: x is a non-zero square
 }
 
@@ -60,15 +58,6 @@ func MustNew(q int) *Field {
 	return f
 }
 
-// Q returns the field order.
-func (f *Field) Q() int { return f.q }
-
-// P returns the field characteristic.
-func (f *Field) P() int { return f.p }
-
-// K returns the extension degree, so Q == P^K.
-func (f *Field) K() int { return f.k }
-
 // Add returns a+b.
 func (f *Field) Add(a, b int) int { return f.add[a*f.q+b] }
 
@@ -89,35 +78,8 @@ func (f *Field) Inv(a int) int {
 	return f.inv[a]
 }
 
-// Div returns a/b. It panics when b == 0.
-func (f *Field) Div(a, b int) int { return f.Mul(a, f.Inv(b)) }
-
-// Pow returns a^n for n >= 0, with Pow(0, 0) == 1.
-func (f *Field) Pow(a, n int) int {
-	result := 1
-	for n > 0 {
-		if n&1 == 1 {
-			result = f.Mul(result, a)
-		}
-		a = f.Mul(a, a)
-		n >>= 1
-	}
-	return result
-}
-
-// Generator returns a primitive element: a generator of the multiplicative
-// group GF(q)*.
-func (f *Field) Generator() int { return f.gen }
-
-// Log returns the discrete logarithm of a base Generator(). Panics on 0.
-func (f *Field) Log(a int) int {
-	if a == 0 {
-		panic("gf: log of zero")
-	}
-	return f.logTab[a]
-}
-
-// Exp returns Generator()^i for i >= 0.
+// Exp returns g^i for i >= 0, where g is a fixed primitive element: a
+// generator of the multiplicative group GF(q)*.
 func (f *Field) Exp(i int) int { return f.expTab[i%(f.q-1)] }
 
 // IsResidue reports whether non-zero x is a quadratic residue (a square of
@@ -220,19 +182,18 @@ func (f *Field) buildTables() {
 	}
 
 	// Find a generator: an element of multiplicative order q-1.
-	f.logTab = make([]int, q)
-	f.expTab = make([]int, q-1)
+	gen := 1
 	for cand := 1; cand < q; cand++ {
 		if f.multiplicativeOrder(cand) == q-1 {
-			f.gen = cand
+			gen = cand
 			break
 		}
 	}
+	f.expTab = make([]int, q-1)
 	x := 1
 	for i := 0; i < q-1; i++ {
 		f.expTab[i] = x
-		f.logTab[x] = i
-		x = f.mul[x*q+f.gen]
+		x = f.mul[x*q+gen]
 	}
 
 	f.residues = make([]bool, q)

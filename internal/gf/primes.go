@@ -41,17 +41,6 @@ func IsPrimePower(q int) bool {
 	return ok
 }
 
-// PrimePowersUpTo returns all prime powers in [2, n] in increasing order.
-func PrimePowersUpTo(n int) []int {
-	var out []int
-	for q := 2; q <= n; q++ {
-		if IsPrimePower(q) {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 func smallestPrimeFactor(n int) int {
 	if n%2 == 0 {
 		return 2

@@ -5,10 +5,9 @@ package graph
 const Unreachable = int32(-1)
 
 // BFSScratch holds the reusable state of repeated BFS calls: the
-// traversal queue, and the distance row Eccentricity and IsConnected
-// fill. The zero value is ready to use; one scratch serves one
-// goroutine. Every BFS method takes an optional scratch; nil gives the
-// call a fresh one.
+// traversal queue, and the distance row IsConnected fills. The zero
+// value is ready to use; one scratch serves one goroutine. Every BFS
+// method takes an optional scratch; nil gives the call a fresh one.
 type BFSScratch struct {
 	queue []int32
 	dist  []int32
@@ -48,27 +47,6 @@ func (g *Graph) BFSDistances(src int, dist []int32, s *BFSScratch) []int32 {
 	return dist
 }
 
-// Eccentricity returns the largest finite distance from src and whether all
-// vertices were reachable. For the eccentricity of every vertex at once,
-// Eccentricities (the bit-parallel variant) is ~64× cheaper.
-func (g *Graph) Eccentricity(src int, s *BFSScratch) (ecc int32, connected bool) {
-	if s == nil {
-		s = &BFSScratch{}
-	}
-	s.dist = g.BFSDistances(src, s.dist, s)
-	connected = true
-	for _, d := range s.dist {
-		if d == Unreachable {
-			connected = false
-			continue
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc, connected
-}
-
 // PathStats aggregates the all-pairs shortest-path structure of a graph.
 type PathStats struct {
 	Diameter  int32   // largest finite pairwise distance
@@ -103,72 +81,4 @@ func (g *Graph) IsConnected(s *BFSScratch) bool {
 		}
 	}
 	return true
-}
-
-// Components returns the vertex sets of the connected components, largest
-// first.
-func (g *Graph) Components() [][]int {
-	comp := make([]int, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var out [][]int
-	queue := make([]int32, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		id := len(out)
-		members := []int{s}
-		comp[s] = id
-		queue = queue[:0]
-		queue = append(queue, int32(s))
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range g.Neighbors(int(u)) {
-				if comp[v] == -1 {
-					comp[v] = id
-					members = append(members, int(v))
-					queue = append(queue, v)
-				}
-			}
-		}
-		out = append(out, members)
-	}
-	// Largest component first (stable for equal sizes).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && len(out[j]) > len(out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// LargestComponent returns the subgraph induced on the largest connected
-// component along with the mapping from new vertex ids to original ids.
-func (g *Graph) LargestComponent() (*Graph, []int) {
-	comps := g.Components()
-	if len(comps) == 0 {
-		return NewBuilder(g.name, 0).Build(), nil
-	}
-	members := comps[0]
-	remap := make([]int32, g.n)
-	for i := range remap {
-		remap[i] = -1
-	}
-	for newID, old := range members {
-		remap[old] = int32(newID)
-	}
-	b := NewBuilder(g.name, len(members))
-	for newID, old := range members {
-		if g.loops[old] {
-			b.loops[newID] = true
-		}
-		for _, w := range g.Neighbors(old) {
-			if nw := remap[w]; nw >= 0 && int32(newID) < nw {
-				b.AddEdge(newID, int(nw))
-			}
-		}
-	}
-	return b.Build(), members
 }

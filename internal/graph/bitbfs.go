@@ -522,17 +522,3 @@ func (g *Graph) DistanceHistogram() []int64 {
 	}
 	return out
 }
-
-// Eccentricities returns the eccentricity of every vertex: the largest
-// finite distance out of it (0 for isolated vertices; within its own
-// component when g is disconnected). The all-vertex analogue of
-// Eccentricity, computed 64 sources per traversal.
-func (g *Graph) Eccentricities() []int32 {
-	out := make([]int32, g.n)
-	var s BitBFSScratch
-	g.forEachBatch(g.allPairsWorkers(), &s, func(_, base int, srcs []int32, s *BitBFSScratch) {
-		st, _ := g.BitBFSBatch(srcs, s, nil, nil)
-		copy(out[base:], st.Ecc[:len(srcs)])
-	})
-	return out
-}

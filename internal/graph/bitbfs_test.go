@@ -224,21 +224,6 @@ func TestDistanceHistogram(t *testing.T) {
 	}
 }
 
-// TestEccentricities cross-checks the all-vertex variant against the
-// single-source Eccentricity.
-func TestEccentricities(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		g := randomBitGraph(seed)
-		eccs := g.Eccentricities()
-		for v := 0; v < g.N(); v++ {
-			want, _ := g.Eccentricity(v, nil)
-			if eccs[v] != want {
-				t.Errorf("seed %d: ecc[%d] = %d, want %d", seed, v, eccs[v], want)
-			}
-		}
-	}
-}
-
 // TestBitBFSBatchEdgeCases: empty batches, singleton graphs, oversized
 // batches.
 func TestBitBFSBatchEdgeCases(t *testing.T) {
@@ -268,21 +253,15 @@ func TestBitBFSBatchEdgeCases(t *testing.T) {
 	g65.BitBFSBatch(make([]int32, 65), &s, nil, nil)
 }
 
-// TestScratchVariantsMatch: Eccentricity and IsConnected give the same
-// answers with a scratch reused across graphs of different sizes (the
-// scratch must regrow correctly) as with a fresh one per call.
+// TestScratchVariantsMatch: IsConnected gives the same answers with a
+// scratch reused across graphs of different sizes (the scratch must
+// regrow correctly) as with a fresh one per call.
 func TestScratchVariantsMatch(t *testing.T) {
 	var s BFSScratch
 	for seed := int64(0); seed < 12; seed++ {
 		g := randomBitGraph(seed)
 		if got, want := g.IsConnected(&s), g.IsConnected(nil); got != want {
 			t.Errorf("seed %d: IsConnected with reused scratch = %v, want %v", seed, got, want)
-		}
-		src := int(seed) % g.N()
-		ecc, conn := g.Eccentricity(src, &s)
-		wantEcc, wantConn := g.Eccentricity(src, nil)
-		if ecc != wantEcc || conn != wantConn {
-			t.Errorf("seed %d: Eccentricity with reused scratch = (%d,%v), want (%d,%v)", seed, ecc, conn, wantEcc, wantConn)
 		}
 	}
 }

@@ -207,29 +207,6 @@ func TestDiameterDisconnected(t *testing.T) {
 	if g.IsConnected(nil) {
 		t.Error("IsConnected wrong")
 	}
-	comps := g.Components()
-	if len(comps) != 2 || len(comps[0]) != 2 {
-		t.Errorf("components = %v", comps)
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	b := NewBuilder("g", 6)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(3, 4)
-	b.AddEdge(2, 2)
-	g := b.Build()
-	lc, members := g.LargestComponent()
-	if lc.N() != 3 || lc.M() != 2 {
-		t.Errorf("largest component n=%d m=%d", lc.N(), lc.M())
-	}
-	if len(members) != 3 {
-		t.Errorf("members = %v", members)
-	}
-	if lc.NumLoops() != 1 {
-		t.Errorf("loop not preserved in component extraction")
-	}
 }
 
 func TestRemoveEdges(t *testing.T) {
@@ -358,7 +335,7 @@ func TestAllPairsMatchesSingleSource(t *testing.T) {
 	for i := 0; i < 4*n; i++ {
 		b.AddEdge(rng.Intn(n), rng.Intn(n))
 	}
-	g, _ := b.Build().LargestComponent()
+	g := b.Build()
 	want := g.AllPairsStats()
 
 	var diam int32
@@ -382,17 +359,5 @@ func TestAllPairsMatchesSingleSource(t *testing.T) {
 	avg := float64(sum) / float64(pairs)
 	if diff := want.AvgPath - avg; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("avg mismatch: %f vs %f", want.AvgPath, avg)
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	g := path(5)
-	ecc, conn := g.Eccentricity(0, nil)
-	if ecc != 4 || !conn {
-		t.Errorf("ecc=%d conn=%v", ecc, conn)
-	}
-	ecc, conn = g.Eccentricity(2, nil)
-	if ecc != 2 || !conn {
-		t.Errorf("ecc=%d conn=%v", ecc, conn)
 	}
 }

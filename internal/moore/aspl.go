@@ -13,8 +13,8 @@
 // diameter-3 ASPL, and the yardstick the order/degree-problem community
 // reports optimality gaps against; for graphs that fit in three layers
 // it specializes to the closed form 3 − d(d+1)/(n−1) once n−1 ≥ d²
-// (ASPLDiam3LowerBound). Equality holds exactly for generalized Moore
-// graphs: all layers full except possibly the last.
+// (ASPLDiam3LowerBound, in the tests). Equality holds exactly for
+// generalized Moore graphs: all layers full except possibly the last.
 package moore
 
 // ASPLLowerBound returns the layered (Moore-type) lower bound on the
@@ -47,41 +47,6 @@ func ASPLLowerBound(n, d int) (aspl float64, diam int) {
 		}
 	}
 	return float64(sum) / float64(n-1), diam
-}
-
-// ASPLDiam3LowerBound returns the three-layer specialization of the
-// layered bound, the form Shimizu & Mori study for diameter-3 graphs:
-// when the order fits in three layers (n − 1 ≤ d + d(d−1) + d(d−1)²)
-// the first two layers pack full and the remainder sits at distance 3,
-// so
-//
-//	ASPL ≥ (d + 2d(d−1) + 3(n−1−d²)) / (n−1) = 3 − d(d+1)/(n−1) − [small-n terms]
-//
-// with the bracket vanishing once n−1 ≥ d² (both inner layers full; the
-// code packs the layers directly rather than trusting the algebra). ok
-// is false when n exceeds the three-layer capacity — the closed form
-// does not apply; use ASPLLowerBound.
-func ASPLDiam3LowerBound(n, d int) (aspl float64, ok bool) {
-	if n < 2 || d < 1 {
-		return 0, false
-	}
-	l1 := int64(d)
-	l2 := int64(d) * int64(d-1)
-	l3 := l2 * int64(d-1)
-	rest := int64(n - 1)
-	if rest > l1+l2+l3 {
-		return 0, false
-	}
-	sum := int64(0)
-	for i, layer := range [3]int64{l1, l2, l3} {
-		take := layer
-		if take > rest {
-			take = rest
-		}
-		sum += int64(i+1) * take
-		rest -= take
-	}
-	return float64(sum) / float64(n-1), true
 }
 
 // ASPLGap quantifies how far a measured ASPL sits above the layered

@@ -95,3 +95,38 @@ func TestASPLGapDegenerate(t *testing.T) {
 		t.Errorf("n=1 gap = (%v,%v), want (0,0)", gap, bound)
 	}
 }
+
+// ASPLDiam3LowerBound returns the three-layer specialization of the
+// layered bound, the form Shimizu & Mori study for diameter-3 graphs:
+// when the order fits in three layers (n − 1 ≤ d + d(d−1) + d(d−1)²)
+// the first two layers pack full and the remainder sits at distance 3,
+// so
+//
+//	ASPL ≥ (d + 2d(d−1) + 3(n−1−d²)) / (n−1) = 3 − d(d+1)/(n−1) − [small-n terms]
+//
+// with the bracket vanishing once n−1 ≥ d² (both inner layers full; the
+// code packs the layers directly rather than trusting the algebra). ok
+// is false when n exceeds the three-layer capacity — the closed form
+// does not apply; use ASPLLowerBound.
+func ASPLDiam3LowerBound(n, d int) (aspl float64, ok bool) {
+	if n < 2 || d < 1 {
+		return 0, false
+	}
+	l1 := int64(d)
+	l2 := int64(d) * int64(d-1)
+	l3 := l2 * int64(d-1)
+	rest := int64(n - 1)
+	if rest > l1+l2+l3 {
+		return 0, false
+	}
+	sum := int64(0)
+	for i, layer := range [3]int64{l1, l2, l3} {
+		take := layer
+		if take > rest {
+			take = rest
+		}
+		sum += int64(i+1) * take
+		rest -= take
+	}
+	return float64(sum) / float64(n-1), true
+}

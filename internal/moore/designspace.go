@@ -2,7 +2,6 @@ package moore
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -59,34 +58,6 @@ func PolarStarConfigs(radix int) []Config {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Order > out[j].Order })
 	return out
-}
-
-// OptimalQ returns the real-valued maximizer of the PolarStar-IQ order
-// (q²+q+1)(2d*−2q) over q for fixed product degree dStar:
-//
-//	q* = ((d*−1) + sqrt((d*−1)(d*+2))) / 3  ≈  2d*/3.
-//
-// The paper's Equation (1) prints sqrt((d*−1)(d*−2)); setting the
-// derivative −6q² + (2d*−2)·2q + 2(d*−1) = 0 gives (d*+2) in the
-// radical. Both forms agree with 2d*/3 to within one unit for all
-// relevant radixes; see EXPERIMENTS.md (E18) for the note.
-func OptimalQ(dStar int) float64 {
-	d := float64(dStar)
-	return ((d - 1) + math.Sqrt((d-1)*(d+2))) / 3
-}
-
-// PaperOptimalQ returns Equation (1) exactly as printed in the paper,
-// kept for comparison against OptimalQ.
-func PaperOptimalQ(dStar int) float64 {
-	d := float64(dStar)
-	return ((d - 1) + math.Sqrt((d-1)*(d-2))) / 3
-}
-
-// MaxOrderIQ returns Equation (2): the asymptotic maximum PolarStar-IQ
-// order (8d*³ + 12d*² + 18d*)/27 for radix dStar.
-func MaxOrderIQ(dStar int) float64 {
-	d := float64(dStar)
-	return (8*d*d*d + 12*d*d + 18*d) / 27
 }
 
 // BestERPoint returns the ER graph point at the radix: order q²+q+1 at

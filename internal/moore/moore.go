@@ -40,14 +40,6 @@ func Diam2Bound(d int) int64 {
 	return int64(d)*int64(d) + 1
 }
 
-// Efficiency returns order / Moore bound for the given radix and diameter.
-func Efficiency(order int64, radix, diameter int) float64 {
-	if order <= 0 {
-		return 0
-	}
-	return float64(order) / float64(Bound(radix, diameter))
-}
-
 // family names the topology family a design point belongs to. Point.Graph
 // builds PolarStar, Bundlefly, Dragonfly and 3-D HyperX points; the
 // others are orders from closed forms or measurements.

@@ -271,3 +271,56 @@ func TestSpectralflySmallDesignPoint(t *testing.T) {
 		t.Error("radix 7 should have no LPS point")
 	}
 }
+
+// Efficiency returns order / Moore bound for the given radix and diameter.
+func Efficiency(order int64, radix, diameter int) float64 {
+	if order <= 0 {
+		return 0
+	}
+	return float64(order) / float64(Bound(radix, diameter))
+}
+
+// OptimalQ returns the real-valued maximizer of the PolarStar-IQ order
+// (q²+q+1)(2d*−2q) over q for fixed product degree dStar:
+//
+//	q* = ((d*−1) + sqrt((d*−1)(d*+2))) / 3  ≈  2d*/3.
+//
+// The paper's Equation (1) prints sqrt((d*−1)(d*−2)); setting the
+// derivative −6q² + (2d*−2)·2q + 2(d*−1) = 0 gives (d*+2) in the
+// radical. Both forms agree with 2d*/3 to within one unit for all
+// relevant radixes; see EXPERIMENTS.md (E18) for the note.
+func OptimalQ(dStar int) float64 {
+	d := float64(dStar)
+	return ((d - 1) + math.Sqrt((d-1)*(d+2))) / 3
+}
+
+// PaperOptimalQ returns Equation (1) exactly as printed in the paper,
+// kept for comparison against OptimalQ.
+func PaperOptimalQ(dStar int) float64 {
+	d := float64(dStar)
+	return ((d - 1) + math.Sqrt((d-1)*(d-2))) / 3
+}
+
+// MaxOrderIQ returns Equation (2): the asymptotic maximum PolarStar-IQ
+// order (8d*³ + 12d*² + 18d*)/27 for radix dStar.
+func MaxOrderIQ(dStar int) float64 {
+	d := float64(dStar)
+	return (8*d*d*d + 12*d*d + 18*d) / 27
+}
+
+// BenchmarkEq1Eq2ClosedForms is E18: Equation (1)'s optimal q against
+// its 2d*/3 asymptote, and Equation (2) at radix 64.
+func BenchmarkEq1Eq2ClosedForms(b *testing.B) {
+	var worst float64
+	for i := 0; i < b.N; i++ {
+		worst = 0
+		for d := 8; d <= 128; d++ {
+			q := OptimalQ(d)
+			if dev := math.Abs(q - 2*float64(d)/3); dev > worst {
+				worst = dev
+			}
+		}
+	}
+	b.ReportMetric(worst, "max_dev_from_2d3")
+	b.ReportMetric(MaxOrderIQ(64), "eq2_at_64")
+}

@@ -2,13 +2,13 @@ package motifs
 
 import "polarstar/internal/flowsim"
 
-// Extension beyond the paper's two motifs: alternative Allreduce
-// algorithms (ring and Rabenseifner) and an AllToAll personalized
-// exchange. §10 motivates Allreduce as the key collective; comparing
-// algorithms on the same topology shows how message-count/size trade-offs
-// interact with the network (large messages favor bandwidth-optimal ring
-// and Rabenseifner; small messages favor the log-round recursive
-// doubling).
+// Extension beyond the paper's two motifs: the ring Allreduce. §10
+// motivates Allreduce as the key collective; comparing algorithms on the
+// same topology shows how message-count/size trade-offs interact with the
+// network (large messages favor the bandwidth-optimal ring; small
+// messages favor the log-round recursive doubling). The Rabenseifner and
+// AllToAll variants that only the trade-off tests run live in
+// collectives_test.go.
 
 // AllreduceRing simulates the bandwidth-optimal ring allreduce:
 // reduce-scatter then allgather, each 2(p−1) steps of msgBytes/p chunks.
@@ -37,84 +37,6 @@ func AllreduceRing(n *flowsim.Network, ranks int, msgBytes float64, iters int) f
 					}
 				}
 			}
-		}
-	}
-	return maxOf(ready)
-}
-
-// AllreduceRabenseifner simulates Rabenseifner's algorithm: a recursive
-// halving reduce-scatter (message sizes halve each round) followed by a
-// recursive doubling allgather (sizes double back). Bandwidth-optimal
-// with log2(p) rounds. Ranks round down to a power of two.
-func AllreduceRabenseifner(n *flowsim.Network, ranks int, msgBytes float64, iters int) float64 {
-	p := 1
-	for p*2 <= ranks && p*2 <= n.Config().Endpoints() {
-		p *= 2
-	}
-	if p < 2 {
-		return 0
-	}
-	ready := make([]float64, p)
-	arrive := make([]float64, p)
-	exchange := func(step int, bytes float64) {
-		for r := 0; r < p; r++ {
-			partner := r ^ step
-			arrive[partner] = n.Send(r, partner, bytes, ready[r])
-		}
-		for r := 0; r < p; r++ {
-			if arrive[r] > ready[r] {
-				ready[r] = arrive[r]
-			}
-		}
-	}
-	for it := 0; it < iters; it++ {
-		// Reduce-scatter: halving distances up, sizes down.
-		bytes := msgBytes / 2
-		for step := 1; step < p; step *= 2 {
-			exchange(step, bytes)
-			bytes /= 2
-		}
-		// Allgather: reverse.
-		bytes = msgBytes / float64(p)
-		for step := p / 2; step >= 1; step /= 2 {
-			exchange(step, bytes)
-			bytes *= 2
-		}
-	}
-	return maxOf(ready)
-}
-
-// AllToAll simulates a personalized all-to-all exchange among the first
-// `ranks` endpoints: each rank sends a distinct msgBytes block to every
-// other rank, pipelined with the standard shifted schedule (round k:
-// rank r sends to rank (r+k) mod p). This is the traffic behind FFT
-// transposes — the pattern family §9.4 motivates.
-func AllToAll(n *flowsim.Network, ranks int, msgBytes float64, iters int) float64 {
-	p := ranks
-	if p > n.Config().Endpoints() {
-		p = n.Config().Endpoints()
-	}
-	if p < 2 {
-		return 0
-	}
-	ready := make([]float64, p)
-	arrive := make([]float64, p)
-	for it := 0; it < iters; it++ {
-		for k := 1; k < p; k++ {
-			for r := 0; r < p; r++ {
-				dst := (r + k) % p
-				a := n.Send(r, dst, msgBytes, ready[r])
-				if a > arrive[dst] {
-					arrive[dst] = a
-				}
-			}
-		}
-		// A rank finishes the iteration when it has received everything.
-		for r := 0; r < p; r++ {
-			if arrive[r] > ready[r] {
-				ready[r] = arrive[r]
-			}
-			arrive[r] = 0
 		}
 	}
 	return maxOf(ready)

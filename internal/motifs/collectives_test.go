@@ -84,7 +84,7 @@ func TestCollectivesDegenerate(t *testing.T) {
 // edge-disjoint trees must not be slower — and is typically faster —
 // than a single tree for bandwidth-bound messages.
 func TestTreeAllreduceScalesWithTrees(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	trees, err := route.EdgeDisjointSpanningTrees(spec.Graph, 0, 8, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +108,87 @@ func TestTreeAllreduceScalesWithTrees(t *testing.T) {
 }
 
 func TestTreeAllreduceEmpty(t *testing.T) {
-	spec := sim.MustNewSpec("ps-iq-small")
+	spec := must(sim.NewSpec("ps-iq-small"))
 	net := flowsim.New(spec.MinEngine, spec.Config(), spec.Graph, nil, flowsim.DefaultParams(1))
 	if TreeAllreduce(net, nil, 1024, 1) != 0 {
 		t.Error("empty tree set should be free")
 	}
+}
+
+// AllreduceRabenseifner simulates Rabenseifner's algorithm: a recursive
+// halving reduce-scatter (message sizes halve each round) followed by a
+// recursive doubling allgather (sizes double back). Bandwidth-optimal
+// with log2(p) rounds. Ranks round down to a power of two.
+func AllreduceRabenseifner(n *flowsim.Network, ranks int, msgBytes float64, iters int) float64 {
+	p := 1
+	for p*2 <= ranks && p*2 <= n.Config().Endpoints() {
+		p *= 2
+	}
+	if p < 2 {
+		return 0
+	}
+	ready := make([]float64, p)
+	arrive := make([]float64, p)
+	exchange := func(step int, bytes float64) {
+		for r := 0; r < p; r++ {
+			partner := r ^ step
+			arrive[partner] = n.Send(r, partner, bytes, ready[r])
+		}
+		for r := 0; r < p; r++ {
+			if arrive[r] > ready[r] {
+				ready[r] = arrive[r]
+			}
+		}
+	}
+	for it := 0; it < iters; it++ {
+		// Reduce-scatter: halving distances up, sizes down.
+		bytes := msgBytes / 2
+		for step := 1; step < p; step *= 2 {
+			exchange(step, bytes)
+			bytes /= 2
+		}
+		// Allgather: reverse.
+		bytes = msgBytes / float64(p)
+		for step := p / 2; step >= 1; step /= 2 {
+			exchange(step, bytes)
+			bytes *= 2
+		}
+	}
+	return maxOf(ready)
+}
+
+// AllToAll simulates a personalized all-to-all exchange among the first
+// `ranks` endpoints: each rank sends a distinct msgBytes block to every
+// other rank, pipelined with the standard shifted schedule (round k:
+// rank r sends to rank (r+k) mod p). This is the traffic behind FFT
+// transposes — the pattern family §9.4 motivates.
+func AllToAll(n *flowsim.Network, ranks int, msgBytes float64, iters int) float64 {
+	p := ranks
+	if p > n.Config().Endpoints() {
+		p = n.Config().Endpoints()
+	}
+	if p < 2 {
+		return 0
+	}
+	ready := make([]float64, p)
+	arrive := make([]float64, p)
+	for it := 0; it < iters; it++ {
+		for k := 1; k < p; k++ {
+			for r := 0; r < p; r++ {
+				dst := (r + k) % p
+				a := n.Send(r, dst, msgBytes, ready[r])
+				if a > arrive[dst] {
+					arrive[dst] = a
+				}
+			}
+		}
+		// A rank finishes the iteration when it has received everything.
+		for r := 0; r < p; r++ {
+			if arrive[r] > ready[r] {
+				ready[r] = arrive[r]
+			}
+			arrive[r] = 0
+		}
+	}
+	return maxOf(ready)
 }

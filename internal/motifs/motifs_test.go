@@ -8,7 +8,7 @@ import (
 )
 
 func network(specName string, adaptive bool, seed int64) *flowsim.Network {
-	spec := sim.MustNewSpec(specName)
+	spec := must(sim.NewSpec(specName))
 	p := flowsim.DefaultParams(seed)
 	p.Adaptive = adaptive
 	return flowsim.New(spec.MinEngine, spec.Config(), spec.Graph, spec.UGALMids, p)
@@ -104,4 +104,13 @@ func TestFlowsimLatencyBandwidthModel(t *testing.T) {
 	if tm2 <= tm {
 		t.Errorf("no queueing: %f then %f", tm, tm2)
 	}
+}
+
+// must returns v and panics on err; test set-up here only builds valid
+// instances.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

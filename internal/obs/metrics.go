@@ -1,11 +1,11 @@
 // Package obs is the run-telemetry layer: allocation-free metric
-// primitives (counters, high-water gauges, fixed-bucket histograms) plus
-// a run-manifest writer that turns every experiment run into a
-// self-describing JSON/CSV artifact.
+// primitives (counters, per-channel high-water marks, fixed-bucket
+// histograms) plus a run-manifest writer that turns every experiment run
+// into a self-describing JSON/CSV artifact.
 //
 // Two contracts govern the package:
 //
-//   - Zero allocations on the record path. Counter.Add, MaxGauge.Observe
+//   - Zero allocations on the record path. Counter.Add, ChannelHWM.Observe
 //     and Histogram.Observe are plain integer updates into storage that
 //     was sized once, before the hot loop started — the simulators keep
 //     their AllocsPerRun == 0 guarantee with metrics enabled (see the
@@ -38,20 +38,6 @@ func (c *Counter) Inc() { *c++ }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return int64(*c) }
-
-// MaxGauge tracks the high-water mark of an observed quantity. The zero
-// value is ready to use; it marshals as a plain JSON number.
-type MaxGauge int64
-
-// Observe raises the gauge to v when v exceeds the current mark.
-func (g *MaxGauge) Observe(v int64) {
-	if MaxGauge(v) > *g {
-		*g = MaxGauge(v)
-	}
-}
-
-// Value returns the high-water mark.
-func (g *MaxGauge) Value() int64 { return int64(*g) }
 
 // histBuckets is the fixed bucket count of Histogram: bucket i holds
 // values v with bits.Len64(v) == i, i.e. [2^(i-1), 2^i). Bucket 0 holds
@@ -103,9 +89,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum }
 
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }

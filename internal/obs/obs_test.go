@@ -16,12 +16,12 @@ func TestCounterAndGauge(t *testing.T) {
 	if c.Value() != 42 {
 		t.Fatalf("counter = %d, want 42", c.Value())
 	}
-	var g MaxGauge
-	for _, v := range []int64{3, 7, 5, 7, 1} {
-		g.Observe(v)
+	g := make(ChannelHWM, 2)
+	for _, v := range []int32{3, 7, 5, 7, 1} {
+		g.Observe(1, v)
 	}
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Value())
+	if g.Max() != 7 || g[0] != 0 {
+		t.Fatalf("gauge = %v, want [0 7]", g)
 	}
 }
 
@@ -104,13 +104,11 @@ func TestHistogramMerge(t *testing.T) {
 // metric primitive allocates nothing.
 func TestRecordPathZeroAllocs(t *testing.T) {
 	var c Counter
-	var g MaxGauge
 	var h Histogram
 	hwm := make(ChannelHWM, 64)
 	var i int64
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(3)
-		g.Observe(i)
 		h.Observe(i % 4096)
 		hwm.Observe(int(i%64), int32(i))
 		i++
@@ -249,3 +247,6 @@ func FuzzHistogram(f *testing.F) {
 		}
 	})
 }
+
+// Sum returns the sum of all observations.
+func (h *Histogram) Sum() int64 { return h.sum }

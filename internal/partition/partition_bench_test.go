@@ -14,7 +14,7 @@ func BenchmarkBisectPSIQ310(b *testing.B) {
 }
 
 func BenchmarkBisectDragonfly876(b *testing.B) {
-	df := topo.MustNewDragonfly(12, 6)
+	df := must(topo.NewDragonfly(12, 6))
 	for i := 0; i < b.N; i++ {
 		Bisect(df.G, int64(i), Options{})
 	}

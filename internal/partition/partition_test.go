@@ -102,8 +102,8 @@ func TestCutFractionOrderingMatchesPaper(t *testing.T) {
 	// §11.1 orderings that reproduce: Bundlefly and PolarStar-Paley beat
 	// Dragonfly (paper: BF 22.9%, DF 17.8%). Note that PolarStar-IQ does
 	// NOT reproduce the paper's 29.5% — see TestPolarStarIQCombCut.
-	bf := topo.MustNewBundlefly(7, 4)                  // Table 3 Bundlefly
-	df := topo.MustNewDragonfly(12, 6)                 // Table 3 Dragonfly
+	bf := must(topo.NewBundlefly(7, 4))                // Table 3 Bundlefly
+	df := must(topo.NewDragonfly(12, 6))               // Table 3 Dragonfly
 	pal := topo.MustNewPolarStar(8, 6, topo.KindPaley) // Table 3 PS-Pal
 	fbf := CutFraction(bf.G, 3, Options{})
 	fdf := CutFraction(df.G, 3, Options{})
@@ -193,4 +193,13 @@ func TestBisectEmptyAndTiny(t *testing.T) {
 	if cut != 1 {
 		t.Errorf("P2 cut = %d, want 1", cut)
 	}
+}
+
+// must returns v and panics on err; test set-up here only builds valid
+// instances.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

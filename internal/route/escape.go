@@ -41,9 +41,6 @@ func NewTreeEscape(g *graph.Graph, maxTrees int, seed int64) (*TreeEscape, error
 	return te, nil
 }
 
-// Trees returns the number of escape trees available.
-func (te *TreeEscape) Trees() int { return len(te.trees) }
-
 // AppendPath appends the shortest fully-live up-down tree path from src
 // to dst onto buf and returns the extended slice (buf unchanged when no
 // tree offers one). live reports whether the directed link u→v is

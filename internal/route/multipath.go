@@ -75,9 +75,6 @@ func (m *MultiPath) LaneMaxHops(l int) int { return m.maxHops[l] }
 // slice is owned by the MultiPath; callers must not mutate it.
 func (m *MultiPath) TreeEdges(l int) [][2]int { return m.edges[l] }
 
-// Min returns the composed minimal engine (lane 0).
-func (m *MultiPath) Min() Engine { return m.min }
-
 // AppendTreePath appends tree lane l's up-down path from src to dst onto
 // buf and returns the extended slice — buf unchanged when the path
 // exceeds the lane's hop bound or crosses a link live reports dead (nil

@@ -144,8 +144,8 @@ func TestMultiPathDelegatesToMin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mp.Min() != Engine(eng) {
-		t.Error("Min() does not return the composed engine")
+	if mp.min != Engine(eng) {
+		t.Error("lane 0 is not the composed engine")
 	}
 	n := ps.G.N()
 	for s := 0; s < n; s += 13 {

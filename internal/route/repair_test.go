@@ -33,7 +33,7 @@ func sameTables(a, b *Table) bool {
 // crosses one of the dropped edges.
 func assertAvoids(t *testing.T, tab *Table, dropped map[[2]int]bool, rng *rand.Rand) {
 	t.Helper()
-	n := tab.Graph().N()
+	n := tab.g.N()
 	var buf []int
 	for i := 0; i < 4*n; i++ {
 		buf = tab.AppendPath(buf[:0], rng.Intn(n), rng.Intn(n), rng)
@@ -61,8 +61,8 @@ func TestRepairMatchesRebuild(t *testing.T) {
 		g    *graph.Graph
 	}{
 		{"ps-iq", topo.MustNewPolarStar(3, 3, topo.KindIQ).G},
-		{"df", topo.MustNewDragonfly(4, 2).G},
-		{"hx", topo.MustNewHyperX(3, 3, 3).G},
+		{"df", must(topo.NewDragonfly(4, 2)).G},
+		{"hx", must(topo.NewHyperX(3, 3, 3)).G},
 	}
 	for _, tc := range topos {
 		tc := tc

@@ -255,9 +255,6 @@ func (t *Table) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	return buf
 }
 
-// Graph returns the underlying graph.
-func (t *Table) Graph() *graph.Graph { return t.g }
-
 // PathValid reports whether path is a valid walk in g from its first to
 // its last element.
 func PathValid(g *graph.Graph, path []int) bool {

@@ -48,7 +48,7 @@ func BenchmarkTableRoute(b *testing.B) {
 		q, dPrime int
 	}{{"bf", 7, 4}, {"bf-small", 5, 2}} {
 		b.Run(tc.name, func(b *testing.B) {
-			g := topo.MustNewBundlefly(tc.q, tc.dPrime).G
+			g := must(topo.NewBundlefly(tc.q, tc.dPrime)).G
 			t := NewTable(g, AllMinPaths)
 			rng := rand.New(rand.NewSource(1))
 			var buf []int

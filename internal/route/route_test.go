@@ -44,7 +44,7 @@ func referenceNextHopPath(tab *Table, buf []int, src, dst int, rng *rand.Rand) [
 	if src == dst {
 		return buf
 	}
-	g := tab.Graph()
+	g := tab.g
 	n := g.N()
 	if tab.Dist(src, dst) < 0 {
 		return buf
@@ -78,7 +78,7 @@ func referenceNextHopPath(tab *Table, buf []int, src, dst int, rng *rand.Rand) [
 // each ending at dst, and an equal RNG position afterwards.
 func assertMatchesReference(t *testing.T, tab *Table) {
 	t.Helper()
-	g := tab.Graph()
+	g := tab.g
 	rngA := rand.New(rand.NewSource(42))
 	rngB := rand.New(rand.NewSource(42))
 	bufA, bufB := []int{-7}, []int{-7} // a non-empty prefix AppendPath must leave alone
@@ -120,13 +120,13 @@ func TestTableMatchesNeighborScan(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		// Every table-routed -small spec of internal/sim, then ft-small
 		// (degree 2p at the aggregation level) and PolarStar.
-		topo.MustNewBundlefly(5, 2).G,
-		topo.MustNewDragonfly(6, 3).G,
-		topo.MustNewLPS(13, 5).G,
-		topo.MustNewMegafly(3, 6).G,
-		topo.MustNewER(7).G,
-		topo.MustNewMMS(5).G,
-		topo.MustNewFatTree(5).G,
+		must(topo.NewBundlefly(5, 2)).G,
+		must(topo.NewDragonfly(6, 3)).G,
+		must(topo.NewLPS(13, 5)).G,
+		must(topo.NewMegafly(3, 6)).G,
+		must(topo.NewER(7)).G,
+		must(topo.NewMMS(5)).G,
+		must(topo.NewFatTree(5)).G,
 		topo.MustNewPolarStar(3, 3, topo.KindIQ).G,
 		star.Build(),
 		k66.Build(),
@@ -140,7 +140,7 @@ func TestTableMatchesNeighborScan(t *testing.T) {
 }
 
 func TestTableSinglePathDeterministic(t *testing.T) {
-	df := topo.MustNewDragonfly(4, 2)
+	df := must(topo.NewDragonfly(4, 2))
 	tab := NewTable(df.G, SinglePath)
 	rng := rand.New(rand.NewSource(1))
 	p1 := Path(tab, 0, df.G.N()-1, rng)
@@ -227,7 +227,7 @@ func TestPolarStarAnalyticLargerSpotCheck(t *testing.T) {
 }
 
 func TestHyperXRouting(t *testing.T) {
-	hx := topo.MustNewHyperX(4, 5, 3)
+	hx := must(topo.NewHyperX(4, 5, 3))
 	r := NewHyperX(hx)
 	truth := NewTable(hx.G, SinglePath)
 	rng := rand.New(rand.NewSource(2))
@@ -248,10 +248,10 @@ func TestHyperXRouting(t *testing.T) {
 }
 
 func TestHyperXPathDiversity(t *testing.T) {
-	hx := topo.MustNewHyperX(3, 3, 3)
+	hx := must(topo.NewHyperX(3, 3, 3))
 	r := NewHyperX(hx)
 	rng := rand.New(rand.NewSource(3))
-	src, dst := hx.VertexAt([]int{0, 0, 0}), hx.VertexAt([]int{1, 1, 1})
+	src, dst := 0, 1+3+9 // (0,0,0) and (1,1,1): ids are mixed-radix coordinates
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
 		path := Path(r, src, dst, rng)
@@ -263,7 +263,7 @@ func TestHyperXPathDiversity(t *testing.T) {
 }
 
 func TestFatTreeRouting(t *testing.T) {
-	ft := topo.MustNewFatTree(4)
+	ft := must(topo.NewFatTree(4))
 	r := NewFatTree(ft)
 	truth := NewTable(ft.G, SinglePath)
 	rng := rand.New(rand.NewSource(4))
@@ -285,9 +285,9 @@ func TestFatTreeRouting(t *testing.T) {
 }
 
 func TestDragonflyAndMegaflyRouting(t *testing.T) {
-	df := topo.MustNewDragonfly(4, 2)
+	df := must(topo.NewDragonfly(4, 2))
 	rdf := NewDragonfly(df)
-	mf := topo.MustNewMegafly(2, 4)
+	mf := must(topo.NewMegafly(2, 4))
 	rmf := NewMegafly(mf)
 	rng := rand.New(rand.NewSource(5))
 	for _, tc := range []struct {
@@ -366,4 +366,13 @@ func newCycleBuilder(n int) *graph.Graph {
 		b.AddEdge(i, (i+1)%n)
 	}
 	return b.Build()
+}
+
+// must returns v and panics on err; test set-up here only builds valid
+// instances.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -47,9 +47,6 @@ func (t *SpanningTree) Children() [][]int32 {
 	return out
 }
 
-// Depth returns the maximum root-to-leaf distance.
-func (t *SpanningTree) Depth() int { return maxDepth(t.Depths()) }
-
 // Depths returns every vertex's distance from the root, -1 for vertices
 // the tree does not reach (parent -2). Each vertex climbs to the first
 // ancestor of known depth, so the whole array costs one pass.

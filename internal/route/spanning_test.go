@@ -95,14 +95,14 @@ func TestSpanningTreeDepth(t *testing.T) {
 	if len(trees) != 1 {
 		t.Fatalf("C6 should give exactly 1 spanning tree, got %d", len(trees))
 	}
-	if d := trees[0].Depth(); d < 3 || d > 5 {
+	if d := maxDepth(trees[0].Depths()); d < 3 || d > 5 {
 		t.Errorf("C6 tree depth = %d, want 3..5", d)
 	}
 	// Depths walks parent chains in any vertex order; a vertex the tree
 	// does not reach reads -1.
 	partial := &SpanningTree{Root: 2, Parent: []int32{1, 2, -1, -2, 0}}
-	if got, want := partial.Depths(), []int32{2, 1, 0, -1, 3}; !slices.Equal(got, want) || partial.Depth() != 3 {
-		t.Errorf("partial tree depths = %v (max %d), want %v (max 3)", got, partial.Depth(), want)
+	if got, want := partial.Depths(), []int32{2, 1, 0, -1, 3}; !slices.Equal(got, want) || maxDepth(partial.Depths()) != 3 {
+		t.Errorf("partial tree depths = %v (max %d), want %v (max 3)", got, maxDepth(partial.Depths()), want)
 	}
 	children := trees[0].Children()
 	total := 0
@@ -200,7 +200,7 @@ func TestEdgeDisjointBFSTreesOnPolarStar(t *testing.T) {
 	// deepens them beyond the eccentricity, but centre re-rooting keeps
 	// depth ~8 where Kruskal trees land at 14+.
 	for i, tr := range trees {
-		if d := tr.Depth(); d > 10 {
+		if d := maxDepth(tr.Depths()); d > 10 {
 			t.Errorf("BFS tree %d depth = %d, want <= 10", i, d)
 		}
 	}

@@ -58,21 +58,21 @@ func TestTableBuildMatchesScalar(t *testing.T) {
 		loops.AddEdge(v, (v*7)%20)
 	}
 	graphs := []*graph.Graph{
-		topo.MustNewBundlefly(5, 2).G,
-		topo.MustNewDragonfly(6, 3).G,
-		topo.MustNewLPS(13, 5).G,
-		topo.MustNewMegafly(3, 6).G,
-		topo.MustNewER(7).G,
-		topo.MustNewMMS(5).G,
-		topo.MustNewFatTree(5).G,
-		topo.MustNewHyperX(4, 4, 4).G,
+		must(topo.NewBundlefly(5, 2)).G,
+		must(topo.NewDragonfly(6, 3)).G,
+		must(topo.NewLPS(13, 5)).G,
+		must(topo.NewMegafly(3, 6)).G,
+		must(topo.NewER(7)).G,
+		must(topo.NewMMS(5)).G,
+		must(topo.NewFatTree(5)).G,
+		must(topo.NewHyperX(4, 4, 4)).G,
 		topo.MustNewPolarStar(5, 4, topo.KindIQ).G,
 		topo.MustNewPolarStar(5, 4, topo.KindPaley).G,
 		topo.MustNewPolarStar(4, 3, topo.KindIQ).G,
-		topo.MustNewBundlefly(7, 4).G,
-		topo.MustNewLPS(23, 13).G,
-		topo.MustNewDragonfly(12, 6).G,
-		topo.MustNewMegafly(8, 16).G,
+		must(topo.NewBundlefly(7, 4)).G,
+		must(topo.NewLPS(23, 13)).G,
+		must(topo.NewDragonfly(12, 6)).G,
+		must(topo.NewMegafly(8, 16)).G,
 		loops.Build(),
 		randomTableGraph(200, 90, 5), // disconnected, isolated vertices
 	}
@@ -122,7 +122,7 @@ func dirtyRows(tab *Table, u, v int) int {
 // one kernel batch: the edge of bf-small that dirties the most rows, then
 // a bridge whose removal dirties every row and splits the graph.
 func TestRepairMatchesRebuildMultiBatch(t *testing.T) {
-	bf := topo.MustNewBundlefly(5, 2).G
+	bf := must(topo.NewBundlefly(5, 2)).G
 	bridged := graph.NewBuilder("bridged", 200) // two chorded 100-cycles, one bridge
 	for half := 0; half < 200; half += 100 {
 		for i := 0; i < 100; i++ {

@@ -14,7 +14,7 @@ import (
 // hooks (liveness checks, detours, retry heap, watchdog) past the events.
 func steadyStateAllocs(t *testing.T, specName string, routing func(*Spec) Routing, load float64, metrics, faulted bool) float64 {
 	t.Helper()
-	spec := MustNewSpec(specName)
+	spec := must(NewSpec(specName))
 	p := DefaultParams(1)
 	p.Warmup, p.Measure, p.Drain = 100000, 100000, 0 // keep generation alive throughout
 	if faulted {

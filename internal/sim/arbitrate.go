@@ -16,7 +16,8 @@ package sim
 // refreshed at the only places a head changes: a push onto an empty queue
 // (enqueue: the routing phase for injection queues, the mail drain for
 // channel queues), a pop (popHead) and the in-place re-route of
-// laneFailover. slabCheck verifies the cache against the slab.
+// laneFailover. slabCheck (slab_test.go) verifies the cache against the
+// slab.
 //
 // Ownership: a unit's record is written only by the shard of its home
 // router — mail is drained by the destination shard, injection queues are

@@ -14,7 +14,7 @@ var smallSpecNames = []string{
 
 func detRun(t *testing.T, specName string, mode RoutingMode, workers int) Result {
 	t.Helper()
-	spec := MustNewSpec(specName)
+	spec := must(NewSpec(specName))
 	p := DefaultParams(7)
 	p.Warmup, p.Measure, p.Drain = 300, 600, 900
 	p.Workers = workers

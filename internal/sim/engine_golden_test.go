@@ -106,7 +106,7 @@ func (c goldenCase) digest(t *testing.T, workers int) string {
 		p.Metrics = &obs.SimRun{}
 		p.MetricsInterval = 250
 	}
-	res, err := RunPoint(context.Background(), MustNewSpec(c.spec), c.mode, pattern, c.load, p)
+	res, err := RunPoint(context.Background(), must(NewSpec(c.spec)), c.mode, pattern, c.load, p)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
@@ -159,7 +159,7 @@ func engineGoldenCases(t *testing.T) []goldenCase {
 		})
 	}
 
-	small := MustNewSpec("ps-iq-small")
+	small := must(NewSpec("ps-iq-small"))
 	edge := offRouterEdge(t, small, 3)
 	scripted := &Plan{Events: []FaultEvent{
 		{Cycle: 350, Kind: LinkDown, U: edge[0], V: edge[1]},
@@ -210,7 +210,7 @@ func engineGoldenCases(t *testing.T) []goldenCase {
 	cases = append(cases, goldenCase{
 		name: "lanes/" + MPUGALMode.String(), spec: mpTestSpec, mode: MPUGALMode,
 		load: 0.7, seed: 7, windows: [3]int{300, 600, 900}, observed: true, lanes: 3,
-		plan: treeLanePlan(t, MustNewSpec(mpTestSpec), 3, 2, 350, 700),
+		plan: treeLanePlan(t, must(NewSpec(mpTestSpec)), 3, 2, 350, 700),
 		pins: sourceRetry | inFlightDrop | appliedEvent | laneDemotion,
 	})
 	return cases

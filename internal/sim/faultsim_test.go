@@ -30,7 +30,7 @@ func runGuarded(t *testing.T, eng *Engine, load float64) Result {
 // faultRun simulates ps-iq-small uniform traffic under the given plan.
 func faultRun(t *testing.T, mode RoutingMode, plan *Plan, retry RetryPolicy, workers int) Result {
 	t.Helper()
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := DefaultParams(7)
 	p.Warmup, p.Measure, p.Drain = 300, 600, 2500
 	p.Workers = workers
@@ -70,7 +70,7 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker fault-determinism sweep; full run in the CI race job")
 	}
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	const deadRouter = 3
 	e := offRouterEdge(t, spec, deadRouter)
 	plan := &Plan{Events: []FaultEvent{
@@ -128,7 +128,7 @@ func TestFaultDisconnectDeterminism(t *testing.T) {
 // TestFaultRepairRecovers drops two links mid-measure and repairs them:
 // with rerouting plus source retries every packet still arrives.
 func TestFaultRepairRecovers(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	edges := spec.Graph.Edges()
 	e1, e2 := edges[0], edges[len(edges)/2]
 	plan := &Plan{Events: []FaultEvent{
@@ -160,7 +160,7 @@ func TestFaultRepairRecovers(t *testing.T) {
 // plan at all.
 func TestFaultNilAndEmptyPlanIdentical(t *testing.T) {
 	ref := detRun(t, "ps-iq-small", UGALMode, numShards)
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := DefaultParams(7)
 	p.Warmup, p.Measure, p.Drain = 300, 600, 900
 	p.Workers = numShards
@@ -183,7 +183,7 @@ func TestFaultMetricsSection(t *testing.T) {
 	if _, m := obsRun(t, "ps-iq-small", MIN, 2, 0); m.Faults != nil {
 		t.Errorf("healthy run attached a fault section: %+v", m.Faults)
 	}
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	plan := &Plan{Events: []FaultEvent{{Cycle: 50, Kind: RouterDown, U: 3}}}
 	p := DefaultParams(7)
 	p.Warmup, p.Measure, p.Drain = 300, 600, 2500
@@ -218,7 +218,7 @@ func TestFaultMetricsSection(t *testing.T) {
 // pairs a degraded topology cannot connect are rejected with a
 // descriptive error instead of silently losing the traffic.
 func TestCheckReachable(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	cfg := spec.Config()
 	for _, name := range []string{"uniform", "permutation"} {
 		pattern, err := spec.Pattern(name, 3)

@@ -14,7 +14,7 @@ import "testing"
 
 func goldenRun(t *testing.T, specName string, routing func(*Spec) Routing) Result {
 	t.Helper()
-	spec := MustNewSpec(specName)
+	spec := must(NewSpec(specName))
 	p := DefaultParams(1)
 	p.Warmup, p.Measure, p.Drain = 500, 1000, 1500
 	pattern, err := spec.Pattern("uniform", p.Seed)

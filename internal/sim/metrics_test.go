@@ -11,7 +11,7 @@ import (
 // obsRun runs one observed simulation and returns the Result + metrics.
 func obsRun(t *testing.T, specName string, mode RoutingMode, workers, interval int) (Result, *obs.SimRun) {
 	t.Helper()
-	spec := MustNewSpec(specName)
+	spec := must(NewSpec(specName))
 	p := DefaultParams(7)
 	p.Warmup, p.Measure, p.Drain = 300, 600, 900
 	p.Workers = workers
@@ -39,7 +39,7 @@ func obsRun(t *testing.T, specName string, mode RoutingMode, workers, interval i
 // compared with each other: an active plan widens the VC ladder to cover
 // detour paths, a model difference the saturated Results show.
 func TestMetricsDoNotPerturbResults(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	e := spec.Graph.Edges()[0]
 	late := &Plan{Events: []FaultEvent{{Cycle: 1 << 20, Kind: LinkDown, U: e[0], V: e[1]}}}
 	for _, c := range []struct {
@@ -85,7 +85,7 @@ func TestStallConservation(t *testing.T) {
 		p.Workers = 2
 		p.Metrics = &obs.SimRun{}
 		p.MetricsInterval = interval
-		if _, err := RunPoint(context.Background(), MustNewSpec("ps-iq-small"), UGALMode, "adversarial", 0.6, p); err != nil {
+		if _, err := RunPoint(context.Background(), must(NewSpec("ps-iq-small")), UGALMode, "adversarial", 0.6, p); err != nil {
 			t.Fatal(err)
 		}
 		return p.Metrics
@@ -210,7 +210,7 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 // TestSweepObs checks the sweep-level plumbing: every load point gets an
 // independent SimRun whose echoed fields match the sweep's Results.
 func TestSweepObs(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := DefaultParams(3)
 	p.Warmup, p.Measure, p.Drain = 200, 400, 600
 	loads := []float64{0.1, 0.3}

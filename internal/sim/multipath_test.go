@@ -47,7 +47,7 @@ func treeLanePlan(t *testing.T, spec *Spec, lanes, per int, down, up int64) *Pla
 
 func mpRun(t *testing.T, mode RoutingMode, plan *Plan, workers int, met *obs.SimRun) Result {
 	t.Helper()
-	spec := MustNewSpec(mpTestSpec)
+	spec := must(NewSpec(mpTestSpec))
 	p := DefaultParams(7)
 	p.Warmup, p.Measure, p.Drain = 300, 600, 900
 	p.Workers = workers
@@ -66,7 +66,7 @@ func mpRun(t *testing.T, mode RoutingMode, plan *Plan, workers int, met *obs.Sim
 // Results at any worker count, healthy and under a scripted down/up plan
 // that demotes lanes mid-run and lets them re-probe back.
 func TestMultipathDeterminismAcrossWorkers(t *testing.T) {
-	spec := MustNewSpec(mpTestSpec)
+	spec := must(NewSpec(mpTestSpec))
 	plans := map[string]*Plan{
 		"healthy": nil,
 		"faulted": treeLanePlan(t, spec, 3, 2, 350, 700),
@@ -90,7 +90,7 @@ func TestMultipathDeterminismAcrossWorkers(t *testing.T) {
 // TestMultipathDeterminismAcrossGOMAXPROCS: scheduling must not leak
 // into a faulted multipath run either.
 func TestMultipathDeterminismAcrossGOMAXPROCS(t *testing.T) {
-	spec := MustNewSpec(mpTestSpec)
+	spec := must(NewSpec(mpTestSpec))
 	plan := treeLanePlan(t, spec, 3, 1, 350, 700)
 	ref := mpRun(t, MPMINMode, plan, numShards, nil)
 	prev := runtime.GOMAXPROCS(1)
@@ -110,7 +110,7 @@ func TestMultipathDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // ladder, so any divergence here means the spray leaked into the
 // degenerate case.
 func TestMultipathLaneDegenerationToMin(t *testing.T) {
-	spec := MustNewSpec(mpTestSpec)
+	spec := must(NewSpec(mpTestSpec))
 	mkPlan := func() *Plan { return treeLanePlan(t, spec, 3, 1, 0, 0) }
 	min := mpRun(t, MIN, mkPlan(), numShards, nil)
 	mp := mpRun(t, MPMINMode, mkPlan(), numShards, nil)
@@ -124,7 +124,7 @@ func TestMultipathLaneDegenerationToMin(t *testing.T) {
 // counters, records the demotions/promotions of the scripted plan, and
 // performs in-flight lane failovers when tree edges die under traffic.
 func TestMultipathLaneCounters(t *testing.T) {
-	spec := MustNewSpec(mpTestSpec)
+	spec := must(NewSpec(mpTestSpec))
 	plan := treeLanePlan(t, spec, 3, 2, 350, 700)
 	var met obs.SimRun
 	res := mpRun(t, MPMINMode, plan, numShards, &met)

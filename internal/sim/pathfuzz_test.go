@@ -26,7 +26,7 @@ func fuzzSpec(name string) *Spec {
 	fuzzSpecsOnce.Do(func() {
 		fuzzSpecs = map[string]*Spec{}
 		for _, n := range fuzzSpecNames {
-			fuzzSpecs[n] = MustNewSpec(n)
+			fuzzSpecs[n] = must(NewSpec(n))
 		}
 	})
 	return fuzzSpecs[name]

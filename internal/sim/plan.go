@@ -6,10 +6,6 @@ package sim
 // statically degraded topology, the engine applies the events while
 // traffic is in flight, so the experiment observes dropped packets,
 // source retries and re-routing around the damage.
-//
-// The type lives in sim (faults re-exports it as faults.Plan) because
-// faults already imports sim for the degraded-traffic sweep; defining the
-// plan here keeps the dependency one-way.
 
 import (
 	"bufio"

@@ -54,7 +54,7 @@ func TestParsePlanErrors(t *testing.T) {
 }
 
 func TestPlanValidate(t *testing.T) {
-	g := MustNewSpec("ps-iq-small").Graph
+	g := must(NewSpec("ps-iq-small")).Graph
 	e := g.Edges()[0]
 	good := &Plan{Events: []FaultEvent{
 		{Cycle: 10, Kind: LinkDown, U: e[0], V: e[1]},
@@ -78,7 +78,7 @@ func TestPlanValidate(t *testing.T) {
 }
 
 func TestRandomPlanDeterministic(t *testing.T) {
-	g := MustNewSpec("ps-iq-small").Graph
+	g := must(NewSpec("ps-iq-small")).Graph
 	a := RandomPlan(g, 50, 100, 2000, 9)
 	b := RandomPlan(g, 50, 100, 2000, 9)
 	if a.Empty() {

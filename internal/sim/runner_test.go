@@ -15,7 +15,7 @@ import (
 // its channel send forever once the workers exited), and the remaining
 // load points must not be simulated.
 func TestSweepErrorCancels(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := DefaultParams(1)
 	p.Warmup, p.Measure, p.Drain = 100, 100, 100
 	before := runtime.NumGoroutine()
@@ -43,7 +43,7 @@ func TestSweepErrorCancels(t *testing.T) {
 // TestSweepWorkerBudget checks the two-level worker split: an explicit
 // Params.Workers is honored and the auto setting still completes.
 func TestSweepWorkerBudget(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := DefaultParams(1)
 	p.Warmup, p.Measure, p.Drain = 100, 200, 300
 	loads := []float64{0.1, 0.3}
@@ -68,7 +68,7 @@ func TestSweepWorkerBudget(t *testing.T) {
 // are rejected, and Spec.Routing returns a laned adapter exactly for the
 // multipath rows.
 func TestRoutingModeTable(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	names := RoutingModeNames()
 	if len(names) != int(MPUGALMode)+1 {
 		t.Fatalf("RoutingModeNames() = %v, want one name per mode constant", names)
@@ -138,7 +138,7 @@ func TestFaultFlags(t *testing.T) {
 	}
 	defer reset()
 	reset()
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := DefaultParams(5)
 	p.SetCycles(400)
 	if p.Warmup != 200 || p.Measure != 400 || p.Drain != 600 {

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkSimCyclePSIQSmall measures whole simulated runs of the small
 // PolarStar at moderate load (throughput of the simulator itself).
 func BenchmarkSimRunPSIQSmall(b *testing.B) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := DefaultParams(1)
 	p.Warmup, p.Measure, p.Drain = 500, 1000, 1500
 	for i := 0; i < b.N; i++ {
@@ -19,7 +19,7 @@ func BenchmarkSimRunPSIQSmall(b *testing.B) {
 // BenchmarkSweep measures a whole latency-load sweep on the small
 // PolarStar — the CI smoke for the two-level (load × shard) parallelism.
 func BenchmarkSweep(b *testing.B) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := DefaultParams(1)
 	p.Warmup, p.Measure, p.Drain = 500, 1000, 1500
 	loads := []float64{0.1, 0.3, 0.5}
@@ -47,7 +47,7 @@ func BenchmarkCycleSoA(b *testing.B) {
 		{"adversarial", 0.7},
 	} {
 		b.Run(c.pattern, func(b *testing.B) {
-			spec := MustNewSpec("ps-iq-small")
+			spec := must(NewSpec("ps-iq-small"))
 			p := DefaultParams(1)
 			p.Warmup, p.Measure, p.Drain = 1<<30, 1<<30, 0 // generation never stops
 			pattern, err := spec.Pattern(c.pattern, p.Seed)
@@ -79,7 +79,7 @@ func BenchmarkSpecConstruction(b *testing.B) {
 	for _, name := range []string{"ps-iq-small", "df-small", "ft-small"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				MustNewSpec(name)
+				must(NewSpec(name))
 			}
 		})
 	}

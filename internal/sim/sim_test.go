@@ -17,7 +17,7 @@ func testParams(seed int64) Params {
 func TestZeroLoadLatency(t *testing.T) {
 	// At very low load, latency approaches the contention-free value:
 	// injection serialization S + per-link (S + linkLat) + ejection S.
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := testParams(1)
 	pattern, err := spec.Pattern("uniform", 1)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestZeroLoadLatency(t *testing.T) {
 }
 
 func TestLatencyMonotoneInLoad(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	sweep, err := Sweep(spec, MIN, "uniform", []float64{0.1, 0.4, 0.7}, testParams(2))
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestLatencyMonotoneInLoad(t *testing.T) {
 }
 
 func TestThroughputTracksOfferedLoadBelowSaturation(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	res, err := Sweep(spec, MIN, "uniform", []float64{0.2}, testParams(3))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestThroughputTracksOfferedLoadBelowSaturation(t *testing.T) {
 func TestConservationAllPacketsDelivered(t *testing.T) {
 	// With generation stopped and a long drain, every injected packet
 	// must be delivered (no losses, no deadlock).
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := testParams(4)
 	p.Drain = 8000
 	pattern, _ := spec.Pattern("uniform", 4)
@@ -87,7 +87,7 @@ func TestUGALBeatsMINOnAdversarial(t *testing.T) {
 	// pattern, UGAL must sustain strictly more load than MIN on a
 	// hierarchical topology (here Dragonfly, whose single global link per
 	// group pair collapses under MIN).
-	spec := MustNewSpec("df-small")
+	spec := must(NewSpec("df-small"))
 	loads := []float64{0.05, 0.1, 0.2, 0.3}
 	minRes, err := Sweep(spec, MIN, "adversarial", loads, testParams(5))
 	if err != nil {
@@ -126,7 +126,7 @@ func TestAllSmallSpecsSimulate(t *testing.T) {
 }
 
 func TestAllPatternsOnPolarStar(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	for _, pat := range []string{"uniform", "permutation", "bitshuffle", "bitreverse", "adversarial"} {
 		p := testParams(7)
 		p.Warmup, p.Measure, p.Drain = 200, 500, 2000
@@ -143,7 +143,7 @@ func TestAllPatternsOnPolarStar(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	run := func() Result {
 		p := testParams(8)
 		pattern, _ := spec.Pattern("uniform", 8)
@@ -157,7 +157,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestEngineRunTwicePanics(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := testParams(9)
 	p.Warmup, p.Measure, p.Drain = 10, 10, 10
 	pattern, _ := spec.Pattern("uniform", 9)
@@ -172,7 +172,7 @@ func TestEngineRunTwicePanics(t *testing.T) {
 }
 
 func TestUGALPathsRespectVCBound(t *testing.T) {
-	spec := MustNewSpec("mf-small")
+	spec := must(NewSpec("mf-small"))
 	r := spec.UGALRouting(4)
 	rng := rand.New(rand.NewSource(10))
 	occ := func(u, v int) int { return 0 }
@@ -194,7 +194,7 @@ func TestUGALPathsRespectVCBound(t *testing.T) {
 }
 
 func TestTrafficConfigOfSpecs(t *testing.T) {
-	ft := MustNewSpec("ft-small")
+	ft := must(NewSpec("ft-small"))
 	cfg := ft.Config()
 	if cfg.Endpoints() != 5*25 {
 		t.Errorf("ft-small endpoints = %d, want 125", cfg.Endpoints())
@@ -210,7 +210,7 @@ func TestTrafficConfigOfSpecs(t *testing.T) {
 // and no buffer may ever have exceeded its capacity (spot-checked via
 // the final state plus the in-run panic guards).
 func TestCreditInvariants(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	p := testParams(11)
 	p.Drain = 8000
 	pattern, _ := spec.Pattern("uniform", 11)
@@ -234,10 +234,19 @@ func TestCreditInvariants(t *testing.T) {
 // TestVCCountMatchesPaper: MIN routing on a diameter-3 direct topology
 // must use exactly 4 VCs (the §9.4 configuration).
 func TestVCCountMatchesPaper(t *testing.T) {
-	spec := MustNewSpec("ps-iq-small")
+	spec := must(NewSpec("ps-iq-small"))
 	pattern, _ := spec.Pattern("uniform", 1)
 	eng := NewEngine(testParams(1), spec.Graph, spec.Config(), spec.MinRouting(), pattern)
 	if eng.vcs != 4 {
 		t.Errorf("MIN VCs = %d, want 4", eng.vcs)
 	}
+}
+
+// must returns v and panics on err; test set-up here only builds valid
+// instances.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -53,7 +54,7 @@ func (c slabCase) run(t *testing.T, workers int) (*Engine, Result) {
 	t.Helper()
 	spec := fuzzSpec("ps-iq-small")
 	if c.spec != "" {
-		spec = MustNewSpec(c.spec)
+		spec = must(NewSpec(c.spec))
 	}
 	p := DefaultParams(11)
 	p.Warmup, p.Measure, p.Drain = 300, 600, 1500
@@ -125,7 +126,7 @@ func TestSlabInvariantAfterRun(t *testing.T) {
 	// Links of two of the three tree lanes fail one after another; the third
 	// lane stays whole, the failover target of packets queued behind them.
 	var lanePlan Plan
-	for _, edges := range laneEdges(t, MustNewSpec(mpTestSpec), 3)[:2] {
+	for _, edges := range laneEdges(t, must(NewSpec(mpTestSpec)), 3)[:2] {
 		for i := 0; i < 6; i++ {
 			e := edges[i*7%len(edges)]
 			lanePlan.Events = append(lanePlan.Events, FaultEvent{Cycle: int64(350 + 40*i), Kind: LinkDown, U: e[0], V: e[1]})
@@ -258,4 +259,96 @@ func TestGenHeapPackingGuards(t *testing.T) {
 	long := DefaultParams(1)
 	long.Warmup, long.Measure, long.Drain = int(maxCycle/2), int(maxCycle/2), 0
 	mustPanic("cycles", long, 0)
+}
+
+// slabCheck verifies the packet-id accounting invariant: every id ever
+// created is in exactly one place — the global free stack, a shard's
+// allocation cache or freed journal, a queue, or a mail ring. Violations
+// mean a leak (an id lost to the allocator forever) or a double-spend
+// (one id live in two queues, i.e. two packets aliasing one slab slot).
+// It also verifies the head-record invariant of arbitrate.go: a unit's
+// record is the empty sentinel exactly when its queue is empty, and
+// otherwise equals a fresh reading of the queue's front packet — a stale
+// record would arbitrate a packet that is no longer (or not yet) there —
+// and sends it over a channel, or to an endpoint, of the unit's own router;
+// and that minVC == 0 marks exactly the injection queues (tryForward reads
+// unitEP on that condition alone).
+// Both hold between any two cycles; the property and fuzz tests call it
+// after runs (including terminated-early fault runs where stranded ids
+// legitimately stay in queues) and every few cycles during some.
+func (e *Engine) slabCheck() error {
+	owner := make([]string, e.pkts.cap())
+	claim := func(id int32, where string) error {
+		if id < 0 || int(id) >= len(owner) {
+			return fmt.Errorf("sim: packet id %d outside slab [0,%d) in %s", id, len(owner), where)
+		}
+		if owner[id] != "" {
+			return fmt.Errorf("sim: packet id %d in both %s and %s", id, owner[id], where)
+		}
+		owner[id] = where
+		return nil
+	}
+	for _, id := range e.pkts.free {
+		if err := claim(id, "free stack"); err != nil {
+			return err
+		}
+	}
+	for s, sh := range e.shards {
+		for _, id := range sh.freeIDs {
+			if err := claim(id, fmt.Sprintf("shard %d cache", s)); err != nil {
+				return err
+			}
+		}
+		for _, id := range sh.freed {
+			if err := claim(id, fmt.Sprintf("shard %d freed journal", s)); err != nil {
+				return err
+			}
+		}
+	}
+	for u := range e.queues {
+		q := &e.queues[u]
+		for _, id := range q.buf[q.head:] {
+			if err := claim(id, fmt.Sprintf("queue %d", u)); err != nil {
+				return err
+			}
+		}
+		got := e.units[u]
+		if (got.minVC == 0) != (e.unitEP[u] >= 0) {
+			return fmt.Errorf("sim: unit %d has minVC %d and endpoint %d: minVC 0 must mark exactly the injection queues", u, got.minVC, e.unitEP[u])
+		}
+		if q.empty() {
+			if got.next != headEmpty {
+				return fmt.Errorf("sim: unit %d is empty, its head record says next %d", u, got.next)
+			}
+			continue
+		}
+		want := got
+		want.setHead(e.pkts.at(q.front()))
+		if got != want {
+			return fmt.Errorf("sim: unit %d (queue length %d) has head record {next %d rem %d lane %d}, its queue says {next %d rem %d lane %d}",
+				u, q.len(), got.next, got.rem, got.lane, want.next, want.rem, want.lane)
+		}
+		// The head must be going somewhere its router can send it.
+		home := int(e.unitHome[u])
+		if got.rem == headEject {
+			if r := e.cfg.RouterOf(int(got.next)); r != home {
+				return fmt.Errorf("sim: unit %d at router %d ejects to endpoint %d of router %d", u, home, got.next, r)
+			}
+		} else if first := e.g.FirstChannel(home); int(got.next) < first || int(got.next) >= first+e.g.Degree(home) {
+			return fmt.Errorf("sim: unit %d at router %d forwards on channel %d, not one of its own", u, home, got.next)
+		}
+	}
+	for i := range e.mail {
+		for _, a := range e.mail[i] {
+			if err := claim(a.id, fmt.Sprintf("mail box %d", i)); err != nil {
+				return err
+			}
+		}
+	}
+	for id, w := range owner {
+		if w == "" {
+			return fmt.Errorf("sim: packet id %d leaked (in no free list, queue or mail ring)", id)
+		}
+	}
+	return nil
 }

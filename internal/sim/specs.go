@@ -191,29 +191,16 @@ func SpecNames() []string {
 	return names
 }
 
-// MustNewSpec is NewSpec but panics on error.
-func MustNewSpec(name string) *Spec {
-	s, err := NewSpec(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Degraded returns a copy of the spec running on a graph with the given
-// links removed, re-routed with an all-pairs table (the analytic routers
-// assume the intact topology). Endpoints on disconnected routers keep
-// injecting; their packets are the casualties the experiment measures,
-// so callers should remove few enough links to keep hosts connected —
-// or accept DeliveredFrac < 1.
-func (s *Spec) Degraded(removed [][2]int) *Spec {
-	return s.DegradedInto(removed, nil)
-}
-
-// DegradedInto is Degraded reusing slab as the routing-table backing (see
-// route.NewTableInto). Sweeps that degrade the same spec repeatedly pass
-// the previous degraded spec's TableSlab to avoid reallocating the n×n
-// distance and next-hop table on every trial.
+// DegradedInto returns a copy of the spec running on a graph with the
+// given links removed, re-routed with an all-pairs table (the analytic
+// routers assume the intact topology). Endpoints on disconnected routers
+// keep injecting; their packets are the casualties the experiment
+// measures, so callers should remove few enough links to keep hosts
+// connected — or accept DeliveredFrac < 1. slab, when non-nil, is reused
+// as the routing-table backing (see route.NewTableInto): sweeps that
+// degrade the same spec repeatedly pass the previous degraded spec's
+// TableSlab to avoid reallocating the n×n distance and next-hop table on
+// every trial.
 func (s *Spec) DegradedInto(removed [][2]int, slab []uint8) *Spec {
 	g := s.Graph.RemoveEdges(removed)
 	tab := route.NewTableInto(g, route.AllMinPaths, slab)

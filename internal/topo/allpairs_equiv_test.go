@@ -20,22 +20,22 @@ func TestAllPairsStatsGoldenAllConstructors(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"ER", MustNewER(7).G},
-		{"IQ", mustSN(t, KindIQ, 8).G},
-		{"Paley", mustSN(t, KindPaley, 6).G},
-		{"BDF", mustSN(t, KindBDF, 6).G},
-		{"Complete", mustSN(t, KindComplete, 5).G},
+		{"ER", must(NewER(7)).G},
+		{"IQ", must(NewSupernode(KindIQ, 8)).G},
+		{"Paley", must(NewSupernode(KindPaley, 6)).G},
+		{"BDF", must(NewSupernode(KindBDF, 6)).G},
+		{"Complete", must(NewSupernode(KindComplete, 5)).G},
 		{"PolarStar-IQ", MustNewPolarStar(5, 4, KindIQ).G},
 		{"PolarStar-Paley", MustNewPolarStar(5, 4, KindPaley).G},
-		{"Bundlefly", mustBF(t, 5, 2).G},
-		{"MMS", mustMMS(t, 5).G},
-		{"Dragonfly", mustDF(t, 6, 3).G},
-		{"HyperX", mustHX(t, 4, 4, 4).G},
-		{"FatTree", mustFT(t, 6).G},
-		{"Megafly", mustMF(t, 3, 6).G},
-		{"Kautz", mustKautz(t, 4, 2).G},
+		{"Bundlefly", must(NewBundlefly(5, 2)).G},
+		{"MMS", must(NewMMS(5)).G},
+		{"Dragonfly", must(NewDragonfly(6, 3)).G},
+		{"HyperX", must(NewHyperX(4, 4, 4)).G},
+		{"FatTree", must(NewFatTree(6)).G},
+		{"Megafly", must(NewMegafly(3, 6)).G},
+		{"Kautz", must(NewKautz(4, 2)).G},
 		{"Jellyfish", jf},
-		{"LPS", mustLPS(t, 13, 5).G},
+		{"LPS", must(NewLPS(13, 5)).G},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -74,85 +74,13 @@ func allPairsStatsScalar(g *graph.Graph) graph.PathStats {
 	return stats
 }
 
-func mustSN(t *testing.T, kind SupernodeKind, d int) *Supernode {
-	t.Helper()
-	s, err := NewSupernode(kind, d)
+// must returns v and panics on err; test set-up here only builds valid
+// instances.
+func must[T any](v T, err error) T {
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	return s
-}
-
-func mustBF(t *testing.T, q, dPrime int) *Bundlefly {
-	t.Helper()
-	bf, err := NewBundlefly(q, dPrime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bf
-}
-
-func mustMMS(t *testing.T, q int) *MMS {
-	t.Helper()
-	m, err := NewMMS(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func mustDF(t *testing.T, a, h int) *Dragonfly {
-	t.Helper()
-	df, err := NewDragonfly(a, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return df
-}
-
-func mustHX(t *testing.T, dims ...int) *HyperX {
-	t.Helper()
-	hx, err := NewHyperX(dims...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hx
-}
-
-func mustFT(t *testing.T, p int) *FatTree {
-	t.Helper()
-	ft, err := NewFatTree(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ft
-}
-
-func mustMF(t *testing.T, rho, a int) *Megafly {
-	t.Helper()
-	mf, err := NewMegafly(rho, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mf
-}
-
-func mustKautz(t *testing.T, d, k int) *Kautz {
-	t.Helper()
-	kz, err := NewKautz(d, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return kz
-}
-
-func mustLPS(t *testing.T, p, q int) *LPS {
-	t.Helper()
-	l, err := NewLPS(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
+	return v
 }
 
 // TestBitBFSPropertyJellyfishER is the ISSUE's named property test: on
@@ -172,7 +100,7 @@ func TestBitBFSPropertyJellyfishER(t *testing.T) {
 		graphs = append(graphs, jf.FilterEdges(func(c, u, v int) bool { return (u+v+int(seed))%3 != 0 }))
 	}
 	for _, q := range []int{5, 7, 9} {
-		er := MustNewER(q)
+		er := must(NewER(q))
 		graphs = append(graphs, er.G)
 		graphs = append(graphs, er.G.FilterEdges(func(c, u, v int) bool { return (u*v)%4 != 1 }))
 	}

@@ -5,15 +5,12 @@ import "testing"
 func TestBundleflyTable3Config(t *testing.T) {
 	// Table 3: BF with d=11 (MMS q=7), d'=4 (Paley 9): 882 routers,
 	// radix 15, diameter 3.
-	bf := MustNewBundlefly(7, 4)
+	bf := must(NewBundlefly(7, 4))
 	if bf.G.N() != 882 {
 		t.Errorf("order = %d, want 882", bf.G.N())
 	}
-	if bf.Radix() != 15 {
-		t.Errorf("radix = %d, want 15", bf.Radix())
-	}
-	if bf.G.MaxDegree() > 15 {
-		t.Errorf("max degree = %d > 15", bf.G.MaxDegree())
+	if !bf.G.IsRegular() || bf.G.MaxDegree() != 15 {
+		t.Errorf("not 15-regular: max %d min %d", bf.G.MaxDegree(), bf.G.MinDegree())
 	}
 	if d := bf.G.Diameter(); d != 3 {
 		t.Errorf("diameter = %d, want 3", d)
@@ -25,7 +22,7 @@ func TestBundleflyTable3Config(t *testing.T) {
 
 func TestBundleflySmallDiameter3(t *testing.T) {
 	for _, c := range []struct{ q, d int }{{4, 2}, {5, 2}, {5, 4}} {
-		bf := MustNewBundlefly(c.q, c.d)
+		bf := must(NewBundlefly(c.q, c.d))
 		if d := bf.G.Diameter(); d > 3 || d < 0 {
 			t.Errorf("Bundlefly(q=%d,d'=%d) diameter = %d, want <= 3", c.q, c.d, d)
 		}
@@ -40,12 +37,9 @@ func TestBundleflySmallDiameter3(t *testing.T) {
 
 func TestDragonflyStructure(t *testing.T) {
 	// Table 3: a=12, h=6: 876 routers, radix 17, diameter 3.
-	df := MustNewDragonfly(12, 6)
+	df := must(NewDragonfly(12, 6))
 	if df.G.N() != 876 {
 		t.Errorf("order = %d, want 876", df.G.N())
-	}
-	if df.Radix() != 17 {
-		t.Errorf("radix = %d, want 17", df.Radix())
 	}
 	if !df.G.IsRegular() || df.G.MaxDegree() != 17 {
 		t.Errorf("not 17-regular: max %d min %d", df.G.MaxDegree(), df.G.MinDegree())
@@ -77,12 +71,9 @@ func TestDragonflyStructure(t *testing.T) {
 
 func TestHyperXStructure(t *testing.T) {
 	// Table 3: 9×9×8, 648 routers, radix 23, diameter 3.
-	hx := MustNewHyperX(9, 9, 8)
+	hx := must(NewHyperX(9, 9, 8))
 	if hx.G.N() != 648 {
 		t.Errorf("order = %d, want 648", hx.G.N())
-	}
-	if hx.Radix() != 23 {
-		t.Errorf("radix = %d, want 23", hx.Radix())
 	}
 	if !hx.G.IsRegular() || hx.G.MaxDegree() != 23 {
 		t.Error("HyperX should be 23-regular")
@@ -90,17 +81,18 @@ func TestHyperXStructure(t *testing.T) {
 	if d := hx.G.Diameter(); d != 3 {
 		t.Errorf("diameter = %d, want 3", d)
 	}
-	// Coordinate round trip and adjacency = differ in exactly one coord.
+	// Vertex ids are mixed-radix coordinates, first coordinate fastest;
+	// adjacency = differ in exactly one coord.
 	for v := 0; v < hx.G.N(); v += 37 {
-		if hx.VertexAt(hx.Coords(v)) != v {
-			t.Fatalf("coords round trip failed at %d", v)
+		if c := hx.coordsOf(v); c[0]+9*(c[1]+9*c[2]) != v {
+			t.Fatalf("coords round trip failed at %d: %v", v, c)
 		}
 	}
-	u, v := hx.VertexAt([]int{0, 0, 0}), hx.VertexAt([]int{3, 0, 0})
+	u, v := 0, 3 // (0,0,0) and (3,0,0)
 	if !hx.G.HasEdge(u, v) {
 		t.Error("same-row vertices must be adjacent")
 	}
-	w := hx.VertexAt([]int{3, 4, 0})
+	w := 3 + 4*9 // (3,4,0)
 	if hx.G.HasEdge(u, w) {
 		t.Error("two-coordinate change must not be adjacent")
 	}
@@ -108,7 +100,7 @@ func TestHyperXStructure(t *testing.T) {
 
 func TestFatTreeStructure(t *testing.T) {
 	// Table 3: p=18: 972 routers, 324 leaves with 18 endpoints each.
-	ft := MustNewFatTree(18)
+	ft := must(NewFatTree(18))
 	if ft.G.N() != 972 {
 		t.Errorf("order = %d, want 972", ft.G.N())
 	}
@@ -128,7 +120,7 @@ func TestFatTreeStructure(t *testing.T) {
 		}
 	}
 	// Any two leaves are within 4 switch hops (up to top, down).
-	small := MustNewFatTree(4)
+	small := must(NewFatTree(4))
 	dist := small.G.BFSDistances(0, nil, nil)
 	for _, leaf := range small.LeafRouters() {
 		if dist[leaf] > 4 {
@@ -139,7 +131,7 @@ func TestFatTreeStructure(t *testing.T) {
 
 func TestMegaflyStructure(t *testing.T) {
 	// Table 3: ρ=8, a=16: 1040 routers, 65 groups, radix 16, 520 leaves.
-	mf := MustNewMegafly(8, 16)
+	mf := must(NewMegafly(8, 16))
 	if mf.G.N() != 1040 {
 		t.Errorf("order = %d, want 1040", mf.G.N())
 	}
@@ -169,7 +161,7 @@ func TestMegaflyStructure(t *testing.T) {
 }
 
 func TestKautzStructure(t *testing.T) {
-	k := MustNewKautz(3, 2)
+	k := must(NewKautz(3, 2))
 	if k.G.N() != KautzOrder(3, 2) || k.G.N() != 36 {
 		t.Errorf("order = %d, want 36", k.G.N())
 	}
@@ -217,7 +209,7 @@ func TestJellyfishStructure(t *testing.T) {
 func TestLPSSpectralfly(t *testing.T) {
 	// Small instance first: X^{5,13}: 5 is not a QR mod 13 → PGL,
 	// order 13·168 = 2184, 6-regular.
-	l := MustNewLPS(5, 13)
+	l := must(NewLPS(5, 13))
 	if l.PSL {
 		t.Error("5 is not a QR mod 13; expected PGL")
 	}
@@ -238,14 +230,14 @@ func TestLPSTable3Spectralfly(t *testing.T) {
 	}
 	// Table 3: X^{23,13}: 23 ≡ 10 ≡ 6² mod 13 is a QR → PSL(2,13),
 	// order 1092, radix 24.
-	l := MustNewLPS(23, 13)
+	l := must(NewLPS(23, 13))
 	if !l.PSL {
 		t.Error("23 is a QR mod 13; expected PSL")
 	}
 	if l.G.N() != 1092 {
 		t.Errorf("order = %d, want 1092", l.G.N())
 	}
-	if l.Radix() != 24 || !l.G.IsRegular() || l.G.MaxDegree() != 24 {
+	if !l.G.IsRegular() || l.G.MaxDegree() != 24 {
 		t.Errorf("radix/regularity wrong: max degree %d", l.G.MaxDegree())
 	}
 	if d := l.G.Diameter(); d != 3 {
@@ -285,7 +277,7 @@ func TestTopologyConstructorErrors(t *testing.T) {
 // graphs contain triangles; LPS Ramanujan graphs have large girth
 // (>= 2·log_p(n) asymptotically — X^{5,13} has girth >= 6).
 func TestGirthOfKnownFamilies(t *testing.T) {
-	if g := MustNewMMS(5).G.Girth(); g != 5 {
+	if g := must(NewMMS(5)).G.Girth(); g != 5 {
 		t.Errorf("Hoffman–Singleton girth = %d, want 5", g)
 	}
 	pal, _ := NewPaleyGraph(13)
@@ -295,7 +287,7 @@ func TestGirthOfKnownFamilies(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	lps := MustNewLPS(5, 13)
+	lps := must(NewLPS(5, 13))
 	if g := lps.G.Girth(); g < 6 {
 		t.Errorf("X^{5,13} girth = %d, want >= 6", g)
 	}

@@ -14,8 +14,6 @@ type Bundlefly struct {
 	Structure *MMS
 	Super     *Supernode
 	G         *graph.Graph
-
-	q, dPrime int
 }
 
 // NewBundlefly builds Bundlefly with MMS parameter q and Paley supernode
@@ -34,22 +32,8 @@ func NewBundlefly(q, dPrime int) (*Bundlefly, error) {
 		Structure: mms,
 		Super:     super,
 		G:         StarProduct(name, mms.G, super, super.F),
-		q:         q,
-		dPrime:    dPrime,
 	}, nil
 }
-
-// MustNewBundlefly is NewBundlefly but panics on error.
-func MustNewBundlefly(q, dPrime int) *Bundlefly {
-	bf, err := NewBundlefly(q, dPrime)
-	if err != nil {
-		panic(err)
-	}
-	return bf
-}
-
-// Radix returns the network radix: MMS degree + d'.
-func (bf *Bundlefly) Radix() int { return MMSDegree(bf.q) + bf.dPrime }
 
 // NumGroups returns the number of supernodes (2q²).
 func (bf *Bundlefly) NumGroups() int { return bf.Structure.N() }

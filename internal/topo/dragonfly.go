@@ -49,18 +49,6 @@ func NewDragonfly(a, h int) (*Dragonfly, error) {
 	return &Dragonfly{A: a, H: h, G: b.Build()}, nil
 }
 
-// MustNewDragonfly is NewDragonfly but panics on error.
-func MustNewDragonfly(a, h int) *Dragonfly {
-	df, err := NewDragonfly(a, h)
-	if err != nil {
-		panic(err)
-	}
-	return df
-}
-
-// Radix returns the network radix (a-1) + h.
-func (df *Dragonfly) Radix() int { return df.A - 1 + df.H }
-
 // NumGroups returns a·h + 1.
 func (df *Dragonfly) NumGroups() int { return df.A*df.H + 1 }
 
@@ -112,15 +100,6 @@ func NewHyperX(dims ...int) (*HyperX, error) {
 	return hx, nil
 }
 
-// MustNewHyperX is NewHyperX but panics on error.
-func MustNewHyperX(dims ...int) *HyperX {
-	hx, err := NewHyperX(dims...)
-	if err != nil {
-		panic(err)
-	}
-	return hx
-}
-
 func (hx *HyperX) coordsOf(v int) []int {
 	coords := make([]int, len(hx.Dims))
 	for i, d := range hx.Dims {
@@ -128,28 +107,6 @@ func (hx *HyperX) coordsOf(v int) []int {
 		v /= d
 	}
 	return coords
-}
-
-// Coords returns the coordinate tuple of vertex v.
-func (hx *HyperX) Coords(v int) []int { return hx.coordsOf(v) }
-
-// VertexAt returns the vertex with the given coordinates.
-func (hx *HyperX) VertexAt(coords []int) int {
-	v, stride := 0, 1
-	for i, d := range hx.Dims {
-		v += coords[i] * stride
-		stride *= d
-	}
-	return v
-}
-
-// Radix returns Σ (S_i − 1).
-func (hx *HyperX) Radix() int {
-	r := 0
-	for _, d := range hx.Dims {
-		r += d - 1
-	}
-	return r
 }
 
 // NumGroups groups HyperX routers by their last coordinate plane.

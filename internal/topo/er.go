@@ -83,15 +83,6 @@ func NewER(q int) (*ER, error) {
 	return e, nil
 }
 
-// MustNewER is NewER but panics on error.
-func MustNewER(q int) *ER {
-	e, err := NewER(q)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func (e *ER) addVec(v [3]int) {
 	e.vecs = append(e.vecs, v)
 }
@@ -107,9 +98,6 @@ func (e *ER) N() int { return len(e.vecs) }
 // Degree returns the nominal degree q+1 (quadric vertices have network
 // degree q plus the loop).
 func (e *ER) Degree() int { return e.Q + 1 }
-
-// Vector returns the projective coordinates of vertex v.
-func (e *ER) Vector(v int) [3]int { return e.vecs[v] }
 
 // VertexOf returns the vertex id of a (not necessarily normalized)
 // non-zero coordinate vector. Ids follow the construction order of

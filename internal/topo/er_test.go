@@ -6,7 +6,7 @@ var erOrders = []int{2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19}
 
 func TestERBasicInvariants(t *testing.T) {
 	for _, q := range erOrders {
-		er := MustNewER(q)
+		er := must(NewER(q))
 		if er.N() != q*q+q+1 {
 			t.Errorf("ER_%d order = %d, want %d", q, er.N(), q*q+q+1)
 		}
@@ -28,7 +28,7 @@ func TestERBasicInvariants(t *testing.T) {
 
 func TestERDiameter2(t *testing.T) {
 	for _, q := range erOrders {
-		er := MustNewER(q)
+		er := must(NewER(q))
 		if d := er.G.Diameter(); d != 2 {
 			t.Errorf("ER_%d diameter = %d, want 2", q, d)
 		}
@@ -39,7 +39,7 @@ func TestERPropertyR(t *testing.T) {
 	// Theorem 1: ER_q has Property R for all prime powers q (self-loops
 	// admitted as walk steps).
 	for _, q := range []int{2, 3, 4, 5, 7, 8, 9, 11, 13} {
-		er := MustNewER(q)
+		er := must(NewER(q))
 		if !HasPropertyR(er.G, 2) {
 			t.Errorf("ER_%d lacks Property R", q)
 		}
@@ -48,7 +48,7 @@ func TestERPropertyR(t *testing.T) {
 
 func TestERCommonNeighborOracle(t *testing.T) {
 	for _, q := range []int{3, 4, 5, 7, 9} {
-		er := MustNewER(q)
+		er := must(NewER(q))
 		n := er.N()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
@@ -75,10 +75,10 @@ func TestERCommonNeighborOracle(t *testing.T) {
 }
 
 func TestERVertexOfNormalization(t *testing.T) {
-	er := MustNewER(5)
+	er := must(NewER(5))
 	f := er.Field
 	for v := 0; v < er.N(); v++ {
-		vec := er.Vector(v)
+		vec := er.vecs[v]
 		// Any non-zero scalar multiple maps back to v.
 		for s := 1; s < 5; s++ {
 			scaled := [3]int{f.Mul(vec[0], s), f.Mul(vec[1], s), f.Mul(vec[2], s)}

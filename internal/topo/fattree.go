@@ -43,18 +43,6 @@ func NewFatTree(p int) (*FatTree, error) {
 	return &FatTree{P: p, G: b.Build()}, nil
 }
 
-// MustNewFatTree is NewFatTree but panics on error.
-func MustNewFatTree(p int) *FatTree {
-	ft, err := NewFatTree(p)
-	if err != nil {
-		panic(err)
-	}
-	return ft
-}
-
-// Radix returns the full router radix 2p.
-func (ft *FatTree) Radix() int { return 2 * ft.P }
-
 // Level returns the layer (0 leaf, 1 middle, 2 top) of router v.
 func (ft *FatTree) Level(v int) int { return v / (ft.P * ft.P) }
 
@@ -112,15 +100,6 @@ func NewMegafly(rho, a int) (*Megafly, error) {
 		}
 	}
 	return &Megafly{Rho: rho, A: a, G: b.Build()}, nil
-}
-
-// MustNewMegafly is NewMegafly but panics on error.
-func MustNewMegafly(rho, a int) *Megafly {
-	mf, err := NewMegafly(rho, a)
-	if err != nil {
-		panic(err)
-	}
-	return mf
 }
 
 // NumGroups returns ρ·a/2 + 1.

@@ -103,12 +103,3 @@ func NewIQ(degree int) (*Supernode, error) {
 	s.validateBijection()
 	return s, nil
 }
-
-// MustNewIQ is NewIQ but panics on error.
-func MustNewIQ(degree int) *Supernode {
-	s, err := NewIQ(degree)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

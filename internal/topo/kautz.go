@@ -70,15 +70,6 @@ func NewKautz(d, n int) (*Kautz, error) {
 	return &Kautz{D: d, L: n, G: b.Build()}, nil
 }
 
-// MustNewKautz is NewKautz but panics on error.
-func MustNewKautz(d, n int) *Kautz {
-	k, err := NewKautz(d, n)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // KautzOrder returns (d+1)·d^n.
 func KautzOrder(d, n int) int {
 	if d < 2 || n < 1 {

@@ -36,3 +36,43 @@ func TestLayoutSummary(t *testing.T) {
 		t.Errorf("cable reduction = %f", l.CableReduction)
 	}
 }
+
+// LayoutSummary quantifies the §8 hierarchical modular layout of a
+// PolarStar instance: supernodes as the smallest building blocks, links
+// between adjacent supernodes bundled into multi-core fibers (MCFs), and
+// the resulting cable-count reduction.
+type LayoutSummary struct {
+	// Supernodes is the number of building blocks (q²+q+1).
+	Supernodes int
+	// RoutersPerSupernode is the block size |V(G')| = 2(d*−q) for IQ.
+	RoutersPerSupernode int
+	// LinksPerBundle is the number of parallel links between each pair
+	// of adjacent supernodes (one per supernode vertex).
+	LinksPerBundle int
+	// Bundles is the number of inter-supernode MCFs: the non-loop edges
+	// of ER_q, i.e. q(q+1)²/2.
+	Bundles int
+	// InterSupernodeLinks is Bundles × LinksPerBundle.
+	InterSupernodeLinks int
+	// CableReduction is the global cable-count reduction factor achieved
+	// by bundling: LinksPerBundle ≈ 2d*/3 at the optimal degree split.
+	CableReduction float64
+	// SupernodeClusters is the next hierarchy level: the q+1 clusters of
+	// the ER modular layout, pairs of which are joined by ≈q bundles.
+	SupernodeClusters int
+}
+
+// Layout computes the §8 layout summary.
+func (ps *PolarStar) Layout() LayoutSummary {
+	bundles := ps.Structure.G.M()
+	per := ps.Super.N()
+	return LayoutSummary{
+		Supernodes:          ps.Structure.N(),
+		RoutersPerSupernode: per,
+		LinksPerBundle:      per,
+		Bundles:             bundles,
+		InterSupernodeLinks: bundles * per,
+		CableReduction:      float64(per),
+		SupernodeClusters:   ps.q + 1,
+	}
+}

@@ -165,15 +165,6 @@ func NewLPS(p, q int) (*LPS, error) {
 	return &LPS{P: p, Q: q, PSL: psl, G: b.Build()}, nil
 }
 
-// MustNewLPS is NewLPS but panics on error.
-func MustNewLPS(p, q int) *LPS {
-	l, err := NewLPS(p, q)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // LPSOrder returns the order of X^{p,q}: q(q²−1)/2 on PSL (p a QR mod q)
 // or q(q²−1) on PGL. Returns 0 for infeasible parameters.
 func LPSOrder(p, q int) int {
@@ -189,6 +180,3 @@ func LPSOrder(p, q int) int {
 	}
 	return q * (q*q - 1)
 }
-
-// Radix returns p+1.
-func (l *LPS) Radix() int { return l.P + 1 }

@@ -78,18 +78,6 @@ func NewMMS(q int) (*MMS, error) {
 	return &MMS{Q: q, Delta: mmsDelta(q), G: g}, nil
 }
 
-// MustNewMMS is NewMMS but panics on error.
-func MustNewMMS(q int) *MMS {
-	m, err := NewMMS(q)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Degree returns the network degree (3q−δ)/2.
-func (m *MMS) Degree() int { return MMSDegree(m.Q) }
-
 // N returns the order 2q².
 func (m *MMS) N() int { return 2 * m.Q * m.Q }
 
@@ -299,19 +287,6 @@ func searchMMSSets(q int, f *gf.Field) ([]int, []int, error) {
 	return nil, nil, fmt.Errorf("topo: MMS generator search failed for q=%d", q)
 }
 
-func sameSet(q int, a, b []int) bool {
-	in := make([]bool, q)
-	for _, x := range a {
-		in[x] = true
-	}
-	for _, x := range b {
-		if !in[x] {
-			return false
-		}
-	}
-	return len(a) == len(b)
-}
-
 func randomSymmetricSet(rng *rand.Rand, classes [][]int, size int) []int {
 	perm := rng.Perm(len(classes))
 	var out []int
@@ -373,82 +348,6 @@ func coversWithSums(q int, f *gf.Field, X []int) bool {
 	for t := 1; t < q; t++ {
 		if !in[t] {
 			return false
-		}
-	}
-	return true
-}
-
-// mmsDiameter2 checks diameter ≤ 2 of the candidate MMS graph using
-// bitset neighborhood closure. It is the ground-truth check the algebraic
-// characterization is tested against.
-func mmsDiameter2(q int, f *gf.Field, X, Xp []int) bool {
-	n := 2 * q * q
-	words := (n + 63) / 64
-	adj := make([][]int32, n)
-	inX := make([]bool, q)
-	inXp := make([]bool, q)
-	for _, x := range X {
-		inX[x] = true
-	}
-	for _, x := range Xp {
-		inXp[x] = true
-	}
-	id0 := func(x, y int) int { return x*q + y }
-	id1 := func(m, c int) int { return q*q + m*q + c }
-	addEdge := func(u, v int) {
-		adj[u] = append(adj[u], int32(v))
-		adj[v] = append(adj[v], int32(u))
-	}
-	for x := 0; x < q; x++ {
-		for y := 0; y < q; y++ {
-			for yp := y + 1; yp < q; yp++ {
-				if inX[f.Sub(y, yp)] {
-					addEdge(id0(x, y), id0(x, yp))
-				}
-			}
-		}
-	}
-	for m := 0; m < q; m++ {
-		for c := 0; c < q; c++ {
-			for cp := c + 1; cp < q; cp++ {
-				if inXp[f.Sub(c, cp)] {
-					addEdge(id1(m, c), id1(m, cp))
-				}
-			}
-		}
-	}
-	for x := 0; x < q; x++ {
-		for m := 0; m < q; m++ {
-			for c := 0; c < q; c++ {
-				addEdge(id0(x, f.Add(f.Mul(m, x), c)), id1(m, c))
-			}
-		}
-	}
-	bits := make([]uint64, n*words)
-	for v := 0; v < n; v++ {
-		row := bits[v*words : (v+1)*words]
-		row[v/64] |= 1 << (v % 64)
-		for _, w := range adj[v] {
-			row[w/64] |= 1 << (w % 64)
-		}
-	}
-	closure := make([]uint64, words)
-	for v := 0; v < n; v++ {
-		copy(closure, bits[v*words:(v+1)*words])
-		for _, w := range adj[v] {
-			row := bits[int(w)*words : (int(w)+1)*words]
-			for i := range closure {
-				closure[i] |= row[i]
-			}
-		}
-		want := uint64(^uint64(0))
-		for i := 0; i < words; i++ {
-			if i == words-1 && n%64 != 0 {
-				want = (1 << (n % 64)) - 1
-			}
-			if closure[i]&want != want {
-				return false
-			}
 		}
 	}
 	return true

@@ -30,7 +30,7 @@ func TestMMSDegreeOrderFormulas(t *testing.T) {
 func TestMMSConstruction(t *testing.T) {
 	// All three residue classes (δ = 1, 0, −1) and both characteristics.
 	for _, q := range []int{4, 5, 7, 8, 9, 11, 13, 16} {
-		m := MustNewMMS(q)
+		m := must(NewMMS(q))
 		if m.G.N() != 2*q*q {
 			t.Errorf("MMS(%d) order = %d, want %d", q, m.G.N(), 2*q*q)
 		}
@@ -47,7 +47,7 @@ func TestMMSHoffmanSingleton(t *testing.T) {
 	// MMS(5) is the Hoffman–Singleton graph: 50 vertices, 7-regular,
 	// diameter 2, girth 5 (no triangles, no 4-cycles) — it meets the
 	// degree-2 Moore bound exactly.
-	m := MustNewMMS(5)
+	m := must(NewMMS(5))
 	g := m.G
 	if g.N() != 50 || g.M() != 175 {
 		t.Fatalf("n=%d m=%d, want 50, 175", g.N(), g.M())
@@ -127,4 +127,80 @@ func TestMMSInfeasible(t *testing.T) {
 			t.Errorf("NewMMS(%d) succeeded, want error", q)
 		}
 	}
+}
+
+// mmsDiameter2 checks diameter ≤ 2 of the candidate MMS graph using
+// bitset neighborhood closure. It is the ground-truth check the algebraic
+// characterization is tested against.
+func mmsDiameter2(q int, f *gf.Field, X, Xp []int) bool {
+	n := 2 * q * q
+	words := (n + 63) / 64
+	adj := make([][]int32, n)
+	inX := make([]bool, q)
+	inXp := make([]bool, q)
+	for _, x := range X {
+		inX[x] = true
+	}
+	for _, x := range Xp {
+		inXp[x] = true
+	}
+	id0 := func(x, y int) int { return x*q + y }
+	id1 := func(m, c int) int { return q*q + m*q + c }
+	addEdge := func(u, v int) {
+		adj[u] = append(adj[u], int32(v))
+		adj[v] = append(adj[v], int32(u))
+	}
+	for x := 0; x < q; x++ {
+		for y := 0; y < q; y++ {
+			for yp := y + 1; yp < q; yp++ {
+				if inX[f.Sub(y, yp)] {
+					addEdge(id0(x, y), id0(x, yp))
+				}
+			}
+		}
+	}
+	for m := 0; m < q; m++ {
+		for c := 0; c < q; c++ {
+			for cp := c + 1; cp < q; cp++ {
+				if inXp[f.Sub(c, cp)] {
+					addEdge(id1(m, c), id1(m, cp))
+				}
+			}
+		}
+	}
+	for x := 0; x < q; x++ {
+		for m := 0; m < q; m++ {
+			for c := 0; c < q; c++ {
+				addEdge(id0(x, f.Add(f.Mul(m, x), c)), id1(m, c))
+			}
+		}
+	}
+	bits := make([]uint64, n*words)
+	for v := 0; v < n; v++ {
+		row := bits[v*words : (v+1)*words]
+		row[v/64] |= 1 << (v % 64)
+		for _, w := range adj[v] {
+			row[w/64] |= 1 << (w % 64)
+		}
+	}
+	closure := make([]uint64, words)
+	for v := 0; v < n; v++ {
+		copy(closure, bits[v*words:(v+1)*words])
+		for _, w := range adj[v] {
+			row := bits[int(w)*words : (int(w)+1)*words]
+			for i := range closure {
+				closure[i] |= row[i]
+			}
+		}
+		want := uint64(^uint64(0))
+		for i := 0; i < words; i++ {
+			if i == words-1 && n%64 != 0 {
+				want = (1 << (n % 64)) - 1
+			}
+			if closure[i]&want != want {
+				return false
+			}
+		}
+	}
+	return true
 }

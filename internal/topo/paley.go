@@ -69,12 +69,3 @@ func NewPaleySupernode(degree int) (*Supernode, error) {
 	s.validateBijection()
 	return s, nil
 }
-
-// MustNewPaleySupernode is NewPaleySupernode but panics on error.
-func MustNewPaleySupernode(degree int) *Supernode {
-	s, err := NewPaleySupernode(degree)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

@@ -1,14 +1,12 @@
 package topo
 
-import (
-	"fmt"
-
-	"polarstar/internal/graph"
-)
+import "polarstar/internal/graph"
 
 // The paper's factor-graph properties (§5.1), implemented as exhaustive
 // checkers. They are used by the test suite to validate every construction
-// and by the design-space explorer to reject invalid factor combinations.
+// and by the design-space explorer to reject invalid factor combinations;
+// Property R1 and the Table 2 check, which only tests run, live in
+// properties_test.go.
 
 // HasPropertyR reports whether g (of diameter D) joins every vertex pair
 // by a walk of length exactly D, where self-loop annotations may be used
@@ -89,81 +87,4 @@ func PropertyRStarWitness(g *graph.Graph, f []int) (x, y int, ok bool) {
 		}
 	}
 	return -1, -1, true
-}
-
-// HasPropertyR1 reports whether (g, f) satisfies Property R1 (§5.1.2,
-// Bermond et al.): f is a bijection, f² is an automorphism of g, and
-// E ∪ f(E) is the complete edge set on V(g).
-func HasPropertyR1(g *graph.Graph, f []int) bool {
-	_, _, ok := PropertyR1Witness(g, f)
-	return ok
-}
-
-// PropertyR1Witness is HasPropertyR1 with a counterexample: on failure
-// it returns the first violating vertex pair — the edge f² fails to
-// preserve, or the pair E ∪ f(E) leaves uncovered. On success both are
-// -1.
-func PropertyR1Witness(g *graph.Graph, f []int) (x, y int, ok bool) {
-	n := g.N()
-	if len(f) != n {
-		return -1, -1, false
-	}
-	seen := make([]bool, n)
-	for x, y := range f {
-		if y < 0 || y >= n || seen[y] {
-			return x, y, false // not a bijection
-		}
-		seen[y] = true
-	}
-	// f² an automorphism: (x,y) ∈ E iff (f²(x), f²(y)) ∈ E.
-	for x := 0; x < n; x++ {
-		for _, w := range g.Neighbors(x) {
-			if !g.HasEdge(f[f[x]], f[f[int(w)]]) {
-				return x, int(w), false
-			}
-		}
-	}
-	// E ∪ f(E) complete.
-	covered := make(map[[2]int]bool)
-	mark := func(u, v int) {
-		if u > v {
-			u, v = v, u
-		}
-		covered[[2]int{u, v}] = true
-	}
-	for _, e := range g.Edges() {
-		mark(e[0], e[1])
-		mark(f[e[0]], f[e[1]])
-	}
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			if !covered[[2]int{x, y}] {
-				return x, y, false
-			}
-		}
-	}
-	return -1, -1, true
-}
-
-// VerifySupernode checks the structural claims of Table 2 for a supernode:
-// the order formula and the relevant property.
-func VerifySupernode(kind SupernodeKind, s *Supernode, degree int) error {
-	if want := SupernodeOrder(kind, degree); s.N() != want {
-		return fmt.Errorf("%v degree %d: order %d, want %d", kind, degree, s.N(), want)
-	}
-	switch kind {
-	case KindIQ, KindBDF:
-		if !HasPropertyRStar(s.G, s.F) {
-			return fmt.Errorf("%v degree %d: Property R* violated", kind, degree)
-		}
-	case KindPaley:
-		if !HasPropertyR1(s.G, s.F) {
-			return fmt.Errorf("%v degree %d: Property R1 violated", kind, degree)
-		}
-	case KindComplete:
-		if !HasPropertyRStar(s.G, s.F) || !HasPropertyR1(s.G, s.F) {
-			return fmt.Errorf("%v degree %d: properties violated", kind, degree)
-		}
-	}
-	return nil
 }

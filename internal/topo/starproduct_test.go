@@ -4,8 +4,8 @@ import "testing"
 
 func TestStarProductOrderAndDegree(t *testing.T) {
 	// §4.3 facts: |V(G*)| = |V(G)|·|V(G')|, deg ≤ deg(G)+deg(G').
-	er := MustNewER(3)
-	iq := MustNewIQ(3)
+	er := must(NewER(3))
+	iq := must(NewIQ(3))
 	p := StarProduct("test", er.G, iq, iq.F)
 	if p.N() != er.N()*iq.N() {
 		t.Errorf("order = %d, want %d", p.N(), er.N()*iq.N())
@@ -17,8 +17,8 @@ func TestStarProductOrderAndDegree(t *testing.T) {
 }
 
 func TestStarProductEdgeStructure(t *testing.T) {
-	er := MustNewER(3)
-	iq := MustNewIQ(3)
+	er := must(NewER(3))
+	iq := must(NewIQ(3))
 	p := StarProduct("test", er.G, iq, iq.F)
 	np := iq.N()
 	for _, e := range p.Edges() {
@@ -46,8 +46,8 @@ func TestStarProductEdgeStructure(t *testing.T) {
 func TestStarProductInterLinkCount(t *testing.T) {
 	// §8: adjacent supernodes are joined by a bundle of |V(G')| links
 	// (one per supernode vertex, since f is a bijection).
-	er := MustNewER(3)
-	pal := MustNewPaleySupernode(2)
+	er := must(NewER(3))
+	pal := must(NewPaleySupernode(2))
 	p := StarProduct("test", er.G, pal, pal.F)
 	np := pal.N()
 	count := make(map[[2]int]int)
@@ -183,8 +183,8 @@ func TestPolarStarOrderMatchesConstruction(t *testing.T) {
 // loop-induced edges, so their vertices reach full radix; non-quadric
 // supernode vertices sit one below. This mirrors Fig 5(c).
 func TestStarProductLoopEdges(t *testing.T) {
-	er := MustNewER(3)
-	iq := MustNewIQ(3)
+	er := must(NewER(3))
+	iq := must(NewIQ(3))
 	ps := MustNewPolarStar(3, 3, KindIQ)
 	np := iq.N()
 	for x := 0; x < er.N(); x++ {

@@ -23,7 +23,7 @@ func TestIQOrderDegreeAndPropertyRStar(t *testing.T) {
 		if !IQFeasible(d) {
 			continue
 		}
-		s := MustNewIQ(d)
+		s := must(NewIQ(d))
 		if s.N() != 2*d+2 {
 			t.Errorf("IQ_%d order = %d, want %d", d, s.N(), 2*d+2)
 		}
@@ -63,7 +63,7 @@ func TestPaleyFeasible(t *testing.T) {
 
 func TestPaleySupernodeR1(t *testing.T) {
 	for _, d := range []int{2, 4, 6, 8, 12, 14, 20} {
-		s := MustNewPaleySupernode(d)
+		s := must(NewPaleySupernode(d))
 		if s.N() != 2*d+1 {
 			t.Errorf("Paley d'=%d order = %d, want %d", d, s.N(), 2*d+1)
 		}
@@ -177,7 +177,7 @@ func TestVerifySupernodeAllKinds(t *testing.T) {
 // We check the specific case d'=3 by brute force over all involutions of
 // a 10-vertex graph built from IQ_3 plus two isolated extras.
 func TestRStarOrderBound(t *testing.T) {
-	s := MustNewIQ(3)
+	s := must(NewIQ(3))
 	// Extend to 10 vertices with two isolated vertices; no involution can
 	// rescue Property R* because vertex 8's non-edges to 6 other vertices
 	// exceed the 2 + deg + deg budget. A targeted check: reuse f with

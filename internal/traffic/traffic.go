@@ -41,9 +41,6 @@ func (c Config) RouterOf(e int) int {
 	return h
 }
 
-// HostIndexOf returns the host-block index of endpoint e.
-func (c Config) HostIndexOf(e int) int { return e / c.PerRouter }
-
 // Pattern maps each source endpoint to a destination endpoint.
 type Pattern interface {
 	Name() string

@@ -37,7 +37,7 @@ func TestPermutationIsFixedAndComplete(t *testing.T) {
 		if d2 := p.Dest(src, nil); d2 != d {
 			t.Fatal("permutation not fixed")
 		}
-		if c.HostIndexOf(d) == c.HostIndexOf(src) {
+		if c.RouterOf(d) == c.RouterOf(src) {
 			t.Fatalf("endpoint %d maps to its own host", src)
 		}
 		if d%c.PerRouter != src%c.PerRouter {

@@ -306,14 +306,14 @@ var ResilienceSweep = faults.ResilienceSweep
 
 // LiveFaultPlan scripts link/router failures (and repairs) that the
 // cycle-level simulator injects mid-run; assign one to SimParams.Plan.
-type LiveFaultPlan = faults.Plan
+type LiveFaultPlan = sim.Plan
 
 // LiveFaultEvent is one scripted topology change in a LiveFaultPlan.
-type LiveFaultEvent = faults.FaultEvent
+type LiveFaultEvent = sim.FaultEvent
 
 // FaultRetryPolicy bounds source retries for packets that hit live
 // faults; the zero value selects the simulator's standard retry bound.
-type FaultRetryPolicy = faults.RetryPolicy
+type FaultRetryPolicy = sim.RetryPolicy
 
 // ---------------------------------------------------------------------
 // Path diversity and in-network collectives (extensions).
