@@ -7,17 +7,14 @@ package sim
 // unitState is what arbitration knows about one queue unit without
 // following a pointer: when it may next attempt, and where its head packet
 // wants to go. 16 bytes, so the scan and every failing branch of
-// tryForward — injection or ejection busy, channel dead or busy, no
-// credit; two attempts in three at saturation — read this record and
-// resource-indexed arrays only. The queue buffer and the packet slab are
-// touched when a packet actually moves.
+// tryForward (two attempts in three at saturation) read this record and
+// resource-indexed arrays only; queue links and the slab are touched when
+// a packet moves.
 //
-// The head fields are a cache of the slab record of queues[unit].front(),
-// refreshed at the only places a head changes: a push onto an empty queue
-// (enqueue: the routing phase for injection queues, the mail drain for
-// channel queues), a pop (popHead) and the in-place re-route of
-// laneFailover. slabCheck (slab_test.go) verifies the cache against the
-// slab.
+// The head fields cache the slab record of queues[unit].head, refreshed
+// where a head changes: a push onto an empty queue (enqueue), a pop
+// (popHead) and laneFailover's in-place re-route. slabCheck
+// (slab_test.go) verifies them against the slab.
 //
 // Ownership: a unit's record is written only by the shard of its home
 // router — mail is drained by the destination shard, injection queues are
@@ -28,7 +25,7 @@ type unitState struct {
 	next  int32 // head's next channel; its destination endpoint when rem == headEject; headEmpty: no head
 	rem   int8  // links left on the head's path after next
 	lane  int8  // head's routing lane
-	minVC int8  // lowest VC the next hop may use (vc+1; 0 exactly for injection queues, whose endpoint is unitEP): fixed at construction
+	minVC int8  // lowest VC the next hop may use (vc+1; 0 exactly for injection queues, whose endpoint is injEP): fixed at construction
 }
 
 const (
@@ -52,18 +49,17 @@ func (e *Engine) enqueue(sh *shardState, unit, id int32) {
 	if u := &e.units[unit]; u.next == headEmpty {
 		u.setHead(e.pkts.at(id))
 	}
-	e.queues[unit].push(id)
+	e.pkts.push(&e.queues[unit], id)
 	e.markActive(unit, sh)
 }
 
 // popHead removes the head packet of u's queue q and points the record at
 // its successor, if any.
 func (e *Engine) popHead(q *pktQueue, u *unitState) {
-	q.pop()
-	if q.empty() {
+	if e.pkts.pop(q); q.head < 0 {
 		u.next = headEmpty
 	} else {
-		u.setHead(e.pkts.at(q.front()))
+		u.setHead(e.pkts.at(q.head))
 	}
 }
 
@@ -73,7 +69,7 @@ func (e *Engine) popHead(q *pktQueue, u *unitState) {
 // retry, which re-routes around the failure.
 func (e *Engine) dropHead(sh *shardState, unit int32, u *unitState) {
 	q := &e.queues[unit]
-	id := q.front()
+	id := q.head
 	e.fs.retryFrom(sh, id)
 	e.release(sh, unit)
 	sh.freed = append(sh.freed, id)
@@ -187,7 +183,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 	// Injection serialization: a packet leaves its endpoint at most
 	// every S cycles.
 	if u.minVC == 0 {
-		if ep := e.unitEP[unit]; e.injBusy[ep] > e.now {
+		if ep := e.injEP(unit); e.injBusy[ep] > e.now {
 			u.wake = e.injBusy[ep]
 			if sm != nil {
 				e.openSpan(unit, stallInject, 0)
@@ -212,7 +208,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 		}
 		e.ejBusy[ep] = e.now + S
 		q := &e.queues[unit]
-		id := q.front()
+		id := q.head
 		e.deliver(sh, e.pkts.at(id), e.now+S)
 		if sm != nil && sm.laneDelivered != nil {
 			sm.laneDelivered[u.lane]++
@@ -244,15 +240,11 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 		}
 		return
 	}
-	// VC allocation: each hop must use a VC strictly greater than the
-	// packet's current one (injection starts below VC 0), so VC
-	// indices strictly increase along every path and the channel/VC
-	// dependency graph stays acyclic — while still letting packets
-	// spread over the free VCs to reduce head-of-line blocking.
-	// Pick the eligible VC with the most free credits.
-	// The eligible window is clamped to the packet's lane band: with a
-	// single lane the band is the whole ladder and the bounds reduce to
-	// the classic minVC..vcs-1-remaining.
+	// VC allocation: each hop takes a VC strictly above the packet's
+	// current one (injection starts below VC 0), so the channel/VC
+	// dependency graph stays acyclic, and among the eligible VCs of the
+	// packet's lane band the one with the most free credits, spreading
+	// load against head-of-line blocking.
 	minVC := int(u.minVC)
 	if base := int(e.laneBase[u.lane]); minVC < base {
 		minVC = base
@@ -263,14 +255,14 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 	if minVC > maxVC {
 		panic("sim: path longer than VC count")
 	}
-	slotIdx, bestFree := -1, 0
+	credits := e.occ[int(c)*e.vcs:]
+	bestVC, bestFree := -1, 0
 	for vc := minVC; vc <= maxVC; vc++ {
-		idx := int(c)*e.vcs + vc
-		if free := e.p.BufFlitsPerVC - int(e.occ[idx]); free >= int(S) && free > bestFree {
-			slotIdx, bestFree = idx, free
+		if free := e.p.BufFlitsPerVC - int(credits[vc]); free >= int(S) && free > bestFree {
+			bestVC, bestFree = vc, free
 		}
 	}
-	if slotIdx < 0 {
+	if bestVC < 0 {
 		// No credits downstream on any eligible VC. Credits only come
 		// back through a commit-applied release on channel c, so park
 		// the unit on c's waiter list; commit re-arms it (wake = t+1)
@@ -285,7 +277,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 		return
 	}
 	// Grant.
-	e.occ[slotIdx] += int32(S)
+	credits[bestVC] += int32(S)
 	e.occSum[c] += int32(S)
 	if e.occHWM != nil {
 		e.occHWM.Observe(int(c), e.occSum[c])
@@ -295,15 +287,15 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 		e.chargeBusy(sm, c, unit, S)
 	}
 	if u.minVC == 0 {
-		e.injBusy[e.unitEP[unit]] = e.now + S
+		e.injBusy[e.injEP(unit)] = e.now + S
 	}
 	q := &e.queues[unit]
-	id := q.front()
+	id := q.head
 	e.pkts.at(id).hop++
 	dstShard := int(e.routerShard[e.g.ChannelTo(int(c))])
 	arrive := int((e.now + S + int64(e.p.LinkLatency)) % int64(e.ringLen))
 	box := &e.mail[(sid*numShards+dstShard)*e.ringLen+arrive]
-	*box = append(*box, inflight{id: id, unit: e.chanUnit[slotIdx]})
+	*box = append(*box, inflight{id: id, unit: e.chanUnit[c] + int32(bestVC)})
 	sh.mailOut++
 	e.release(sh, unit)
 	u.wake = e.now + 1
@@ -406,6 +398,9 @@ func (e *Engine) release(sh *shardState, unit int32) {
 		sh.releases = append(sh.releases, credit)
 	}
 }
+
+// injEP returns the endpoint of an injection-queue unit.
+func (e *Engine) injEP(unit int32) int32 { return ^e.unitCredit[unit] }
 
 func (e *Engine) deliver(sh *shardState, p *pkt, at int64) {
 	sh.deliveredAll++

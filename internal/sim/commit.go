@@ -33,7 +33,7 @@ func (e *Engine) commit(t int64) {
 		// Source backlog only: packets still waiting in injection
 		// queues (in-flight packets are not backlog).
 		for _, u := range e.injUnit {
-			e.backlogMeasEnd += e.queues[u].len()
+			e.backlogMeasEnd += e.pkts.length(&e.queues[u])
 		}
 	}
 	if e.metInterval > 0 && (t+1)%e.metInterval == 0 {

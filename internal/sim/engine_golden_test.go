@@ -45,8 +45,8 @@ const (
 	inFlightDrop                       // faults.dropped_in_flight
 	appliedEvent                       // faults.events_applied
 	laneDemotion                       // lanes.demoted
-	// laneFailover (lanes.failovers) is pinned by no case: the lanes case
-	// reads 0, and a case that reaches it moves the golden file.
+	// laneFailover (lanes.failovers) is pinned by no case here: the lanes
+	// case reads 0. TestSlabInvariantAfterRun pins a run that reaches it.
 	laneFailover
 )
 

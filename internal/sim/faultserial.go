@@ -197,7 +197,7 @@ func (fs *faultState) watchdogLimit() int64 {
 func (fs *faultState) finishStranded(t int64) {
 	e := fs.e
 	for i := range e.queues {
-		fs.lostStranded += int64(e.queues[i].len())
+		fs.lostStranded += int64(e.pkts.length(&e.queues[i]))
 	}
 	for i := range e.mail {
 		fs.lostStranded += int64(len(e.mail[i]))

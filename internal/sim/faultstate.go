@@ -384,7 +384,7 @@ func (fs *faultState) laneFailover(sh *shardState, unit int32, u *unitState) boo
 		return false
 	}
 	e := fs.e
-	p := e.pkts.at(e.queues[unit].front())
+	p := e.pkts.at(e.queues[unit].head)
 	cur := int(e.unitHome[unit])
 	dst := e.cfg.RouterOf(int(p.dstEP))
 	mp := fs.health.mp

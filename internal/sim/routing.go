@@ -80,20 +80,26 @@ type UGAL struct {
 	// Live, when set, makes path selection liveness-aware: a live
 	// candidate always beats a dead incumbent regardless of score, and
 	// Path returns buf unchanged when every candidate crosses a failed
-	// link. RNG consumption is identical with or without Live set.
+	// link. Live turns Path's floor exit off (see Path for RNG use).
 	Live LiveFn
 
 	bufA, bufB []int // incumbent / candidate scratch
 }
 
-// Path implements Routing. The RNG consumption order matches the
-// pre-buffer implementation exactly: one draw sequence for the minimal
-// path, then per sample the intermediate draw followed by both legs
-// (legs are routed even when one turns out empty, as before).
+// Path implements Routing. RNG consumption: the minimal path's draws,
+// then per sample the intermediate draw and both legs' (routed even when
+// one is empty). Without Live, the samples are skipped when the minimal
+// path scores at its floor of one packet per hop (first-hop queue, or for
+// UGAL-G every queue, empty; or no path): MinEngine paths are shortest,
+// so no candidate can score lower. The engine reseeds the route stream per
+// packet and only a fault plan, which installs Live, reads it after Path.
 func (u *UGAL) Path(buf []int, src, dst int, occ OccFn, rng *rand.Rand) []int {
 	best := u.Min.AppendPath(u.bufA[:0], src, dst, rng)
 	u.bufA = best
 	bestScore := u.score(best, occ)
+	if u.Live == nil && bestScore <= u.PktSize*max(len(best)-1, 0) {
+		return append(buf, best...)
+	}
 	// An empty (unroutable-minimal) incumbent counts as live: candidates
 	// then compete on score exactly as without Live, and the engine's
 	// detour fallbacks handle the empty result.
@@ -202,7 +208,7 @@ type MultiPathRouting struct {
 	PktSize int              // flits per packet, for the zero-queue tie-break
 	// Live, when set, filters tree-lane candidates to fully-live paths
 	// (the base lane handles liveness itself). Installed by the fault
-	// machinery; RNG consumption is identical with or without it.
+	// machinery with the base's Live (see UGAL.Path for RNG use).
 	Live LiveFn
 	// health, when non-nil, exposes the per-lane demotion state: down
 	// lanes are skipped before their paths are even built. Written only

@@ -22,11 +22,11 @@
 // aggregation. See DESIGN.md §7 for the semantics and the
 // deadlock-equivalence argument.
 //
-// Packet state lives in a slab of 64-byte records (store.go), arbitration
-// decides from a dense per-unit record of each queue's head (arbitrate.go)
-// and cycles with no possible work are skipped outright by the
-// event-horizon advance (horizon.go); DESIGN.md §10 argues why none of
-// them can change a single Result bit.
+// Packet state lives in a slab of 64-byte records linked into queues
+// (store.go), arbitration decides from a dense per-unit record of each
+// queue's head (arbitrate.go) and cycles with no possible work are
+// skipped outright by the event-horizon advance (horizon.go); DESIGN.md
+// §10 argues why none of them can change a single Result bit.
 package sim
 
 import (
@@ -211,17 +211,18 @@ type Engine struct {
 	chanSlot []uint8
 
 	// Queues ("units"): per channel per VC input queues at the channel's
-	// destination router, plus one injection queue per endpoint. Units
-	// are numbered router-major — each router's queues are contiguous and
-	// each shard's block is padded to a 64-unit boundary, so the inActive
-	// bitset below is word-disjoint across shards. Credit state stays
-	// channel-indexed; the unit maps translate between the two.
+	// destination router, plus one injection queue per endpoint, numbered
+	// router-major with each shard's block padded to a 64-unit boundary
+	// (so the inActive bitset below is word-disjoint across shards). A
+	// channel's VC queues are consecutive: its VC v is unit chanUnit[c]+v.
+	// A unit costs 40 bytes: its entries in the first four arrays,
+	// waiterNext and occ (credit state stays channel-indexed). Padding's
+	// unitCredit -1 equals endpoint 0's ^0: only minVC == 0 marks injection.
 	queues     []pktQueue
 	units      []unitState // unit -> wake cycle and head-packet record (arbitrate.go)
 	unitHome   []int32     // unit -> router owning the queue
-	unitCredit []int32     // unit -> credit index (channel*vcs+vc), -1 for injection queues
-	unitEP     []int32     // unit -> endpoint of an injection queue, -1 for channel queues
-	chanUnit   []int32     // credit index -> queue unit
+	unitCredit []int32     // unit -> credit index (channel*vcs+vc); ^endpoint for injection queues (injEP), -1 for padding
+	chanUnit   []int32     // channel -> unit of its VC 0
 	injUnit    []int32     // endpoint -> its injection-queue unit
 
 	// Per-router active unit lists with lazy deletion, and the per-shard
@@ -552,11 +553,11 @@ func (e *Engine) buildUnits() {
 	e.unitHome = make([]int32, maxUnits)
 	e.unitCredit = make([]int32, maxUnits)
 	e.units = make([]unitState, maxUnits)
+	e.queues = make([]pktQueue, maxUnits)
 	for i := range e.units {
-		e.units[i].next = headEmpty
+		e.units[i].next, e.queues[i].head = headEmpty, -1
 	}
-	e.unitEP = make([]int32, maxUnits)
-	e.chanUnit = make([]int32, nChans*e.vcs)
+	e.chanUnit = make([]int32, nChans)
 	e.injUnit = make([]int32, eps)
 
 	next := int32(0)
@@ -564,25 +565,21 @@ func (e *Engine) buildUnits() {
 		if r > 0 && e.routerShard[r] != e.routerShard[r-1] {
 			for ; next%64 != 0; next++ {
 				e.unitCredit[next] = -1
-				e.unitEP[next] = -1
 				e.units[next].minVC = 1 // padding is no injection queue
 			}
 		}
 		for _, c := range inCh[inOff[r]:inOff[r+1]] {
+			e.chanUnit[c] = next
 			for vc := 0; vc < e.vcs; vc++ {
-				credit := c*int32(e.vcs) + int32(vc)
-				e.chanUnit[credit] = next
-				e.unitCredit[next] = credit
+				e.unitCredit[next] = c*int32(e.vcs) + int32(vc)
 				e.units[next].minVC = int8(vc + 1)
-				e.unitEP[next] = -1
 				e.unitHome[next] = int32(r)
 				next++
 			}
 		}
 		for _, ep := range epList[epOff[r]:epOff[r+1]] {
 			e.injUnit[ep] = next
-			e.unitCredit[next] = -1
-			e.unitEP[next] = ep
+			e.unitCredit[next] = ^ep
 			e.unitHome[next] = int32(r)
 			next++
 		}
@@ -590,8 +587,7 @@ func (e *Engine) buildUnits() {
 	e.unitHome = e.unitHome[:next]
 	e.unitCredit = e.unitCredit[:next]
 	e.units = e.units[:next]
-	e.unitEP = e.unitEP[:next]
-	e.queues = make([]pktQueue, next)
+	e.queues = e.queues[:next]
 }
 
 // initMetrics sizes the telemetry storage once, before the first cycle:
@@ -805,7 +801,7 @@ func (e *Engine) result(load float64) Result {
 	}
 	res.Throughput = float64(injectedFlits) / float64(e.cfg.Endpoints()) / float64(e.p.Measure)
 	for i := range e.queues {
-		res.Backlog += e.queues[i].len()
+		res.Backlog += e.pkts.length(&e.queues[i])
 	}
 	res.BacklogAtMeasEnd = e.backlogMeasEnd
 	for _, sh := range e.shards {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -46,6 +47,8 @@ type slabCase struct {
 	// pins, when set, makes the run observed and names the mechanisms the
 	// case exists for: a case whose counter reads zero pins nothing.
 	pins func(t *testing.T, m *obs.SimRun)
+	// want, when set, pins the run's Result as printed by %+v.
+	want string
 }
 
 // run drives the case at the given worker count and returns the engine
@@ -83,7 +86,7 @@ func (c slabCase) run(t *testing.T, workers int) (*Engine, Result) {
 	eng := NewEngine(p, spec.Graph, spec.Config(), routing, pattern)
 	var res Result
 	if c.during {
-		res = runChecking(t, eng, c.load)
+		res = runChecking(t, eng, c.load, 64, eng.slabCheck)
 	} else {
 		res = runGuarded(t, eng, c.load)
 	}
@@ -94,15 +97,16 @@ func (c slabCase) run(t *testing.T, workers int) (*Engine, Result) {
 }
 
 // runChecking is Engine.Run stepped by hand — without the event-horizon
-// skips, which change no result — checking the invariants between cycles.
-func runChecking(t *testing.T, e *Engine, load float64) Result {
+// skips, which change no result — calling check after every every-th
+// cycle.
+func runChecking(t *testing.T, e *Engine, load float64, every int64, check func() error) Result {
 	t.Helper()
 	total := int64(e.p.Warmup + e.p.Measure + e.p.Drain)
 	e.initGeneration(load / float64(e.p.PacketFlits))
 	for c := int64(0); c < total; c++ {
 		e.stepCycle(c)
-		if c%64 == 0 {
-			if err := e.slabCheck(); err != nil {
+		if c%every == 0 {
+			if err := check(); err != nil {
 				t.Fatalf("cycle %d: %v", c, err)
 			}
 		}
@@ -123,15 +127,6 @@ func runChecking(t *testing.T, e *Engine, load float64) Result {
 // its queue, and a fully drained healthy run returns every id to the
 // allocator (allocated − freed == 0).
 func TestSlabInvariantAfterRun(t *testing.T) {
-	// Links of two of the three tree lanes fail one after another; the third
-	// lane stays whole, the failover target of packets queued behind them.
-	var lanePlan Plan
-	for _, edges := range laneEdges(t, must(NewSpec(mpTestSpec)), 3)[:2] {
-		for i := 0; i < 6; i++ {
-			e := edges[i*7%len(edges)]
-			lanePlan.Events = append(lanePlan.Events, FaultEvent{Cycle: int64(350 + 40*i), Kind: LinkDown, U: e[0], V: e[1]})
-		}
-	}
 	cases := []slabCase{
 		{name: "healthy-low", mode: UGALMode, load: 0.2},
 		{name: "healthy-saturated", mode: UGALMode, load: 0.9, during: true},
@@ -144,20 +139,25 @@ func TestSlabInvariantAfterRun(t *testing.T) {
 			plan:  &Plan{Events: []FaultEvent{{Cycle: 50, Kind: RouterDown, U: 3}}},
 			retry: RetryPolicy{MaxRetries: 3, BackoffBase: 4, BackoffCap: 64, MaxAge: 1500}},
 		// laneFailover is the only code that changes a head packet's path
-		// while it is queued. Shallow buffers under adversarial traffic keep
+		// while it is queued, and no engine golden reaches it, so the case
+		// pins its Result (recorded at 8e932d3, before queues were linked
+		// through the slab). Shallow buffers under adversarial traffic keep
 		// units parked for credit while lanes fail under them.
 		{name: "lane-failover", spec: mpTestSpec, mode: MPUGALMode, lanes: 3, pattern: "adversarial",
-			bufFlits: 8, load: 0.7, during: true, plan: &lanePlan,
+			bufFlits: 8, load: 0.7, during: true, plan: failoverPlan(t),
 			pins: func(t *testing.T, m *obs.SimRun) {
 				var failovers int64
 				for _, n := range m.Lanes.Failovers {
 					failovers += n
 				}
-				if failovers == 0 || m.Faults.DroppedInFlight == 0 || m.StallCredit == 0 {
-					t.Errorf("lane_failovers %d, dropped_in_flight %d, stall_credit %d: all must be > 0",
+				if failovers != 1191 || m.Faults.DroppedInFlight == 0 || m.StallCredit == 0 {
+					t.Errorf("lane_failovers %d (want 1191), dropped_in_flight %d, stall_credit %d: the last two must be > 0",
 						failovers, m.Faults.DroppedInFlight, m.StallCredit)
 				}
-			}},
+			},
+			want: "{Load:0.7 AvgLatency:966.3324754704842 MaxLatency:2091 DeliveredFrac:0.34999718516016437 " +
+				"Throughput:0.2467063492063492 Backlog:39223 BacklogAtMeasEnd:42794 Saturated:true " +
+				"Lost:0 Dropped:14 Retried:149 TerminatedEarly:false}"},
 	}
 	for _, c := range cases {
 		c := c
@@ -167,6 +167,9 @@ func TestSlabInvariantAfterRun(t *testing.T) {
 				eng, res := c.run(t, workers)
 				if err := eng.slabCheck(); err != nil {
 					t.Fatalf("workers=%d: %v (result %+v)", workers, err, res)
+				}
+				if got := fmt.Sprintf("%+v", res); c.want != "" && got != c.want {
+					t.Errorf("workers=%d:\n got %s\nwant %s", workers, got, c.want)
 				}
 				// A drained healthy run must hand every id back; stranded,
 				// backlogged or mid-link packets legitimately keep theirs.
@@ -179,15 +182,67 @@ func TestSlabInvariantAfterRun(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins the two layouts arbitration's memory traffic and
-// the engine's footprint rest on: a packet is one cache line, and a unit
-// costs 16 bytes however many VCs multiply the unit count.
+// failoverPlan fails links of two of the three tree lanes of mpTestSpec one
+// after another; the third lane stays whole, the failover target of
+// packets queued behind them.
+func failoverPlan(t *testing.T) *Plan {
+	t.Helper()
+	plan := &Plan{}
+	for _, edges := range laneEdges(t, must(NewSpec(mpTestSpec)), 3)[:2] {
+		for i := 0; i < 6; i++ {
+			e := edges[i*7%len(edges)]
+			plan.Events = append(plan.Events, FaultEvent{Cycle: int64(350 + 40*i), Kind: LinkDown, U: e[0], V: e[1]})
+		}
+	}
+	return plan
+}
+
+// TestRecordSizes pins the layouts arbitration's memory traffic and the
+// engine's footprint rest on: a packet is one cache line, and a unit's
+// head record and queue cost 16 and 8 bytes however many VCs multiply the
+// unit count.
 func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(pkt{}); n != 64 {
 		t.Errorf("pkt is %d bytes, want 64", n)
 	}
 	if n := unsafe.Sizeof(unitState{}); n != 16 {
 		t.Errorf("unitState is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(pktQueue{}); n != 8 {
+		t.Errorf("pktQueue is %d bytes, want 8", n)
+	}
+}
+
+// TestEngineFootprint pins what NewEngine allocates for the largest VC
+// ladder a benchmark builds: ps-iq MP-MIN, 40 VCs, where per-unit state
+// dominates. Queues linked through the packet slab and one unit base per
+// channel keep a unit at 40 bytes; the bounds sit a little above that
+// layout's totals (26.4 and 5.1 MiB) and well below the 72-byte layout's
+// (45.9 and 8.9 MiB). TotalAlloc counts bytes allocated, so the figure is
+// deterministic: no GC timing enters it.
+func TestEngineFootprint(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		max  float64 // MiB
+	}{
+		{"ps-iq", 30},
+		{"ps-iq-small", 6},
+	} {
+		spec := must(NewSpec(c.spec))
+		p := DefaultParams(1)
+		p.SetCycles(200)
+		routing := must(spec.Routing(MPMINMode, p))
+		pattern := must(spec.Pattern("uniform", p.Seed))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng := NewEngine(p, spec.Graph, spec.Config(), routing, pattern)
+		runtime.ReadMemStats(&after)
+		eng.pool.stop()
+		got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("%s MP-MIN: %d VCs, %d units, NewEngine allocates %.1f MiB", c.spec, eng.vcs, len(eng.units), got)
+		if got > c.max {
+			t.Errorf("%s MP-MIN: NewEngine allocates %.1f MiB, want <= %.0f", c.spec, got, c.max)
+		}
 	}
 }
 
@@ -263,70 +318,101 @@ func TestGenHeapPackingGuards(t *testing.T) {
 
 // slabCheck verifies the packet-id accounting invariant: every id ever
 // created is in exactly one place — the global free stack, a shard's
-// allocation cache or freed journal, a queue, or a mail ring. Violations
-// mean a leak (an id lost to the allocator forever) or a double-spend
-// (one id live in two queues, i.e. two packets aliasing one slab slot).
+// allocation cache or freed journal, a queue, or a mail ring — and every
+// queue's list ends at its tail. Violations mean a leak (an id lost to
+// the allocator forever) or a double-spend (one id live in two queues,
+// i.e. two packets aliasing one slab slot).
 // It also verifies the head-record invariant of arbitrate.go: a unit's
 // record is the empty sentinel exactly when its queue is empty, and
 // otherwise equals a fresh reading of the queue's front packet — a stale
 // record would arbitrate a packet that is no longer (or not yet) there —
 // and sends it over a channel, or to an endpoint, of the unit's own router;
-// and that minVC == 0 marks exactly the injection queues (tryForward reads
-// unitEP on that condition alone).
+// that minVC == 0 marks exactly the injection queues (tryForward reads
+// injEP on that condition alone); and that a channel unit sits at its
+// channel's unit base plus its VC (tryForward addresses it that way).
 // Both hold between any two cycles; the property and fuzz tests call it
 // after runs (including terminated-early fault runs where stranded ids
 // legitimately stay in queues) and every few cycles during some.
 func (e *Engine) slabCheck() error {
-	owner := make([]string, e.pkts.cap())
-	claim := func(id int32, where string) error {
-		if id < 0 || int(id) >= len(owner) {
-			return fmt.Errorf("sim: packet id %d outside slab [0,%d) in %s", id, len(owner), where)
+	// owner[id] is where id was found: a place kind and its index, so the
+	// walk formats nothing until it reports.
+	type place struct{ kind, idx int32 }
+	const (
+		inFree = iota + 1
+		inCache
+		inFreed
+		inQueue
+		inMail
+	)
+	kinds := []string{inFree: "free stack", inCache: "shard %d cache", inFreed: "shard %d freed journal", inQueue: "queue %d", inMail: "mail box %d"}
+	describe := func(p place) string {
+		if p.kind == inFree {
+			return kinds[inFree]
 		}
-		if owner[id] != "" {
-			return fmt.Errorf("sim: packet id %d in both %s and %s", id, owner[id], where)
+		return fmt.Sprintf(kinds[p.kind], p.idx)
+	}
+	owner := make([]place, e.pkts.cap())
+	claim := func(id int32, kind, idx int) error {
+		where := place{int32(kind), int32(idx)}
+		if id < 0 || int(id) >= len(owner) {
+			return fmt.Errorf("sim: packet id %d outside slab [0,%d) in %s", id, len(owner), describe(where))
+		}
+		if owner[id].kind != 0 {
+			return fmt.Errorf("sim: packet id %d in both %s and %s", id, describe(owner[id]), describe(where))
 		}
 		owner[id] = where
 		return nil
 	}
 	for _, id := range e.pkts.free {
-		if err := claim(id, "free stack"); err != nil {
+		if err := claim(id, inFree, 0); err != nil {
 			return err
 		}
 	}
 	for s, sh := range e.shards {
 		for _, id := range sh.freeIDs {
-			if err := claim(id, fmt.Sprintf("shard %d cache", s)); err != nil {
+			if err := claim(id, inCache, s); err != nil {
 				return err
 			}
 		}
 		for _, id := range sh.freed {
-			if err := claim(id, fmt.Sprintf("shard %d freed journal", s)); err != nil {
+			if err := claim(id, inFreed, s); err != nil {
 				return err
 			}
 		}
 	}
 	for u := range e.queues {
 		q := &e.queues[u]
-		for _, id := range q.buf[q.head:] {
-			if err := claim(id, fmt.Sprintf("queue %d", u)); err != nil {
+		n, last := 0, int32(-1)
+		// A list that loops claims its first repeated id twice, so the walk
+		// ends either way.
+		for id := q.head; id >= 0; id = *e.pkts.link(id) {
+			if err := claim(id, inQueue, u); err != nil {
 				return err
 			}
+			n, last = n+1, id
+		}
+		if n > 0 && q.tail != last {
+			return fmt.Errorf("sim: queue %d ends at packet %d, its tail says %d", u, last, q.tail)
 		}
 		got := e.units[u]
-		if (got.minVC == 0) != (e.unitEP[u] >= 0) {
-			return fmt.Errorf("sim: unit %d has minVC %d and endpoint %d: minVC 0 must mark exactly the injection queues", u, got.minVC, e.unitEP[u])
+		credit := e.unitCredit[u]
+		if inj := credit < 0 && e.injUnit[e.injEP(int32(u))] == int32(u); (got.minVC == 0) != inj {
+			return fmt.Errorf("sim: unit %d has minVC %d and credit %d: minVC 0 must mark exactly the injection queues", u, got.minVC, credit)
 		}
-		if q.empty() {
+		if credit >= 0 && (e.chanUnit[int(credit)/e.vcs]+credit%int32(e.vcs) != int32(u) || int(got.minVC) != int(credit)%e.vcs+1) {
+			return fmt.Errorf("sim: unit %d has credit %d and minVC %d; its channel's unit base is %d", u, credit, got.minVC, e.chanUnit[int(credit)/e.vcs])
+		}
+		if q.head < 0 {
 			if got.next != headEmpty {
 				return fmt.Errorf("sim: unit %d is empty, its head record says next %d", u, got.next)
 			}
 			continue
 		}
 		want := got
-		want.setHead(e.pkts.at(q.front()))
+		want.setHead(e.pkts.at(q.head))
 		if got != want {
 			return fmt.Errorf("sim: unit %d (queue length %d) has head record {next %d rem %d lane %d}, its queue says {next %d rem %d lane %d}",
-				u, q.len(), got.next, got.rem, got.lane, want.next, want.rem, want.lane)
+				u, n, got.next, got.rem, got.lane, want.next, want.rem, want.lane)
 		}
 		// The head must be going somewhere its router can send it.
 		home := int(e.unitHome[u])
@@ -340,13 +426,13 @@ func (e *Engine) slabCheck() error {
 	}
 	for i := range e.mail {
 		for _, a := range e.mail[i] {
-			if err := claim(a.id, fmt.Sprintf("mail box %d", i)); err != nil {
+			if err := claim(a.id, inMail, i); err != nil {
 				return err
 			}
 		}
 	}
 	for id, w := range owner {
-		if w == "" {
+		if w.kind == 0 {
 			return fmt.Errorf("sim: packet id %d leaked (in no free list, queue or mail ring)", id)
 		}
 	}

@@ -1,39 +1,29 @@
 package sim
 
 // Packet storage. A packet is a recycled int32 id into a slab of 64-byte
-// records, so queues and mail rings move 4–8 bytes per packet.
-// Arbitration does not read the slab to decide anything: what it needs to
-// know about a queue's head packet — next channel or ejection endpoint,
-// links left, lane — is cached in the unit's 16-byte unitState
-// (arbitrate.go) and refreshed only when the head changes. That matters
-// because most attempts lose: at the saturated fig_sweep points 68 % of
-// the 26.3 M attempts of a pass failed, and while each of them walked
-// queue buffer → hop → chans through per-field arrays to find the
-// resource to test, arbitration was 57 % of the profile. A grant, a drop
-// or a delivery touches the record of the packet it moves and the record
-// of the packet that becomes the head, one cache line each. See
-// DESIGN.md §10.
+// records; a queue links its ids through a 4-byte per-id link, and a mail
+// ring moves 8 bytes per packet. Arbitration decides from each unit's
+// 16-byte head record (arbitrate.go), not from the slab: a grant, drop or
+// delivery touches only the record it moves and the new head's, one cache
+// line each (DESIGN.md §10).
 //
 // Id lifecycle (the determinism contract):
 //
 //   - The global free stack is touched only in the serial sections of a
-//     cycle: refillIDs (before the routing phase) moves ids into
-//     per-shard allocation caches, and commit drains the per-shard freed
-//     journals back in fixed shard order.
-//   - The routing phase allocates from its shard's cache only; the
-//     arbitration phase frees into its shard's journal only. A freed id
-//     is therefore never reallocated in the same cycle, and every
-//     id movement is a pure function of the (worker-count-independent)
-//     serial schedule.
-//   - Results never depend on id values — ids are array indices, and all
-//     ordering comes from the queues — but keeping the allocator
-//     deterministic means memory layout (and thus any accidental
-//     dependence) cannot vary with the worker count either.
+//     cycle: refillIDs moves ids into per-shard allocation caches before
+//     the routing phase, and commit drains the per-shard freed journals
+//     back in fixed shard order.
+//   - The routing phase allocates from its shard's cache only and the
+//     arbitration phase frees into its shard's journal only, so a freed id
+//     is never reallocated in the same cycle, and every id movement is a
+//     pure function of the worker-count-independent serial schedule.
+//     Results never depend on id values; a deterministic allocator keeps
+//     memory layout from varying with the worker count too.
 //
-// A record is written only by whoever holds its id: the routing shard
-// that fills it, then the home shard of the queue it heads (the hop
-// cursor on a grant, the path on a lane failover), handed over through
-// the mail rings across the phase barrier.
+// A record and its link are written only by whoever holds the id: the
+// routing shard that fills it, then the home shard of the queue holding
+// it (the hop cursor on a grant, the path on a lane failover, the link on
+// a push), handed over through the mail rings across the phase barrier.
 
 // pktStride is the per-packet channel-id capacity: one slot per link of
 // the longest representable path.
@@ -52,18 +42,24 @@ type pkt struct {
 	retries uint8            // source retries already consumed (faults only)
 }
 
-// The slab grows by whole chunks and never moves a record. One array
+// The slab grows by whole chunks and never moves a record: an array
 // regrown by copying leaves each outgrown copy behind as garbage too small
-// for the next one to reuse, which doubles peak RSS at the saturated
-// points, where the source backlog keeps the slab growing all run.
+// for the next one to reuse, doubling peak RSS at saturated points.
 const (
 	pktChunkBits = 10
-	pktChunk     = 1 << pktChunkBits // records per chunk: 64 KB
+	pktChunk     = 1 << pktChunkBits
 )
+
+// slabChunk is one slab chunk: 64 KB of records, then their queue links
+// (kept out of the records so a record stays one cache line).
+type slabChunk struct {
+	recs [pktChunk]pkt
+	next [pktChunk]int32 // id behind this one in its queue; -1 at the tail
+}
 
 // pktStore is the packet slab, indexed by packet id.
 type pktStore struct {
-	chunks []*[pktChunk]pkt
+	chunks []*slabChunk
 
 	// free is the global id stack. Serial sections only: refillIDs pops,
 	// commit and the fault paths push. Capacity always equals the slab
@@ -73,7 +69,12 @@ type pktStore struct {
 
 // at returns packet id's record.
 func (st *pktStore) at(id int32) *pkt {
-	return &st.chunks[id>>pktChunkBits][id&(pktChunk-1)]
+	return &st.chunks[id>>pktChunkBits].recs[id&(pktChunk-1)]
+}
+
+// link returns packet id's queue link.
+func (st *pktStore) link(id int32) *int32 {
+	return &st.chunks[id>>pktChunkBits].next[id&(pktChunk-1)]
 }
 
 // cap returns the slab capacity (ids ever created).
@@ -86,7 +87,7 @@ func (st *pktStore) grow(n int) {
 	n = max(n, st.cap()/2)
 	old := st.cap()
 	for c := (n + pktChunk - 1) / pktChunk; c > 0; c-- {
-		st.chunks = append(st.chunks, new([pktChunk]pkt))
+		st.chunks = append(st.chunks, new(slabChunk))
 	}
 	free := make([]int32, len(st.free), st.cap())
 	copy(free, st.free)
@@ -99,28 +100,30 @@ func (st *pktStore) grow(n int) {
 }
 
 // pktQueue is one FIFO of packet ids (a channel/VC input buffer or an
-// endpoint injection queue). pop compacts whenever the dead prefix
-// reaches half the buffer: each element is copied at most once per
-// residence on average (amortized O(1)) and the buffer's high-water
-// capacity stays ~2× the live occupancy, so queues reach a steady state
-// where push never reallocates.
-type pktQueue struct {
-	buf  []int32
-	head int
+// endpoint injection queue) linked through the slab: 8 bytes a queue, and
+// memory in proportion to the packets queued rather than to the deepest
+// each queue ever was. head is -1 when the queue is empty; tail is then
+// stale, and push ignores it.
+type pktQueue struct{ head, tail int32 }
+
+func (st *pktStore) push(q *pktQueue, id int32) {
+	*st.link(id) = -1
+	if q.head < 0 {
+		q.head = id
+	} else {
+		*st.link(q.tail) = id
+	}
+	q.tail = id
 }
 
-func (q *pktQueue) empty() bool   { return q.head >= len(q.buf) }
-func (q *pktQueue) len() int      { return len(q.buf) - q.head }
-func (q *pktQueue) front() int32  { return q.buf[q.head] }
-func (q *pktQueue) push(id int32) { q.buf = append(q.buf, id) }
+func (st *pktStore) pop(q *pktQueue) { q.head = *st.link(q.head) }
 
-func (q *pktQueue) pop() {
-	q.head++
-	if q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
+// length walks q, for the end-of-window and end-of-run counts.
+func (st *pktStore) length(q *pktQueue) (n int) {
+	for id := q.head; id >= 0; id = *st.link(id) {
+		n++
 	}
+	return n
 }
 
 // bitset is a dense uint64 bit vector: the word-at-a-time replacement
