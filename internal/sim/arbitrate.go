@@ -255,10 +255,16 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 	if minVC > maxVC {
 		panic("sim: path longer than VC count")
 	}
-	credits := e.occ[int(c)*e.vcs:]
+	off := int(e.chanUnit[c]) // the unit of (c, vc) is off+vc; off may be < 0
+	if u.lane != 0 {
+		if e.chanLane[c] != u.lane {
+			panic("sim: lane path leaves its tree")
+		}
+		off += int(e.laneEnd[0] - e.laneBase[u.lane])
+	}
 	bestVC, bestFree := -1, 0
 	for vc := minVC; vc <= maxVC; vc++ {
-		if free := e.p.BufFlitsPerVC - int(credits[vc]); free >= int(S) && free > bestFree {
+		if free := e.p.BufFlitsPerVC - int(e.occ[off+vc]); free >= int(S) && free > bestFree {
 			bestVC, bestFree = vc, free
 		}
 	}
@@ -277,7 +283,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 		return
 	}
 	// Grant.
-	credits[bestVC] += int32(S)
+	e.occ[off+bestVC] += int32(S)
 	e.occSum[c] += int32(S)
 	if e.occHWM != nil {
 		e.occHWM.Observe(int(c), e.occSum[c])
@@ -295,7 +301,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 	dstShard := int(e.routerShard[e.g.ChannelTo(int(c))])
 	arrive := int((e.now + S + int64(e.p.LinkLatency)) % int64(e.ringLen))
 	box := &e.mail[(sid*numShards+dstShard)*e.ringLen+arrive]
-	*box = append(*box, inflight{id: id, unit: e.chanUnit[c] + int32(bestVC)})
+	*box = append(*box, inflight{id: id, unit: int32(off + bestVC)})
 	sh.mailOut++
 	e.release(sh, unit)
 	u.wake = e.now + 1
@@ -394,13 +400,13 @@ func (e *Engine) chargeBusy(sm *shardMetrics, c, granter int32, S int64) {
 // The credit becomes visible at commit, after every router has
 // arbitrated this cycle.
 func (e *Engine) release(sh *shardState, unit int32) {
-	if credit := e.unitCredit[unit]; credit >= 0 {
-		sh.releases = append(sh.releases, credit)
+	if e.unitChan[unit] >= 0 {
+		sh.releases = append(sh.releases, unit)
 	}
 }
 
 // injEP returns the endpoint of an injection-queue unit.
-func (e *Engine) injEP(unit int32) int32 { return ^e.unitCredit[unit] }
+func (e *Engine) injEP(unit int32) int32 { return ^e.unitChan[unit] }
 
 func (e *Engine) deliver(sh *shardState, p *pkt, at int64) {
 	sh.deliveredAll++

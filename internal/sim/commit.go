@@ -6,22 +6,22 @@ package sim
 // cycle.
 func (e *Engine) commit(t int64) {
 	S := int32(e.p.PacketFlits)
-	vcs := int32(e.vcs)
 	for _, sh := range e.shards {
-		for _, credit := range sh.releases {
-			e.occ[credit] -= S
-			e.occSum[credit/vcs] -= S
+		for _, unit := range sh.releases {
+			c := e.unitChan[unit]
+			e.occ[unit] -= S
+			e.occSum[c] -= S
 			// Unpark every unit waiting on this channel's credits: they
 			// must re-attempt next cycle, exactly as an
 			// attempt-every-cycle engine would.
-			for u := e.waiterHead[credit/vcs]; u >= 0; {
+			for u := e.waiterHead[c]; u >= 0; {
 				nxt := e.waiterNext[u]
 				e.waiterNext[u] = -1
 				e.units[u].wake = t + 1
 				e.routerWake[e.unitHome[u]] = 0
 				u = nxt
 			}
-			e.waiterHead[credit/vcs] = -1
+			e.waiterHead[c] = -1
 		}
 		sh.releases = sh.releases[:0]
 		if len(sh.freed) > 0 {

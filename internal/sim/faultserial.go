@@ -29,7 +29,7 @@ func (e *Engine) applyFaults(t int64) {
 	}
 	if fs.health != nil {
 		if fs.next > first {
-			fs.health.rescan(t, fs.deadChan)
+			fs.health.rescan(t, fs.deadChan, e.chanLane)
 		}
 		fs.health.promote(t)
 	}

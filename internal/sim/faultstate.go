@@ -118,7 +118,7 @@ func (e *Engine) initFaults(params Params) {
 	}
 	fs.escape = esc
 	if mp, ok := e.routing.(*MultiPathRouting); ok {
-		fs.health = newLaneHealth(mp.MP, e)
+		fs.health = newLaneHealth(mp.MP)
 	}
 	e.fs = fs
 	for _, sh := range e.shards {
@@ -316,7 +316,6 @@ func (fs *faultState) refreshLiveness() {
 func (fs *faultState) dropInFlight(t int64) {
 	e := fs.e
 	S := int32(e.p.PacketFlits)
-	vcs := int32(e.vcs)
 	for i := range e.mail {
 		box := e.mail[i]
 		if len(box) == 0 {
@@ -325,10 +324,9 @@ func (fs *faultState) dropInFlight(t int64) {
 		kept := box[:0]
 		for j := range box {
 			a := box[j]
-			credit := e.unitCredit[a.unit]
-			c := credit / vcs
+			c := e.unitChan[a.unit]
 			if fs.deadChan[c] {
-				e.occ[credit] -= S
+				e.occ[a.unit] -= S
 				e.occSum[c] -= S
 				fs.droppedInFlight++
 				e.mailDropped++

@@ -32,36 +32,25 @@ const (
 // laneHealth tracks the demotion state of every tree lane.
 type laneHealth struct {
 	mp        *route.MultiPath
-	laneChans [][]int32 // lane -> one directed channel id per tree edge
-	up        []bool    // lane carries traffic (read by the parallel phases)
-	deadEdges []int32   // dead tree edges of the lane
-	probeAt   []int64   // cycle the healed lane may rejoin; laneNever while broken
-	backoff   []int64   // next re-probe delay (doubles per demotion, capped)
+	up        []bool  // lane carries traffic (read by the parallel phases)
+	deadChans []int32 // dead channels of the lane's tree
+	probeAt   []int64 // cycle the healed lane may rejoin; laneNever while broken
+	backoff   []int64 // next re-probe delay (doubles per demotion, capped)
 
 	demoted, promoted int64 // transition counters for obs.SimLanes
 }
 
-// newLaneHealth indexes every tree lane's edges by directed channel id
-// (one direction suffices: killEdge always fells both) with all lanes up.
-func newLaneHealth(mp *route.MultiPath, e *Engine) *laneHealth {
+// newLaneHealth starts with every tree lane up.
+func newLaneHealth(mp *route.MultiPath) *laneHealth {
 	k := mp.TreeLanes()
 	h := &laneHealth{
 		mp:        mp,
-		laneChans: make([][]int32, k),
 		up:        make([]bool, k),
-		deadEdges: make([]int32, k),
+		deadChans: make([]int32, k),
 		probeAt:   make([]int64, k),
 		backoff:   make([]int64, k),
 	}
 	for l := 0; l < k; l++ {
-		edges := mp.TreeEdges(l)
-		chans := make([]int32, 0, len(edges))
-		for _, ed := range edges {
-			if c := e.channelID(ed[0], ed[1]); c >= 0 {
-				chans = append(chans, int32(c))
-			}
-		}
-		h.laneChans[l] = chans
 		h.up[l] = true
 		h.probeAt[l] = laneNever
 		h.backoff[l] = laneProbeBase
@@ -69,19 +58,18 @@ func newLaneHealth(mp *route.MultiPath, e *Engine) *laneHealth {
 	return h
 }
 
-// rescan recounts each lane's dead tree edges after plan events landed,
-// demoting freshly wounded lanes and arming the re-probe timer on lanes
-// whose tree just became whole. Only the wounded lanes stall — every
-// other lane keeps carrying traffic with no global repair pause.
-func (h *laneHealth) rescan(t int64, deadChan []bool) {
-	for l := range h.laneChans {
-		var dead int32
-		for _, c := range h.laneChans[l] {
-			if deadChan[c] {
-				dead++
-			}
+// rescan recounts each lane's dead tree channels (chanLane) after plan
+// events landed, demoting freshly wounded lanes and arming the re-probe
+// timer on lanes whose tree just became whole. Only the wounded lanes
+// stall — the others carry traffic with no global repair pause.
+func (h *laneHealth) rescan(t int64, deadChan []bool, chanLane []int8) {
+	clear(h.deadChans)
+	for c, l := range chanLane {
+		if l > 0 && deadChan[c] {
+			h.deadChans[l-1]++
 		}
-		h.deadEdges[l] = dead
+	}
+	for l, dead := range h.deadChans {
 		switch {
 		case dead > 0 && h.up[l]:
 			h.up[l] = false
@@ -104,7 +92,7 @@ func (h *laneHealth) rescan(t int64, deadChan []bool) {
 // stepped engine agree bit-for-bit.
 func (h *laneHealth) promote(t int64) {
 	for l := range h.up {
-		if !h.up[l] && h.deadEdges[l] == 0 && t >= h.probeAt[l] {
+		if !h.up[l] && h.deadChans[l] == 0 && t >= h.probeAt[l] {
 			h.up[l] = true
 			h.promoted++
 			h.probeAt[l] = laneNever

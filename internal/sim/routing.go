@@ -185,6 +185,8 @@ type lanedRouting interface {
 	// minimal-path lane, entries 1.. the tree lanes. Width l must exceed
 	// the hop count of any lane-l path PathLane returns.
 	LaneWidths() []int
+	// LaneEdges returns the edges lane l >= 1's paths stay on; lanes share none.
+	LaneEdges(l int) [][2]int
 	// PathLane is Path plus the index of the lane the path rides.
 	PathLane(buf []int, src, dst int, occ OccFn, rng *rand.Rand) ([]int, int8)
 }
@@ -317,6 +319,9 @@ func (m *MultiPathRouting) LaneWidths() []int {
 	}
 	return w
 }
+
+// LaneEdges implements lanedRouting: lane l is tree l-1.
+func (m *MultiPathRouting) LaneEdges(l int) [][2]int { return m.MP.TreeEdges(l - 1) }
 
 // MaxHops implements Routing: the longest path any lane can return.
 func (m *MultiPathRouting) MaxHops() int {

@@ -186,6 +186,7 @@ type Engine struct {
 	laneCount int
 	laneBase  []int32 // lane -> first VC of its band
 	laneEnd   []int32 // lane -> one past the last VC of its band
+	chanLane  []int8  // channel -> tree lane owning its edge, 0 for none (nil: single-lane)
 
 	// pkts is the packet slab; every queue and mail ring below holds int32
 	// ids into it. See store.go for the id lifecycle and its
@@ -198,8 +199,7 @@ type Engine struct {
 	// arbitration (occ decrements are journaled to commit), which is what
 	// makes the arbitration phase race-free.
 	busy   []int64 // channel id -> busy-until cycle
-	occ    []int32 // credit index (channel id * vcs + vc) -> queued+reserved flits
-	occSum []int32 // channel id -> occ summed over VCs (Occupancy fast path)
+	occSum []int32 // channel id -> occ summed over its units (Occupancy fast path)
 
 	// chanSlot densifies ChannelID: (u*n+v) -> v's adjacency slot at u,
 	// 0xff when {u,v} is no edge; the channel is FirstChannel(u)+slot.
@@ -213,17 +213,18 @@ type Engine struct {
 	// Queues ("units"): per channel per VC input queues at the channel's
 	// destination router, plus one injection queue per endpoint, numbered
 	// router-major with each shard's block padded to a 64-unit boundary
-	// (so the inActive bitset below is word-disjoint across shards). A
-	// channel's VC queues are consecutive: its VC v is unit chanUnit[c]+v.
-	// A unit costs 40 bytes: its entries in the first four arrays,
-	// waiterNext and occ (credit state stays channel-indexed). Padding's
-	// unitCredit -1 equals endpoint 0's ^0: only minVC == 0 marks injection.
-	queues     []pktQueue
-	units      []unitState // unit -> wake cycle and head-packet record (arbitrate.go)
-	unitHome   []int32     // unit -> router owning the queue
-	unitCredit []int32     // unit -> credit index (channel*vcs+vc); ^endpoint for injection queues (injEP), -1 for padding
-	chanUnit   []int32     // channel -> unit of its VC 0
-	injUnit    []int32     // endpoint -> its injection-queue unit
+	// (so the inActive bitset below is word-disjoint across shards). From
+	// chanUnit[c] on, a channel's units carry band 0, then the band of its
+	// tree lane (buildUnits). A unit costs 40 bytes: its entries in the
+	// first five arrays and waiterNext. Padding's unitChan -1 equals
+	// endpoint 0's ^0: only minVC == 0 marks injection queues.
+	queues   []pktQueue
+	units    []unitState // unit -> wake cycle and head-packet record (arbitrate.go)
+	unitHome []int32     // unit -> router owning the queue
+	unitChan []int32     // unit -> its channel; ^endpoint for injection queues (injEP), -1 for padding
+	occ      []int32     // unit -> queued+reserved flits (credits in use; 0 off channels)
+	chanUnit []int32     // channel -> unit of its VC 0
+	injUnit  []int32     // endpoint -> its injection-queue unit
 
 	// Per-router active unit lists with lazy deletion, and the per-shard
 	// active-router worklists above them: a cycle touches only routers
@@ -310,7 +311,7 @@ type Engine struct {
 type shardState struct {
 	routers  []int32      // active-router worklist (lazy deletion via inWorklist)
 	pending  []pendingInj // packets generated this cycle on this shard's routers
-	releases []int32      // credit indices whose reservation frees at commit
+	releases []int32      // units whose credit reservation frees at commit
 
 	// Packet-id slab interface: freeIDs is the allocation cache refilled
 	// serially before the routing phase; freed collects ids released
@@ -455,7 +456,6 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 	n := g.N()
 	nChans := g.NumChannels()
 	e.busy = make([]int64, nChans)
-	e.occ = make([]int32, nChans*e.vcs)
 	e.occSum = make([]int32, nChans)
 	if n*n <= 1<<22 && g.MaxDegree() < 0xff { // ≤ 4 MB; covers every Table-3 configuration
 		e.chanSlot = bytes.Repeat([]byte{0xff}, n*n)
@@ -507,11 +507,15 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 
 // buildUnits lays out the queue units router-major: for each router (in
 // shard order — routerShard blocks are contiguous by construction) its
-// incoming channel×VC queues in ascending channel order, then its
+// incoming channels' VC queues in ascending channel order, then its
 // endpoints' injection queues, with every shard's block padded to a
-// 64-unit boundary so the inActive bitset words are shard-disjoint. The
-// unitCredit/chanUnit maps tie the queues back to the channel-indexed
-// credit arrays (occ/occSum/busy), which keep their grant-side ownership.
+// 64-unit boundary so the inActive bitset words are shard-disjoint.
+// A channel gets band 0 and the band of the tree lane owning its edge,
+// and no packet needs another: lane l >= 1 paths come only from tree
+// l-1's AppendTreePath (PathLane, laneFailover), and detour keeps them,
+// since they pass Live == fs.linkLive (so pathLiveChans), have at most
+// pktStride hops, and a dead endpoint router means a retry. Escape and
+// repair paths ride band 0.
 func (e *Engine) buildUnits() {
 	n := e.g.N()
 	nChans := e.g.NumChannels()
@@ -549,9 +553,20 @@ func (e *Engine) buildUnits() {
 		pos[r]++
 	}
 
-	maxUnits := nChans*e.vcs + eps + numShards*64
+	maxUnits := nChans*int(e.laneEnd[0]) + eps + numShards*64
+	if lr, ok := e.routing.(lanedRouting); ok {
+		e.chanLane = make([]int8, nChans) // both directions of a tree-l edge: l
+		for l := int8(1); int(l) < e.laneCount; l++ {
+			edges := lr.LaneEdges(int(l))
+			maxUnits += 2 * len(edges) * int(e.laneEnd[l]-e.laneBase[l])
+			for _, ed := range edges {
+				e.chanLane[e.channelID(ed[0], ed[1])], e.chanLane[e.channelID(ed[1], ed[0])] = l, l
+			}
+		}
+	}
 	e.unitHome = make([]int32, maxUnits)
-	e.unitCredit = make([]int32, maxUnits)
+	e.unitChan = make([]int32, maxUnits)
+	e.occ = make([]int32, maxUnits)
 	e.units = make([]unitState, maxUnits)
 	e.queues = make([]pktQueue, maxUnits)
 	for i := range e.units {
@@ -564,14 +579,21 @@ func (e *Engine) buildUnits() {
 	for r := 0; r < n; r++ {
 		if r > 0 && e.routerShard[r] != e.routerShard[r-1] {
 			for ; next%64 != 0; next++ {
-				e.unitCredit[next] = -1
+				e.unitChan[next] = -1
 				e.units[next].minVC = 1 // padding is no injection queue
 			}
 		}
 		for _, c := range inCh[inOff[r]:inOff[r+1]] {
 			e.chanUnit[c] = next
-			for vc := 0; vc < e.vcs; vc++ {
-				e.unitCredit[next] = c*int32(e.vcs) + int32(vc)
+			l := int8(0)
+			if e.chanLane != nil {
+				l = e.chanLane[c]
+			}
+			for vc := int32(0); vc < e.laneEnd[l]; vc++ {
+				if vc == e.laneEnd[0] {
+					vc = e.laneBase[l] // band 0 done: on to lane l's
+				}
+				e.unitChan[next] = c
 				e.units[next].minVC = int8(vc + 1)
 				e.unitHome[next] = int32(r)
 				next++
@@ -579,13 +601,14 @@ func (e *Engine) buildUnits() {
 		}
 		for _, ep := range epList[epOff[r]:epOff[r+1]] {
 			e.injUnit[ep] = next
-			e.unitCredit[next] = ^ep
+			e.unitChan[next] = ^ep
 			e.unitHome[next] = int32(r)
 			next++
 		}
 	}
 	e.unitHome = e.unitHome[:next]
-	e.unitCredit = e.unitCredit[:next]
+	e.unitChan = e.unitChan[:next]
+	e.occ = e.occ[:next]
 	e.units = e.units[:next]
 	e.queues = e.queues[:next]
 }

@@ -84,9 +84,12 @@ func (c slabCase) run(t *testing.T, workers int) (*Engine, Result) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(p, spec.Graph, spec.Config(), routing, pattern)
+	if err := eng.layoutCheck(); err != nil {
+		t.Fatal(err)
+	}
 	var res Result
 	if c.during {
-		res = runChecking(t, eng, c.load, 64, eng.slabCheck)
+		res = runChecking(t, eng, c.load, 64, nil, eng.slabCheck)
 	} else {
 		res = runGuarded(t, eng, c.load)
 	}
@@ -98,13 +101,17 @@ func (c slabCase) run(t *testing.T, workers int) (*Engine, Result) {
 
 // runChecking is Engine.Run stepped by hand — without the event-horizon
 // skips, which change no result — calling check after every every-th
-// cycle.
-func runChecking(t *testing.T, e *Engine, load float64, every int64, check func() error) Result {
+// cycle and, when probe is non-nil, probe inside every cycle (stepProbed).
+func runChecking(t *testing.T, e *Engine, load float64, every int64, probe func(), check func() error) Result {
 	t.Helper()
 	total := int64(e.p.Warmup + e.p.Measure + e.p.Drain)
 	e.initGeneration(load / float64(e.p.PacketFlits))
 	for c := int64(0); c < total; c++ {
-		e.stepCycle(c)
+		if probe != nil {
+			e.stepProbed(c, probe)
+		} else {
+			e.stepCycle(c)
+		}
 		if c%every == 0 {
 			if err := check(); err != nil {
 				t.Fatalf("cycle %d: %v", c, err)
@@ -118,6 +125,28 @@ func runChecking(t *testing.T, e *Engine, load float64, every int64, check func(
 	e.now = total
 	e.pool.stop()
 	return e.result(load)
+}
+
+// stepProbed is stepCycle with probe called between the routing and the
+// arbitration phase. TestInvariantsEveryCycle compares the Results of
+// runs stepped this way with Engine.Run's.
+func (e *Engine) stepProbed(t int64, probe func()) {
+	e.now = t
+	e.measuring = e.measured(t)
+	if e.fs != nil {
+		e.applyFaults(t)
+		e.injectRetries(t)
+	}
+	e.generate(t)
+	e.refillIDs()
+	e.pool.run(phaseRoute)
+	probe()
+	e.pool.run(phaseArbitrate)
+	e.commit(t)
+	if e.fs != nil {
+		e.collectRetries(t)
+		e.watchdog(t)
+	}
 }
 
 // TestSlabInvariantAfterRun pins the allocator contract of the packet
@@ -215,33 +244,67 @@ func TestRecordSizes(t *testing.T) {
 
 // TestEngineFootprint pins what NewEngine allocates for the largest VC
 // ladder a benchmark builds: ps-iq MP-MIN, 40 VCs, where per-unit state
-// dominates. Queues linked through the packet slab and one unit base per
-// channel keep a unit at 40 bytes; the bounds sit a little above that
-// layout's totals (26.4 and 5.1 MiB) and well below the 72-byte layout's
-// (45.9 and 8.9 MiB). TotalAlloc counts bytes allocated, so the figure is
-// deterministic: no GC timing enters it.
+// dominates. A channel has units for band 0 and for the one tree lane its
+// edge belongs to, 40 bytes each; the bounds sit a little above that
+// layout's totals (7.4 and 1.7 MiB) and well below those of a layout that
+// gives every channel every band (26.4 and 5.1 MiB). TotalAlloc counts
+// bytes allocated, so the figure is deterministic: no GC timing enters it.
+// The unit counts are exact: band 0 on every channel, lane l's band on
+// both directions of its tree's edges, one injection queue per endpoint,
+// and the shard padding; single-lane engines keep every VC on every
+// channel.
 func TestEngineFootprint(t *testing.T) {
 	for _, c := range []struct {
 		spec string
-		max  float64 // MiB
+		mode RoutingMode
+		max  float64 // MiB; 0: count units only
 	}{
-		{"ps-iq", 30},
-		{"ps-iq-small", 6},
+		{"ps-iq", MPMINMode, 9},
+		{"ps-iq-small", MPMINMode, 2},
+		{"ps-iq-small", MPUGALMode, 0},
+		{"ps-iq", MIN, 0},
+		{"ps-iq-small", UGALMode, 0},
 	} {
 		spec := must(NewSpec(c.spec))
 		p := DefaultParams(1)
 		p.SetCycles(200)
-		routing := must(spec.Routing(MPMINMode, p))
+		routing := must(spec.Routing(c.mode, p))
 		pattern := must(spec.Pattern("uniform", p.Seed))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		eng := NewEngine(p, spec.Graph, spec.Config(), routing, pattern)
 		runtime.ReadMemStats(&after)
 		eng.pool.stop()
+		name := c.spec + " " + c.mode.String()
 		got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-		t.Logf("%s MP-MIN: %d VCs, %d units, NewEngine allocates %.1f MiB", c.spec, eng.vcs, len(eng.units), got)
-		if got > c.max {
-			t.Errorf("%s MP-MIN: NewEngine allocates %.1f MiB, want <= %.0f", c.spec, got, c.max)
+		t.Logf("%s: %d VCs, %d units, NewEngine allocates %.1f MiB", name, eng.vcs, len(eng.units), got)
+		if c.max > 0 && got > c.max {
+			t.Errorf("%s: NewEngine allocates %.1f MiB, want <= %.0f", name, got, c.max)
+		}
+		if err := eng.layoutCheck(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		eps := spec.Config().Endpoints()
+		padding := -1 // endpoint 0's injection queue has unitChan ^0 == -1 too
+		for _, ch := range eng.unitChan {
+			if ch == -1 {
+				padding++
+			}
+		}
+		if padding < 0 || padding >= numShards*64 {
+			t.Fatalf("%s: %d padding units, want [0, %d)", name, padding, numShards*64)
+		}
+		w := func(l int) int { return int(eng.laneEnd[l] - eng.laneBase[l]) }
+		want := spec.Graph.NumChannels()*w(0) + eps + padding
+		if lr, ok := routing.(lanedRouting); ok {
+			for l := 1; l < eng.laneCount; l++ {
+				want += 2 * len(lr.LaneEdges(l)) * w(l)
+			}
+		} else if w(0) != eng.vcs {
+			t.Fatalf("%s: single-lane band 0 has %d of %d VCs", name, w(0), eng.vcs)
+		}
+		if len(eng.units) != want {
+			t.Errorf("%s: %d units, want %d", name, len(eng.units), want)
 		}
 	}
 }
@@ -274,6 +337,9 @@ func FuzzSlabInvariants(f *testing.F) {
 			t.Fatal(err)
 		}
 		eng := NewEngine(p, spec.Graph, spec.Config(), spec.MinRouting(), pattern)
+		if err := eng.layoutCheck(); err != nil {
+			t.Fatal(err)
+		}
 		res := eng.Run(load)
 		if err := eng.slabCheck(); err != nil {
 			t.Fatalf("%v (result %+v)", err, res)
@@ -316,6 +382,36 @@ func TestGenHeapPackingGuards(t *testing.T) {
 	mustPanic("cycles", long, 0)
 }
 
+// layoutCheck verifies what NewEngine fixes about the units for the whole
+// run: that minVC == 0 marks exactly the injection queues (tryForward
+// reads injEP on that condition alone), and that a channel unit carries a
+// VC of band 0 or of its channel's tree lane, at the unit tryForward
+// addresses for it.
+func (e *Engine) layoutCheck() error {
+	for u, got := range e.units {
+		c := e.unitChan[u]
+		if inj := c < 0 && e.injUnit[e.injEP(int32(u))] == int32(u); (got.minVC == 0) != inj {
+			return fmt.Errorf("sim: unit %d has minVC %d and channel %d: minVC 0 must mark exactly the injection queues", u, got.minVC, c)
+		}
+		if c < 0 {
+			continue
+		}
+		// Band 0 from the channel's unit base, then its tree lane's band.
+		vc, l, at := int32(got.minVC-1), int8(0), e.chanUnit[c]+int32(got.minVC-1)
+		if e.chanLane != nil {
+			l = e.chanLane[c]
+		}
+		if vc >= e.laneEnd[0] {
+			at += e.laneEnd[0] - e.laneBase[l]
+		}
+		if at != int32(u) || vc >= e.laneEnd[l] || vc >= e.laneEnd[0] && vc < e.laneBase[l] {
+			return fmt.Errorf("sim: unit %d carries VC %d of channel %d (unit base %d, lane %d band [%d,%d)): not where tryForward addresses it",
+				u, vc, c, e.chanUnit[c], l, e.laneBase[l], e.laneEnd[l])
+		}
+	}
+	return nil
+}
+
 // slabCheck verifies the packet-id accounting invariant: every id ever
 // created is in exactly one place — the global free stack, a shard's
 // allocation cache or freed journal, a queue, or a mail ring — and every
@@ -326,17 +422,22 @@ func TestGenHeapPackingGuards(t *testing.T) {
 // record is the empty sentinel exactly when its queue is empty, and
 // otherwise equals a fresh reading of the queue's front packet — a stale
 // record would arbitrate a packet that is no longer (or not yet) there —
-// and sends it over a channel, or to an endpoint, of the unit's own router;
-// that minVC == 0 marks exactly the injection queues (tryForward reads
-// injEP on that condition alone); and that a channel unit sits at its
-// channel's unit base plus its VC (tryForward addresses it that way).
+// and sends it over a channel, or to an endpoint, of the unit's own router.
 // Both hold between any two cycles; the property and fuzz tests call it
 // after runs (including terminated-early fault runs where stranded ids
 // legitimately stay in queues) and every few cycles during some.
 func (e *Engine) slabCheck() error {
-	// owner[id] is where id was found: a place kind and its index, so the
-	// walk formats nothing until it reports.
-	type place struct{ kind, idx int32 }
+	return e.slabCheckInto(new([]slabPlace))
+}
+
+// slabPlace is where slabCheck found a packet id: a place kind and its
+// index, so the walk formats nothing until it reports.
+type slabPlace struct{ kind, idx int32 }
+
+// slabCheckInto is slabCheck with its owner table (id -> slabPlace) kept
+// in *owner, so a checker that runs it every cycle reuses one table
+// instead of allocating a slab-sized one per call.
+func (e *Engine) slabCheckInto(buf *[]slabPlace) error {
 	const (
 		inFree = iota + 1
 		inCache
@@ -345,15 +446,19 @@ func (e *Engine) slabCheck() error {
 		inMail
 	)
 	kinds := []string{inFree: "free stack", inCache: "shard %d cache", inFreed: "shard %d freed journal", inQueue: "queue %d", inMail: "mail box %d"}
-	describe := func(p place) string {
+	describe := func(p slabPlace) string {
 		if p.kind == inFree {
 			return kinds[inFree]
 		}
 		return fmt.Sprintf(kinds[p.kind], p.idx)
 	}
-	owner := make([]place, e.pkts.cap())
+	if cap(*buf) < e.pkts.cap() {
+		*buf = make([]slabPlace, e.pkts.cap())
+	}
+	owner := (*buf)[:e.pkts.cap()]
+	clear(owner)
 	claim := func(id int32, kind, idx int) error {
-		where := place{int32(kind), int32(idx)}
+		where := slabPlace{int32(kind), int32(idx)}
 		if id < 0 || int(id) >= len(owner) {
 			return fmt.Errorf("sim: packet id %d outside slab [0,%d) in %s", id, len(owner), describe(where))
 		}
@@ -395,13 +500,6 @@ func (e *Engine) slabCheck() error {
 			return fmt.Errorf("sim: queue %d ends at packet %d, its tail says %d", u, last, q.tail)
 		}
 		got := e.units[u]
-		credit := e.unitCredit[u]
-		if inj := credit < 0 && e.injUnit[e.injEP(int32(u))] == int32(u); (got.minVC == 0) != inj {
-			return fmt.Errorf("sim: unit %d has minVC %d and credit %d: minVC 0 must mark exactly the injection queues", u, got.minVC, credit)
-		}
-		if credit >= 0 && (e.chanUnit[int(credit)/e.vcs]+credit%int32(e.vcs) != int32(u) || int(got.minVC) != int(credit)%e.vcs+1) {
-			return fmt.Errorf("sim: unit %d has credit %d and minVC %d; its channel's unit base is %d", u, credit, got.minVC, e.chanUnit[int(credit)/e.vcs])
-		}
 		if q.head < 0 {
 			if got.next != headEmpty {
 				return fmt.Errorf("sim: unit %d is empty, its head record says next %d", u, got.next)
