@@ -45,6 +45,9 @@ func TrafficSweep(spec *sim.Spec, mode sim.RoutingMode, patternName string, load
 	if err := params.Validate(spec.Config()); err != nil {
 		return nil, err
 	}
+	if err := sim.CheckDegree(spec.Graph); err != nil {
+		return nil, err
+	}
 	if params.Workers <= 0 {
 		params.Workers = runtime.GOMAXPROCS(0)
 	}

@@ -33,33 +33,40 @@ const (
 	headEject = -1 // unitState.rem of a head at its destination router
 )
 
-// setHead points the record at head packet p.
-func (u *unitState) setHead(p *pkt) {
+// setHead points the record at head packet p, queued at a router whose
+// first channel is first.
+func (u *unitState) setHead(p *pkt, first int32) {
 	if p.hop == p.nHops {
 		u.next, u.rem = p.dstEP, headEject
 	} else {
-		u.next, u.rem = p.chans[p.hop], p.nHops-p.hop-1
+		u.next, u.rem = first+int32(p.slots[p.hop]), p.nHops-p.hop-1
 	}
 	u.lane = p.lane
+}
+
+// firstChannel returns the first channel of unit's home router: the base
+// its head packet's next slot is added to.
+func (e *Engine) firstChannel(unit int32) int32 {
+	return int32(e.g.FirstChannel(int(e.unitHome[unit])))
 }
 
 // enqueue appends packet id to unit's queue and lists the unit as active.
 // Owning shard only.
 func (e *Engine) enqueue(sh *shardState, unit, id int32) {
 	if u := &e.units[unit]; u.next == headEmpty {
-		u.setHead(e.pkts.at(id))
+		u.setHead(e.pkts.at(id), e.firstChannel(unit))
 	}
 	e.pkts.push(&e.queues[unit], id)
 	e.markActive(unit, sh)
 }
 
-// popHead removes the head packet of u's queue q and points the record at
-// its successor, if any.
-func (e *Engine) popHead(q *pktQueue, u *unitState) {
+// popHead removes the head packet of unit's queue q and points its record
+// u at the successor, if any.
+func (e *Engine) popHead(unit int32, q *pktQueue, u *unitState) {
 	if e.pkts.pop(q); q.head < 0 {
 		u.next = headEmpty
 	} else {
-		u.setHead(e.pkts.at(q.head))
+		u.setHead(e.pkts.at(q.head), e.firstChannel(unit))
 	}
 }
 
@@ -73,7 +80,7 @@ func (e *Engine) dropHead(sh *shardState, unit int32, u *unitState) {
 	e.fs.retryFrom(sh, id)
 	e.release(sh, unit)
 	sh.freed = append(sh.freed, id)
-	e.popHead(q, u)
+	e.popHead(unit, q, u)
 }
 
 // arbitrateShard is the arbitration phase of one shard: drain the
@@ -216,7 +223,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 		e.release(sh, unit)
 		sh.freed = append(sh.freed, id)
 		u.wake = e.now + 1
-		e.popHead(q, u)
+		e.popHead(unit, q, u)
 		return
 	}
 	c := u.next
@@ -305,7 +312,7 @@ func (e *Engine) tryForward(sh *shardState, sid int, unit int32, u *unitState, S
 	sh.mailOut++
 	e.release(sh, unit)
 	u.wake = e.now + 1
-	e.popHead(q, u)
+	e.popHead(unit, q, u)
 }
 
 // openSpan starts unit's parked span at the attempt that just failed for

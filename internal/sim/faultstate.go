@@ -395,13 +395,9 @@ func (fs *faultState) laneFailover(sh *shardState, unit int32, u *unitState) boo
 		if len(path) == 0 || len(path)-1 > pktStride {
 			continue // lane's tree path is out of bound or crosses a failure
 		}
-		for i := 0; i+1 < len(path); i++ {
-			p.chans[i] = int32(e.channelID(path[i], path[i+1]))
-		}
-		p.nHops = int8(len(path) - 1)
-		p.hop = 0
+		e.setPath(p, path)
 		p.lane = int8(l2)
-		u.setHead(p)
+		u.setHead(p, e.firstChannel(unit))
 		if sh.met != nil && sh.met.laneFailover != nil {
 			sh.met.laneFailover[l2]++
 		}

@@ -24,6 +24,7 @@ type invariants struct {
 	want  []int32     // unit -> flits queued at it or in flight to it
 	sums  []int32     // channel -> occ summed over its units
 	owner []slabPlace // slabCheck's owner table, reused across checks
+	chans []int32     // a lane packet's decoded channels ahead
 
 	// stalls enables the stall oracle: start and startLane hold each
 	// unit's head packet (-1: empty) and its lane when arbitration began
@@ -125,7 +126,9 @@ func (iv *invariants) check() error {
 			}
 		}
 		if p.lane > 0 {
-			for _, c := range p.chans[p.hop:p.nHops] {
+			// slabCheck has decoded every path already; no error here.
+			iv.chans, _ = e.remainingChans(id, unit, iv.chans[:0])
+			for _, c := range iv.chans {
 				if e.chanLane[c] != p.lane {
 					return fmt.Errorf("sim: lane %d packet %d has channel %d of lane %d ahead", p.lane, id, c, e.chanLane[c])
 				}

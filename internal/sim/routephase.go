@@ -21,7 +21,7 @@ func (e *Engine) refillIDs() {
 }
 
 // routeShard is the routing phase of one shard: route every pending
-// packet, resolve the vertex path to channel ids once into a freshly
+// packet, resolve the vertex path to adjacency slots once into a freshly
 // allocated slab id, and enqueue the id on the source endpoint's
 // injection queue. Occupancy reads (UGAL) see the stable previous-cycle
 // state; the per-packet seed makes the result independent of how packets
@@ -68,15 +68,7 @@ func (e *Engine) routeShard(sh *shardState) {
 		id := sh.freeIDs[len(sh.freeIDs)-1]
 		sh.freeIDs = sh.freeIDs[:len(sh.freeIDs)-1]
 		p := e.pkts.at(id)
-		for i := 0; i+1 < len(path); i++ {
-			c := e.channelID(path[i], path[i+1])
-			if c < 0 {
-				panic("sim: packet path uses a non-edge")
-			}
-			p.chans[i] = int32(c)
-		}
-		p.nHops = int8(max(len(path)-1, 0))
-		p.hop = 0
+		e.setPath(p, path)
 		p.gen = pi.gen
 		p.dstEP = pi.dst
 		p.srcEP = pi.ep

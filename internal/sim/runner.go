@@ -215,6 +215,9 @@ func RunPoint(ctx context.Context, spec *Spec, mode RoutingMode, patternName str
 	if err := params.Validate(cfg); err != nil {
 		return Result{}, err
 	}
+	if err := CheckDegree(spec.Graph); err != nil {
+		return Result{}, err
+	}
 	if params.Workers <= 0 {
 		params.Workers = runtime.GOMAXPROCS(0)
 	}

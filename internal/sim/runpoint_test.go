@@ -2,9 +2,13 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
+
+	"polarstar/internal/graph"
 )
 
 // TestParamsValidate pins the untrusted-input contract: every parameter
@@ -41,6 +45,47 @@ func TestParamsValidate(t *testing.T) {
 		if err := p.Validate(cfg); err == nil {
 			t.Errorf("%s: accepted %+v", name, p)
 		}
+	}
+}
+
+// TestDegreeGuard pins the one graph limit of the packet record: hops are
+// one-byte adjacency slots, so a router of degree 300 is refused — as an
+// error by CheckDegree and RunPoint, and by a descriptive panic from
+// NewEngine — while a star of degree 255, whose hub uses slot 254, runs.
+func TestDegreeGuard(t *testing.T) {
+	star := func(leaves int) *Spec {
+		b := graph.NewBuilder(fmt.Sprintf("star-%d", leaves), leaves+1)
+		for v := 1; v <= leaves; v++ {
+			b.AddEdge(0, v)
+		}
+		return tableSpec(fmt.Sprintf("star-%d", leaves), b.Build(), 1)
+	}
+	p := DefaultParams(1)
+	p.SetCycles(300)
+
+	wide := star(300)
+	if err := CheckDegree(wide.Graph); err == nil || !strings.Contains(err.Error(), "degree 300") {
+		t.Errorf("CheckDegree(star-300) = %v, want a degree 300 error", err)
+	}
+	if _, err := RunPoint(context.Background(), wide, MIN, "uniform", 0.1, p); err == nil || !strings.Contains(err.Error(), "degree 300") {
+		t.Errorf("RunPoint(star-300) = %v, want a degree 300 error", err)
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "degree 300") {
+				t.Errorf("NewEngine(star-300) panicked with %q, want a degree 300 message", msg)
+			}
+		}()
+		NewEngine(p, wide.Graph, wide.Config(), wide.MinRouting(), must(wide.Pattern("uniform", p.Seed)))
+	}()
+
+	full := star(255)
+	if err := CheckDegree(full.Graph); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunPoint(context.Background(), full, MIN, "uniform", 0.1, p)
+	if err != nil || res.DeliveredFrac == 0 {
+		t.Errorf("RunPoint(star-255) = %+v, %v: want packets delivered through slot 254", res, err)
 	}
 }
 

@@ -22,7 +22,7 @@
 // aggregation. See DESIGN.md §7 for the semantics and the
 // deadlock-equivalence argument.
 //
-// Packet state lives in a slab of 64-byte records linked into queues
+// Packet state lives in a slab of 32-byte records linked into queues
 // (store.go), arbitration decides from a dense per-unit record of each
 // queue's head (arbitrate.go) and cycles with no possible work are
 // skipped outright by the event-horizon advance (horizon.go); DESIGN.md
@@ -206,8 +206,8 @@ type Engine struct {
 	// Path→channel resolution and UGAL occupancy scoring perform one
 	// lookup per hop per packet — tens of millions per run — so the n²
 	// bytes (1.1 MB for the Table-3 PolarStar) beat the per-call binary
-	// search. nil above the size cap (huge design-space graphs) and for
-	// degrees a byte cannot hold.
+	// search. nil above the size cap (huge design-space graphs). Slots
+	// stay below 0xff: CheckDegree caps the degree at 255.
 	chanSlot []uint8
 
 	// Queues ("units"): per channel per VC input queues at the channel's
@@ -402,8 +402,9 @@ type parkSpan struct {
 // NewEngine builds a simulator for graph g with the endpoint arrangement
 // described by cfg. It panics with a descriptive error when the
 // configuration overflows the generation calendar's packed
-// (cycle<<epBits | endpoint) representation — a hard structural limit
-// that would otherwise corrupt results silently.
+// (cycle<<epBits | endpoint) representation, or g has a router of more
+// than 255 neighbours (CheckDegree) — hard structural limits that would
+// otherwise corrupt results silently.
 func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routing, pattern traffic.Pattern) *Engine {
 	cfg.Routers = g.N()
 	if eps := cfg.Endpoints(); eps >= maxEndpoint {
@@ -413,6 +414,9 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 	if total := int64(params.Warmup) + int64(params.Measure) + int64(params.Drain); total >= maxCycle {
 		panic(fmt.Sprintf("sim: %d total cycles overflow the generation calendar's packed cycle field (max %d)",
 			total, maxCycle-1))
+	}
+	if err := CheckDegree(g); err != nil {
+		panic(err.Error())
 	}
 	e := &Engine{
 		p:       params,
@@ -457,7 +461,7 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 	nChans := g.NumChannels()
 	e.busy = make([]int64, nChans)
 	e.occSum = make([]int32, nChans)
-	if n*n <= 1<<22 && g.MaxDegree() < 0xff { // ≤ 4 MB; covers every Table-3 configuration
+	if n*n <= 1<<22 { // ≤ 4 MB; covers every Table-3 configuration
 		e.chanSlot = bytes.Repeat([]byte{0xff}, n*n)
 		for u := 0; u < n; u++ {
 			for k, w := range g.Neighbors(u) {

@@ -226,13 +226,46 @@ func failoverPlan(t *testing.T) *Plan {
 	return plan
 }
 
+// TestSlabGrowsByTheChunk pins the slab's growth on fig_sweep's heaviest
+// point (ps-iq-small, UGAL, adversarial, load 0.7, its 250/500/1000-cycle
+// windows and seed), where the backlog keeps growing to the horizon: the
+// slab never holds more than the peak live id count rounded up to one
+// chunk. Live ids are counted between the routing and the arbitration
+// phase, when every id handed out this cycle is on a queue or in flight
+// and none has been freed yet.
+func TestSlabGrowsByTheChunk(t *testing.T) {
+	spec := must(NewSpec("ps-iq-small"))
+	p := DefaultParams(1 + 2*7919) // fig_sweep's seed for its third load at -seed 1
+	p.Warmup, p.Measure, p.Drain = 250, 500, 1000
+	eng := NewEngine(p, spec.Graph, spec.Config(), must(spec.Routing(UGALMode, p)), must(spec.Pattern("adversarial", p.Seed)))
+	peak := 0
+	probe := func() {
+		live := eng.pkts.cap() - len(eng.pkts.free)
+		for _, sh := range eng.shards {
+			live -= len(sh.freeIDs)
+		}
+		peak = max(peak, live)
+	}
+	bound := func() int { return (peak + pktChunk - 1) / pktChunk * pktChunk }
+	res := runChecking(t, eng, 0.7, 1, probe, func() error {
+		if c := eng.pkts.cap(); c > bound() {
+			return fmt.Errorf("slab holds %d ids, peak live %d rounds up to %d", c, peak, bound())
+		}
+		return nil
+	})
+	t.Logf("slab %d ids, peak live %d, backlog %d", eng.pkts.cap(), peak, res.Backlog)
+	if !res.Saturated || peak < 64*pktChunk {
+		t.Fatalf("peak live %d ids, result %+v: the point must saturate to pin anything", peak, res)
+	}
+}
+
 // TestRecordSizes pins the layouts arbitration's memory traffic and the
-// engine's footprint rest on: a packet is one cache line, and a unit's
+// engine's footprint rest on: a packet is half a cache line, and a unit's
 // head record and queue cost 16 and 8 bytes however many VCs multiply the
 // unit count.
 func TestRecordSizes(t *testing.T) {
-	if n := unsafe.Sizeof(pkt{}); n != 64 {
-		t.Errorf("pkt is %d bytes, want 64", n)
+	if n := unsafe.Sizeof(pkt{}); n != 32 {
+		t.Errorf("pkt is %d bytes, want 32", n)
 	}
 	if n := unsafe.Sizeof(unitState{}); n != 16 {
 		t.Errorf("unitState is %d bytes, want 16", n)
@@ -412,6 +445,30 @@ func (e *Engine) layoutCheck() error {
 	return nil
 }
 
+// remainingChans decodes the channels packet id has still to cross,
+// queued on (or in flight to) unit, appending them to buf: its slots from
+// hop on, starting at the unit's home router. Every slot must be below the
+// degree of the router it leaves, and the walk must end at the router of
+// the packet's destination endpoint.
+func (e *Engine) remainingChans(id, unit int32, buf []int32) ([]int32, error) {
+	p := e.pkts.at(id)
+	r := int(e.unitHome[unit])
+	for i := p.hop; i < p.nHops; i++ {
+		s := int(p.slots[i])
+		if s >= e.g.Degree(r) {
+			return buf, fmt.Errorf("sim: packet %d on unit %d: hop %d leaves router %d by slot %d, past its degree %d", id, unit, i, r, s, e.g.Degree(r))
+		}
+		c := e.g.FirstChannel(r) + s
+		buf = append(buf, int32(c))
+		r = e.g.ChannelTo(c)
+	}
+	if dst := e.cfg.RouterOf(int(p.dstEP)); r != dst {
+		return buf, fmt.Errorf("sim: packet %d on unit %d: its slots from hop %d of %d end at router %d, its destination endpoint %d is at router %d",
+			id, unit, p.hop, p.nHops, r, p.dstEP, dst)
+	}
+	return buf, nil
+}
+
 // slabCheck verifies the packet-id accounting invariant: every id ever
 // created is in exactly one place — the global free stack, a shard's
 // allocation cache or freed journal, a queue, or a mail ring — and every
@@ -423,9 +480,12 @@ func (e *Engine) layoutCheck() error {
 // otherwise equals a fresh reading of the queue's front packet — a stale
 // record would arbitrate a packet that is no longer (or not yet) there —
 // and sends it over a channel, or to an endpoint, of the unit's own router.
-// Both hold between any two cycles; the property and fuzz tests call it
-// after runs (including terminated-early fault runs where stranded ids
-// legitimately stay in queues) and every few cycles during some.
+// Every queued and in-flight packet's remaining slots decode, from its
+// unit's home router, to a walk that ends at its destination's router
+// (remainingChans). All of it holds between any two cycles; the property
+// and fuzz tests call it after runs (including terminated-early fault
+// runs where stranded ids legitimately stay in queues) and every few
+// cycles during some.
 func (e *Engine) slabCheck() error {
 	return e.slabCheckInto(new([]slabPlace))
 }
@@ -494,6 +554,9 @@ func (e *Engine) slabCheckInto(buf *[]slabPlace) error {
 			if err := claim(id, inQueue, u); err != nil {
 				return err
 			}
+			if _, err := e.remainingChans(id, int32(u), nil); err != nil {
+				return err
+			}
 			n, last = n+1, id
 		}
 		if n > 0 && q.tail != last {
@@ -507,7 +570,7 @@ func (e *Engine) slabCheckInto(buf *[]slabPlace) error {
 			continue
 		}
 		want := got
-		want.setHead(e.pkts.at(q.head))
+		want.setHead(e.pkts.at(q.head), e.firstChannel(int32(u)))
 		if got != want {
 			return fmt.Errorf("sim: unit %d (queue length %d) has head record {next %d rem %d lane %d}, its queue says {next %d rem %d lane %d}",
 				u, n, got.next, got.rem, got.lane, want.next, want.rem, want.lane)
@@ -525,6 +588,9 @@ func (e *Engine) slabCheckInto(buf *[]slabPlace) error {
 	for i := range e.mail {
 		for _, a := range e.mail[i] {
 			if err := claim(a.id, inMail, i); err != nil {
+				return err
+			}
+			if _, err := e.remainingChans(a.id, a.unit, nil); err != nil {
 				return err
 			}
 		}

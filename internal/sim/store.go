@@ -1,6 +1,8 @@
 package sim
 
-// Packet storage. A packet is a recycled int32 id into a slab of 64-byte
+import "slices"
+
+// Packet storage. A packet is a recycled int32 id into a slab of 32-byte
 // records; a queue links its ids through a 4-byte per-id link, and a mail
 // ring moves 8 bytes per packet. Arbitration decides from each unit's
 // 16-byte head record (arbitrate.go), not from the slab: a grant, drop or
@@ -25,21 +27,43 @@ package sim
 // it (the hop cursor on a grant, the path on a lane failover, the link on
 // a push), handed over through the mail rings across the phase barrier.
 
-// pktStride is the per-packet channel-id capacity: one slot per link of
-// the longest representable path.
+// pktStride is the per-packet hop capacity: one slot per link of the
+// longest representable path.
 const pktStride = MaxPathNodes - 1
 
-// pkt is one packet: 64 bytes, so the path and the cursor into it share
-// a cache line (chunks are page-aligned).
+// pkt is one packet: 32 bytes, two to a cache line (chunks are
+// page-aligned). A hop is stored as the adjacency slot it leaves by, not
+// as a channel id: hop i leaves the router holding the packet — the home
+// router of the unit it is queued on — through channel
+// FirstChannel(router)+slots[i], so a byte suffices up to degree 255
+// (NewEngine rejects larger ones, CheckDegree).
 type pkt struct {
-	chans   [pktStride]int32 // channel id of hop i
-	dstEP   int32            // destination endpoint
 	gen     int64            // generation cycle: latency base, and measured iff inside the window
+	dstEP   int32            // destination endpoint
 	srcEP   int32            // source endpoint: the re-injection point under faults
-	nHops   int8             // channels on the path; 0 = source == destination router
-	hop     int8             // channels already traversed; ejects at hop == nHops
+	slots   [pktStride]uint8 // adjacency slot of hop i at the router it leaves
+	nHops   int8             // links on the path; 0 = source == destination router
+	hop     int8             // links already traversed; ejects at hop == nHops
 	lane    int8             // routing lane: 0 = minimal band, 1.. = tree lanes (multipath only)
 	retries uint8            // source retries already consumed (faults only)
+}
+
+// maxDegree is the largest router degree a slot byte addresses.
+const maxDegree = 255
+
+// setPath stores the router path in p as adjacency slots, the one place
+// a path is encoded (unitState.setHead decodes it), and rewinds p to its
+// first hop. An empty path has no hops.
+func (e *Engine) setPath(p *pkt, path []int) {
+	for i := 0; i+1 < len(path); i++ {
+		c := e.channelID(path[i], path[i+1])
+		if c < 0 {
+			panic("sim: packet path uses a non-edge")
+		}
+		p.slots[i] = uint8(c - e.g.FirstChannel(path[i]))
+	}
+	p.nHops = int8(max(len(path)-1, 0))
+	p.hop = 0
 }
 
 // The slab grows by whole chunks and never moves a record: an array
@@ -50,8 +74,8 @@ const (
 	pktChunk     = 1 << pktChunkBits
 )
 
-// slabChunk is one slab chunk: 64 KB of records, then their queue links
-// (kept out of the records so a record stays one cache line).
+// slabChunk is one slab chunk: 32 KB of records, then their queue links
+// (kept out of the records so two records share a cache line).
 type slabChunk struct {
 	recs [pktChunk]pkt
 	next [pktChunk]int32 // id behind this one in its queue; -1 at the tail
@@ -62,7 +86,7 @@ type pktStore struct {
 	chunks []*slabChunk
 
 	// free is the global id stack. Serial sections only: refillIDs pops,
-	// commit and the fault paths push. Capacity always equals the slab
+	// commit and the fault paths push. Capacity is at least the slab
 	// capacity, so pushes never reallocate.
 	free []int32
 }
@@ -80,17 +104,17 @@ func (st *pktStore) link(id int32) *int32 {
 // cap returns the slab capacity (ids ever created).
 func (st *pktStore) cap() int { return len(st.chunks) * pktChunk }
 
-// grow extends the slab so at least n more ids are free, growing
-// geometrically to amortize the free stack's reallocation. Serial
-// sections only.
+// grow extends the slab by the whole chunks that make at least n more
+// ids free. Chunks never move, so there is nothing to amortize: the slab
+// ends a run at most one chunk above its peak live count. Only the free
+// stack's capacity grows geometrically (append), so it is not copied
+// chunk by chunk. Serial sections only.
 func (st *pktStore) grow(n int) {
-	n = max(n, st.cap()/2)
 	old := st.cap()
 	for c := (n + pktChunk - 1) / pktChunk; c > 0; c-- {
 		st.chunks = append(st.chunks, new(slabChunk))
 	}
-	free := make([]int32, len(st.free), st.cap())
-	copy(free, st.free)
+	free := slices.Grow(st.free, st.cap()-len(st.free))
 	// Hand out low ids first (descending push, LIFO pop) to keep the
 	// working set compact.
 	for id := st.cap() - 1; id >= old; id-- {

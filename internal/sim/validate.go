@@ -44,6 +44,20 @@ func (p Params) Validate(cfg traffic.Config) error {
 	return nil
 }
 
+// CheckDegree reports whether g's routers are within the simulator's
+// degree limit: a packet stores each hop as a one-byte adjacency slot
+// (store.go), so no router may have more than 255 neighbours. NewEngine
+// panics with the same message; RunPoint and faults.TrafficSweep return
+// it as an error. Params.Validate cannot check it, since it sees the
+// endpoint arrangement but not the graph.
+func CheckDegree(g *graph.Graph) error {
+	if d := g.MaxDegree(); d > maxDegree {
+		return fmt.Errorf("sim: %s has a router of degree %d; packets address hops by one-byte adjacency slots, so the simulator takes degree <= %d",
+			g.Name(), d, maxDegree)
+	}
+	return nil
+}
+
 // CheckReachable verifies that the traffic pattern only addresses
 // endpoint pairs whose routers are connected in g, so a sweep on a
 // disconnected spec fails fast with a descriptive error instead of
