@@ -79,9 +79,10 @@ type Dragonfly struct {
 // NewDragonfly builds the Dragonfly minimal router. The canonical
 // arrangement makes analytic slot lookup possible, but group sizes are
 // tiny, so a table over the switch graph keeps the implementation exact
-// while the hierarchical structure bounds paths at 3 hops.
+// while the hierarchical structure bounds paths at 3 hops. The table is
+// built on the first route (NewTableOnDemand).
 func NewDragonfly(df *topo.Dragonfly) *Dragonfly {
-	return &Dragonfly{df: df, t: NewTable(df.G, AllMinPaths)}
+	return &Dragonfly{df: df, t: NewTableOnDemand(df.G, AllMinPaths)}
 }
 
 // Dist implements Engine.
@@ -149,9 +150,10 @@ type Megafly struct {
 	t  *Table
 }
 
-// NewMegafly builds the Megafly minimal router.
+// NewMegafly builds the Megafly minimal router; its table is built on
+// the first route (NewTableOnDemand).
 func NewMegafly(mf *topo.Megafly) *Megafly {
-	return &Megafly{mf: mf, t: NewTable(mf.G, AllMinPaths)}
+	return &Megafly{mf: mf, t: NewTableOnDemand(mf.G, AllMinPaths)}
 }
 
 // Dist implements Engine.

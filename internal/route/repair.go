@@ -19,8 +19,9 @@ import (
 // repair: DropEdge on the clone leaves the original (typically shared by
 // a Spec across runs) untouched.
 func (t *Table) Clone() *Table {
-	c := *t
 	slab := append([]uint8(nil), t.Slab()...)
+	c := *t
+	c.fill = nil
 	c.dist, c.masks = slab[:len(t.dist)], slab[len(t.dist):]
 	return &c
 }
@@ -31,7 +32,7 @@ func (t *Table) Clone() *Table {
 // unreachable pairs read distance -1 and empty masks, exactly as a
 // rebuild would produce.
 func (t *Table) DropEdge(u, v int) {
-	if !t.g.HasEdge(u, v) {
+	if !t.filled().g.HasEdge(u, v) {
 		return
 	}
 	n := t.g.N()

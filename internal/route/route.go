@@ -49,6 +49,8 @@ func Path(e Engine, src, dst int, rng *rand.Rand) []int {
 type Table struct {
 	g    *graph.Graph
 	mode TableMode
+	fill *sync.Once // NewTableOnDemand: builds dist and masks on first use (nil: built eagerly)
+
 	dist []uint8 // n*n hop distances, 0xff unreachable
 
 	// Minimal next hops as adjacency-slot bitmasks, destination-major:
@@ -73,21 +75,54 @@ const (
 
 // NewTable builds the all-pairs table for g. Distances are limited to
 // 254 (far beyond every evaluated configuration); a graph with a longer
-// shortest path panics.
+// shortest path panics. The build is eager: callers that time it
+// (route.table_build in the benchmark) or rebuild tables per fault trial
+// pay it here. A spec that may never route uses NewTableOnDemand.
 func NewTable(g *graph.Graph, mode TableMode) *Table {
 	return NewTableInto(g, mode, nil)
 }
 
 // NewTableInto is NewTable reusing slab as the table backing when it has
 // sufficient capacity (pass the Slab of a dead Table to rebuild routing
-// tables across fault trials without reallocating).
+// tables across fault trials without reallocating). It builds eagerly,
+// as NewTable does.
 func NewTableInto(g *graph.Graph, mode TableMode, slab []uint8) *Table {
+	t := &Table{g: g, mode: mode}
+	t.build(slab)
+	return t
+}
+
+// NewTableOnDemand returns the table NewTable would build, filled by the
+// same code on the first call of any method that reads routing state
+// (concurrent first callers wait for the one build). Structural tools
+// construct specs — the Fig 12/14 figures, bisection, graph search —
+// without ever routing on them, and the all-pairs fill is most of such
+// a spec's construction time and memory. A graph with a shortest path
+// beyond 254 hops panics on first use instead of here.
+func NewTableOnDemand(g *graph.Graph, mode TableMode) *Table {
+	return &Table{g: g, mode: mode, fill: new(sync.Once)}
+}
+
+// filled returns t with its routing state built; every reader of dist
+// or masks goes through it.
+func (t *Table) filled() *Table {
+	if t.fill != nil {
+		t.fillOnce() // out of line, so filled inlines into every reader
+	}
+	return t
+}
+
+func (t *Table) fillOnce() { t.fill.Do(func() { t.build(nil) }) }
+
+// build fills the table from t.g into slab (reallocated when too small).
+func (t *Table) build(slab []uint8) {
+	g := t.g
 	n := g.N()
 	mb := (g.MaxDegree() + 7) / 8
 	if size := n * n * (1 + mb); cap(slab) < size {
 		slab = make([]uint8, size)
 	}
-	t := &Table{g: g, mode: mode, mb: mb, dist: slab[:n*n], masks: slab[n*n : n*n*(1+mb)]}
+	t.mb, t.dist, t.masks = mb, slab[:n*n], slab[n*n:n*n*(1+mb)]
 	// Distances are symmetric, so the kernel batch from destinations
 	// base…base+63 writes their dist columns in place (vertex-major,
 	// stride n) and its arc record gives their masks rows. Batches are
@@ -111,7 +146,6 @@ func NewTableInto(g *graph.Graph, mode TableMode, slab []uint8) *Table {
 	if long.Load() {
 		panic(fmt.Sprintf(tooLong, g))
 	}
-	return t
 }
 
 // tooLong is the panic of a table whose graph has a shortest path that a
@@ -192,7 +226,10 @@ func transposeSlots(w *[8]uint64) {
 // NewTableInto (dist is the head of that backing, masks the rest of its
 // length). The table must not be used after its slab has been handed to a
 // new table.
-func (t *Table) Slab() []uint8 { return t.dist[:len(t.dist)+len(t.masks)] }
+func (t *Table) Slab() []uint8 {
+	t.filled()
+	return t.dist[:len(t.dist)+len(t.masks)]
+}
 
 // Mode returns the table's minpath-diversity mode.
 func (t *Table) Mode() TableMode { return t.mode }
@@ -203,7 +240,7 @@ func (t *Table) Mode() TableMode { return t.mode }
 // applies once links fail).
 func (t *Table) MaxDist() int {
 	max := 0
-	for _, d := range t.dist {
+	for _, d := range t.filled().dist {
 		if d != 0xff && int(d) > max {
 			max = int(d)
 		}
@@ -213,7 +250,7 @@ func (t *Table) MaxDist() int {
 
 // Dist implements Engine.
 func (t *Table) Dist(src, dst int) int {
-	d := t.dist[src*t.g.N()+dst]
+	d := t.filled().dist[src*t.g.N()+dst]
 	if d == 0xff {
 		return -1
 	}
@@ -228,7 +265,7 @@ func (t *Table) AppendPath(buf []int, src, dst int, rng *rand.Rand) []int {
 	if src == dst {
 		return buf
 	}
-	mb, single := t.mb, t.mode == SinglePath
+	mb, single := t.filled().mb, t.mode == SinglePath
 	base := dst * t.g.N() * mb
 	buf = append(buf, src)
 	for cur := src; cur != dst; {

@@ -85,3 +85,17 @@ func BenchmarkEdgeDisjointPaths(b *testing.B) {
 		_ = EdgeDisjointPaths(ps.G, 0, ps.G.N()-1, 0)
 	}
 }
+
+// BenchmarkEDSTBuild1k is the repo benchmark's call/edst_1k unit: three
+// edge-disjoint BFS-tree lanes on PolarStar-IQ(11,3), 1 064 routers.
+func BenchmarkEDSTBuild1k(b *testing.B) {
+	ps := topo.MustNewPolarStar(11, 3, topo.KindIQ)
+	min := NewPolarStar(ps)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewMultiPath(ps.G, min, 3, 0, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -269,6 +269,16 @@ type bfsTreesState struct {
 	heads   []int     // per tree: scan cursor into queues
 	reached []int
 	stuck   []bool
+
+	// reattach's scratch, n entries each (kidAt n+1). Between calls inB
+	// is all false and ecc all -1: a call resets only B's entries.
+	inB   []bool
+	ecc   []int32 // ecc_B(a) of a candidate a, -1 until computed
+	dist  []int32 // one ecc_B BFS's distances, valid on B only
+	kidAt []int32 // t2's children of v are kids[kidAt[v]:kidAt[v+1]]
+	kids  []int32
+	order []int32 // B in BFS order from its root
+	queue []int32 // ecc_B BFS queue
 }
 
 func (st *bfsTreesState) init() {
@@ -286,6 +296,14 @@ func (st *bfsTreesState) init() {
 		st.queues[t] = []int32{int32(st.root)}
 		st.reached[t] = 1
 	}
+	st.inB = make([]bool, st.n)
+	st.ecc = make([]int32, st.n)
+	for i := range st.ecc {
+		st.ecc[i] = -1
+	}
+	st.dist = make([]int32, st.n)
+	st.kidAt = make([]int32, st.n+1)
+	st.kids = make([]int32, st.n)
 }
 
 func (st *bfsTreesState) complete() bool {
@@ -341,7 +359,7 @@ func (st *bfsTreesState) grow() {
 				if adopted {
 					break
 				}
-				st.heads[t]++ // u exhausted; only repairOnce can re-open it
+				st.heads[t]++ // u exhausted for good: see repairOnce
 			}
 			if adopted {
 				progressed = true
@@ -359,16 +377,17 @@ func (st *bfsTreesState) grow() {
 // edge (u,v) (u in t, v not); its owner t2 holds it as a tree edge whose
 // removal splits off subtree B. If some unclaimed edge (a,b) re-attaches
 // B (a in B, b in the rest of t2), t2 is rewired over (a,b), (u,v) is
-// freed and t adopts v through it. Returns whether any exchange was
-// made; on success the stuck flags and scan cursors reset so growth can
-// resume (an edge was unclaimed, adoptable sets grew back).
+// handed to t and t adopts v through it. Returns whether any exchange
+// was made; on success the stuck flags reset so growth can resume.
+//
+// The scan cursors survive: an exchange unclaims no edge ((u,v) passes
+// from t2 to t, (a,b) is newly claimed), leaves t2's vertex set as it
+// was and only adds v to t, so a queue vertex grow found exhausted —
+// every edge out of it claimed or leading into its own tree — stays so.
 func (st *bfsTreesState) repairOnce() bool {
 	for t := 0; t < st.k; t++ {
 		if st.stuck[t] && st.reached[t] < st.n && st.tryExchange(t) {
-			for i := range st.stuck {
-				st.stuck[i] = false
-				st.heads[i] = 0
-			}
+			clear(st.stuck)
 			return true
 		}
 	}
@@ -418,63 +437,53 @@ func (st *bfsTreesState) tryExchange(t int) bool {
 // edge child—parent[child], which is exU—exV) and re-attaches it through
 // an unclaimed edge into the rest of t2, re-rooting B at the new
 // attachment point. Among all candidate edges (a in B, b in the rest of
-// t2) it picks the one minimising the re-attached subtree's deepest
+// t2) it picks the first, in B's BFS order (children in ascending id)
+// and a's neighbour order, minimising the re-attached subtree's deepest
 // vertex (depth(b) + 1 + ecc_B(a)) — unguided repairs chain subtrees
 // into deep paths that are useless as bounded-length lanes. Returns
 // false, leaving t2 untouched, if no candidate edge exists.
 func (st *bfsTreesState) reattach(t2, child, exU, exV int) bool {
-	g := st.g
-	inB := make([]bool, st.n)
-	order := []int32{int32(child)}
-	inB[child] = true
-	kids := make([][]int32, st.n)
-	for v := 0; v < st.n; v++ {
-		if p := st.parent[t2][v]; p >= 0 {
-			kids[p] = append(kids[p], int32(v))
+	g, par := st.g, st.parent[t2]
+	// t2's children lists, ascending, by a counting sort over parents:
+	// after the prefix sums kidAt[p] is p's start offset, the fill
+	// advances it to p's end (p+1's start), and a shift by one slot
+	// restores the starts.
+	at := st.kidAt
+	clear(at)
+	for _, p := range par {
+		if p >= 0 {
+			at[p+1]++
 		}
 	}
+	for v := 1; v <= st.n; v++ {
+		at[v] += at[v-1]
+	}
+	for v, p := range par {
+		if p >= 0 {
+			st.kids[at[p]] = int32(v)
+			at[p]++
+		}
+	}
+	copy(at[1:], at[:st.n])
+	at[0] = 0
+
+	order := append(st.order[:0], int32(child))
+	st.inB[child] = true
 	for head := 0; head < len(order); head++ {
-		for _, c := range kids[order[head]] {
-			inB[c] = true
+		x := order[head]
+		for _, c := range st.kids[at[x]:at[x+1]] {
+			st.inB[c] = true
 			order = append(order, c)
 		}
 	}
-	// Depths of the surviving part of t2 (B's depths are about to change).
-	depth2 := (&SpanningTree{Parent: st.parent[t2]}).Depths()
-	// Tree adjacency inside B, for per-candidate eccentricity.
-	adjB := make([][]int32, st.n)
-	for _, x := range order {
-		if int(x) == child {
-			continue
-		}
-		p := st.parent[t2][x]
-		adjB[x] = append(adjB[x], p)
-		adjB[p] = append(adjB[p], x)
-	}
-	eccB := func(a int32) int {
-		dist := make([]int32, st.n)
+	st.order = order
+	defer func() {
 		for _, x := range order {
-			dist[x] = -1
+			st.inB[x], st.ecc[x] = false, -1
 		}
-		dist[a] = 0
-		q := []int32{a}
-		far := 0
-		for head := 0; head < len(q); head++ {
-			u := q[head]
-			for _, w := range adjB[u] {
-				if dist[w] < 0 {
-					dist[w] = dist[u] + 1
-					if int(dist[w]) > far {
-						far = int(dist[w])
-					}
-					q = append(q, w)
-				}
-			}
-		}
-		return far
-	}
+	}()
+
 	bestA, bestB, bestScore := -1, -1, 0
-	eccCache := make(map[int32]int, len(order))
 	for _, a32 := range order {
 		a := int(a32)
 		first := g.FirstChannel(a)
@@ -484,15 +493,19 @@ func (st *bfsTreesState) reattach(t2, child, exU, exV int) bool {
 				continue
 			}
 			b := int(nbrs[kk])
-			if inB[b] || st.parent[t2][b] == -2 {
+			if st.inB[b] || par[b] == -2 {
 				continue
 			}
-			ecc, ok := eccCache[a32]
-			if !ok {
-				ecc = eccB(a32)
-				eccCache[a32] = ecc
+			if st.ecc[a] < 0 {
+				st.ecc[a] = st.eccB(a32, child, par)
 			}
-			score := int(depth2[b]) + 1 + ecc
+			// b's depth in the surviving part of t2: its ancestors are
+			// outside B, so B's re-rooting does not change it.
+			depth := 0
+			for x := par[b]; x >= 0; x = par[x] {
+				depth++
+			}
+			score := depth + 1 + int(st.ecc[a])
 			if bestA < 0 || score < bestScore {
 				bestA, bestB, bestScore = a, b, score
 			}
@@ -504,8 +517,8 @@ func (st *bfsTreesState) reattach(t2, child, exU, exV int) bool {
 	// Re-root B at bestA: reverse the parent chain bestA → child.
 	prev, cur := int32(bestB), int32(bestA)
 	for {
-		next := st.parent[t2][cur]
-		st.parent[t2][cur] = prev
+		next := par[cur]
+		par[cur] = prev
 		if int(cur) == child {
 			break
 		}
@@ -514,6 +527,34 @@ func (st *bfsTreesState) reattach(t2, child, exU, exV int) bool {
 	st.claim(bestA, bestB)
 	st.unclaim(exU, exV)
 	return true
+}
+
+// eccB returns a's eccentricity in B, the subtree of t2 (parent array
+// par) rooted at child that st.order lists: a BFS over B's tree edges,
+// each B vertex's children and, below child, its parent.
+func (st *bfsTreesState) eccB(a int32, child int, par []int32) int32 {
+	dist, at := st.dist, st.kidAt
+	for _, x := range st.order {
+		dist[x] = -1
+	}
+	dist[a] = 0
+	q := append(st.queue[:0], a)
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		du := dist[u] + 1
+		for _, w := range st.kids[at[u]:at[u+1]] {
+			if dist[w] < 0 {
+				dist[w] = du
+				q = append(q, w)
+			}
+		}
+		if p := par[u]; int(u) != child && dist[p] < 0 {
+			dist[p] = du
+			q = append(q, p)
+		}
+	}
+	st.queue = q
+	return dist[q[len(q)-1]]
 }
 
 // recenter re-roots a spanning tree (given as a parent array it takes

@@ -21,8 +21,10 @@ func (t *Table) StateBytes() int64 {
 // arrays — the number a serving layer charges against its resident-spec
 // budget. Unlike StateBytes (the paper's storage model) this counts what
 // the process really holds: the distance matrix plus the next-hop masks,
-// ⌈max degree / 8⌉ bytes per pair.
+// ⌈max degree / 8⌉ bytes per pair. It builds an on-demand table, so the
+// number charged is memory held.
 func (t *Table) MemBytes() int64 {
+	t.filled()
 	return int64(len(t.dist) + len(t.masks))
 }
 
@@ -31,7 +33,7 @@ func (t *Table) MemBytes() int64 {
 // paper attributes to SF/BF MIN routing: one per set mask bit.
 func (t *Table) NextHopEntries() int64 {
 	var total int64
-	for _, b := range t.masks {
+	for _, b := range t.filled().masks {
 		total += int64(bits.OnesCount8(b))
 	}
 	return total

@@ -119,10 +119,12 @@ func graphHash(spec *sim.Spec) string {
 }
 
 // specBytes estimates the resident footprint of a built spec: the
-// adjacency CSR plus whatever routing state the MIN engine actually
-// holds (route.Table reports its arrays via MemBytes; the analytic
-// PolarStar router holds only factor-graph state and reports nothing
-// here).
+// adjacency CSR plus whatever routing state the MIN engine holds
+// (route.Table reports its arrays via MemBytes; the analytic PolarStar
+// router holds only factor-graph state and reports nothing here).
+// Table-routed specs build their table on first use, and charging one
+// builds it: every cached spec is about to run, so the build happens
+// here rather than in the first run, and the charge is memory held.
 func specBytes(spec *sim.Spec) int64 {
 	bytes := 4 * int64(spec.Graph.NumChannels()) // adjacency CSR
 	if m, ok := spec.MinEngine.(interface{ MemBytes() int64 }); ok {

@@ -303,18 +303,20 @@ func lpsSpec(name string, pp, q, p int) (*Spec, error) {
 }
 
 // tableSpec is a spec routed by an all-minpath table, every router its
-// own group; the table's largest distance is the diameter, which bounds
-// every minimal path.
+// own group. The table is built on the spec's first route: structural
+// tools construct specs they never route on. The largest finite distance
+// bounds every minimal path; the bit-parallel all-pairs pass computes it
+// for a fraction of the table's time and memory, and it equals the
+// table's MaxDist.
 func tableSpec(name string, g *graph.Graph, p int) *Spec {
-	tab := route.NewTable(g, route.AllMinPaths)
 	return &Spec{
 		Name:      name,
 		Graph:     g,
 		PerRouter: p,
 		NumGroups: g.N(),
 		GroupOf:   func(v int) int { return v },
-		MinEngine: tab,
-		MinHops:   tab.MaxDist(),
+		MinEngine: route.NewTableOnDemand(g, route.AllMinPaths),
+		MinHops:   int(g.AllPairsStats().Diameter),
 	}
 }
 

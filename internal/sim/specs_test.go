@@ -70,8 +70,8 @@ func TestSpecDiametersAtMost3ForDirectDiam3Topologies(t *testing.T) {
 
 // TestTableSpecMinHopsIsDiameter: every table-routed spec (-small and
 // Table 3) bounds its minimal paths by the graph's diameter, which
-// Spectralfly reads off its routing table instead of a second all-pairs
-// pass.
+// tableSpec takes from the bit-parallel all-pairs pass so that no table
+// is built; it must equal the eager table's MaxDist.
 func TestTableSpecMinHopsIsDiameter(t *testing.T) {
 	checked := 0
 	for _, name := range SpecNames() {
@@ -85,6 +85,9 @@ func TestTableSpecMinHopsIsDiameter(t *testing.T) {
 		checked++
 		if d := spec.Graph.Diameter(); spec.MinHops != int(d) {
 			t.Errorf("%s: MinHops %d, diameter %d", name, spec.MinHops, d)
+		}
+		if d := route.NewTable(spec.Graph, route.AllMinPaths).MaxDist(); spec.MinHops != d {
+			t.Errorf("%s: MinHops %d, table MaxDist %d", name, spec.MinHops, d)
 		}
 	}
 	if checked < 6 { // bf, sf and the -small bf, sf, pf, slimfly

@@ -11,6 +11,7 @@ package topo
 
 import (
 	"fmt"
+	"sync"
 
 	"polarstar/internal/gf"
 	"polarstar/internal/graph"
@@ -29,8 +30,9 @@ type ER struct {
 	Field *gf.Field
 	G     *graph.Graph
 
-	vecs [][3]int // vertex id -> left-normalized coordinates
-	cn   []int32  // dense CommonNeighbor(u,v) table, n×n row-major
+	vecs   [][3]int  // vertex id -> left-normalized coordinates
+	cnOnce sync.Once // fills cn on the first CommonNeighbor call
+	cn     []int32   // dense CommonNeighbor(u,v) table, n×n row-major
 }
 
 // NewER constructs ER_q. q must be a prime power.
@@ -65,21 +67,6 @@ func NewER(q int) (*ER, error) {
 		}
 	}
 	e.G = b.Build()
-	// PolarStar minpath routing calls CommonNeighbor per routed packet;
-	// the cross-product arithmetic (three GF multiplies per coordinate
-	// plus a normalization) dominated routing profiles, so precompute the
-	// whole n×n answer table once for routable sizes. ~q⁴ int32s: 1.2 MB
-	// for the paper-scale ER₂₃, built in milliseconds. Design-space scans
-	// construct much larger quotients only to count vertices; those keep
-	// the analytic path and pay nothing.
-	if n <= 1024 {
-		e.cn = make([]int32, n*n)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				e.cn[u*n+v] = int32(e.commonNeighborSlow(u, v))
-			}
-		}
-	}
 	return e, nil
 }
 
@@ -146,15 +133,36 @@ func (e *ER) IsQuadric(v int) bool { return e.G.HasLoop(v) }
 // The returned vertex w satisfies dot(u,w) == 0 and dot(w,v) == 0, so the
 // walk u–w–v exists in ER_q when self-loops are admitted as walk steps.
 // This is the analytic 2-hop oracle used by PolarStar minpath routing.
+//
+// PolarStar minpath routing calls it per routed packet, and the
+// cross-product arithmetic (three GF multiplies per coordinate plus a
+// normalization) dominated routing profiles, so for routable sizes
+// (n ≤ 1024) the first call fills the whole n×n answer table: ~q⁴
+// int32s, 1.2 MB and about 14 ms for the paper-scale ER₂₃, which would
+// be 40 % of NewPolarStar(23,11) if paid at construction. Structural
+// tools never route and design-space scans construct much larger
+// quotients only to count vertices; neither pays for it.
 func (e *ER) CommonNeighbor(u, v int) int {
-	if e.cn != nil {
-		return int(e.cn[u*len(e.vecs)+v])
+	n := len(e.vecs)
+	if n > 1024 {
+		return e.commonNeighborSlow(u, v)
 	}
-	return e.commonNeighborSlow(u, v)
+	e.cnOnce.Do(e.fillCommonNeighbors)
+	return int(e.cn[u*n+v])
+}
+
+func (e *ER) fillCommonNeighbors() {
+	n := len(e.vecs)
+	e.cn = make([]int32, n*n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			e.cn[u*n+v] = int32(e.commonNeighborSlow(u, v))
+		}
+	}
 }
 
 // commonNeighborSlow is the analytic computation behind CommonNeighbor,
-// run once per pair at construction to fill the dense table.
+// run once per pair on first use to fill the dense table.
 func (e *ER) commonNeighborSlow(u, v int) int {
 	f := e.Field
 	a, b := e.vecs[u], e.vecs[v]
