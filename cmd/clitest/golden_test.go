@@ -2,20 +2,15 @@ package clitest
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current binaries")
 
 const goldenFile = "testdata/golden.txt"
 
@@ -23,15 +18,18 @@ const goldenFile = "testdata/golden.txt"
 // streams the golden records; a stream left out is volatile (wall times)
 // or empty by construction. tmp in an argument is replaced by a fresh
 // directory, whose path reads "$TMP" in the golden. files names output
-// files, under that directory, whose contents the golden records:
-// "*" hashes every file the run wrote, any other name is recorded as
-// text with the manifest's build-dependent fields blanked.
+// files, under that directory, whose contents the golden records as text
+// with the manifest's build-dependent fields blanked. results requires
+// every file the run wrote to equal the file of that name in results/.
 type goldenCase struct {
 	bin            string
 	args           []string
 	stdout, stderr bool
 	files          []string
+	results        bool
 }
+
+const resultsDir = "../../results"
 
 const tmp = "$TMP"
 
@@ -62,7 +60,7 @@ var goldenCases = func() []goldenCase {
 		goldenCase{bin: "psmotifs", args: []string{"-specs", "ps-iq-small", "-msgkb", "NaN"}, stdout: true, stderr: true},
 
 		// Result files and metrics artifacts.
-		goldenCase{bin: "psfig", args: []string{"-only", "fig1,fig4,fig7,headline,fig12", "-out", tmp}, files: []string{"*"}},
+		goldenCase{bin: "psfig", args: []string{"-only", "fig1,fig4,fig7,headline,fig11,fig12,fig13,fig14", "-out", tmp}, results: true},
 		goldenCase{bin: "pssim", args: []string{"-spec", "ps-iq-small", "-cycles", "60", "-loads", "0.2", "-seed", "7",
 			"-metrics", tmp + "/m.json", "-metrics-timing=false"}, stdout: true, stderr: true, files: []string{"m.json"}},
 		goldenCase{bin: "psfaults", args: []string{"-spec", "ps-iq-small", "-trials", "3",
@@ -107,27 +105,10 @@ func runGolden(t *testing.T, c goldenCase) string {
 	if c.stderr {
 		fmt.Fprintf(&b, "--- stderr\n%s", clean(stderr.String()))
 	}
+	if c.results {
+		compareResults(t, dir)
+	}
 	for _, name := range c.files {
-		if name == "*" {
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var names []string
-			for _, e := range entries {
-				names = append(names, e.Name())
-			}
-			sort.Strings(names)
-			b.WriteString("--- files\n")
-			for _, n := range names {
-				data, err := os.ReadFile(filepath.Join(dir, n))
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&b, "%x  %s\n", sha256.Sum256(data), n)
-			}
-			continue
-		}
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("%s: %v", c.bin, err)
@@ -137,16 +118,47 @@ func runGolden(t *testing.T, c goldenCase) string {
 	return b.String()
 }
 
+// compareResults fails the test unless every file in dir equals the file
+// of that name in results/, so the committed figures are what the tools
+// produce.
+func compareResults(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Errorf("%s wrote no files", dir)
+	}
+	for _, e := range entries {
+		got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(resultsDir, e.Name()))
+		if err != nil {
+			t.Errorf("%v", err)
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("results/%s is not what psfig writes now (regenerate with POLARSTAR_REGEN=1 go test -count=1 -run '^TestRegen$' .):\n%s",
+				e.Name(), firstDiff(string(want), string(got)))
+		}
+	}
+}
+
 // TestCLIGolden pins the command-line surface of every tool: flag
 // listings, the stdout of short seeded runs, the messages of rejected
-// input, the bytes of result files and the metrics artifacts. Rewrite
-// the golden with `go test ./cmd/clitest -run TestCLIGolden -update`.
+// input, the metrics artifacts, and — against results/ — the bytes of
+// the fast figures. POLARSTAR_REGEN=1 rewrites testdata/golden.txt
+// instead (TestRegen in the repository root runs every such rewrite,
+// results/ first).
 func TestCLIGolden(t *testing.T) {
 	var got strings.Builder
 	for _, c := range goldenCases {
 		got.WriteString(runGolden(t, c))
 	}
-	if *update {
+	if os.Getenv("POLARSTAR_REGEN") == "1" {
 		if err := os.WriteFile(goldenFile, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -154,10 +166,10 @@ func TestCLIGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(goldenFile)
 	if err != nil {
-		t.Fatalf("%v (record it with -update)", err)
+		t.Fatalf("%v (record it with POLARSTAR_REGEN=1)", err)
 	}
 	if got.String() != string(want) {
-		t.Errorf("CLI output differs from %s (-update rewrites it):\n%s", goldenFile, firstDiff(string(want), got.String()))
+		t.Errorf("CLI output differs from %s (POLARSTAR_REGEN=1 rewrites it):\n%s", goldenFile, firstDiff(string(want), got.String()))
 	}
 }
 

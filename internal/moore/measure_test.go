@@ -2,7 +2,6 @@ package moore
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,8 +9,6 @@ import (
 
 	"polarstar/internal/topo"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // TestMeasureConfigs constructs every radix-10 design point and checks the
 // measured structural statistics against the theory: the constructed order
@@ -64,11 +61,13 @@ func TestMeasureConfigsDeterministic(t *testing.T) {
 	}
 }
 
-// golden compares got against testdata/<name>, rewriting it under -update.
+// golden compares got against testdata/<name>, rewriting it instead under
+// POLARSTAR_REGEN=1 (TestRegen in the repository root runs every such
+// rewrite).
 func golden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if *updateGolden {
+	if os.Getenv("POLARSTAR_REGEN") == "1" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -79,10 +78,10 @@ func golden(t *testing.T, name string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
+		t.Fatalf("missing golden file (write it with POLARSTAR_REGEN=1): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s differs from golden file; run with -update if intended\ngot:\n%s\nwant:\n%s", name, got, want)
+		t.Errorf("%s differs from golden file; POLARSTAR_REGEN=1 rewrites it if intended\ngot:\n%s\nwant:\n%s", name, got, want)
 	}
 }
 

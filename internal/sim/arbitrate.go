@@ -424,7 +424,6 @@ func (e *Engine) deliver(sh *shardState, p *pkt, at int64) {
 		if lat > sh.latencyMax {
 			sh.latencyMax = lat
 		}
-		sh.injectedFlits += int64(e.p.PacketFlits)
 		if sh.met != nil {
 			sh.met.lat.Observe(lat)
 		}

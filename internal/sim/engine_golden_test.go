@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -13,9 +11,6 @@ import (
 
 	"polarstar/internal/obs"
 )
-
-var updateEngineGolden = flag.Bool("update-engine-golden", false,
-	"rewrite testdata/engine_golden.txt from a Workers=1 pass (only to re-pin after an intended model change)")
 
 const engineGoldenFile = "testdata/engine_golden.txt"
 
@@ -41,17 +36,25 @@ type mechanism uint8
 
 const (
 	creditStall  mechanism = 1 << iota // stall_credit
-	sourceRetry                        // faults.retries
-	inFlightDrop                       // faults.dropped_in_flight
-	appliedEvent                       // faults.events_applied
-	laneDemotion                       // lanes.demoted
-	// laneFailover (lanes.failovers) is pinned by no case here: the lanes
-	// case reads 0. TestSlabInvariantAfterRun pins a run that reaches it.
-	laneFailover
+	sourceRetry                        // retries
+	inFlightDrop                       // dropped_in_flight
+	appliedEvent                       // events_applied
+	laneDemotion                       // demoted
+	laneFailover                       // failovers
 )
 
-// unexercised names the mechanisms of ms whose counter in m is zero.
-func (ms mechanism) unexercised(m *obs.SimRun) []string {
+// obsCounter is one obs counter a golden row shows by name; pin is the
+// mechanism a nonzero count proves ran (0: shown, pins nothing).
+type obsCounter struct {
+	name string
+	pin  mechanism
+	n    int64
+}
+
+// obsCounters lists, in row order, the stall counters of an observed run
+// and the fault and lane counters the mechanisms are read from (0 when
+// the run has no such section).
+func obsCounters(m *obs.SimRun) []obsCounter {
 	var faults obs.SimFaults
 	if m.Faults != nil {
 		faults = *m.Faults
@@ -64,31 +67,25 @@ func (ms mechanism) unexercised(m *obs.SimRun) []string {
 	for _, n := range lanes.Failovers {
 		failovers += n
 	}
-	var missing []string
-	for _, c := range []struct {
-		m     mechanism
-		name  string
-		count int64
-	}{
-		{creditStall, "credit stall", int64(m.StallCredit)},
-		{sourceRetry, "source retry", int64(faults.Retries)},
-		{inFlightDrop, "in-flight drop", int64(faults.DroppedInFlight)},
-		{appliedEvent, "applied event", faults.EventsApplied},
-		{laneDemotion, "lane demotion", lanes.Demoted},
-		{laneFailover, "lane failover", failovers},
-	} {
-		if ms&c.m != 0 && c.count == 0 {
-			missing = append(missing, c.name)
-		}
+	return []obsCounter{
+		{"stall_inject", 0, int64(m.StallInject)},
+		{"stall_eject", 0, int64(m.StallEject)},
+		{"stall_channel", 0, int64(m.StallChannel)},
+		{"stall_credit", creditStall, int64(m.StallCredit)},
+		{"retries", sourceRetry, int64(faults.Retries)},
+		{"dropped_in_flight", inFlightDrop, int64(faults.DroppedInFlight)},
+		{"events_applied", appliedEvent, faults.EventsApplied},
+		{"demoted", laneDemotion, lanes.Demoted},
+		{"failovers", laneFailover, failovers},
 	}
-	return missing
 }
 
-// digest runs the case and hashes its Result plus, when observed, the
-// marshaled obs.SimRun (every counter, stall bucket, per-VC vector,
-// occupancy mark, fault/lane section and interval row). It fails the
-// test when a mechanism the case pins did not run.
-func (c goldenCase) digest(t *testing.T, workers int) string {
+// row runs the case and renders its golden row: the name, the Result as
+// printed by %+v and, when observed, the obs counters by name and the
+// SHA-256 of the marshaled obs.SimRun (every counter, stall bucket,
+// per-VC vector, occupancy mark, fault/lane section and interval row).
+// It fails the test when a mechanism the case pins did not run.
+func (c goldenCase) row(t *testing.T, workers int) string {
 	t.Helper()
 	p := DefaultParams(c.seed)
 	p.Warmup, p.Measure, p.Drain = c.windows[0], c.windows[1], c.windows[2]
@@ -110,19 +107,21 @@ func (c goldenCase) digest(t *testing.T, workers int) string {
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "result=%+v\n", res)
-	if c.observed {
-		b, err := json.Marshal(p.Metrics)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		fmt.Fprintf(h, "obs=%s\n", b)
-		if missing := c.pins.unexercised(p.Metrics); len(missing) > 0 {
-			t.Errorf("%s: pinned mechanisms never ran: %v", c.name, missing)
+	row := fmt.Sprintf("%s %+v", c.name, res)
+	if !c.observed {
+		return row
+	}
+	for _, oc := range obsCounters(p.Metrics) {
+		row += fmt.Sprintf(" %s=%d", oc.name, oc.n)
+		if c.pins&oc.pin != 0 && oc.n == 0 {
+			t.Errorf("%s: pinned mechanism never ran: %s", c.name, oc.name)
 		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	b, err := json.Marshal(p.Metrics)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	return fmt.Sprintf("%s obs=%x", row, sha256.Sum256(b))
 }
 
 // engineGoldenCases is the matrix the golden file pins: unobserved and
@@ -212,40 +211,47 @@ func engineGoldenCases(t *testing.T) []goldenCase {
 		load: 0.7, seed: 7, windows: [3]int{300, 600, 900}, observed: true, lanes: 3,
 		plan: treeLanePlan(t, must(NewSpec(mpTestSpec)), 3, 2, 350, 700),
 		pins: sourceRetry | inFlightDrop | appliedEvent | laneDemotion,
+	}, goldenCase{
+		// Shallow buffers under adversarial traffic keep units parked for
+		// credit while two of the three lanes fail under them, so queued
+		// head packets fail over onto the third (TestSlabInvariantAfterRun
+		// checks the slab on the same run).
+		name: "lane-failover/" + MPUGALMode.String(), spec: mpTestSpec, pattern: "adversarial", bufFlits: 8, mode: MPUGALMode,
+		load: 0.7, seed: 11, windows: [3]int{300, 600, 1500}, observed: true, lanes: 3, plan: failoverPlan(t),
+		pins: creditStall | sourceRetry | inFlightDrop | appliedEvent | laneDemotion | laneFailover,
 	})
 	return cases
 }
 
 // TestEngineGolden pins the engine's whole observable output — Results
-// and telemetry, healthy, saturated and faulted — to digests recorded at
-// Workers=1 from the commit before wake scheduling became the only
-// arbitration schedule, and requires them at 1, 4 and 16 workers. It is
-// the byte contract that attaching telemetry or a fault plan changes
-// neither what the engine computes nor what it reports. Under the race
-// detector (16x slower, and blind to a one-goroutine run) only the
-// 16-worker pass runs; the bytes at 1 and 4 are the plain run's job.
+// and telemetry, healthy, saturated and faulted — to one text row per
+// case, recorded at Workers=1, and requires the same rows at 1, 4 and 16
+// workers. It is the byte contract that attaching telemetry or a fault
+// plan changes neither what the engine computes nor what it reports.
+// Under the race detector (16x slower, and blind to a one-goroutine run)
+// only the 16-worker pass runs; the bytes at 1 and 4 are the plain run's
+// job. POLARSTAR_REGEN=1 rewrites the file from a Workers=1 pass instead
+// (TestRegen in the repository root runs every such rewrite).
 func TestEngineGolden(t *testing.T) {
 	cases := engineGoldenCases(t)
-	if *updateEngineGolden {
+	if os.Getenv("POLARSTAR_REGEN") == "1" {
 		var sb strings.Builder
 		for _, c := range cases {
-			fmt.Fprintf(&sb, "%s %s\n", c.name, c.digest(t, 1))
+			sb.WriteString(c.row(t, 1) + "\n")
 		}
 		if err := os.WriteFile(engineGoldenFile, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	f, err := os.Open(engineGoldenFile)
+	data, err := os.ReadFile(engineGoldenFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	want := map[string]string{}
-	for sc := bufio.NewScanner(f); sc.Scan(); {
-		if name, sum, ok := strings.Cut(sc.Text(), " "); ok {
-			want[name] = sum
-		}
+	for _, row := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		name, _, _ := strings.Cut(row, " ")
+		want[name] = row
 	}
 	if len(want) != len(cases) {
 		t.Fatalf("%s pins %d runs, the matrix has %d", engineGoldenFile, len(want), len(cases))
@@ -258,10 +264,26 @@ func TestEngineGolden(t *testing.T) {
 			}
 			t.Parallel()
 			for _, c := range cases {
-				if got := c.digest(t, workers); got != want[c.name] {
-					t.Errorf("%s: digest %s, golden %s", c.name, got, want[c.name])
+				if got := c.row(t, workers); got != want[c.name] {
+					t.Errorf("%s moved:%s", c.name, fieldDiff(want[c.name], got))
 				}
 			}
 		})
 	}
+}
+
+// fieldDiff lists the space-separated fields in which two golden rows
+// differ, as "golden → now".
+func fieldDiff(want, got string) string {
+	w, g := strings.Fields(want), strings.Fields(got)
+	if len(w) != len(g) {
+		return fmt.Sprintf("\n golden %s\n now    %s", want, got)
+	}
+	var sb strings.Builder
+	for i := range w {
+		if w[i] != g[i] {
+			fmt.Fprintf(&sb, "\n %s → %s", w[i], g[i])
+		}
+	}
+	return sb.String()
 }

@@ -346,7 +346,6 @@ type shardState struct {
 	deliveredMeas  int64
 	latencySumMeas int64
 	latencyMax     int64
-	injectedFlits  int64
 
 	// Telemetry accumulators (nil when the run is unobserved).
 	met *shardMetrics
@@ -794,7 +793,7 @@ type Result struct {
 	AvgLatency       float64 // cycles, measured packets
 	MaxLatency       int64
 	DeliveredFrac    float64 // measured packets delivered before the horizon
-	Throughput       float64 // delivered flits / endpoint / cycle (accepted load)
+	Throughput       float64 // flits of measure-window packets delivered by the horizon, per endpoint per measure cycle (generated load × DeliveredFrac)
 	Backlog          int     // packets still queued at the horizon
 	BacklogAtMeasEnd int     // packets queued when measurement ended
 	Saturated        bool
@@ -809,11 +808,10 @@ type Result struct {
 }
 
 func (e *Engine) result(load float64) Result {
-	var deliveredMeas, latencySum, latencyMax, injectedFlits int64
+	var deliveredMeas, latencySum, latencyMax int64
 	for _, sh := range e.shards {
 		deliveredMeas += sh.deliveredMeas
 		latencySum += sh.latencySumMeas
-		injectedFlits += sh.injectedFlits
 		if sh.latencyMax > latencyMax {
 			latencyMax = sh.latencyMax
 		}
@@ -826,7 +824,7 @@ func (e *Engine) result(load float64) Result {
 	if e.generatedMeas > 0 {
 		res.DeliveredFrac = float64(deliveredMeas) / float64(e.generatedMeas)
 	}
-	res.Throughput = float64(injectedFlits) / float64(e.cfg.Endpoints()) / float64(e.p.Measure)
+	res.Throughput = float64(deliveredMeas*int64(e.p.PacketFlits)) / float64(e.cfg.Endpoints()) / float64(e.p.Measure)
 	for i := range e.queues {
 		res.Backlog += e.pkts.length(&e.queues[i])
 	}

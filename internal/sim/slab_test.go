@@ -44,11 +44,6 @@ type slabCase struct {
 	// during also checks every 64 cycles while the run is in progress, so
 	// a stale head record is caught when it happens rather than at drain.
 	during bool
-	// pins, when set, makes the run observed and names the mechanisms the
-	// case exists for: a case whose counter reads zero pins nothing.
-	pins func(t *testing.T, m *obs.SimRun)
-	// want, when set, pins the run's Result as printed by %+v.
-	want string
 }
 
 // run drives the case at the given worker count and returns the engine
@@ -67,9 +62,6 @@ func (c slabCase) run(t *testing.T, workers int) (*Engine, Result) {
 	p.Retry = c.retry
 	if c.bufFlits > 0 {
 		p.BufFlitsPerVC = c.bufFlits
-	}
-	if c.pins != nil {
-		p.Metrics = &obs.SimRun{}
 	}
 	name := c.pattern
 	if name == "" {
@@ -92,9 +84,6 @@ func (c slabCase) run(t *testing.T, workers int) (*Engine, Result) {
 		res = runChecking(t, eng, c.load, 64, nil, eng.slabCheck)
 	} else {
 		res = runGuarded(t, eng, c.load)
-	}
-	if c.pins != nil {
-		c.pins(t, p.Metrics)
 	}
 	return eng, res
 }
@@ -168,25 +157,10 @@ func TestSlabInvariantAfterRun(t *testing.T) {
 			plan:  &Plan{Events: []FaultEvent{{Cycle: 50, Kind: RouterDown, U: 3}}},
 			retry: RetryPolicy{MaxRetries: 3, BackoffBase: 4, BackoffCap: 64, MaxAge: 1500}},
 		// laneFailover is the only code that changes a head packet's path
-		// while it is queued, and no engine golden reaches it, so the case
-		// pins its Result (recorded at 8e932d3, before queues were linked
-		// through the slab). Shallow buffers under adversarial traffic keep
-		// units parked for credit while lanes fail under them.
+		// while it is queued; the engine golden's lane-failover row pins
+		// this run's Result and failover count.
 		{name: "lane-failover", spec: mpTestSpec, mode: MPUGALMode, lanes: 3, pattern: "adversarial",
-			bufFlits: 8, load: 0.7, during: true, plan: failoverPlan(t),
-			pins: func(t *testing.T, m *obs.SimRun) {
-				var failovers int64
-				for _, n := range m.Lanes.Failovers {
-					failovers += n
-				}
-				if failovers != 1191 || m.Faults.DroppedInFlight == 0 || m.StallCredit == 0 {
-					t.Errorf("lane_failovers %d (want 1191), dropped_in_flight %d, stall_credit %d: the last two must be > 0",
-						failovers, m.Faults.DroppedInFlight, m.StallCredit)
-				}
-			},
-			want: "{Load:0.7 AvgLatency:966.3324754704842 MaxLatency:2091 DeliveredFrac:0.34999718516016437 " +
-				"Throughput:0.2467063492063492 Backlog:39223 BacklogAtMeasEnd:42794 Saturated:true " +
-				"Lost:0 Dropped:14 Retried:149 TerminatedEarly:false}"},
+			bufFlits: 8, load: 0.7, during: true, plan: failoverPlan(t)},
 	}
 	for _, c := range cases {
 		c := c
@@ -196,9 +170,6 @@ func TestSlabInvariantAfterRun(t *testing.T) {
 				eng, res := c.run(t, workers)
 				if err := eng.slabCheck(); err != nil {
 					t.Fatalf("workers=%d: %v (result %+v)", workers, err, res)
-				}
-				if got := fmt.Sprintf("%+v", res); c.want != "" && got != c.want {
-					t.Errorf("workers=%d:\n got %s\nwant %s", workers, got, c.want)
 				}
 				// A drained healthy run must hand every id back; stranded,
 				// backlogged or mid-link packets legitimately keep theirs.
