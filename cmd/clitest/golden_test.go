@@ -42,6 +42,7 @@ var goldenCases = func() []goldenCase {
 	return append(cs,
 		goldenCase{bin: "psgen", args: []string{"-topo", "polarstar", "-q", "5", "-dprime", "3", "-kind", "iq", "-stats"}, stdout: true},
 		goldenCase{bin: "psroute", args: []string{"-spec", "ps-iq-small", "-src", "0", "-dst", "5", "-valiant", "-disjoint"}, stdout: true},
+		goldenCase{bin: "psroute", args: []string{"-spec", "ps-iq-small", "-storage"}, stdout: true},
 		goldenCase{bin: "psscale", args: []string{"-fig", "1"}, stdout: true},
 		goldenCase{bin: "psscale", args: []string{"-headline"}, stdout: true},
 		goldenCase{bin: "psbisect", args: []string{"-lo", "8", "-hi", "8"}, stdout: true},

@@ -26,8 +26,8 @@ import (
 	"strings"
 	"sync"
 
-	"polarstar"
 	"polarstar/internal/cli"
+	"polarstar/internal/graph"
 	"polarstar/internal/topo"
 )
 
@@ -84,7 +84,7 @@ func main() {
 	}
 }
 
-func statsLine(g *polarstar.Graph, s polarstar.PathStats) string {
+func statsLine(g *graph.Graph, s graph.PathStats) string {
 	return fmt.Sprintf("%s: n=%d m=%d maxdeg=%d diameter=%d avgpath=%.3f girth=%d connected=%v\n",
 		g.Name(), g.N(), g.M(), g.MaxDegree(), s.Diameter, s.AvgPath, g.Girth(), s.Connected)
 }
@@ -92,7 +92,7 @@ func statsLine(g *polarstar.Graph, s polarstar.PathStats) string {
 // runSweep prints a -stats line for every q in the range. Points are
 // strided over a worker pool; each worker keeps one BitBFSScratch for
 // all of its graphs, and output is assembled in q order.
-func runSweep(rng, topoName string, kind polarstar.SupernodeKind, dPrime, a, h, rho, p, n int, dims string, seed int64) error {
+func runSweep(rng, topoName string, kind topo.SupernodeKind, dPrime, a, h, rho, p, n int, dims string, seed int64) error {
 	lo, hi, err := parseRange(rng)
 	if err != nil {
 		return err
@@ -104,7 +104,7 @@ func runSweep(rng, topoName string, kind polarstar.SupernodeKind, dPrime, a, h, 
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var scratch polarstar.BitBFSScratch
+			var scratch graph.BitBFSScratch
 			for i := w; i < len(lines); i += workers {
 				q := lo + i
 				g, err := build(topoName, kind, q, dPrime, a, h, rho, p, n, dims, seed)
@@ -140,41 +140,41 @@ func parseRange(s string) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
-func build(name string, kind polarstar.SupernodeKind, q, dPrime, a, h, rho, p, n int, dims string, seed int64) (*polarstar.Graph, error) {
+func build(name string, kind topo.SupernodeKind, q, dPrime, a, h, rho, p, n int, dims string, seed int64) (*graph.Graph, error) {
 	switch name {
 	case "polarstar":
-		ps, err := polarstar.New(q, dPrime, kind)
+		ps, err := topo.NewPolarStar(q, dPrime, kind)
 		if err != nil {
 			return nil, err
 		}
 		return ps.G, nil
 	case "er":
-		er, err := polarstar.NewER(q)
+		er, err := topo.NewER(q)
 		if err != nil {
 			return nil, err
 		}
 		return er.G, nil
 	case "iq", "paley", "bdf", "complete":
 		k, _ := topo.ParseKind(name)
-		s, err := polarstar.NewSupernode(k, dPrime)
+		s, err := topo.NewSupernode(k, dPrime)
 		if err != nil {
 			return nil, err
 		}
 		return s.G, nil
 	case "bundlefly":
-		bf, err := polarstar.NewBundlefly(q, dPrime)
+		bf, err := topo.NewBundlefly(q, dPrime)
 		if err != nil {
 			return nil, err
 		}
 		return bf.G, nil
 	case "mms":
-		m, err := polarstar.NewMMS(q)
+		m, err := topo.NewMMS(q)
 		if err != nil {
 			return nil, err
 		}
 		return m.G, nil
 	case "dragonfly":
-		df, err := polarstar.NewDragonfly(a, h)
+		df, err := topo.NewDragonfly(a, h)
 		if err != nil {
 			return nil, err
 		}
@@ -188,33 +188,33 @@ func build(name string, kind polarstar.SupernodeKind, q, dPrime, a, h, rho, p, n
 			}
 			ds = append(ds, v)
 		}
-		hx, err := polarstar.NewHyperX(ds...)
+		hx, err := topo.NewHyperX(ds...)
 		if err != nil {
 			return nil, err
 		}
 		return hx.G, nil
 	case "fattree":
-		ft, err := polarstar.NewFatTree(p)
+		ft, err := topo.NewFatTree(p)
 		if err != nil {
 			return nil, err
 		}
 		return ft.G, nil
 	case "megafly":
-		mf, err := polarstar.NewMegafly(rho, a)
+		mf, err := topo.NewMegafly(rho, a)
 		if err != nil {
 			return nil, err
 		}
 		return mf.G, nil
 	case "kautz":
-		k, err := polarstar.NewKautz(p, n)
+		k, err := topo.NewKautz(p, n)
 		if err != nil {
 			return nil, err
 		}
 		return k.G, nil
 	case "jellyfish":
-		return polarstar.NewJellyfish(n, p, seed)
+		return topo.NewJellyfish(n, p, seed)
 	case "lps":
-		l, err := polarstar.NewLPS(p, q)
+		l, err := topo.NewLPS(p, q)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,10 @@ func TestEDSTStructuralOracle(t *testing.T) {
 		spec := must(sim.NewSpec(name))
 		g := spec.Graph
 		ceiling := g.M() / (g.N() - 1)
-		lambda := route.EdgeConnectivityLB(g, 0)
+		lambda := g.MaxDegree() // Menger: the fewest edge-disjoint paths from vertex 0
+		for v := 1; v < g.N(); v++ {
+			lambda = min(lambda, len(route.EdgeDisjointPaths(g, 0, v, 0)))
+		}
 		if lambda > g.MinDegree() {
 			t.Errorf("%s: edge connectivity %d above minimum degree %d", name, lambda, g.MinDegree())
 		}

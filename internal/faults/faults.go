@@ -58,14 +58,6 @@ func validate(g *graph.Graph, hosts Hosts, fracs []float64) error {
 	return nil
 }
 
-// validateTrials additionally rejects non-positive trial counts.
-func validateTrials(g *graph.Graph, hosts Hosts, trials int, fracs []float64) error {
-	if trials < 1 {
-		return fmt.Errorf("faults: trial count %d < 1", trials)
-	}
-	return validate(g, hosts, fracs)
-}
-
 // Point is one sampled failure fraction of a trial.
 type Point struct {
 	FailFrac  float64
@@ -234,7 +226,10 @@ func (sw *sweeper) stats(h *graph.Graph, hosts Hosts) (int32, float64, bool, int
 	return diam, avg, pairs == full, full - pairs
 }
 
-// runTrial is RunTrial on the sweeper's reusable state. When mt is
+// runTrial removes links of g in a seed-determined random order,
+// sampling diameter and average path length among hosts at each failure
+// fraction in fracs (which must be ascending). Sampling stops once the
+// host set is disconnected; the disconnection ratio is exact. When mt is
 // non-nil, the trial additionally counts sampled points whose diameter
 // exceeds intactDiam (degraded points) and unreachable host pairs (lost
 // pairs) — including at fractions past the disconnection point, where
@@ -275,17 +270,6 @@ func (sw *sweeper) runTrial(hosts Hosts, seed int64, fracs []float64, mt *obs.Fa
 	return tr
 }
 
-// RunTrial removes links of g in a seed-determined random order,
-// sampling diameter and average path length among hosts at each failure
-// fraction in fracs (which must be ascending). Sampling stops once the
-// host set is disconnected; the disconnection ratio is exact.
-func RunTrial(g *graph.Graph, hosts Hosts, seed int64, fracs []float64) (Trial, error) {
-	if err := validate(g, hosts, fracs); err != nil {
-		return Trial{}, err
-	}
-	return newSweeper(g).runTrial(hosts, seed, fracs, nil, 0), nil
-}
-
 // MedianTrial runs `trials` independent scenarios and returns the one
 // with the median disconnection ratio (the paper's reporting protocol).
 func MedianTrial(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []float64) (Trial, error) {
@@ -299,7 +283,10 @@ func MedianTrial(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []fl
 // Trial is identical with fm on or off. (Both names stay: bench/ calls
 // MedianTrial.)
 func MedianTrialObs(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []float64, fm *obs.FaultSweep) (Trial, error) {
-	if err := validateTrials(g, hosts, trials, fracs); err != nil {
+	if trials < 1 {
+		return Trial{}, fmt.Errorf("faults: trial count %d < 1", trials)
+	}
+	if err := validate(g, hosts, fracs); err != nil {
 		return Trial{}, err
 	}
 	sw := newSweeper(g)
@@ -332,53 +319,6 @@ func MedianTrialObs(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs [
 		fm.Median = median
 	}
 	return sw.runTrial(hosts, med.seed, fracs, median, intactDiam), nil
-}
-
-// Bands aggregates many trials into quartile curves — an extension of
-// the paper's median-trial protocol showing the spread across failure
-// scenarios.
-type Bands struct {
-	Fracs               []float64
-	P25, Median, P75    []float64 // average path length quartiles (NaN when disconnected in that quartile trial)
-	DisconnectQuartiles [3]float64
-	Trials              int
-}
-
-// RunBands runs `trials` scenarios and reports per-failure-fraction
-// quartiles of the average path length plus disconnection-ratio
-// quartiles.
-func RunBands(g *graph.Graph, hosts Hosts, trials int, seed int64, fracs []float64) (Bands, error) {
-	if err := validateTrials(g, hosts, trials, fracs); err != nil {
-		return Bands{}, err
-	}
-	sw := newSweeper(g)
-	b := Bands{Fracs: fracs, Trials: trials}
-	apl := make([][]float64, len(fracs)) // per fraction: APLs of connected trials
-	var ratios []float64
-	for i := 0; i < trials; i++ {
-		tr := sw.runTrial(hosts, seed+int64(i)*6151, fracs, nil, 0)
-		ratios = append(ratios, tr.DisconnectionRatio)
-		for j, p := range tr.Curve {
-			if p.Connected {
-				apl[j] = append(apl[j], p.AvgPath)
-			}
-		}
-	}
-	sort.Float64s(ratios)
-	quart := func(xs []float64, q float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		return xs[int(float64(len(xs)-1)*q)]
-	}
-	b.DisconnectQuartiles = [3]float64{quart(ratios, 0.25), quart(ratios, 0.5), quart(ratios, 0.75)}
-	for _, xs := range apl {
-		sort.Float64s(xs)
-		b.P25 = append(b.P25, quart(xs, 0.25))
-		b.Median = append(b.Median, quart(xs, 0.5))
-		b.P75 = append(b.P75, quart(xs, 0.75))
-	}
-	return b, nil
 }
 
 // DefaultFracs is the failure-ratio ladder of Fig 14.

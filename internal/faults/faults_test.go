@@ -16,9 +16,18 @@ func must[T any](v T, err error) T {
 	return v
 }
 
+// trial runs one seeded link-failure scenario on a fresh sweeper, after
+// the input checks every sweep makes.
+func trial(g *graph.Graph, hosts Hosts, seed int64, fracs []float64) (Trial, error) {
+	if err := validate(g, hosts, fracs); err != nil {
+		return Trial{}, err
+	}
+	return newSweeper(g).runTrial(hosts, seed, fracs, nil, 0), nil
+}
+
 func TestRunTrialOnPolarStar(t *testing.T) {
 	ps := topo.MustNewPolarStar(4, 3, topo.KindIQ)
-	tr := must(RunTrial(ps.G, nil, 1, []float64{0, 0.1, 0.3}))
+	tr := must(trial(ps.G, nil, 1, []float64{0, 0.1, 0.3}))
 	if len(tr.Curve) != 3 {
 		t.Fatalf("curve length %d", len(tr.Curve))
 	}
@@ -51,7 +60,7 @@ func TestDisconnectionRatioExact(t *testing.T) {
 	for i := 0; i+1 < 10; i++ {
 		b.AddEdge(i, i+1)
 	}
-	tr := must(RunTrial(b.Build(), nil, 3, nil))
+	tr := must(trial(b.Build(), nil, 3, nil))
 	if tr.DisconnectionRatio != 1.0/9.0 {
 		t.Errorf("path disconnection ratio = %f, want 1/9", tr.DisconnectionRatio)
 	}
@@ -74,7 +83,7 @@ func TestHostRestrictedStats(t *testing.T) {
 	// 4 (up to the core and down).
 	ft := must(topo.NewFatTree(4))
 	hosts := Hosts(ft.LeafRouters())
-	tr := must(RunTrial(ft.G, hosts, 2, []float64{0}))
+	tr := must(trial(ft.G, hosts, 2, []float64{0}))
 	if tr.Curve[0].Diameter != 4 {
 		t.Errorf("fat-tree leaf diameter = %d, want 4", tr.Curve[0].Diameter)
 	}
@@ -109,7 +118,7 @@ func TestSingleHostTrivially(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(0, 2)
-	tr := must(RunTrial(b.Build(), Hosts{1}, 1, []float64{0.9}))
+	tr := must(trial(b.Build(), Hosts{1}, 1, []float64{0.9}))
 	if tr.DisconnectionRatio != float64(4)/float64(3) {
 		// A single host never disconnects: the bisection reports
 		// len(edges)+1 removals.
@@ -121,27 +130,27 @@ func TestSingleHostTrivially(t *testing.T) {
 // rejected with an error instead of panicking or silently looping.
 func TestValidationErrors(t *testing.T) {
 	ps := topo.MustNewPolarStar(3, 3, topo.KindIQ)
-	if _, err := RunTrial(ps.G, Hosts{}, 1, nil); err == nil {
+	if _, err := trial(ps.G, Hosts{}, 1, nil); err == nil {
 		t.Error("empty non-nil host set accepted")
 	}
-	if _, err := RunTrial(ps.G, Hosts{-1}, 1, nil); err == nil {
+	if _, err := trial(ps.G, Hosts{-1}, 1, nil); err == nil {
 		t.Error("negative host accepted")
 	}
-	if _, err := RunTrial(ps.G, Hosts{ps.G.N()}, 1, nil); err == nil {
+	if _, err := trial(ps.G, Hosts{ps.G.N()}, 1, nil); err == nil {
 		t.Error("out-of-range host accepted")
 	}
 	// A repeated host used to pass and make the pair count disagree with
 	// len(hosts)·(len(hosts)−1): an intact graph read as disconnected.
-	if _, err := RunTrial(ps.G, Hosts{0, 1, 1, 2}, 1, []float64{0}); err == nil {
+	if _, err := trial(ps.G, Hosts{0, 1, 1, 2}, 1, []float64{0}); err == nil {
 		t.Error("duplicate host accepted")
 	}
-	if _, err := RunTrial(ps.G, nil, 1, []float64{-0.1}); err == nil {
+	if _, err := trial(ps.G, nil, 1, []float64{-0.1}); err == nil {
 		t.Error("negative failure fraction accepted")
 	}
-	if _, err := RunTrial(ps.G, nil, 1, []float64{0.2, 1.5}); err == nil {
+	if _, err := trial(ps.G, nil, 1, []float64{0.2, 1.5}); err == nil {
 		t.Error("failure fraction > 1 accepted")
 	}
-	if _, err := RunTrial(ps.G, nil, 1, []float64{0.4, 0.2}); err == nil {
+	if _, err := trial(ps.G, nil, 1, []float64{0.4, 0.2}); err == nil {
 		t.Error("descending failure fractions accepted")
 	}
 	if _, err := MedianTrial(ps.G, nil, 0, 1, []float64{0}); err == nil {
@@ -149,35 +158,5 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := MedianTrial(ps.G, nil, -3, 1, []float64{0}); err == nil {
 		t.Error("negative trial count accepted")
-	}
-	if _, err := RunBands(ps.G, nil, 0, 1, []float64{0}); err == nil {
-		t.Error("zero trial count accepted by RunBands")
-	}
-}
-
-func TestRunBands(t *testing.T) {
-	ps := topo.MustNewPolarStar(3, 3, topo.KindIQ)
-	b, err := RunBands(ps.G, nil, 9, 3, []float64{0, 0.2, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Median) != 3 {
-		t.Fatalf("median curve length %d", len(b.Median))
-	}
-	for i := range b.Median {
-		if b.P25[i] > b.Median[i] || b.Median[i] > b.P75[i] {
-			t.Errorf("quartiles out of order at %d: %f %f %f", i, b.P25[i], b.Median[i], b.P75[i])
-		}
-	}
-	q := b.DisconnectQuartiles
-	if !(q[0] <= q[1] && q[1] <= q[2]) {
-		t.Errorf("disconnection quartiles out of order: %v", q)
-	}
-	if q[0] <= 0 || q[2] > 1 {
-		t.Errorf("implausible disconnection quartiles: %v", q)
-	}
-	// Zero-failure APL is deterministic: all quartiles equal.
-	if b.P25[0] != b.P75[0] {
-		t.Errorf("zero-failure APL should be identical across trials")
 	}
 }

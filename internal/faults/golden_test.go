@@ -1,9 +1,8 @@
-package faults_test
+package faults
 
 import (
 	"testing"
 
-	"polarstar/internal/faults"
 	"polarstar/internal/sim"
 )
 
@@ -14,7 +13,7 @@ import (
 
 func TestGoldenTrialPSIQSmall(t *testing.T) {
 	spec := must(sim.NewSpec("ps-iq-small"))
-	tr, err := faults.RunTrial(spec.Graph, nil, 7, faults.DefaultFracs)
+	tr, err := trial(spec.Graph, nil, 7, DefaultFracs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestGoldenTrialPSIQSmall(t *testing.T) {
 
 func TestGoldenMedianTrial(t *testing.T) {
 	spec := must(sim.NewSpec("ps-iq-small"))
-	med, err := faults.MedianTrial(spec.Graph, nil, 5, 1, faults.DefaultFracs)
+	med, err := MedianTrial(spec.Graph, nil, 5, 1, DefaultFracs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestGoldenMedianTrial(t *testing.T) {
 // only leaf routers count, §11.2).
 func TestGoldenTrialHostsSubset(t *testing.T) {
 	ft := must(sim.NewSpec("ft-small"))
-	tr, err := faults.RunTrial(ft.Graph, faults.Hosts(ft.Hosts), 3, []float64{0, 0.1, 0.2})
+	tr, err := trial(ft.Graph, Hosts(ft.Hosts), 3, []float64{0, 0.1, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +83,4 @@ func TestGoldenTrialHostsSubset(t *testing.T) {
 				i, p.Diameter, p.AvgPath, p.Connected)
 		}
 	}
-}
-
-// must returns v and panics on err; test set-up here only builds valid
-// instances.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

@@ -98,12 +98,14 @@ func TestTrafficSweepValidation(t *testing.T) {
 	// nonsense and calendar-overflowing windows are errors, not runs or
 	// NewEngine panics.
 	for name, mutate := range map[string]func(*sim.Params){
-		"PacketFlits=0": func(p *sim.Params) { p.PacketFlits = 0 },
-		"Measure=0":     func(p *sim.Params) { p.Measure = 0 },
-		"LinkLatency<0": func(p *sim.Params) { p.LinkLatency = -1 },
-		"Warmup=1<<40":  func(p *sim.Params) { p.Warmup = 1 << 40 },
-		"Lanes=99":      func(p *sim.Params) { p.Lanes = 99 },
-		"RepairDelay<0": func(p *sim.Params) { p.RepairDelay = -1 },
+		"PacketFlits=0":   func(p *sim.Params) { p.PacketFlits = 0 },
+		"BufFlitsPerVC=1": func(p *sim.Params) { p.BufFlitsPerVC = 1 },
+		"Measure=0":       func(p *sim.Params) { p.Measure = 0 },
+		"Warmup=-1":       func(p *sim.Params) { p.Warmup = -1 },
+		"LinkLatency<0":   func(p *sim.Params) { p.LinkLatency = -1 },
+		"Warmup=1<<40":    func(p *sim.Params) { p.Warmup = 1 << 40 },
+		"Lanes=99":        func(p *sim.Params) { p.Lanes = 99 },
+		"RepairDelay<0":   func(p *sim.Params) { p.RepairDelay = -1 },
 	} {
 		bad := p
 		mutate(&bad)

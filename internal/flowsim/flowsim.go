@@ -79,9 +79,6 @@ func New(engine route.Engine, cfg traffic.Config, g *graph.Graph, mids []int, p 
 	}
 }
 
-// Config returns the endpoint arrangement.
-func (n *Network) Config() traffic.Config { return n.cfg }
-
 // Observe attaches a telemetry sink: every subsequent Send updates the
 // message/byte counters, the hop histogram and the per-link busy-time
 // vector of m. The vector is sized here, once, so the per-Send record

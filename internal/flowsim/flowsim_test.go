@@ -80,10 +80,3 @@ func TestDeterministicForSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestConfigAccessor(t *testing.T) {
-	n, ps := testNetwork(false, 5)
-	if n.Config().Endpoints() != 2*ps.G.N() {
-		t.Errorf("endpoints = %d", n.Config().Endpoints())
-	}
-}

@@ -8,6 +8,115 @@ import (
 	"polarstar/internal/sim"
 )
 
+// Extensions beyond the paper's two motifs, kept as comparators for the
+// tests below. §10 motivates Allreduce as the key collective; comparing
+// algorithms on the same topology shows how message-count/size
+// trade-offs interact with the network (large messages favour the
+// bandwidth-optimal ring and Rabenseifner; small messages favour the
+// log-round recursive doubling). Every comparator takes ranks no larger
+// than the network's endpoint count.
+
+// AllreduceRing simulates the bandwidth-optimal ring allreduce:
+// reduce-scatter then allgather, each 2(p−1) steps of msgBytes/p chunks.
+// Returns the completion time in ns.
+func AllreduceRing(n *flowsim.Network, ranks int, msgBytes float64, iters int) float64 {
+	p := ranks
+	if p < 2 {
+		return 0
+	}
+	chunk := msgBytes / float64(p)
+	ready := make([]float64, p)
+	arrive := make([]float64, p)
+	for it := 0; it < iters; it++ {
+		for phase := 0; phase < 2; phase++ { // reduce-scatter, allgather
+			for step := 0; step < p-1; step++ {
+				for r := 0; r < p; r++ {
+					next := (r + 1) % p
+					arrive[next] = n.Send(r, next, chunk, ready[r])
+				}
+				for r := 0; r < p; r++ {
+					if arrive[r] > ready[r] {
+						ready[r] = arrive[r]
+					}
+				}
+			}
+		}
+	}
+	return maxOf(ready)
+}
+
+// TreeAllreduce simulates an in-network-style allreduce over k
+// edge-disjoint spanning trees (Dawkins et al., "Edge-Disjoint Spanning
+// Trees on Star-Product Networks"): the buffer is split into k shards;
+// shard i reduces up tree i (leaves → root) and broadcasts back down.
+// Trees run concurrently and each uses its own links, so bandwidth
+// scales with k. The first endpoint of each router (perRouter endpoints
+// apiece) acts as the router's rank, the in-network model. Returns the
+// completion time in ns.
+func TreeAllreduce(n *flowsim.Network, perRouter int, trees []*route.SpanningTree, msgBytes float64, iters int) float64 {
+	if len(trees) == 0 {
+		return 0
+	}
+	rankOf := func(router int) int { return router * perRouter }
+	shard := msgBytes / float64(len(trees))
+	finish := 0.0
+	ready := make([]float64, len(trees[0].Parent))
+	for it := 0; it < iters; it++ {
+		for _, tree := range trees {
+			children := make([][]int32, len(tree.Parent))
+			for v, p := range tree.Parent {
+				if p >= 0 {
+					children[p] = append(children[p], int32(v))
+				}
+			}
+			// Reduce: post-order — a node sends to its parent once all
+			// its children's contributions arrived.
+			var up func(v int) float64
+			up = func(v int) float64 {
+				t := ready[v]
+				for _, c := range children[v] {
+					childDone := up(int(c))
+					arr := n.Send(rankOf(int(c)), rankOf(v), shard, childDone)
+					if arr > t {
+						t = arr
+					}
+				}
+				return t
+			}
+			rootReady := up(tree.Root)
+			// Broadcast: pre-order down the same tree.
+			var down func(v int, at float64)
+			done := make([]float64, len(tree.Parent))
+			down = func(v int, at float64) {
+				done[v] = at
+				for _, c := range children[v] {
+					down(int(c), n.Send(rankOf(v), rankOf(int(c)), shard, at))
+				}
+			}
+			down(tree.Root, rootReady)
+			for v, t := range done {
+				if t > ready[v] {
+					ready[v] = t
+				}
+				if t > finish {
+					finish = t
+				}
+			}
+		}
+	}
+	return finish
+}
+
+func maxOf(xs []float64) float64 {
+	m := 0.0
+	for _, x := range xs {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
 func TestRingAllreduceCompletes(t *testing.T) {
 	n := network("ps-iq-small", false, 1)
 	tm := AllreduceRing(n, 64, 64*1024, 1)
@@ -95,7 +204,7 @@ func TestTreeAllreduceScalesWithTrees(t *testing.T) {
 	run := func(k int) float64 {
 		p := flowsim.DefaultParams(1)
 		net := flowsim.New(spec.MinEngine, spec.Config(), spec.Graph, nil, p)
-		return TreeAllreduce(net, trees[:k], 1<<20, 1)
+		return TreeAllreduce(net, spec.Config().PerRouter, trees[:k], 1<<20, 1)
 	}
 	one := run(1)
 	all := run(len(trees))
@@ -110,7 +219,7 @@ func TestTreeAllreduceScalesWithTrees(t *testing.T) {
 func TestTreeAllreduceEmpty(t *testing.T) {
 	spec := must(sim.NewSpec("ps-iq-small"))
 	net := flowsim.New(spec.MinEngine, spec.Config(), spec.Graph, nil, flowsim.DefaultParams(1))
-	if TreeAllreduce(net, nil, 1024, 1) != 0 {
+	if TreeAllreduce(net, spec.Config().PerRouter, nil, 1024, 1) != 0 {
 		t.Error("empty tree set should be free")
 	}
 }
@@ -121,7 +230,7 @@ func TestTreeAllreduceEmpty(t *testing.T) {
 // with log2(p) rounds. Ranks round down to a power of two.
 func AllreduceRabenseifner(n *flowsim.Network, ranks int, msgBytes float64, iters int) float64 {
 	p := 1
-	for p*2 <= ranks && p*2 <= n.Config().Endpoints() {
+	for p*2 <= ranks {
 		p *= 2
 	}
 	if p < 2 {
@@ -164,9 +273,6 @@ func AllreduceRabenseifner(n *flowsim.Network, ranks int, msgBytes float64, iter
 // transposes — the pattern family §9.4 motivates.
 func AllToAll(n *flowsim.Network, ranks int, msgBytes float64, iters int) float64 {
 	p := ranks
-	if p > n.Config().Endpoints() {
-		p = n.Config().Endpoints()
-	}
 	if p < 2 {
 		return 0
 	}

@@ -195,6 +195,22 @@ func TestBisectEmptyAndTiny(t *testing.T) {
 	}
 }
 
+// TestBisectC4: the 4-cycle's minimum bisection cuts two edges.
+func TestBisectC4(t *testing.T) {
+	b := graph.NewBuilder("demo", 4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(3, 0)
+	g := b.Build()
+	if g.Diameter() != 2 {
+		t.Errorf("C4 diameter = %d", g.Diameter())
+	}
+	if cut, _ := Bisect(g, 1, Options{}); cut != 2 {
+		t.Errorf("C4 bisection = %d, want 2", cut)
+	}
+}
+
 // must returns v and panics on err; test set-up here only builds valid
 // instances.
 func must[T any](v T, err error) T {

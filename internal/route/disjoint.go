@@ -107,29 +107,3 @@ func EdgeDisjointPaths(g *graph.Graph, src, dst, limit int) [][]int {
 	}
 	return paths
 }
-
-// EdgeConnectivityLB returns a lower-bound estimate of the edge
-// connectivity: the minimum max-flow between vertex 0 and a sample of
-// other vertices (exact when the sample is all vertices, by Menger plus
-// the standard single-source reduction).
-func EdgeConnectivityLB(g *graph.Graph, sample int) int {
-	n := g.N()
-	if n < 2 {
-		return 0
-	}
-	if sample <= 0 || sample > n-1 {
-		sample = n - 1
-	}
-	best := -1
-	step := (n - 1) / sample
-	if step < 1 {
-		step = 1
-	}
-	for v := 1; v < n; v += step {
-		k := len(EdgeDisjointPaths(g, 0, v, 0))
-		if best < 0 || k < best {
-			best = k
-		}
-	}
-	return best
-}

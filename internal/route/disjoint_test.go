@@ -93,10 +93,19 @@ func TestEdgeDisjointPathsPlantedBottleneck(t *testing.T) {
 // instances equals the minimum degree (the best possible).
 func TestPolarStarEdgeConnectivity(t *testing.T) {
 	ps := topo.MustNewPolarStar(3, 3, topo.KindIQ)
-	k := EdgeConnectivityLB(ps.G, 0) // exact: all targets
-	if k != ps.G.MinDegree() {
+	if k := edgeConnectivity(ps.G); k != ps.G.MinDegree() {
 		t.Errorf("edge connectivity = %d, want min degree %d", k, ps.G.MinDegree())
 	}
+}
+
+// edgeConnectivity is the exact edge connectivity of a connected g: by
+// Menger, the fewest edge-disjoint paths from vertex 0 to another vertex.
+func edgeConnectivity(g *graph.Graph) int {
+	k := g.MaxDegree()
+	for v := 1; v < g.N(); v++ {
+		k = min(k, len(EdgeDisjointPaths(g, 0, v, 0)))
+	}
+	return k
 }
 
 func TestEdgeDisjointDegenerate(t *testing.T) {

@@ -36,17 +36,6 @@ type SpanningTree struct {
 	Parent []int32
 }
 
-// Children returns the children lists of the tree.
-func (t *SpanningTree) Children() [][]int32 {
-	out := make([][]int32, len(t.Parent))
-	for v, p := range t.Parent {
-		if p >= 0 {
-			out[p] = append(out[p], int32(v))
-		}
-	}
-	return out
-}
-
 // Depths returns every vertex's distance from the root, -1 for vertices
 // the tree does not reach (parent -2). Each vertex climbs to the first
 // ancestor of known depth, so the whole array costs one pass.

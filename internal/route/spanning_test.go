@@ -104,10 +104,11 @@ func TestSpanningTreeDepth(t *testing.T) {
 	if got, want := partial.Depths(), []int32{2, 1, 0, -1, 3}; !slices.Equal(got, want) || maxDepth(partial.Depths()) != 3 {
 		t.Errorf("partial tree depths = %v (max %d), want %v (max 3)", got, maxDepth(partial.Depths()), want)
 	}
-	children := trees[0].Children()
 	total := 0
-	for _, c := range children {
-		total += len(c)
+	for _, p := range trees[0].Parent {
+		if p >= 0 {
+			total++
+		}
 	}
 	if total != 5 {
 		t.Errorf("tree has %d child links, want n-1 = 5", total)
@@ -182,6 +183,9 @@ func TestSpanningTreeErrors(t *testing.T) {
 	}
 	if _, err := NewTreeEscape(disconnectedGraph(t), 2, 1); !errors.Is(err, ErrDisconnected) {
 		t.Errorf("NewTreeEscape disconnected: err = %v, want ErrDisconnected", err)
+	}
+	if _, err := NewTreeEscape(ps.G, 2, 1); err != nil {
+		t.Errorf("NewTreeEscape with two trees: %v", err)
 	}
 }
 

@@ -57,7 +57,7 @@ const (
 // EvalRequest is the POST /v1/eval body. Zero-valued optional fields
 // take the documented defaults in Normalize.
 type EvalRequest struct {
-	Spec    string  `json:"spec"`              // required: a sim.SpecNames() entry
+	Spec    string  `json:"spec"`              // required: a name sim.KnownSpec accepts
 	Routing string  `json:"routing,omitempty"` // a sim.RoutingModeNames() entry (default "min")
 	Pattern string  `json:"pattern,omitempty"` // traffic pattern (default "uniform")
 	Load    float64 `json:"load,omitempty"`    // offered load in (0,1] (default 0.2)

@@ -33,6 +33,7 @@ func TestParamsValidate(t *testing.T) {
 		"buffer under one packet": mut(func(p *Params) {
 			p.BufFlitsPerVC = p.PacketFlits - 1
 		}),
+		"33-flit buffer":        mut(func(p *Params) { p.BufFlitsPerVC = 33 }),
 		"negative link latency": mut(func(p *Params) { p.LinkLatency = -1 }),
 		"negative warmup":       mut(func(p *Params) { p.Warmup = -1 }),
 		"zero measure":          mut(func(p *Params) { p.Measure = 0 }),
@@ -120,12 +121,25 @@ func TestRunPointErrors(t *testing.T) {
 	if _, err := RunPoint(ctx, spec, MIN, "no-such-pattern", 0.1, DefaultParams(1)); err == nil {
 		t.Error("accepted unknown pattern")
 	}
-	p := DefaultParams(1)
-	p.Measure = 0
-	if _, err := RunPoint(ctx, spec, MIN, "uniform", 0.1, p); err == nil {
-		t.Error("accepted invalid params")
+	// Invalid parameters, the calendar overflow NewEngine would panic on
+	// among them, come back as errors from RunPoint and Sweep alike.
+	for name, mutate := range map[string]func(*Params){
+		"PacketFlits=0":     func(p *Params) { p.PacketFlits = 0 },
+		"BufFlitsPerVC=1":   func(p *Params) { p.BufFlitsPerVC = 1 },
+		"Measure=0":         func(p *Params) { p.Measure = 0 },
+		"Warmup=-1":         func(p *Params) { p.Warmup = -1 },
+		"calendar overflow": func(p *Params) { p.Warmup, p.Measure, p.Drain = 1<<38, 1<<38, 1<<38 },
+	} {
+		p := DefaultParams(1)
+		mutate(&p)
+		if _, err := RunPoint(ctx, spec, MIN, "uniform", 0.1, p); err == nil {
+			t.Errorf("RunPoint accepted %s", name)
+		}
+		if _, err := Sweep(spec, MIN, "uniform", []float64{0.1}, p); err == nil {
+			t.Errorf("Sweep accepted %s", name)
+		}
 	}
-	p = DefaultParams(1)
+	p := DefaultParams(1)
 	p.Plan = &Plan{Events: []FaultEvent{{Cycle: 1, Kind: LinkDown, U: 0, V: -1}}}
 	if _, err := RunPoint(ctx, spec, MIN, "uniform", 0.1, p); err == nil {
 		t.Error("accepted invalid fault plan")

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"polarstar/internal/graph"
@@ -120,7 +119,7 @@ func (s *Spec) multiPath(lanes int) (*route.MultiPath, error) {
 var Table3Names = []string{"ps-iq", "ps-pal", "bf", "hx", "df", "sf", "mf", "ft"}
 
 // specRegistry maps every constructible spec name to its builder.
-// NewSpec, KnownSpec and SpecNames share it, so a serving layer can
+// NewSpec and KnownSpec share it, so a serving layer can
 // validate a requested name cheaply — without constructing the topology
 // — before admitting the request.
 var specRegistry = map[string]func(name string) (*Spec, error){
@@ -179,16 +178,6 @@ func NewSpec(name string) (*Spec, error) {
 func KnownSpec(name string) bool {
 	_, ok := specRegistry[name]
 	return ok
-}
-
-// SpecNames returns every constructible spec name, sorted.
-func SpecNames() []string {
-	names := make([]string, 0, len(specRegistry))
-	for n := range specRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // DegradedInto returns a copy of the spec running on a graph with the

@@ -57,6 +57,9 @@ func TestNewSpecUnknown(t *testing.T) {
 	if _, err := NewSpec("nope"); err == nil {
 		t.Error("unknown spec should error")
 	}
+	if !KnownSpec("ps-iq-small") || KnownSpec("nope") {
+		t.Error("KnownSpec misclassified")
+	}
 }
 
 func TestSpecDiametersAtMost3ForDirectDiam3Topologies(t *testing.T) {
@@ -74,7 +77,7 @@ func TestSpecDiametersAtMost3ForDirectDiam3Topologies(t *testing.T) {
 // is built; it must equal the eager table's MaxDist.
 func TestTableSpecMinHopsIsDiameter(t *testing.T) {
 	checked := 0
-	for _, name := range SpecNames() {
+	for name := range specRegistry {
 		if !strings.HasSuffix(name, "-small") && !slices.Contains(Table3Names, name) {
 			continue
 		}

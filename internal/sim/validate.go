@@ -20,6 +20,11 @@ func (p Params) Validate(cfg traffic.Config) error {
 	if p.BufFlitsPerVC < p.PacketFlits {
 		return fmt.Errorf("sim: BufFlitsPerVC (%d) must hold at least one packet (%d flits)", p.BufFlitsPerVC, p.PacketFlits)
 	}
+	if p.BufFlitsPerVC%p.PacketFlits != 0 {
+		// A VC is reserved only for a whole packet, so a remainder would
+		// never hold one: depth 33 would run exactly as 32 does.
+		return fmt.Errorf("sim: BufFlitsPerVC (%d) must be a multiple of PacketFlits (%d)", p.BufFlitsPerVC, p.PacketFlits)
+	}
 	if p.LinkLatency < 0 {
 		return fmt.Errorf("sim: LinkLatency must be >= 0, got %d", p.LinkLatency)
 	}

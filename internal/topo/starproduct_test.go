@@ -1,6 +1,9 @@
 package topo
 
-import "testing"
+import (
+	"testing"
+	"testing/quick"
+)
 
 func TestStarProductOrderAndDegree(t *testing.T) {
 	// §4.3 facts: |V(G*)| = |V(G)|·|V(G')|, deg ≤ deg(G)+deg(G').
@@ -176,6 +179,35 @@ func TestPolarStarOrderMatchesConstruction(t *testing.T) {
 		if ps.G.N() != want {
 			t.Errorf("%v order = %d, want %d", ps.G, ps.G.N(), want)
 		}
+	}
+}
+
+// TestQuickRandomStarProducts: property-based check over random feasible
+// parameters — every constructible PolarStar must be connected with
+// diameter ≤ 3 and max degree ≤ radix.
+func TestQuickRandomStarProducts(t *testing.T) {
+	qs := []int{2, 3, 4, 5, 7}
+	prop := func(qi, di, ki uint8) bool {
+		q := qs[int(qi)%len(qs)]
+		kind := []SupernodeKind{KindIQ, KindPaley, KindBDF}[int(ki)%3]
+		var dPrime int
+		switch kind {
+		case KindIQ:
+			dPrime = []int{0, 3, 4, 7}[int(di)%4]
+		case KindPaley:
+			dPrime = []int{2, 4, 6}[int(di)%3]
+		default:
+			dPrime = 1 + int(di)%6
+		}
+		ps, err := NewPolarStar(q, dPrime, kind)
+		if err != nil {
+			return false
+		}
+		stats := ps.G.AllPairsStats()
+		return stats.Connected && stats.Diameter <= 3 && ps.G.MaxDegree() <= ps.Radix()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -30,11 +31,13 @@ var reachAllowlist = map[string]string{
 
 // TestReachability enforces that production code is what a binary
 // reaches. It type-checks every non-test package of the module and walks
-// the call graph from the roots: main and init functions, the public
-// facade (package polarstar), package-level variable initialisers, and
-// every method that can satisfy an interface. Any function or method
-// under internal/ that the walk does not reach fails the test with its
-// position; test-only code belongs in a _test.go file next to its tests.
+// the call graph from the roots: main and init functions, package-level
+// variable initialisers, and every method that can satisfy an interface.
+// Any function or method under internal/ that the walk does not reach
+// fails the test with its position; test-only code belongs in a _test.go
+// file next to its tests. The public facade (package polarstar) is no
+// root: each of its exported names needs a reader (see facadeReaders),
+// so a facade variable cannot keep internal code alive on its own.
 func TestReachability(t *testing.T) {
 	// The source importer runs cgo on packages that use it; the pure Go
 	// variants declare the same API, so type-check those instead.
@@ -50,6 +53,9 @@ func TestReachability(t *testing.T) {
 		if _, err := l.load(path); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, e := range facadeReaders(l, "README.md") {
+		t.Error(e)
 	}
 	r := newReach(l)
 
@@ -73,6 +79,104 @@ func TestReachability(t *testing.T) {
 		}
 	}
 }
+
+// facadeReaders checks that every exported name of the facade has a
+// reader: non-test code in another package of the module, a polarstar.X
+// in one of the readme's go blocks, or the signature of a name that is
+// itself read (New returns *PolarStar, so PolarStar is read through it).
+// It also reports a polarstar.X in the readme that the facade does not
+// declare.
+func facadeReaders(l *loader, readme string) []string {
+	facade := l.pkgs[l.module]
+	scope := facade.pkg.Scope()
+	read := map[types.Object]bool{}
+	var queue []types.Object
+	use := func(obj types.Object) {
+		if obj != nil && obj.Exported() && scope.Lookup(obj.Name()) == obj && !read[obj] {
+			read[obj] = true
+			queue = append(queue, obj)
+		}
+	}
+	for path, p := range l.pkgs {
+		if path != l.module {
+			for _, obj := range p.info.Uses {
+				use(obj)
+			}
+		}
+	}
+	var errs []string
+	text, err := os.ReadFile(readme)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	inGo := false
+	for i, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "```") {
+			inGo = line == "```go"
+			continue
+		}
+		if !inGo {
+			continue
+		}
+		for _, m := range readmeName.FindAllStringSubmatch(line, -1) {
+			if obj := scope.Lookup(m[1]); obj != nil {
+				use(obj)
+			} else {
+				errs = append(errs, fmt.Sprintf("%s:%d: polarstar.%s is not declared by the facade", readme, i+1, m[1]))
+			}
+		}
+	}
+	// The signature of each declared name: a function's parameter and
+	// result types, a variable's or constant's written type, a type's
+	// definition.
+	sig := map[types.Object][]ast.Node{}
+	for _, f := range facade.files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				obj := facade.info.Defs[d.Name]
+				sig[obj] = append(sig[obj], d.Type)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							if spec.Type != nil {
+								obj := facade.info.Defs[name]
+								sig[obj] = append(sig[obj], spec.Type)
+							}
+						}
+					case *ast.TypeSpec:
+						obj := facade.info.Defs[spec.Name]
+						sig[obj] = append(sig[obj], spec.Type)
+					}
+				}
+			}
+		}
+	}
+	for len(queue) > 0 {
+		obj := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, n := range sig[obj] {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					use(facade.info.Uses[id])
+				}
+				return true
+			})
+		}
+	}
+	for _, name := range scope.Names() {
+		if obj := scope.Lookup(name); obj.Exported() && !read[obj] {
+			pos := l.fset.Position(obj.Pos())
+			errs = append(errs, fmt.Sprintf("%s:%d: facade export %s has no reader outside tests", pos.Filename, pos.Line, name))
+		}
+	}
+	return errs
+}
+
+// readmeName matches a facade name in a readme code line.
+var readmeName = regexp.MustCompile(`\bpolarstar\.([A-Za-z_][A-Za-z0-9_]*)`)
 
 // loaded is one type-checked package of the module.
 type loaded struct {
@@ -186,7 +290,7 @@ func newReach(l *loader) *reach {
 		byName: map[string]*types.Func{},
 		live:   map[*types.Func]bool{},
 	}
-	for path, p := range l.pkgs {
+	for _, p := range l.pkgs {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
@@ -195,7 +299,7 @@ func newReach(l *loader) *reach {
 					r.decls[fn], r.info[fn] = d, p.info
 					r.byName[funcName(fn)] = fn
 					entry := d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.pkg.Name() == "main")
-					if entry || path == l.module {
+					if entry {
 						r.mark(fn)
 					}
 				case *ast.GenDecl:
