@@ -79,3 +79,25 @@ func TestAppendViaZeroAllocs(t *testing.T) {
 		t.Errorf("AppendVia allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// TestPolarStarDistZeroAllocs pins Dist to its stack buffer: traffic
+// patterns call it for every endpoint pair they weigh.
+func TestPolarStarDistZeroAllocs(t *testing.T) {
+	ps, err := topo.NewPolarStar(5, 4, topo.KindIQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewPolarStar(ps)
+	n := ps.G.N()
+	pair, sum := 0, 0
+	allocs := testing.AllocsPerRun(200, func() {
+		sum += r.Dist(pair%n, (pair*7+13)%n)
+		pair++
+	})
+	if allocs != 0 {
+		t.Errorf("Dist allocates %.1f objects per call, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Error("every Dist was 0")
+	}
+}

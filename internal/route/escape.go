@@ -50,13 +50,13 @@ func (te *TreeEscape) AppendPath(buf []int, src, dst int, live func(u, v int) bo
 	if src == dst {
 		return buf
 	}
-	var best, cur treeWalk
+	var best, cur TreeWalk
 	found := false
 	for _, tr := range te.trees {
-		if !tr.walk(&cur, src, dst) || found && cur.hops() >= best.hops() {
+		if !tr.walk(&cur, src, dst) || found && cur.Hops() >= best.Hops() {
 			continue
 		}
-		if live != nil && !cur.live(live) {
+		if live != nil && !cur.Live(live) {
 			continue
 		}
 		best, found = cur, true
@@ -64,7 +64,7 @@ func (te *TreeEscape) AppendPath(buf []int, src, dst int, live func(u, v int) bo
 	if !found {
 		return buf
 	}
-	return best.appendTo(buf)
+	return best.AppendTo(buf)
 }
 
 // pathTree is a spanning tree prepared for up-down path queries: the
@@ -79,10 +79,10 @@ func newPathTree(t *SpanningTree) pathTree {
 	return pathTree{parent: t.Parent, depth: t.Depths()}
 }
 
-// treeWalk is one up-down tree path: up climbs from src and down from dst,
-// each stopping below their lowest common ancestor lca. The path is up,
-// then lca, then down reversed.
-type treeWalk struct {
+// TreeWalk is one up-down tree path, walked but not yet copied: up climbs
+// from src and down from dst, each stopping below their lowest common
+// ancestor lca. The path is up, then lca, then down reversed.
+type TreeWalk struct {
 	up, down [escMaxDepth]int32
 	nu, nd   int
 	lca      int32
@@ -91,7 +91,7 @@ type treeWalk struct {
 // walk fills w with the tree's path from src to dst (src != dst). It
 // reports false when either end is outside the tree or deeper than
 // escMaxDepth.
-func (t pathTree) walk(w *treeWalk, src, dst int) bool {
+func (t pathTree) walk(w *TreeWalk, src, dst int) bool {
 	if t.parent[src] == -2 || t.parent[dst] == -2 {
 		return false
 	}
@@ -122,11 +122,11 @@ func (t pathTree) walk(w *treeWalk, src, dst int) bool {
 	return true
 }
 
-// hops is the path's link count: up to the LCA and back down.
-func (w *treeWalk) hops() int { return w.nu + w.nd }
+// Hops is the path's link count: up to the LCA and back down.
+func (w *TreeWalk) Hops() int { return w.nu + w.nd }
 
-// at returns the path's i-th router, 0 <= i <= hops (0 is src).
-func (w *treeWalk) at(i int) int {
+// At returns the path's i-th router, 0 <= i <= hops (0 is src).
+func (w *TreeWalk) At(i int) int {
 	switch {
 	case i < w.nu:
 		return int(w.up[i])
@@ -136,20 +136,20 @@ func (w *treeWalk) at(i int) int {
 	return int(w.down[w.nu+w.nd-i])
 }
 
-// live checks every directed hop of the path, in path order.
-func (w *treeWalk) live(live func(u, v int) bool) bool {
-	for i := 0; i < w.hops(); i++ {
-		if !live(w.at(i), w.at(i+1)) {
+// Live checks every directed hop of the path, in path order.
+func (w *TreeWalk) Live(live func(u, v int) bool) bool {
+	for i := 0; i < w.Hops(); i++ {
+		if !live(w.At(i), w.At(i+1)) {
 			return false
 		}
 	}
 	return true
 }
 
-// appendTo appends the path's routers, src to dst, onto buf.
-func (w *treeWalk) appendTo(buf []int) []int {
-	for i := 0; i <= w.hops(); i++ {
-		buf = append(buf, w.at(i))
+// AppendTo appends the path's routers, src to dst, onto buf.
+func (w *TreeWalk) AppendTo(buf []int) []int {
+	for i := 0; i <= w.Hops(); i++ {
+		buf = append(buf, w.At(i))
 	}
 	return buf
 }

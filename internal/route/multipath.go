@@ -80,14 +80,19 @@ func (m *MultiPath) TreeEdges(l int) [][2]int { return m.edges[l] }
 // exceeds the lane's hop bound or crosses a link live reports dead (nil
 // live means every link is up). Deterministic: the tree fixes the path.
 func (m *MultiPath) AppendTreePath(buf []int, l, src, dst int, live func(u, v int) bool) []int {
-	if src == dst {
+	var w TreeWalk
+	if !m.WalkTree(&w, l, src, dst) || live != nil && !w.Live(live) {
 		return buf
 	}
-	var w treeWalk
-	if !m.trees[l].walk(&w, src, dst) || w.hops() > m.maxHops[l] || live != nil && !w.live(live) {
-		return buf
-	}
-	return w.appendTo(buf)
+	return w.AppendTo(buf)
+}
+
+// WalkTree fills w with tree lane l's up-down path from src to dst
+// without checking liveness or copying it, so a caller can score the
+// path first. It reports false for src == dst, a pair outside the tree,
+// or a path beyond the lane's hop bound.
+func (m *MultiPath) WalkTree(w *TreeWalk, l, src, dst int) bool {
+	return src != dst && m.trees[l].walk(w, src, dst) && w.Hops() <= m.maxHops[l]
 }
 
 // AppendPath implements Engine via the minimal lane.

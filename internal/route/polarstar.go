@@ -75,10 +75,16 @@ func (r *PolarStar) loopHops(z int) (hops [2]int, n int) {
 // node maps (structure vertex, local vertex) to the product vertex id.
 func (r *PolarStar) node(x, xp int) int { return r.ps.VertexAt(x, xp) }
 
-// Dist implements Engine.
+// Dist implements Engine. The path is built in a stack buffer: a minimal
+// path has at most four routers (diameter 3).
 func (r *PolarStar) Dist(src, dst int) int {
-	return len(r.AppendPath(nil, src, dst, nil)) - 1
+	var buf [4]int
+	return len(r.AppendPath(buf[:0], src, dst, nil)) - 1
 }
+
+// IgnoresRNG implements RNGFree: the analytic path is a function of
+// (src, dst) alone.
+func (*PolarStar) IgnoresRNG() {}
 
 // AppendPath implements Engine. The path is provably minimal; see the
 // exhaustive cross-check against BFS ground truth in the tests.

@@ -35,6 +35,15 @@ type Engine interface {
 	Dist(src, dst int) int
 }
 
+// RNGFree is implemented by engines whose AppendPath never reads its rng
+// argument. A caller sharing one stream across several routes may then
+// skip a route it would have computed only to keep the stream's draws in
+// step.
+type RNGFree interface {
+	Engine
+	IgnoresRNG()
+}
+
 // Path returns e's path from src to dst in a freshly allocated slice
 // (nil for src == dst or unreachable pairs).
 func Path(e Engine, src, dst int, rng *rand.Rand) []int {

@@ -16,8 +16,10 @@ type pendingInj struct {
 	retries uint8 // source retries already consumed (faults only)
 }
 
-// heapPush/heapPop implement a binary min-heap over packed
-// (cycle<<epBits | endpoint) events.
+// heapPush/heapPop/heapReplaceTop implement a binary min-heap over
+// packed (cycle<<epBits | endpoint) events. Keys are distinct (the
+// endpoint is in the low bits), so every sequence of operations pops in
+// one order.
 func (e *Engine) heapPush(v int64) {
 	h := append(e.genHeap, v)
 	i := len(h) - 1
@@ -36,8 +38,18 @@ func (e *Engine) heapPop() int64 {
 	h := e.genHeap
 	top := h[0]
 	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
+	e.genHeap = h[:last]
+	if last > 0 {
+		e.heapReplaceTop(h[last])
+	}
+	return top
+}
+
+// heapReplaceTop replaces the minimum with v and sifts it down: one pass
+// where a pop and a push take two.
+func (e *Engine) heapReplaceTop(v int64) {
+	h := e.genHeap
+	h[0] = v
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -54,8 +66,6 @@ func (e *Engine) heapPop() int64 {
 		h[i], h[small] = h[small], h[i]
 		i = small
 	}
-	e.genHeap = h
-	return top
 }
 
 // geoGap draws the geometric inter-generation gap (>= 1 cycle).
@@ -95,9 +105,11 @@ func (e *Engine) initGeneration(pktProb float64) {
 func (e *Engine) generate(t int64) {
 	horizon := int64(e.p.Warmup + e.p.Measure)
 	for len(e.genHeap) > 0 && e.genHeap[0]>>epBits <= t {
-		ep := int(e.heapPop() & (maxEndpoint - 1))
+		ep := int(e.genHeap[0] & (maxEndpoint - 1))
 		if next := t + e.geoGap(); next < horizon {
-			e.heapPush(next<<epBits | int64(ep))
+			e.heapReplaceTop(next<<epBits | int64(ep))
+		} else {
+			e.heapPop()
 		}
 		dst := e.pattern.Dest(ep, e.rng)
 		if dst < 0 {

@@ -80,30 +80,37 @@ type UGAL struct {
 	// Live, when set, makes path selection liveness-aware: a live
 	// candidate always beats a dead incumbent regardless of score, and
 	// Path returns buf unchanged when every candidate crosses a failed
-	// link. Live turns Path's floor exit off (see Path for RNG use).
+	// link. The route stream is read after Path only when it returns an
+	// empty or dead path (see Path).
 	Live LiveFn
 
+	minRNGFree bool  // Min implements route.RNGFree (read when built)
+	minWon     bool  // the last Path returned the minimal path
 	bufA, bufB []int // incumbent / candidate scratch
 }
 
 // Path implements Routing. RNG consumption: the minimal path's draws,
 // then per sample the intermediate draw and both legs' (routed even when
-// one is empty). Without Live, the samples are skipped when the minimal
-// path scores at its floor of one packet per hop (first-hop queue, or for
-// UGAL-G every queue, empty; or no path): MinEngine paths are shortest,
-// so no candidate can score lower. The engine reseeds the route stream per
-// packet and only a fault plan, which installs Live, reads it after Path.
+// one is empty; a Min that ignores rng skips a second leg that cannot
+// win). The samples are skipped when the minimal path scores at its
+// floor of one packet per hop (first-hop queue, or for UGAL-G every
+// queue, empty) and, under Live, is non-empty and live (without Live,
+// also when there is no path): MinEngine paths are shortest, so no
+// candidate can score lower. The engine reseeds the route stream per
+// packet and reads it after Path only when Path returns an empty or dead
+// path (the fault plan's repair draw), which the exit never does.
 func (u *UGAL) Path(buf []int, src, dst int, occ OccFn, rng *rand.Rand) []int {
 	best := u.Min.AppendPath(u.bufA[:0], src, dst, rng)
 	u.bufA = best
+	u.minWon = true
 	bestScore := u.score(best, occ)
-	if u.Live == nil && bestScore <= u.PktSize*max(len(best)-1, 0) {
-		return append(buf, best...)
-	}
 	// An empty (unroutable-minimal) incumbent counts as live: candidates
 	// then compete on score exactly as without Live, and the engine's
 	// detour fallbacks handle the empty result.
 	bestLive := pathLive(best, u.Live)
+	if bestScore <= u.PktSize*max(len(best)-1, 0) && (u.Live == nil || len(best) > 0 && bestLive) {
+		return append(buf, best...)
+	}
 	for s := 0; s < u.Samples; s++ {
 		var mid int
 		if u.Mids != nil {
@@ -115,7 +122,14 @@ func (u *UGAL) Path(buf []int, src, dst int, occ OccFn, rng *rand.Rand) []int {
 			continue
 		}
 		cand := u.Min.AppendPath(u.bufB[:0], src, mid, rng)
+		u.bufB = cand
 		n1 := len(cand)
+		// The second leg adds at least one hop and can only raise the
+		// queue a score reads: skip it when the first leg plus one hop
+		// cannot beat a live incumbent.
+		if u.minRNGFree && bestLive && (n1 == 0 || (u.queue(cand, occ)+u.PktSize)*n1 >= bestScore) {
+			continue
+		}
 		cand = u.Min.AppendPath(cand, mid, dst, rng)
 		u.bufB = cand
 		if n1 == 0 || len(cand) == n1 {
@@ -124,19 +138,25 @@ func (u *UGAL) Path(buf []int, src, dst int, occ OccFn, rng *rand.Rand) []int {
 		// Drop the duplicated joint (cand[n1] repeats mid == cand[n1-1]).
 		copy(cand[n1:], cand[n1+1:])
 		cand = cand[:len(cand)-1]
-		candLive := pathLive(cand, u.Live)
-		if candLive != bestLive {
-			if !candLive {
-				continue // never trade a live incumbent for a dead candidate
+		if bestLive {
+			// Score first: the liveness walk only decides a winner.
+			if sc := u.score(cand, occ); sc < bestScore && pathLive(cand, u.Live) {
+				best, bestScore = cand, sc
+				u.bufA, u.bufB = u.bufB, u.bufA
+				u.minWon = false
 			}
-			best, bestScore, bestLive = cand, u.score(cand, occ), true
-			u.bufA, u.bufB = u.bufB, u.bufA
 			continue
 		}
-		if sc := u.score(cand, occ); sc < bestScore {
+		// A dead incumbent loses to any live candidate.
+		if pathLive(cand, u.Live) {
+			best, bestScore, bestLive = cand, u.score(cand, occ), true
+		} else if sc := u.score(cand, occ); sc < bestScore {
 			best, bestScore = cand, sc
-			u.bufA, u.bufB = u.bufB, u.bufA
+		} else {
+			continue
 		}
+		u.bufA, u.bufB = u.bufB, u.bufA
+		u.minWon = false
 	}
 	if u.Live != nil && !bestLive {
 		return buf // every candidate crosses a failed link
@@ -145,13 +165,17 @@ func (u *UGAL) Path(buf []int, src, dst int, occ OccFn, rng *rand.Rand) []int {
 }
 
 // score is (queue occupancy + one packet) × hop count: the packet's own
-// serialization provides the minimal-path bias at zero load. UGAL-L
-// reads the first hop's queue; UGAL-G the maximum along the path.
+// serialization provides the minimal-path bias at zero load.
 func (u *UGAL) score(path []int, occ OccFn) int {
 	if len(path) < 2 {
 		return 0
 	}
-	hops := len(path) - 1
+	return (u.queue(path, occ) + u.PktSize) * (len(path) - 1)
+}
+
+// queue is the occupancy a score reads: UGAL-L the first hop's queue,
+// UGAL-G the maximum along the path (len(path) >= 2).
+func (u *UGAL) queue(path []int, occ OccFn) int {
 	q := occ(path[0], path[1])
 	if u.Global {
 		for i := 1; i+1 < len(path); i++ {
@@ -160,7 +184,7 @@ func (u *UGAL) score(path []int, occ OccFn) int {
 			}
 		}
 	}
-	return (q + u.PktSize) * hops
+	return q
 }
 
 // MaxHops implements Routing.
@@ -210,7 +234,8 @@ type MultiPathRouting struct {
 	PktSize int              // flits per packet, for the zero-queue tie-break
 	// Live, when set, filters tree-lane candidates to fully-live paths
 	// (the base lane handles liveness itself). Installed by the fault
-	// machinery with the base's Live (see UGAL.Path for RNG use).
+	// machinery with the base's Live; the route stream is read after
+	// PathLane only when it returns an empty or dead path.
 	Live LiveFn
 	// health, when non-nil, exposes the per-lane demotion state: down
 	// lanes are skipped before their paths are even built. Written only
@@ -251,40 +276,49 @@ const sprayStretch = 2
 // PathLane implements lanedRouting: the base path is always built first
 // (fixing the RNG consumption regardless of lane health, with the
 // repaired degraded-graph table standing in when the primary's path is
-// dead), then each live tree lane competes on occupancy score.
+// dead), then each live tree lane competes on occupancy score. A minimal
+// base path at its score floor wins outright: tree paths are no shorter
+// and ties go to the lower lane. The route stream is read after PathLane
+// only when it returns an empty or dead path.
 func (m *MultiPathRouting) PathLane(buf []int, src, dst int, occ OccFn, rng *rand.Rand) ([]int, int8) {
 	best := m.Base.Path(m.bufA[:0], src, dst, occ, rng)
 	m.bufA = best
+	bestScore := m.score(best, occ)
+	if len(best) > 0 && m.baseMinimal() && bestScore <= m.PktSize*(len(best)-1) {
+		return append(buf, best...), 0
+	}
 	if len(best) == 0 && m.repairPath != nil {
 		best = m.repairPath(m.bufA[:0], src, dst, rng)
 		m.bufA = best
+		bestScore = m.score(best, occ)
 	}
 	lane := int8(0)
-	bestScore := m.score(best, occ)
 	haveBest := len(best) > 0
 	// spill mode: the base lane is routable, so tree candidates are
 	// optional load-balancing spills and the stretch bound applies.
 	// Survival mode (base unroutable): any live tree path competes.
 	spill := haveBest
 	hopCap := len(best) - 1 + sprayStretch
+	var w route.TreeWalk
 	for l := 0; l < m.MP.TreeLanes(); l++ {
 		if m.health != nil && !m.health.up[l] {
 			continue
 		}
-		cand := m.MP.AppendTreePath(m.bufB[:0], l, src, dst, func(u, v int) bool {
-			return m.Live == nil || m.Live(u, v)
-		})
-		m.bufB = cand
-		if len(cand) == 0 {
-			continue // lane skips this pair (hop bound or dead tree edge)
+		// Judge the walk on hops, stretch and score before its liveness
+		// walk and copy: only a winner needs them.
+		if !m.MP.WalkTree(&w, l, src, dst) {
+			continue // lane skips this pair (off the tree or over its hop bound)
 		}
-		if spill && len(cand)-1 > hopCap {
+		hops := w.Hops()
+		if spill && hops > hopCap {
 			continue // too much stretch to be a load-balancing spill
 		}
-		if sc := m.score(cand, occ); !haveBest || sc < bestScore {
-			best, bestScore, lane, haveBest = cand, sc, int8(l+1), true
-			m.bufA, m.bufB = m.bufB, m.bufA
+		sc := (occ(src, w.At(1)) + m.PktSize) * hops
+		if haveBest && sc >= bestScore || m.Live != nil && !w.Live(m.Live) {
+			continue
 		}
+		best, bestScore, lane, haveBest = w.AppendTo(m.bufB[:0]), sc, int8(l+1), true
+		m.bufA, m.bufB = best, m.bufA
 	}
 	if !spill && m.escapePath != nil {
 		cand := m.escapePath(m.bufB[:0], src, dst)
@@ -300,6 +334,19 @@ func (m *MultiPathRouting) PathLane(buf []int, src, dst int, occ OccFn, rng *ran
 		return buf, 0 // unroutable everywhere: the fault fallbacks take over
 	}
 	return append(buf, best...), lane
+}
+
+// baseMinimal reports whether the base lane's last path is a shortest
+// one: always for MIN (MinEngine paths are shortest), for UGAL only when
+// its minimal incumbent won.
+func (m *MultiPathRouting) baseMinimal() bool {
+	switch b := m.Base.(type) {
+	case Min:
+		return true
+	case *UGAL:
+		return b.minWon
+	}
+	return false
 }
 
 // score mirrors UGAL-L: (first-hop queue + one packet) × hop count.

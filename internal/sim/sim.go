@@ -515,10 +515,10 @@ func NewEngine(params Params, g *graph.Graph, cfg traffic.Config, routing Routin
 // 64-unit boundary so the inActive bitset words are shard-disjoint.
 // A channel gets band 0 and the band of the tree lane owning its edge,
 // and no packet needs another: lane l >= 1 paths come only from tree
-// l-1's AppendTreePath (PathLane, laneFailover), and detour keeps them,
-// since they pass Live == fs.linkLive (so pathLiveChans), have at most
-// pktStride hops, and a dead endpoint router means a retry. Escape and
-// repair paths ride band 0.
+// l-1's walk (PathLane's WalkTree, laneFailover's AppendTreePath), and
+// detour keeps them, since they pass Live == fs.linkLive (so
+// pathLiveChans), have at most pktStride hops, and a dead endpoint
+// router means a retry. Escape and repair paths ride band 0.
 func (e *Engine) buildUnits() {
 	n := e.g.N()
 	nChans := e.g.NumChannels()

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkSimCyclePSIQSmall measures whole simulated runs of the small
 // PolarStar at moderate load (throughput of the simulator itself).
@@ -83,4 +86,54 @@ func BenchmarkSpecConstruction(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRoutingContest measures one packet's path choice on ps-iq-43
+// with half the queues empty and 3 % of the links dead: UGAL-L Path and
+// MP-UGAL PathLane, in ns per packet over a fixed cycle of 4096 pairs.
+func BenchmarkRoutingContest(b *testing.B) {
+	spec := must(NewSpec("ps-iq-43"))
+	n := spec.Graph.N()
+	rng := rand.New(rand.NewSource(1))
+	occs := make([]int, n*n)
+	dead := make([]bool, n*n)
+	for i := range occs {
+		if rng.Intn(2) == 0 {
+			occs[i] = 1 + rng.Intn(40)
+		}
+		dead[i] = rng.Intn(100) < 3
+	}
+	occ := func(a, c int) int { return occs[a*n+c] }
+	live := func(a, c int) bool { return !dead[a*n+c] }
+	pairs := make([][2]int, 4096)
+	for i := range pairs {
+		for pairs[i][0] == pairs[i][1] {
+			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+		}
+	}
+	var stream splitmix
+	pktRNG := rand.New(&stream)
+	var buf []int
+	b.Run("UGAL", func(b *testing.B) {
+		u := spec.UGALRouting(4).(*UGAL)
+		u.Live = live
+		for i := 0; i < b.N; i++ {
+			pr := pairs[i%len(pairs)]
+			stream.seed(1, int64(i))
+			buf = u.Path(buf[:0], pr[0], pr[1], occ, pktRNG)
+		}
+	})
+	b.Run("MP-UGAL", func(b *testing.B) {
+		r, err := spec.Routing(MPUGALMode, Params{Lanes: 3, PacketFlits: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := r.Clone().(*MultiPathRouting)
+		m.setLive(live, newLaneHealth(m.MP), nil, nil)
+		for i := 0; i < b.N; i++ {
+			pr := pairs[i%len(pairs)]
+			stream.seed(1, int64(i))
+			buf, _ = m.PathLane(buf[:0], pr[0], pr[1], occ, pktRNG)
+		}
+	})
 }

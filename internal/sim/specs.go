@@ -52,13 +52,15 @@ func (s *Spec) MinRouting() Routing {
 // UGALRouting returns the §9.3 UGAL-L adapter with the paper's 4 sampled
 // Valiant intermediates.
 func (s *Spec) UGALRouting(pktFlits int) Routing {
+	_, minRNGFree := s.MinEngine.(route.RNGFree)
 	return &UGAL{
-		Min:     s.MinEngine,
-		Mids:    s.UGALMids,
-		N:       s.Graph.N(),
-		Samples: 4,
-		Hops:    2 * s.MinHops,
-		PktSize: pktFlits,
+		Min:        s.MinEngine,
+		Mids:       s.UGALMids,
+		N:          s.Graph.N(),
+		Samples:    4,
+		Hops:       2 * s.MinHops,
+		PktSize:    pktFlits,
+		minRNGFree: minRNGFree,
 	}
 }
 
