@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -52,15 +56,89 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	code := m.Run()
+	// The gate needs every invocation of the suite, so a -run or -skip
+	// subset (TestRegen's among them) and -list skip it. A test that
+	// failed early may not have passed all of its flags.
+	if flag.Lookup("test.run").Value.String() == "" && flag.Lookup("test.skip").Value.String() == "" &&
+		flag.Lookup("test.list").Value.String() == "" {
+		if unread := unreadFlags(); len(unread) > 0 {
+			fmt.Fprintf(os.Stderr, "--- FAIL: flag readers (every registered flag needs a case that passes it)\n\t%s\n",
+				strings.Join(unread, "\n\t"))
+			code = 1
+		}
+	}
 	os.RemoveAll(dir)
 	os.Exit(code)
+}
+
+// flagAllowlist names the "bin -flag" pairs no invocation passes, each
+// with its reason; an entry whose flag gains a reader or goes fails the
+// gate.
+var flagAllowlist = map[string]string{}
+
+// passed records every (binary, flag) pair an invocation gave, for
+// unreadFlags.
+var passed = struct {
+	sync.Mutex
+	flags map[[2]string]bool
+}{flags: map[[2]string]bool{}}
+
+// command is the one way the tests invoke a built binary: it records
+// each flag args passes to bin.
+func command(bin string, args ...string) *exec.Cmd {
+	passed.Lock()
+	for _, a := range args {
+		if name, ok := strings.CutPrefix(a, "-"); ok {
+			name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
+			passed.flags[[2]string{bin, name}] = true
+		}
+	}
+	passed.Unlock()
+	return exec.Command(filepath.Join(binDir, bin), args...)
+}
+
+// unreadFlags is the flag-reader gate: it returns, as "bin -flag", every
+// flag in a binary's -help listing that no invocation passed, plus each
+// stale allowlist entry. A flag whose listing block (name, type, usage,
+// default) several binaries share is registered by shared code
+// (cli.Register, sim.Flags), so passing it to any of them reads it.
+func unreadFlags() []string {
+	listings := map[string][]string{} // listing block → "bin -flag" of each binary it is in
+	read := map[string]bool{}         // listing block → some invocation passed it
+	registered := map[string]bool{}
+	for _, b := range binaries {
+		out, _ := command(b, "-help").CombinedOutput()
+		for _, block := range strings.Split(string(out), "\n  -")[1:] {
+			name := strings.Fields(block)[0]
+			listings[block] = append(listings[block], b+" -"+name)
+			read[block] = read[block] || passed.flags[[2]string{b, name}]
+			registered[b+" -"+name] = true
+		}
+	}
+	var unread []string
+	for block, keys := range listings {
+		for _, key := range keys {
+			if _, allowed := flagAllowlist[key]; read[block] && allowed {
+				unread = append(unread, key+": allowlisted, but an invocation passes it")
+			} else if !read[block] && !allowed {
+				unread = append(unread, key+": no invocation passes it")
+			}
+		}
+	}
+	for key := range flagAllowlist {
+		if !registered[key] {
+			unread = append(unread, key+": allowlisted, but no binary registers it")
+		}
+	}
+	sort.Strings(unread)
+	return unread
 }
 
 // run executes one built binary and returns its stdout, failing the test
 // on a non-zero exit or empty output.
 func run(t *testing.T, bin string, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(filepath.Join(binDir, bin), args...)
+	cmd := command(bin, args...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
@@ -86,15 +164,25 @@ func artifact(t *testing.T, path string) map[string]any {
 	return m
 }
 
+// field walks path through a decoded artifact: object keys, and decimal
+// indices into arrays.
 func field(t *testing.T, m map[string]any, path ...string) any {
 	t.Helper()
 	var cur any = m
 	for _, k := range path {
-		obj, ok := cur.(map[string]any)
-		if !ok || obj[k] == nil {
+		var next any
+		switch c := cur.(type) {
+		case map[string]any:
+			next = c[k]
+		case []any:
+			if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(c) {
+				next = c[i]
+			}
+		}
+		if next == nil {
 			t.Fatalf("artifact missing field %s", strings.Join(path, "."))
 		}
-		cur = obj[k]
+		cur = next
 	}
 	return cur
 }
@@ -196,8 +284,8 @@ func TestPssimMetrics(t *testing.T) {
 // TestPssearchMetrics is the acceptance check of the search CLI: an
 // equally seeded re-run must reproduce stdout, the checkpoint, the best
 // graph and the metrics payload byte for byte regardless of -workers,
-// and resuming the checkpoint at the same epoch target must be a
-// byte-stable no-op.
+// resuming the checkpoint at the same epoch target must be a byte-stable
+// no-op, and resuming to a higher target must continue the run.
 func TestPssearchMetrics(t *testing.T) {
 	tmp := t.TempDir()
 	runArgs := func(workers int, tag string) (stdout, cp, best, metrics string) {
@@ -206,6 +294,7 @@ func TestPssearchMetrics(t *testing.T) {
 		metrics = filepath.Join(tmp, "m-"+tag+".json")
 		stdout = run(t, "pssearch", "-start", "jellyfish:64,4", "-seed", "5",
 			"-searchers", "3", "-epochs", "3", "-iters", "150",
+			"-temp", "20", "-cooling", "0.5", "-resync", "64",
 			"-workers", fmt.Sprint(workers),
 			"-checkpoint", cp, "-best-out", best,
 			"-metrics", metrics, "-metrics-timing=false")
@@ -217,13 +306,8 @@ func TestPssearchMetrics(t *testing.T) {
 	if out1 != out4 {
 		t.Errorf("stdout differs between -workers 1 and 4:\n%s\n---\n%s", out1, out4)
 	}
-	for _, pair := range [][2]string{{cp1, cp4}, {best1, best4}} {
-		a, _ := os.ReadFile(pair[0])
-		b, _ := os.ReadFile(pair[1])
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s and %s differ between worker counts", pair[0], pair[1])
-		}
-	}
+	sameFile(t, cp1, cp4)
+	sameFile(t, best1, best4)
 	if a, b := artifact(t, m1), artifact(t, m4); !reflect.DeepEqual(a["search"], b["search"]) {
 		t.Error("search metrics differ between -workers 1 and -workers 4")
 	}
@@ -251,11 +335,26 @@ func TestPssearchMetrics(t *testing.T) {
 	// Resume at the same epoch target: byte-stable checkpoint no-op.
 	cp2 := filepath.Join(tmp, "cp-resumed.json")
 	run(t, "pssearch", "-resume", cp1, "-epochs", "3", "-checkpoint", cp2)
-	a, _ := os.ReadFile(cp1)
-	b, _ := os.ReadFile(cp2)
-	if !bytes.Equal(a, b) {
-		t.Error("resume at the same epoch target rewrote a different checkpoint")
+	sameFile(t, cp1, cp2)
+
+	// Resume to a higher target: the run continues for the two extra
+	// epochs.
+	m5 := filepath.Join(tmp, "m-resumed.json")
+	run(t, "pssearch", "-resume", cp1, "-epochs", "5", "-checkpoint", filepath.Join(tmp, "cp-5.json"),
+		"-metrics", m5, "-metrics-timing=false")
+	if traj := field(t, artifact(t, m5), "search", "trajectory").([]any); len(traj) != 5 {
+		t.Errorf("resumed to -epochs 5: trajectory has %d points, want 5", len(traj))
 	}
+
+	// Two searchers on one worker and on eight, where each searcher's
+	// evaluation gets a 4-wide pool, write the same checkpoint.
+	pooled := func(workers string) string {
+		cp := filepath.Join(tmp, "cp-s2-w"+workers+".json")
+		run(t, "pssearch", "-start", "jellyfish:64,4", "-seed", "3", "-epochs", "4", "-iters", "200",
+			"-searchers", "2", "-workers", workers, "-checkpoint", cp)
+		return cp
+	}
+	sameFile(t, pooled("1"), pooled("8"))
 
 	// The best graph edge list: one edge per non-comment line, and the
 	// degree sequence preserved means exactly 64·4/2 edges.
@@ -271,6 +370,16 @@ func TestPssearchMetrics(t *testing.T) {
 	}
 	if edges != 128 {
 		t.Errorf("best-out has %d edges, want 128 (64 vertices of degree 4)", edges)
+	}
+}
+
+// sameFile fails the test unless the files at paths a and b are equal.
+func sameFile(t *testing.T, a, b string) {
+	t.Helper()
+	x, errA := os.ReadFile(a)
+	y, errB := os.ReadFile(b)
+	if errA != nil || errB != nil || !bytes.Equal(x, y) {
+		t.Errorf("%s and %s differ (read errors %v, %v)", a, b, errA, errB)
 	}
 }
 
@@ -314,7 +423,7 @@ func TestPsfaultsMetrics(t *testing.T) {
 func TestPsfaultsUnknownMode(t *testing.T) {
 	fail := func(bin string, args ...string) string {
 		t.Helper()
-		cmd := exec.Command(filepath.Join(binDir, bin), args...)
+		cmd := command(bin, args...)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
@@ -335,7 +444,7 @@ func TestPsfaultsUnknownMode(t *testing.T) {
 	const names = "min|ugal|ugal-g|mp-min|mp-ugal"
 	for _, bin := range []string{"pssim", "psfaults"} {
 		// -h exits 0 with the usage on stderr.
-		cmd := exec.Command(filepath.Join(binDir, bin), "-h")
+		cmd := command(bin, "-h")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		if err := cmd.Run(); err != nil {
@@ -462,8 +571,8 @@ func TestPsserveSmoke(t *testing.T) {
 // clean exit and returns the rest of its stdout (safe to call twice).
 func startPsserve(t *testing.T) (base string, stop func() string) {
 	t.Helper()
-	cmd := exec.Command(filepath.Join(binDir, "psserve"),
-		"-addr", "127.0.0.1:0", "-workers", "2", "-run-timeout", "30s")
+	cmd := command("psserve", "-addr", "127.0.0.1:0", "-workers", "2", "-queue", "8",
+		"-cache-mb", "16", "-run-timeout", "30s", "-drain-timeout", "10s")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -509,6 +618,57 @@ func startPsserve(t *testing.T) (base string, stop func() string) {
 			}
 		})
 		return rest
+	}
+}
+
+// TestPsfaultsResilience runs the live-fault comparison of the golden on
+// four workers: the table must be the one pinned for one worker, and
+// the artifact must describe the targeted, repaired, stalled sweep.
+func TestPsfaultsResilience(t *testing.T) {
+	t.Parallel()
+	args := slices.Clone(resilienceSmoke)
+	for i := range args {
+		if args[i] == "-workers" {
+			args[i+1] = "4"
+		}
+	}
+	rec := runGolden(t, goldenCase{bin: "psfaults", args: args, stdout: true, stderr: true, excerpts: []string{"r.json:fault_resilience"}})
+	table, excerpt, _ := strings.Cut(rec, "--- r.json:fault_resilience\n")
+	golden, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one := strings.Replace(table, "-workers 4", "-workers 1", 1); !strings.Contains(string(golden), one) {
+		t.Errorf("-workers 4 output is not the golden's -workers 1 record:\n%s", one)
+	}
+	var fr map[string]any
+	if err := json.Unmarshal([]byte(excerpt), &fr); err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]float64{"target_lanes": 2, "mtbf": 40, "repair": 150, "repair_delay": 60} {
+		if fr[k] != want {
+			t.Errorf("fault_resilience.%s = %v, want %v", k, fr[k], want)
+		}
+	}
+}
+
+// TestOutputFiles checks the flags that write a file next to the run:
+// -cpuprofile and -memprofile (shared by the experiment tools) write
+// non-empty profiles, and -svg writes an SVG chart.
+func TestOutputFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	run(t, "pssim", "-spec", "ps-iq-small", "-cycles", "60", "-loads", "0.1,0.2", "-seed", "3",
+		"-cpuprofile", path("cpu.prof"), "-memprofile", path("mem.prof"), "-svg", path("sim.svg"))
+	run(t, "psfaults", "-spec", "ps-iq-small", "-trials", "3", "-svg", path("faults.svg"))
+	for _, name := range []string{"cpu.prof", "mem.prof", "sim.svg", "faults.svg"} {
+		data, err := os.ReadFile(path(name))
+		if err != nil || len(data) == 0 {
+			t.Errorf("%s: %d bytes, %v", name, len(data), err)
+		}
+		if strings.HasSuffix(name, ".svg") && !bytes.Contains(data, []byte("<svg")) {
+			t.Errorf("%s is not an SVG chart:\n%.200s", name, data)
+		}
 	}
 }
 

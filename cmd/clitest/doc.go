@@ -4,5 +4,6 @@
 // non-empty output, and — for the instrumented CLIs — a parseable,
 // deterministic metrics artifact. TestCLIGolden pins the tools' flag
 // listings, seeded output, error messages and result files byte for
-// byte (testdata/golden.txt).
+// byte (testdata/golden.txt). After a full run, TestMain fails the suite
+// on any registered flag that no invocation passed (unreadFlags).
 package clitest

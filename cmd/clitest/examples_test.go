@@ -9,6 +9,7 @@ import (
 // TestExamples runs every program under examples/: each must exit 0 and
 // print one line of seeded results, which depends only on the code.
 func TestExamples(t *testing.T) {
+	t.Parallel()
 	want := map[string]string{
 		"designspace":    "Built PolarStar-IQ(q=23,d'=8){n=9954 m=159264 loops=0}: diameter 3",
 		"faulttolerance": "   20% failed: diameter 5, avg path 3.038",

@@ -48,13 +48,11 @@ func main() {
 		counts     = flag.String("counts", "0,1,2,4,6,8", "failure counts for -resilience (comma-separated links killed)")
 		rmodes     = flag.String("rmodes", "min,ugal,mp-min", "routing curves for -resilience: comma-separated -mode names")
 		lanes      = flag.Int("lanes", 0, "spanning-tree lanes of the mp-* modes (0: default 3)")
-		killCycle  = flag.Int64("kill-cycle", 0, "cycle the -resilience failures land (0: end of warmup)")
 		rMTBF      = flag.Int64("resilience-mtbf", 0, "spread -resilience failures this many cycles apart (0: one batch)")
 		rRepair    = flag.Int64("resilience-repair", 0, "repair each -resilience failure after this many cycles (0: permanent)")
 		rTarget    = flag.Int("target-lanes", 0, "draw -resilience failures from the tree edges of the first N multipath lanes (0: uniform over all links)")
-		rDelay     = flag.Int64("repair-delay", 0, "table-reconvergence stall in cycles after each -resilience fault event (0: instant repair)")
 
-		live = sim.Flags() // plan and -mtbf apply to -traffic runs, the retry flags to -resilience too
+		live = sim.Flags() // plan and -mtbf apply to -traffic runs, the retry flags and -repair-delay to -resilience too
 		met  = cli.Register("psfaults")
 	)
 	flag.Parse()
@@ -69,25 +67,27 @@ func main() {
 	params.Workers = *workers
 	params.Lanes = *lanes
 	if *resilience {
-		cfg := faults.ResilienceConfig{Pattern: *pattern, Load: *load, KillCycle: *killCycle, MTBF: *rMTBF,
-			Repair: *rRepair, RepairDelay: *rDelay, Seed: *seed, TargetLanes: *rTarget}
-		params.Retry = live.Retry()
+		if err := live.Scripted(&params); err != nil {
+			cli.Fatal(err)
+		}
+		cfg := faults.ResilienceConfig{Pattern: *pattern, Load: *load, MTBF: *rMTBF,
+			Repair: *rRepair, RepairDelay: params.RepairDelay, Seed: *seed, TargetLanes: *rTarget}
 		runResilience(spec, cfg, *counts, *rmodes, params, met)
 		return
+	}
+	if !*traffic && live.Active() {
+		cli.Fatal(fmt.Errorf("-fault-plan/-mtbf inject live faults into the simulator; combine them with -traffic"))
+	}
+	if err := live.Apply(&params, spec.Graph); err != nil {
+		cli.Fatal(err)
 	}
 	if *traffic {
 		m, err := sim.ParseRoutingMode(*mode)
 		if err != nil {
 			cli.Fatal(err)
 		}
-		if err := live.Apply(&params, spec.Graph); err != nil {
-			cli.Fatal(err)
-		}
 		runTraffic(spec, m, *pattern, *load, params, live, met)
 		return
-	}
-	if live.Active() {
-		cli.Fatal(fmt.Errorf("-fault-plan/-mtbf inject live faults into the simulator; combine them with -traffic"))
 	}
 	run := met.Run(obs.Manifest{Spec: spec.Name, Seed: *seed})
 	var fm *obs.FaultSweep
@@ -157,9 +157,6 @@ func runResilience(spec *sim.Spec, cfg faults.ResilienceConfig, counts, rmodes s
 	if cfg.Modes, err = cli.List(rmodes, sim.ParseRoutingMode); err != nil {
 		cli.Fatal(fmt.Errorf("-rmodes: %w", err))
 	}
-	if cfg.KillCycle <= 0 {
-		cfg.KillCycle = int64(params.Warmup)
-	}
 
 	run := met.Run(simManifest(spec, "", cfg.Pattern, params))
 	var fr *obs.FaultResilience
@@ -182,7 +179,7 @@ func runResilience(spec *sim.Spec, cfg faults.ResilienceConfig, counts, rmodes s
 		target += fmt.Sprintf(" repair-delay=%d", cfg.RepairDelay)
 	}
 	fmt.Printf("# %s %s resilience at load %.2f (kill@%d mtbf=%d repair=%d%s)\n",
-		spec.Name, cfg.Pattern, cfg.Load, cfg.KillCycle, cfg.MTBF, cfg.Repair, target)
+		spec.Name, cfg.Pattern, cfg.Load, params.Warmup, cfg.MTBF, cfg.Repair, target)
 	fmt.Printf("%-9s %-9s %-12s %-12s %-10s %-8s %-8s\n",
 		"routing", "failures", "throughput", "avg-lat", "delivered", "lost", "retried")
 	for _, c := range curves {

@@ -33,7 +33,6 @@ func main() {
 		lo       = flag.Int("lo", 8, "lowest radix")
 		hi       = flag.Int("hi", 64, "highest radix")
 		withSF   = flag.Bool("sf", false, "include Spectralfly diameter-3 design points in fig 1 (slow: explicit LPS construction)")
-		sfCap    = flag.Int("sfcap", 30000, "order cap for Spectralfly candidates")
 		measure  = flag.Bool("measure", false, "fig 7: construct each configuration and measure exact diameter/APL")
 		maxOrder = flag.Int("maxorder", 20000, "order cap for -measure construction")
 	)
@@ -42,7 +41,7 @@ func main() {
 	switch {
 	case *fig == 1:
 		if *withSF {
-			moore.WriteFig1(os.Stdout, moore.Fig1WithSpectralfly(*lo, *hi, *sfCap))
+			moore.WriteFig1(os.Stdout, moore.Fig1WithSpectralfly(*lo, *hi))
 			break
 		}
 		moore.WriteFig1(os.Stdout, moore.Fig1(*lo, *hi))

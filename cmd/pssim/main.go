@@ -33,9 +33,8 @@ func main() {
 		svgOut   = flag.String("svg", "", "also write the latency-load curve as an SVG file")
 		workers  = flag.Int("workers", 0, "engine shard workers per run (0: auto-split cores between load points and shards; results are identical for any value)")
 
-		repairDelay = flag.Int64("repair-delay", 0, "table-reconvergence stall in cycles after each applied fault event (0: instant repair)")
-		live        = sim.Flags()
-		met         = cli.Register("pssim")
+		live = sim.Flags()
+		met  = cli.Register("pssim")
 	)
 	flag.Parse()
 	defer met.Profile()()
@@ -59,7 +58,6 @@ func main() {
 	params.Workers = *workers
 	params.Lanes = *lanes
 	params.MetricsInterval = *met.Interval
-	params.RepairDelay = *repairDelay
 	params.SetCycles(*cycles)
 	if err := live.Apply(&params, spec.Graph); err != nil {
 		cli.Fatal(err)

@@ -31,10 +31,8 @@ type ResilienceConfig struct {
 	// Pattern and Load fix the traffic for every point.
 	Pattern string
 	Load    float64
-	// KillCycle is when the scripted failures land (<= 0: end of warmup).
-	KillCycle int64
 	// MTBF, when positive, spreads the failures MTBF cycles apart
-	// starting at KillCycle instead of one batch (a deterministic
+	// starting at the end of warmup instead of one batch (a deterministic
 	// mean-time-between-failures schedule).
 	MTBF int64
 	// Repair, when positive, is the MTTR: every killed link comes back
@@ -72,7 +70,7 @@ type ResilienceCurve struct {
 
 // ResilienceSweep runs every configured routing mode under the same
 // scripted live-fault plans: for each failure count it kills that many
-// links (a nested, seed-determined prefix) at KillCycle — spread by MTBF
+// links (a nested, seed-determined prefix) at the end of warmup — spread by MTBF
 // and repaired after Repair when set — and simulates the same offered
 // load. All curves share plans, pattern, seed and load, so the only
 // variable is the routing mode; every Result is bit-identical at any
@@ -114,15 +112,12 @@ func ResilienceSweepObs(spec *sim.Spec, cfg ResilienceConfig, params sim.Params,
 	if cfg.Pattern == "" {
 		cfg.Pattern = "uniform"
 	}
-	if cfg.KillCycle <= 0 {
-		cfg.KillCycle = int64(params.Warmup)
-	}
 
 	if fr != nil {
 		fr.Spec = spec.Name
 		fr.Pattern = cfg.Pattern
 		fr.Load = cfg.Load
-		fr.KillCycle = cfg.KillCycle
+		fr.KillCycle = int64(params.Warmup)
 		fr.MTBF = cfg.MTBF
 		fr.Repair = cfg.Repair
 		fr.TargetLanes = cfg.TargetLanes
@@ -140,7 +135,7 @@ func ResilienceSweepObs(spec *sim.Spec, cfg ResilienceConfig, params sim.Params,
 		for _, count := range cfg.Counts {
 			p := params
 			p.RepairDelay = cfg.RepairDelay
-			p.Plan = killPlan(edges[:count], cfg.KillCycle, cfg.MTBF, cfg.Repair)
+			p.Plan = killPlan(edges[:count], int64(params.Warmup), cfg.MTBF, cfg.Repair)
 			if oc != nil {
 				p.Metrics = &obs.SimRun{}
 				oc.Points = append(oc.Points, &obs.FaultResiliencePoint{Failures: count, Sim: p.Metrics})

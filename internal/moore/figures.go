@@ -43,14 +43,14 @@ func Fig1(lo, hi int) []Fig1Row {
 }
 
 // Fig1WithSpectralfly additionally fills the Spectralfly column by
-// explicit LPS construction and diameter measurement, capped at maxOrder
+// explicit LPS construction and diameter measurement, capped at 30000
 // vertices per candidate (the diameter check is quadratic). Spectralfly
 // has diameter-3 design points at very few radixes, exactly as Fig 1
 // shows.
-func Fig1WithSpectralfly(lo, hi, maxOrder int) []Fig1Row {
+func Fig1WithSpectralfly(lo, hi int) []Fig1Row {
 	rows := Fig1(lo, hi)
 	for i := range rows {
-		rows[i].Spectralfly = SpectralflyDiam3(rows[i].Radix, maxOrder)
+		rows[i].Spectralfly = SpectralflyDiam3(rows[i].Radix, 30000)
 	}
 	return rows
 }

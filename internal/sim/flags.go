@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"flag"
 
 	"polarstar/internal/graph"
@@ -13,33 +14,31 @@ type FaultFlags struct {
 	plan    *string
 	mtbf    *float64
 	repair  *int64
+	delay   *int64
 	retries *int
 	backoff *int64
-	cap     *int64
-	maxAge  *int64
 }
 
-// Flags registers -fault-plan, -mtbf, -fault-repair, -retries,
-// -retry-backoff, -retry-cap and -pkt-max-age on the default flag set.
-// Call before flag.Parse.
+// Flags registers -fault-plan, -mtbf, -fault-repair, -repair-delay,
+// -retries and -retry-backoff on the default flag set. Call before
+// flag.Parse.
 func Flags() *FaultFlags {
 	return &FaultFlags{
 		plan:    flag.String("fault-plan", "", "live fault plan file: one '<cycle> link-down|link-up|router-down|router-up <args>' per line"),
 		mtbf:    flag.Float64("mtbf", 0, "additionally generate random link failures with this mean-cycles-between-failures (0: none)"),
 		repair:  flag.Int64("fault-repair", 0, "repair delay in cycles for -mtbf failures (0: permanent)"),
+		delay:   flag.Int64("repair-delay", 0, "table-reconvergence stall in cycles after each applied fault event (0: instant repair)"),
 		retries: flag.Int("retries", 0, "max source retries per packet under faults (0: default policy)"),
 		backoff: flag.Int64("retry-backoff", 0, "base retry backoff in cycles, doubling per retry (0: default)"),
-		cap:     flag.Int64("retry-cap", 0, "retry backoff cap in cycles (0: default)"),
-		maxAge:  flag.Int64("pkt-max-age", 0, "per-packet age limit in cycles under faults (0: default; <0: unlimited)"),
 	}
 }
 
 // Active reports whether a plan file or an MTBF generator was requested.
 func (f *FaultFlags) Active() bool { return *f.plan != "" || *f.mtbf > 0 }
 
-// Retry layers the explicitly set retry flags over the default policy
-// (0 keeps each default; -pkt-max-age < 0 disables the age limit).
-func (f *FaultFlags) Retry() RetryPolicy {
+// retry layers the explicitly set retry flags over the default policy
+// (0 keeps each default).
+func (f *FaultFlags) retry() RetryPolicy {
 	rp := DefaultRetryPolicy()
 	if *f.retries > 0 {
 		rp.MaxRetries = *f.retries
@@ -47,23 +46,19 @@ func (f *FaultFlags) Retry() RetryPolicy {
 	if *f.backoff > 0 {
 		rp.BackoffBase = *f.backoff
 	}
-	if *f.cap > 0 {
-		rp.BackoffCap = *f.cap
-	}
-	if *f.maxAge > 0 {
-		rp.MaxAge = *f.maxAge
-	} else if *f.maxAge < 0 {
-		rp.MaxAge = 0
-	}
 	return rp
 }
 
 // Apply loads the requested plan into params — the plan file merged with
 // MTBF failures drawn from params.Seed over the run's cycle horizon,
-// validated against g — together with the retry policy. Without
-// -fault-plan/-mtbf it leaves params untouched.
+// validated against g — together with the retry policy and the repair
+// stall. Without -fault-plan/-mtbf it leaves params untouched and
+// refuses -repair-delay, whose stall only follows a fault event.
 func (f *FaultFlags) Apply(params *Params, g *graph.Graph) error {
 	if !f.Active() {
+		if *f.delay != 0 {
+			return errors.New("-repair-delay stalls routing after fault events; combine it with -fault-plan or -mtbf")
+		}
 		return nil
 	}
 	horizon := int64(params.Warmup + params.Measure + params.Drain)
@@ -71,8 +66,19 @@ func (f *FaultFlags) Apply(params *Params, g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	params.Plan = plan
-	params.Retry = f.Retry()
+	params.Plan, params.Retry, params.RepairDelay = plan, f.retry(), *f.delay
+	return nil
+}
+
+// Scripted sets the retry policy and the repair stall of runs whose
+// fault events the caller scripts itself (psfaults -resilience). The
+// script would replace -fault-plan, -mtbf and -fault-repair, so each is
+// refused.
+func (f *FaultFlags) Scripted(params *Params) error {
+	if f.Active() || *f.repair != 0 {
+		return errors.New("-fault-plan/-mtbf/-fault-repair drive -traffic runs; -resilience scripts its own failures (-counts, -resilience-mtbf, -resilience-repair)")
+	}
+	params.Retry, params.RepairDelay = f.retry(), *f.delay
 	return nil
 }
 

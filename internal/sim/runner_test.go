@@ -121,8 +121,10 @@ var faultFlags = Flags()
 
 // TestFaultFlags pins the one definition of the live-fault CLI surface:
 // the retry flags layer over the default policy, Apply loads the plan
-// over the run's horizon with params.Seed, and the manifest records the
-// generator flags plus the policy the engine will actually use.
+// over the run's horizon with params.Seed together with -repair-delay,
+// which needs a fault source, Scripted refuses the plan flags, and the
+// manifest records the generator flags plus the policy the engine will
+// actually use.
 func TestFaultFlags(t *testing.T) {
 	set := func(kv ...string) {
 		t.Helper()
@@ -133,8 +135,7 @@ func TestFaultFlags(t *testing.T) {
 		}
 	}
 	reset := func() {
-		set("fault-plan", "", "mtbf", "0", "fault-repair", "0", "retries", "0",
-			"retry-backoff", "0", "retry-cap", "0", "pkt-max-age", "0")
+		set("fault-plan", "", "mtbf", "0", "fault-repair", "0", "repair-delay", "0", "retries", "0", "retry-backoff", "0")
 	}
 	defer reset()
 	reset()
@@ -149,8 +150,8 @@ func TestFaultFlags(t *testing.T) {
 		t.Fatal("SetCycles(0) changed the windows")
 	}
 
-	if faultFlags.Active() || faultFlags.Retry() != DefaultRetryPolicy() {
-		t.Fatalf("unset flags: Active=%v Retry=%+v", faultFlags.Active(), faultFlags.Retry())
+	if faultFlags.Active() || faultFlags.retry() != DefaultRetryPolicy() {
+		t.Fatalf("unset flags: Active=%v Retry=%+v", faultFlags.Active(), faultFlags.retry())
 	}
 	if err := faultFlags.Apply(&p, spec.Graph); err != nil || p.Plan != nil || p.Retry != (RetryPolicy{}) {
 		t.Fatalf("inactive Apply touched params: plan=%v retry=%+v err=%v", p.Plan, p.Retry, err)
@@ -158,11 +159,23 @@ func TestFaultFlags(t *testing.T) {
 	if m := faultFlags.Manifest(p); m != nil {
 		t.Fatalf("plan-less manifest = %+v, want nil", m)
 	}
+	set("repair-delay", "60")
+	if err := faultFlags.Apply(&p, spec.Graph); err == nil || p.RepairDelay != 0 {
+		t.Fatalf("-repair-delay without a fault source: err %v, RepairDelay %d; want an error", err, p.RepairDelay)
+	}
+	scripted := DefaultParams(5)
+	if err := faultFlags.Scripted(&scripted); err != nil || scripted.RepairDelay != 60 || scripted.Retry != DefaultRetryPolicy() {
+		t.Fatalf("Scripted: err %v, RepairDelay %d, Retry %+v", err, scripted.RepairDelay, scripted.Retry)
+	}
 
-	set("mtbf", "40", "fault-repair", "90", "retries", "2", "retry-backoff", "1000", "pkt-max-age", "-1")
-	want := RetryPolicy{MaxRetries: 2, BackoffBase: 1000, BackoffCap: DefaultRetryPolicy().BackoffCap, MaxAge: 0}
-	if got := faultFlags.Retry(); got != want {
+	set("mtbf", "40", "fault-repair", "90", "retries", "2", "retry-backoff", "1000")
+	def := DefaultRetryPolicy()
+	want := RetryPolicy{MaxRetries: 2, BackoffBase: 1000, BackoffCap: def.BackoffCap, MaxAge: def.MaxAge}
+	if got := faultFlags.retry(); got != want {
 		t.Errorf("layered retry = %+v, want %+v", got, want)
+	}
+	if err := faultFlags.Scripted(&scripted); err == nil {
+		t.Error("Scripted accepted -mtbf/-fault-repair")
 	}
 	if err := faultFlags.Apply(&p, spec.Graph); err != nil {
 		t.Fatal(err)
@@ -172,10 +185,9 @@ func TestFaultFlags(t *testing.T) {
 		t.Errorf("Apply drew %d events (hash %016x), want RandomPlan over the 1200-cycle horizon at seed 5 (%d events)",
 			len(p.Plan.Events), p.Plan.Hash(), len(ref.Events))
 	}
-	if p.Retry != want {
-		t.Errorf("Apply set retry %+v, want %+v", p.Retry, want)
+	if p.Retry != want || p.RepairDelay != 60 {
+		t.Errorf("Apply set retry %+v, repair delay %d; want %+v, 60", p.Retry, p.RepairDelay, want)
 	}
-	p.RepairDelay = 60
 	m := faultFlags.Manifest(p)
 	if m == nil || m.MTBF != 40 || m.Repair != 90 || m.Source != "" || m.RepairDelay != 60 ||
 		m.Events != len(ref.Events) || m.Hash != fmt.Sprintf("%016x", ref.Hash()) {
@@ -183,12 +195,11 @@ func TestFaultFlags(t *testing.T) {
 	}
 	// The recorded policy is the normalized one: a cap below the base is
 	// clamped up, exactly as the engine runs it.
-	if m.MaxRetries != 2 || m.BackoffBase != 1000 || m.BackoffCap != 1000 || m.MaxAge != 0 {
-		t.Errorf("manifest retry %d/%d/%d/%d, want the effective 2/1000/1000/0", m.MaxRetries, m.BackoffBase, m.BackoffCap, m.MaxAge)
+	if m.MaxRetries != 2 || m.BackoffBase != 1000 || m.BackoffCap != 1000 || m.MaxAge != def.MaxAge {
+		t.Errorf("manifest retry %d/%d/%d/%d, want the effective 2/1000/1000/%d", m.MaxRetries, m.BackoffBase, m.BackoffCap, m.MaxAge, def.MaxAge)
 	}
 	// A zero Retry (what psserve leaves) records the default policy.
 	p.Retry = RetryPolicy{}
-	def := DefaultRetryPolicy()
 	if m := p.FaultManifest("", 0, 0); m.MaxRetries != def.MaxRetries || m.BackoffBase != def.BackoffBase ||
 		m.BackoffCap != def.BackoffCap || m.MaxAge != def.MaxAge || m.MTBF != 0 {
 		t.Errorf("zero-policy manifest %+v, want the defaults %+v", m, def)
